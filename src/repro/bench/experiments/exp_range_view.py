@@ -3,24 +3,24 @@
 An engineering bench beyond the paper's tables, for the REMIX-style
 range-read engine (DESIGN.md section 13).  Three arms, one run:
 
-* **scans** — twin filterless stores whose L0 is deliberately left deep
-  (high compaction trigger), the worst case the classic k-way merge can
-  face: every bounded window pays a heap rebuild over ~a hundred
-  overlapping runs.  Windows from narrow to wide plus the range-descent
-  oracle's exact probe shape (open-ended ``limit=1``), view off vs on,
-  asserting results and simulated clock bit-identical while wall-clock
-  drops.  Narrow windows are the interesting points: wide scans amortize
-  their seeks into the per-entry charge floor that both engines share,
-  while the attack probes below are all seek.
+* **scans** — a filterless store whose L0 is deliberately left deep
+  (high compaction trigger), the worst case a per-query k-way merge can
+  face and the case the view exists for: windows from narrow to wide
+  plus the range-descent oracle's exact probe shape (open-ended
+  ``limit=1``), reported as queries per second.  Narrow windows are the
+  interesting points: wide scans amortize their seeks into the
+  per-entry charge floor, while the attack probes are all seek.
 * **attack** — the full range-descent *timing* attack (cutoff learning,
-  averaged timed probes, background churn) twice over twin SuRF
-  environments, view off vs on, at 10x the seed experiment's key count;
-  extracted keys and the simulated clock must be bit-identical, and the
-  wall-clock ratio is the engine's end-to-end payoff.
+  averaged timed probes, background churn) over a SuRF environment at
+  10x the seed experiment's key count.
 * **amortization** — one churning store (clustered writes, periodic range
   reads) measuring what incremental view maintenance costs at install
   time: segments actually rebuilt vs the rebuild-everything-per-install
-  worst case, and the ingest wall-clock overhead of carrying the view.
+  worst case.
+
+That the view is bit-identical to the classic heap merge (results, stats,
+simulated clock) is a tier-1 test against the unmappable-device twin in
+``tests/reference``, not a bench arm.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ PAPER_CLAIM = ("(engineering) the range-descent attack and any range-read "
 
 # --------------------------------------------------------------------- scans
 
-def _build_scan_store(sorted_view: bool, num_keys: int,
+def _build_scan_store(num_keys: int,
                       seed: int) -> Tuple[LSMTree, List[bytes]]:
     """A filterless store with a deep L0: many overlapping runs."""
     db = LSMTree(LSMOptions(
@@ -62,7 +62,6 @@ def _build_scan_store(sorted_view: bool, num_keys: int,
         filter_builder=None,
         page_cache_bytes=64 * 1024 * 1024,
         enable_wal=False,
-        sorted_view=sorted_view,
         seed=seed,
     ))
     rng = make_rng(seed, "scan-keys")
@@ -76,64 +75,39 @@ def _build_scan_store(sorted_view: bool, num_keys: int,
 
 def _bench_scans(rows: List[Dict[str, object]], num_keys: int,
                  num_queries: int, seed: int) -> Dict[str, object]:
-    db_off, keys = _build_scan_store(False, num_keys, seed)
-    db_on, _ = _build_scan_store(True, num_keys, seed)
-    tables = sum(len(level) for level in db_off.version.levels)
+    db, keys = _build_scan_store(num_keys, seed)
+    tables = sum(len(level) for level in db.version.levels)
     summary: Dict[str, object] = {"scan_tables": tables}
-    identical = True
+
+    def timed(label, queries, limit=None):
+        db.range_query(*queries[0], limit=limit)  # warm the decoded cache
+        started = time.perf_counter()
+        for low, high in queries:
+            db.range_query(low, high, limit=limit)
+        elapsed = time.perf_counter() - started
+        rows.append({"phase": "scan", "window": label,
+                     "queries": len(queries), "seconds": elapsed,
+                     "queries_per_s": len(queries) / elapsed})
+        return len(queries) / elapsed
+
     for window in (4, 16, 64):
         rng = make_rng(seed + window, "scan-windows")
         starts = [rng.randrange(len(keys) - window)
                   for _ in range(num_queries)]
-        pairs = [(keys[i], keys[i + window - 1]) for i in starts]
-        timings = {}
-        for label, db in (("off", db_off), ("on", db_on)):
-            db.range_query(*pairs[0])  # warm the decoded cache
-            started = time.perf_counter()
-            results = [db.range_query(low, high) for low, high in pairs]
-            timings[label] = (time.perf_counter() - started, results)
-        off_s, off_results = timings["off"]
-        on_s, on_results = timings["on"]
-        identical &= (off_results == on_results
-                      and db_off.clock.now_us == db_on.clock.now_us)
-        rows.append({
-            "phase": "scan",
-            "window": window,
-            "queries": num_queries,
-            "classic_s": off_s,
-            "view_s": on_s,
-            "speedup": off_s / on_s,
-        })
+        rate = timed(window, [(keys[i], keys[i + window - 1])
+                              for i in starts])
         if window == 4:
-            summary["scan_speedup"] = off_s / on_s
+            summary["scan_queries_per_s"] = rate
     # The oracle's probe: open-ended low bound, limit=1 — pure seek.
     rng = make_rng(seed + 9, "scan-probes")
-    lows = [rng.random_bytes(WIDTH) for _ in range(num_queries)]
     high_tail = b"\xff" * WIDTH
-    timings = {}
-    for label, db in (("off", db_off), ("on", db_on)):
-        db.range_query(lows[0], lows[0] + high_tail, limit=1)
-        started = time.perf_counter()
-        results = [db.range_query(low, low + high_tail, limit=1)
-                   for low in lows]
-        timings[label] = (time.perf_counter() - started, results)
-    off_s, off_results = timings["off"]
-    on_s, on_results = timings["on"]
-    identical &= (off_results == on_results
-                  and db_off.clock.now_us == db_on.clock.now_us)
-    rows.append({
-        "phase": "scan",
-        "window": "oracle probe (limit=1)",
-        "queries": num_queries,
-        "classic_s": off_s,
-        "view_s": on_s,
-        "speedup": off_s / on_s,
-    })
-    summary["probe_speedup"] = off_s / on_s
-    db_off.close()
-    db_on.close()
-    summary["scan_identical"] = identical
-    summary["scan_leaked_pins"] = db_off.leaked_pins + db_on.leaked_pins
+    lows = [rng.random_bytes(WIDTH) for _ in range(num_queries)]
+    summary["probe_queries_per_s"] = timed(
+        "oracle probe (limit=1)",
+        [(low, low + high_tail) for low in lows], limit=1)
+    summary["scan_view_seeks"] = db.stats.sorted_view_seeks
+    db.close()
+    summary["scan_leaked_pins"] = db.leaked_pins
     return summary
 
 
@@ -142,55 +116,41 @@ def _bench_scans(rows: List[Dict[str, object]], num_keys: int,
 def _bench_attack(rows: List[Dict[str, object]], num_keys: int,
                   target_keys: int, num_samples: int,
                   seed: int) -> Dict[str, object]:
-    results: Dict[bool, Tuple[float, float, object, float, int]] = {}
-    for view_on in (False, True):
-        env = build_environment(DatasetConfig(
-            num_keys=num_keys, key_width=WIDTH, seed=seed,
-            filter_builder=SuRFBuilder(variant="real", suffix_bits=8),
-            sorted_view=view_on))
-        started = time.perf_counter()
-        learning = learn_cutoff(env.service, ATTACKER_USER, WIDTH,
-                                num_samples=num_samples,
-                                background=env.background)
-        learn_s = time.perf_counter() - started
-        oracle = TimingRangeOracle(env.service, ATTACKER_USER,
-                                   cutoff_us=learning.cutoff_us,
-                                   background=env.background,
-                                   wait_us=50_000.0)
-        started = time.perf_counter()
-        descent = RangeDescentAttack(oracle, RangeAttackConfig(
-            key_width=WIDTH, max_keys=target_keys, seed=seed + 1)).run()
-        descent_s = time.perf_counter() - started
-        correct = sum(1 for key in descent.keys if key in env.key_set)
-        env.db.close()
-        results[view_on] = (learn_s, descent_s, descent, env.clock.now_us,
-                            env.db.leaked_pins)
-        rows.append({
-            "phase": "attack",
-            "sorted_view": view_on,
-            "learning_s": learn_s,
-            "descent_s": descent_s,
-            "keys_extracted": len(descent.keys),
-            "correct": correct,
-            "queries_per_key": descent.queries_per_key(),
-        })
-    off_learn, off_s, off_descent, off_clock, off_pins = results[False]
-    on_learn, on_s, on_descent, on_clock, on_pins = results[True]
-    # The cutoff-learning phase is point queries only — identical work on
-    # both sides, reported but excluded from the engine's ratio.  The
-    # descent is the range-query phase; on a bulk-loaded (compact,
-    # filter-pruned) victim it is probe-bound, so the honest expectation
-    # here is "reported", not "large" — the deep-L0 scan arm above is
-    # where the merge rebuild dominated.
+    env = build_environment(DatasetConfig(
+        num_keys=num_keys, key_width=WIDTH, seed=seed,
+        filter_builder=SuRFBuilder(variant="real", suffix_bits=8)))
+    started = time.perf_counter()
+    learning = learn_cutoff(env.service, ATTACKER_USER, WIDTH,
+                            num_samples=num_samples,
+                            background=env.background)
+    learn_s = time.perf_counter() - started
+    oracle = TimingRangeOracle(env.service, ATTACKER_USER,
+                               cutoff_us=learning.cutoff_us,
+                               background=env.background,
+                               wait_us=50_000.0)
+    started = time.perf_counter()
+    descent = RangeDescentAttack(oracle, RangeAttackConfig(
+        key_width=WIDTH, max_keys=target_keys, seed=seed + 1)).run()
+    descent_s = time.perf_counter() - started
+    correct = sum(1 for key in descent.keys if key in env.key_set)
+    env.db.close()
+    rows.append({
+        "phase": "attack",
+        "learning_s": learn_s,
+        "descent_s": descent_s,
+        "keys_extracted": len(descent.keys),
+        "correct": correct,
+        "queries_per_key": descent.queries_per_key(),
+    })
+    # The cutoff-learning phase is point queries only; the descent is
+    # the range-query phase.  On a bulk-loaded (compact, filter-pruned)
+    # victim it is probe-bound — the deep-L0 scan arm above is where the
+    # seek cost dominates.
     return {
-        "attack_wall_off_s": off_learn + off_s,
-        "attack_wall_on_s": on_learn + on_s,
-        "attack_descent_off_s": off_s,
-        "attack_descent_on_s": on_s,
-        "attack_descent_speedup": off_s / on_s,
-        "attack_keys_identical": off_descent.keys == on_descent.keys,
-        "attack_sim_identical": off_clock == on_clock,
-        "attack_leaked_pins": off_pins + on_pins,
+        "attack_wall_s": learn_s + descent_s,
+        "attack_descent_s": descent_s,
+        "attack_keys_extracted": len(descent.keys),
+        "attack_leaked_pins": env.db.leaked_pins,
     }
 
 
@@ -202,8 +162,7 @@ def _churn(db: LSMTree, keys_per_band: int, rounds: int,
 
     Each round's writes share one prefix band, so a flush's key span is
     narrow and the incremental evolve can keep far-away segments; the
-    interleaved reads keep the view instantiated (and measure nothing —
-    both twins run the identical script).
+    interleaved reads keep the view instantiated.
     """
     rng = make_rng(seed, "churn")
     started = time.perf_counter()
@@ -219,52 +178,38 @@ def _churn(db: LSMTree, keys_per_band: int, rounds: int,
 def _bench_amortization(rows: List[Dict[str, object]], num_keys: int,
                         keys_per_band: int, rounds: int,
                         seed: int) -> Dict[str, object]:
-    stores: Dict[bool, LSMTree] = {}
-    walls: Dict[bool, float] = {}
-    for view_on in (False, True):
-        db = LSMTree(LSMOptions(
-            memtable_size_bytes=32 * 1024,
-            sstable_target_bytes=64 * 1024,
-            filter_builder=None,
-            enable_wal=False,
-            sorted_view=view_on,
-            seed=seed,
-        ))
-        rng = make_rng(seed, "amortize-keys")
-        for _ in range(num_keys):
-            db.put(rng.random_bytes(WIDTH), b"v" * 12)
-        db.range_query(b"\x10", b"\x10" + b"\xff" * (WIDTH - 1),
-                       limit=32)  # instantiate the first view
-        walls[view_on] = _churn(db, keys_per_band, rounds, seed + 1)
-        stores[view_on] = db
-    db_off, db_on = stores[False], stores[True]
-    identical = db_off.clock.now_us == db_on.clock.now_us
-    view = ensure_view(db_on.version, db_on.options.build_threads)
+    db = LSMTree(LSMOptions(
+        memtable_size_bytes=32 * 1024,
+        sstable_target_bytes=64 * 1024,
+        filter_builder=None,
+        enable_wal=False,
+        seed=seed,
+    ))
+    rng = make_rng(seed, "amortize-keys")
+    for _ in range(num_keys):
+        db.put(rng.random_bytes(WIDTH), b"v" * 12)
+    db.range_query(b"\x10", b"\x10" + b"\xff" * (WIDTH - 1),
+                   limit=32)  # instantiate the first view
+    churn_s = _churn(db, keys_per_band, rounds, seed + 1)
+    view = ensure_view(db.version, db.options.build_threads)
     segments_now = len(view.seg_keys) if view is not None else 0
-    installs = db_on.stats.flushes
-    rebuilt = db_on.stats.view_rebuild_segments
+    installs = db.stats.flushes
+    rebuilt = db.stats.view_rebuild_segments
     # The alternative the incremental evolve replaces: rebuilding every
     # segment at every install.
     full_rebuild_segments = max(1, installs * segments_now)
-    db_off.close()
-    db_on.close()
+    db.close()
     rows.append({
         "phase": "amortize",
         "installs_flushes": installs,
         "segments_in_final_view": segments_now,
         "segments_rebuilt_total": rebuilt,
         "rebuild_fraction_vs_full": rebuilt / full_rebuild_segments,
-        "churn_wall_off_s": walls[False],
-        "churn_wall_on_s": walls[True],
-        "churn_overhead_pct":
-            100.0 * (walls[True] - walls[False]) / walls[False],
+        "churn_wall_s": churn_s,
     })
     return {
         "amortize_rebuild_fraction": rebuilt / full_rebuild_segments,
-        "amortize_churn_overhead_pct":
-            100.0 * (walls[True] - walls[False]) / walls[False],
-        "amortize_sim_identical": identical,
-        "amortize_leaked_pins": db_off.leaked_pins + db_on.leaked_pins,
+        "amortize_leaked_pins": db.leaked_pins,
     }
 
 
@@ -273,7 +218,7 @@ def run(scan_keys: int = 50_000, scan_queries: int = 800,
         attack_samples: int = 3_000, amortize_keys: int = 24_000,
         amortize_band: int = 400, amortize_rounds: int = 8,
         seed: int = 23) -> ExperimentReport:
-    """Scan-throughput sweep, off/on attack pair, churn amortization."""
+    """Scan-throughput sweep, range-descent attack, churn amortization."""
     rows: List[Dict[str, object]] = []
     summary = _bench_scans(rows, scan_keys, scan_queries, seed)
     summary.update(_bench_attack(rows, attack_keys, attack_targets,
@@ -287,7 +232,7 @@ def run(scan_keys: int = 50_000, scan_queries: int = 800,
         scale_note=(f"{scan_queries:,} bounded scans per window against a "
                     f"{scan_keys:,}-key deep-L0 store "
                     f"({summary['scan_tables']} runs); range-descent timing "
-                    f"attack on {attack_keys:,} keys, view off vs on; "
+                    f"attack on {attack_keys:,} keys; "
                     f"{amortize_rounds} clustered churn rounds over "
                     f"{amortize_keys:,} keys"),
         rows=rows,

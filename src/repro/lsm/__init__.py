@@ -8,7 +8,7 @@ from repro.lsm.manifest import Manifest, ManifestEntry, ManifestLoad
 from repro.lsm.memtable import TOMBSTONE, Entry, MemTable
 from repro.lsm.options import CostModel, LSMOptions
 from repro.lsm.recovery import QuarantinedFile, RecoveryReport
-from repro.lsm.sstable import SSTable, SSTableBuilder, SSTableReader
+from repro.lsm.sstable import SSTable, SSTableReader
 from repro.lsm.torture import (
     CrashPointResult,
     SweepResult,
@@ -36,7 +36,6 @@ __all__ = [
     "QuarantinedFile",
     "RecoveryReport",
     "SSTable",
-    "SSTableBuilder",
     "SSTableReader",
     "SweepResult",
     "TOMBSTONE",

@@ -38,7 +38,6 @@ from bisect import bisect_left
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import CompactionError
-from repro.lsm.iterator import merge_entries
 from repro.lsm.options import LSMOptions
 from repro.lsm.parallel_build import (
     _merge_range_task,
@@ -47,7 +46,7 @@ from repro.lsm.parallel_build import (
     map_build_tasks,
     plan_split_points,
 )
-from repro.lsm.sstable import SSTable, SSTableBuilder
+from repro.lsm.sstable import SSTable
 from repro.lsm.version import Version, VersionEdit, VersionSet
 from repro.storage.device import StorageDevice
 from repro.storage.page_cache import PageCache
@@ -145,7 +144,8 @@ class Compactor:
             start, end = window
             inputs = [t for group in groups[start:end] for t in group]
             oldest_included = end == len(groups)
-            merged = self._merge_runs(inputs, drop_tombstones=oldest_included)
+            merged = self._merge_tables(inputs,
+                                        drop_tombstones=oldest_included)
             before = [t for group in groups[:start] for t in group]
             after = [t for group in groups[end:] for t in group]
             self._install(VersionEdit().replace_l0(before + merged + after,
@@ -158,7 +158,7 @@ class Compactor:
         runs = list(self.versions.current.levels[0])
         if len(runs) <= 1:
             return
-        merged = self._merge_runs(runs, drop_tombstones=True)
+        merged = self._merge_tables(runs, drop_tombstones=True)
         self._install(VersionEdit().replace_l0(merged, runs), runs)
 
     @staticmethod
@@ -200,11 +200,6 @@ class Compactor:
             if end - start >= trigger:
                 return start, end
         return None
-
-    def _merge_runs(self, runs: List[SSTable],
-                    drop_tombstones: bool) -> List[SSTable]:
-        """Merge whole runs (newest first) into target-size tables."""
-        return self._merge_tables(runs, drop_tombstones)
 
     def level_target_bytes(self, level: int) -> int:
         """Byte budget of ``level`` (levels >= 1)."""
@@ -279,46 +274,15 @@ class Compactor:
                       drop_tombstones: bool) -> List[SSTable]:
         """Merge input tables (newest first) into target-size outputs.
 
-        ``build_threads >= 1`` uses the subcompaction engine, ``0`` the
-        pre-engine streaming reference (kept as the equivalence and
-        benchmark baseline).  Both split outputs at
-        ``sstable_target_bytes``; the engine additionally splits at its
-        key-range boundaries, which depend only on the inputs — so its
-        outputs are bit-identical across worker counts, though the table
-        boundaries may differ from the streaming path's.
-        """
-        if self.options.build_threads <= 0:
-            return self._merge_tables_streaming(tables, drop_tombstones)
-        return self._merge_tables_engine(tables, drop_tombstones)
-
-    def _merge_tables_streaming(self, tables: List[SSTable],
-                                drop_tombstones: bool) -> List[SSTable]:
-        sources = [t.reader.iterate_from(b"", self.cache) for t in tables]
-        outputs: List[SSTable] = []
-        builder = None
-        for key, entry in merge_entries(sources):
-            if drop_tombstones and entry.is_tombstone:
-                continue
-            if builder is None:
-                builder = self._new_builder()
-            builder.add(key, entry)
-            if builder.estimated_bytes >= self.options.sstable_target_bytes:
-                outputs.append(builder.finish())
-                builder = None
-        if builder is not None and builder.num_entries:
-            outputs.append(builder.finish())
-        return outputs
-
-    def _merge_tables_engine(self, tables: List[SSTable],
-                             drop_tombstones: bool) -> List[SSTable]:
-        """RocksDB-style subcompactions with deterministic effects.
-
-        Three phases keep every effect on this thread in a fixed order,
-        making the merge's observable behaviour independent of the worker
-        count: (1) read *all* input records here, newest table first,
-        block by block through the page cache — the same blocks a serial
-        merge reads, so device charges, RNG draws and cache traffic are
-        one deterministic sequence; (2) partition the key space at input
+        RocksDB-style subcompactions with deterministic effects: outputs
+        split at ``sstable_target_bytes`` and at the engine's key-range
+        boundaries, which depend only on the inputs.  Three phases keep
+        every effect on this thread in a fixed order, making the merge's
+        observable behaviour independent of the worker count: (1) read
+        *all* input records here, newest table first, block by block
+        through the page cache — the same blocks a serial merge reads, so
+        device charges, RNG draws and cache traffic are one
+        deterministic sequence; (2) partition the key space at input
         table boundaries (:func:`plan_split_points`) and hand each range's
         record slices to pure workers that merge, shadow, drop tombstones
         and build table artifacts; (3) install the artifacts here, in key
@@ -364,11 +328,6 @@ class Compactor:
         current = self.versions.current
         return all(not current.levels[lvl]
                    for lvl in range(target_level + 1, self.options.max_levels))
-
-    def _new_builder(self) -> SSTableBuilder:
-        return SSTableBuilder(self.device, self._allocate_path(),
-                              self.options.block_size_bytes,
-                              self.options.filter_builder)
 
 
 class BackgroundCompactor:

@@ -9,14 +9,17 @@ The ``get`` path is the attack surface: it searches top-down (memtable,
 L0 newest-first, then one table per deeper level) and consults each
 table's in-memory filter before reading any data block, so a key rejected
 by every filter is answered without I/O — the timing signal prefix
-siphoning exploits.
+siphoning exploits.  That search, and every other read, lives in
+:mod:`repro.lsm.read_path`; the tree owns state (memtable, versions,
+clock, RNG streams, cache) and passes itself as the read context, exactly
+as :class:`~repro.lsm.snapshot.SnapshotView` does.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.common.errors import (
     ConfigError,
@@ -27,10 +30,20 @@ from repro.common.errors import (
     TransientIOError,
 )
 from repro.common.rng import make_rng
+from repro.lsm import read_path
 from repro.lsm.compaction import BackgroundCompactor, Compactor
+from repro.lsm.iterator import DBIterator
 from repro.lsm.manifest import Manifest, ManifestEntry, ManifestLoad
-from repro.lsm.memtable import Entry, MemTable
+from repro.lsm.memtable import MemTable
 from repro.lsm.options import LSMOptions
+from repro.lsm.parallel_build import (
+    _build_chunk_task,
+    _build_chunk_task_portable,
+    build_table_artifact,
+    install_artifact,
+    map_build_tasks,
+    shard_sorted_items,
+)
 from repro.lsm.recovery import (
     REASON_CORRUPT,
     REASON_MISSING,
@@ -38,8 +51,8 @@ from repro.lsm.recovery import (
     QuarantinedFile,
     RecoveryReport,
 )
-from repro.lsm.sorted_view import UNBUILDABLE, ensure_view
-from repro.lsm.sstable import SSTable, SSTableBuilder, SSTableReader
+from repro.lsm.sorted_view import UNBUILDABLE
+from repro.lsm.sstable import SSTable, SSTableReader
 from repro.lsm.version import Version, VersionEdit, VersionSet
 from repro.lsm.wal import WriteAheadLog
 from repro.storage.clock import SimClock
@@ -73,174 +86,6 @@ class DBStats:
         return self.filter_checks - self.filter_negatives
 
 
-class ProbePlan:
-    """Memoized pure filter verdicts for one batch of point queries.
-
-    Built by the :meth:`LSMTree.probe_plan` prepass, which batches the
-    probes per filter (vectorized Bloom hashing, shared-prefix LOUDS
-    traversal) *without* touching stats, clock, or RNG.  The replay —
-    the ordinary per-key search loop — then substitutes a dictionary
-    lookup for each scalar ``may_contain`` call and records stats only
-    for verdicts it actually consumes, so simulated time, verdicts and
-    every counter are bit-identical with the plan on or off.  A missing
-    entry (``None``) means "compute scalar", never "False".
-
-    The plan **pins** the version it was computed against: concurrent
-    flushes and background compactions install new versions without
-    disturbing the batch, and the pinned version's tables cannot retire
-    under it.  Batch drivers call :meth:`release` (idempotent) when the
-    batch is done; un-released plans are reclaimed at ``db.close()`` and
-    counted as leaks.
-    """
-
-    __slots__ = ("_verdicts", "candidates", "version", "_versions")
-
-    def __init__(self, version: Optional[Version] = None,
-                 versions: Optional[VersionSet] = None) -> None:
-        self._verdicts: Dict[int, Dict[bytes, bool]] = {}
-        #: key -> tuple of candidate SSTables, memoized by the prepass so
-        #: the replay need not repeat the version walk.  Valid for the
-        #: batch only: the pinned version cannot change under the batch.
-        self.candidates: Dict[bytes, tuple] = {}
-        #: the pinned version the prepass walked (None for bare plans).
-        self.version = version
-        self._versions = versions
-
-    def release(self) -> None:
-        """Unpin the plan's version (idempotent)."""
-        versions, self._versions = self._versions, None
-        if versions is not None:
-            versions.unpin(self.version)
-
-    def add(self, filt, keys: List[bytes], verdicts: List[bool]) -> None:
-        """Memoize ``filt``'s pure verdicts for ``keys``."""
-        table = self._verdicts.setdefault(id(filt), {})
-        for key, verdict in zip(keys, verdicts):
-            table[key] = verdict
-
-    def lookup(self, filt, key: bytes) -> Optional[bool]:
-        """Memoized verdict, or None when the prepass did not cover it."""
-        table = self._verdicts.get(id(filt))
-        if table is None:
-            return None
-        return table.get(key)
-
-
-def _range_filter_of(table: SSTable):
-    """The table's range-capable filter, or None.
-
-    Point-only filters (plain Bloom) lack ``may_contain_range`` and can
-    never prune a range read; every range path treats them as absent
-    through this single guard.  The capability check itself runs once,
-    at table construction (``SSTable.range_filter``).
-    """
-    return table.range_filter
-
-
-def _bounded(iterator, high: bytes):
-    """Cut a sorted (key, entry) stream at the first key past ``high``."""
-    for key, entry in iterator:
-        if key > high:
-            return
-        yield key, entry
-
-
-def _plan_range_sources(ctx, version: Version, low: bytes,
-                        high: Optional[bytes],
-                        bound: Optional[bytes] = None) -> List[SSTable]:
-    """Charged filter-probe prepass of a range read, in merge order.
-
-    Walks ``version``'s overlapping tables level by level, consults each
-    range-capable filter (charging the probe cost and counting stats),
-    and returns the tables the read must actually merge.  Shared by the
-    sorted-view and classic engines — and by :class:`LSMTree` and
-    :class:`~repro.lsm.snapshot.SnapshotView` as the read context
-    ``ctx`` — so the probe side channel cannot depend on the engine.
-    ``high=None`` (open-ended cursor) skips the probes and selects
-    tables by ``bound`` instead.
-    """
-    costs = ctx.options.costs
-    stats = ctx.stats
-    if bound is None:
-        bound = high
-    probe = high is not None
-    active: List[SSTable] = []
-    append = active.append
-    table_reads = 0
-    overlapping = version.overlapping
-    for level in range(ctx.options.max_levels):
-        for table in overlapping(level, low, bound):
-            if probe:
-                filt = table.range_filter
-                if filt is not None:
-                    stats.filter_checks += 1
-                    ctx.charge_cost(costs.filter_query_cost_us)
-                    if not filt.may_contain_range(low, high):
-                        stats.filter_negatives += 1
-                        continue
-            table_reads += 1
-            append(table)
-    stats.table_reads += table_reads
-    return active
-
-
-def _view_of(ctx, version: Version):
-    """The version's sorted view under ``ctx``'s options, or None.
-
-    Builds lazily on first use (charge-free — key maps decode straight
-    off the tables' mapped regions); a version that cannot be mapped
-    falls back to the classic merge permanently.
-    """
-    if not ctx.options.sorted_view:
-        return None
-    return ensure_view(version, ctx.options.build_threads, ctx.stats)
-
-
-def _range_query_impl(ctx, version: Version, mem_items_from, low: bytes,
-                      high: bytes, limit: Optional[int]
-                      ) -> List[Tuple[bytes, bytes]]:
-    """Body of a bounded range read against a pinned ``version``.
-
-    ``ctx`` duck-types the read context (options/stats/clock/cache/
-    ``_cost_rng``/``charge_cost``) so the live tree and snapshot views
-    share one implementation.  The consumption loop hoists the per-step
-    charge exactly as ``ctx.charge_cost`` computes it — bit-identical
-    draws and charges, engine on or off.
-    """
-    from repro.lsm.iterator import merge_entries
-    costs = ctx.options.costs
-    stats = ctx.stats
-    stats.range_queries += 1
-    ctx.charge_cost(costs.range_seek_cost_us)
-    active = _plan_range_sources(ctx, version, low, high)
-    view = _view_of(ctx, version)
-    if view is not None:
-        stats.sorted_view_seeks += 1
-        merged = view.walk(active, mem_items_from(low), low, high, ctx.cache)
-    else:
-        sources = [_bounded(mem_items_from(low), high)]
-        sources.extend(_bounded(table.reader.iterate_from(low, ctx.cache),
-                                high) for table in active)
-        merged = merge_entries(sources)
-    next_cost = costs.range_next_cost_us
-    jitter = costs.jitter
-    gauss = ctx._cost_rng.gauss
-    clock_charge = ctx.clock.charge
-    out: List[Tuple[bytes, bytes]] = []
-    append = out.append
-    for key, entry in merged:
-        if jitter:
-            clock_charge(next_cost * max(0.1, gauss(1.0, jitter)))
-        else:
-            clock_charge(next_cost)
-        if entry.is_tombstone:
-            continue
-        append((key, entry.value))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
-
-
 class LSMTree:
     """A single-node LSM-tree key-value store over simulated storage."""
 
@@ -272,19 +117,12 @@ class LSMTree:
         self._compactor = Compactor(self.device, self.cache, self.options,
                                     self.versions, self._allocate_path)
         self.stats = DBStats()
-        if self.options.sorted_view:
-            self.versions.on_install = self._on_version_install
+        self.versions.on_install = self._on_version_install
         self._cost_rng = rng.spawn("costs")
         self._closed = False
         #: Reader pins still outstanding when :meth:`close` reclaimed them.
         self.leaked_pins = 0
         self._snapshot_counter = 0
-        #: Scalar reads always pin: installs retire replaced tables
-        #: immediately (deleting their files once no version holds them),
-        #: and with the threaded wire server — or any caller mixing
-        #: threads — an install can race a read in *either* compaction
-        #: mode.  The pin is charge-free, so simulated time is untouched.
-        self._pin_reads = True
         self._background: Optional[BackgroundCompactor] = None
         self._bg_compactor: Optional[Compactor] = None
         if self.options.background_compaction:
@@ -609,28 +447,23 @@ class LSMTree:
         self._check_open()
         if not len(self._memtable):
             return None
-        builder = SSTableBuilder(self.device, self._allocate_path(),
-                                 self.options.block_size_bytes,
-                                 self.options.filter_builder)
-        for key, entry in self._memtable.items():
-            builder.add(key, entry)
-        table = builder.finish()
+        artifact = build_table_artifact(
+            [(key, entry.value) for key, entry in self._memtable.items()],
+            self.options.block_size_bytes, self.options.filter_builder)
+        table = install_artifact(self.device, self._allocate_path(), artifact)
         self.versions.install(VersionEdit().add_l0(table))
         self._memtable = MemTable(self._rng.spawn(f"memtable-{self._next_file}"))
         self.stats.flushes += 1
-        if self._background is not None:
-            # Install + durable manifest now; merging happens off-thread,
-            # overlapping the caller's next operations.
-            self._commit_version()
-            if self.options.enable_wal:
-                self._wal.reset()
-            self._background.kick()
-            return table
-        with self._compaction_lock:
-            self._compactor.maybe_compact()
+        if self._background is None:
+            with self._compaction_lock:
+                self._compactor.maybe_compact()
         self._commit_version()
         if self.options.enable_wal:
             self._wal.reset()
+        if self._background is not None:
+            # Install + durable manifest done; merging happens
+            # off-thread, overlapping the caller's next operations.
+            self._background.kick()
         return table
 
     def compact_all(self) -> None:
@@ -676,28 +509,15 @@ class LSMTree:
         them, bypassing the memtable and WAL (RocksDB SST-ingestion
         analogue).  The tree must be empty.
 
-        With ``build_threads >= 1`` the input is sharded at
-        ``sstable_target_bytes`` boundaries and the tables (and their
-        filters) are built through the parallel engine
-        (:mod:`repro.lsm.parallel_build`); installation happens here, in
-        key order, so file bytes, numbering and simulated costs are
-        identical for every worker count — including the
-        ``build_threads=0`` streaming reference path below, kept as the
-        equivalence baseline.
+        The input is sharded at ``sstable_target_bytes`` boundaries and
+        the tables (and their filters) are built through the parallel
+        engine (:mod:`repro.lsm.parallel_build`); installation happens
+        here, in key order, so file bytes, numbering and simulated costs
+        are identical for every worker count.
         """
         self._check_open()
         if len(self._memtable) or self.versions.current.total_tables():
             raise ConfigError("bulk_load requires an empty tree")
-        if self.options.build_threads <= 0:
-            self._bulk_load_streaming(items)
-            return
-        from repro.lsm.parallel_build import (
-            _build_chunk_task,
-            _build_chunk_task_portable,
-            install_artifact,
-            map_build_tasks,
-            shard_sorted_items,
-        )
         chunks = shard_sorted_items(items, self.options.block_size_bytes,
                                     self.options.sstable_target_bytes)
         if not chunks:
@@ -717,35 +537,6 @@ class LSMTree:
         self.versions.install(VersionEdit().install(level, tables, []))
         self._commit_version()
 
-    def _bulk_load_streaming(self, items: Iterable[Tuple[bytes, bytes]]
-                             ) -> None:
-        """Pre-engine serial reference: one streaming builder at a time."""
-        tables: List[SSTable] = []
-        builder = None
-        last_key = None
-        total_bytes = 0
-        for key, value in items:
-            if last_key is not None and key <= last_key:
-                raise ConfigError("bulk_load input must be sorted and unique")
-            last_key = key
-            if builder is None:
-                builder = SSTableBuilder(self.device, self._allocate_path(),
-                                         self.options.block_size_bytes,
-                                         self.options.filter_builder)
-            builder.add(key, Entry(value))
-            if builder.estimated_bytes >= self.options.sstable_target_bytes:
-                tables.append(builder.finish())
-                total_bytes += tables[-1].size_bytes
-                builder = None
-        if builder is not None and builder.num_entries:
-            tables.append(builder.finish())
-            total_bytes += tables[-1].size_bytes
-        if not tables:
-            return
-        level = self._deepest_fitting_level(total_bytes)
-        self.versions.install(VersionEdit().install(level, tables, []))
-        self._commit_version()
-
     def _deepest_fitting_level(self, total_bytes: int) -> int:
         for level in range(self.options.max_levels - 1, 0, -1):
             if self._compactor.level_target_bytes(level) >= total_bytes:
@@ -761,34 +552,7 @@ class LSMTree:
         time (via ``clock.measure()``) the attacker-visible signal.
         """
         self._check_open()
-        costs = self.options.costs
-        self.stats.gets += 1
-        self.charge_cost(costs.get_base_cost_us + costs.memtable_lookup_cost_us)
-        entry = self._memtable.get(key)
-        if entry is not None:
-            self.stats.memtable_hits += 1
-            return entry.value
-        pinned = None
-        if self._pin_reads:
-            version = pinned = self.versions.pin()
-        else:
-            version = self.versions.current
-        try:
-            for table in version.candidates_for_key(key):
-                if table.filter is not None:
-                    self.stats.filter_checks += 1
-                    self.charge_cost(costs.filter_query_cost_us)
-                    if not table.filter.may_contain(key):
-                        self.stats.filter_negatives += 1
-                        continue
-                self.stats.table_reads += 1
-                entry = table.reader.get(key, self.cache, costs)
-                if entry is not None:
-                    return entry.value
-            return None
-        finally:
-            if pinned is not None:
-                self.versions.unpin(pinned)
+        return read_path.getter(self)(key)
 
     def get_timed(self, key: bytes) -> Tuple[Optional[bytes], float]:
         """``get`` plus its simulated response time in microseconds."""
@@ -796,199 +560,57 @@ class LSMTree:
             value = self.get(key)
         return value, stopwatch.elapsed_us
 
-    def probe_plan(self, keys: Iterable[bytes],
-                   include_memtable_hits: bool = False
-                   ) -> Optional[ProbePlan]:
-        """Pure batched-probe prepass for a batch of point queries.
+    def probe_plan(self, keys: Iterable[bytes]
+                   ) -> Optional[read_path.ProbePlan]:
+        """Pure batched-probe prepass (:func:`read_path.probe_plan`).
 
-        Collects, per filter on the batch's search paths, the unique keys
-        the scalar loop could probe it with, and computes their verdicts
-        through each filter's batch probe (:meth:`Filter.probe_many` —
-        vectorized Bloom hashing, shared-prefix LOUDS traversal).  Touches
-        no stats, clock, or RNG: the verdicts are memoized for the replay
-        to consume in the scalar path's own order.  Keys currently in the
-        memtable are skipped (their gets never reach a filter) unless
-        ``include_memtable_hits`` — :meth:`filters_pass_many` probes
-        filters regardless of the memtable.
-
-        Returns None when the engine is disabled or nothing needs probing.
+        Keys currently in the memtable are skipped: their gets never
+        reach a filter.  The returned plan pins the current version;
+        callers :meth:`~read_path.ProbePlan.release` it after the batch.
         """
-        if not self.options.probe_engine:
-            return None
-        version = self.versions.pin()
-        memtable_get = self._memtable.get
-        candidates_for_key = version.candidates_for_key
-        groups: Dict[int, Tuple[object, List[bytes]]] = {}
-        key_candidates: Dict[bytes, tuple] = {}
-        seen = set()
-        for key in keys:
-            if key in seen:
-                continue
-            seen.add(key)
-            if not include_memtable_hits and memtable_get(key) is not None:
-                continue
-            tables = tuple(candidates_for_key(key))
-            key_candidates[key] = tables
-            for table in tables:
-                filt = table.filter
-                if filt is None:
-                    continue
-                entry = groups.get(id(filt))
-                if entry is None:
-                    groups[id(filt)] = entry = (filt, [])
-                entry[1].append(key)
-        if not groups:
-            self.versions.unpin(version)
-            return None
-        plan = ProbePlan(version, self.versions)
-        plan.candidates = key_candidates
-        for filt, filt_keys in groups.values():
-            plan.add(filt, filt_keys, filt.probe_many(filt_keys))
-        return plan
+        return read_path.probe_plan(self, keys)
 
-    def getter(self, plan: Optional[ProbePlan] = None):
+    def getter(self, plan: Optional[read_path.ProbePlan] = None):
         """Fast-path point-read closure for batch callers.
 
         Returns a ``key -> Optional[bytes]`` callable observationally
-        equivalent to :meth:`get` — same simulated charges drawn from the
-        same RNG streams, same stats — with the per-call attribute lookups
-        hoisted out of the loop.  The attack loops issue 10^5-10^6 gets per
-        experiment; this is where that Python overhead is amortized.
-
-        With a :class:`ProbePlan`, filter verdicts come from the prepass's
-        memo (falling back to the scalar probe for uncovered keys); the
-        consumed verdicts are recorded into the filter's stats exactly as
-        ``may_contain`` would have.
+        equivalent to :meth:`get` (it *is* the same search loop,
+        :func:`read_path.getter`), optionally replaying the filter
+        verdicts of a :meth:`probe_plan` prepass.
         """
         self._check_open()
-        costs = self.options.costs
-        stats = self.stats
-        cache = self.cache
-        versions = self.versions
-        # A plan fixes the batch's version (already pinned by probe_plan);
-        # without one the closure re-reads the current version per call —
-        # lock-free for the sync engine, a per-call pin when background
-        # installs can race the table walk.
-        fixed_version = plan.version if plan is not None else None
-        pin_per_call = self._pin_reads and fixed_version is None
-        base_cost = costs.get_base_cost_us + costs.memtable_lookup_cost_us
-        filter_cost = costs.filter_query_cost_us
-        jitter = costs.jitter
-        gauss = self._cost_rng.gauss
-        clock_charge = self.clock.charge
-        plan_lookup = plan.lookup if plan is not None else None
-        plan_candidates = (plan.candidates.get if plan is not None
-                           else lambda _key: None)
-
-        def get_one(key: bytes) -> Optional[bytes]:
-            stats.gets += 1
-            if jitter:
-                clock_charge(base_cost * max(0.1, gauss(1.0, jitter)))
-            else:
-                clock_charge(base_cost)
-            # The memtable is re-read per call: flushes swap it out.
-            entry = self._memtable.get(key)
-            if entry is not None:
-                stats.memtable_hits += 1
-                return entry.value
-            pinned = None
-            tables = plan_candidates(key)
-            if tables is None:
-                version = fixed_version
-                if version is None:
-                    if pin_per_call:
-                        version = pinned = versions.pin()
-                    else:
-                        version = versions.current
-                tables = version.candidates_for_key(key)
-            try:
-                for table in tables:
-                    filt = table.filter
-                    if filt is not None:
-                        stats.filter_checks += 1
-                        if jitter:
-                            clock_charge(
-                                filter_cost * max(0.1, gauss(1.0, jitter)))
-                        else:
-                            clock_charge(filter_cost)
-                        if plan_lookup is not None:
-                            passed = plan_lookup(filt, key)
-                            if passed is None:
-                                passed = filt.may_contain(key)
-                            else:
-                                filt.stats.record_point(passed)
-                        else:
-                            passed = filt.may_contain(key)
-                        if not passed:
-                            stats.filter_negatives += 1
-                            continue
-                    stats.table_reads += 1
-                    entry = table.reader.get(key, cache, costs)
-                    if entry is not None:
-                        return entry.value
-                return None
-            finally:
-                if pinned is not None:
-                    versions.unpin(pinned)
-
-        return get_one
+        return read_path.getter(self, plan=plan)
 
     def get_many(self, keys: Iterable[bytes]) -> List[Optional[bytes]]:
         """Batch point query: ``[self.get(k) for k in keys]``, amortized.
 
         Identical simulated-time behaviour to the equivalent ``get`` loop
-        (the batch API only removes real-world Python overhead; the
-        probe-engine prepass is pure and the replay preserves every
-        charge, draw, and counter).
+        (the batch API only removes real-world Python overhead).
         """
-        keys = list(keys)
-        plan = self.probe_plan(keys)
-        try:
-            get_one = self.getter(plan)
-            return [get_one(key) for key in keys]
-        finally:
-            if plan is not None:
-                plan.release()
+        self._check_open()
+        return read_path.get_many(self, keys)
 
     def get_many_timed(self, keys: Iterable[bytes]
                        ) -> List[Tuple[Optional[bytes], float]]:
         """Batch ``get_timed``: per-key (value, simulated elapsed us)."""
-        keys = list(keys)
-        plan = self.probe_plan(keys)
-        try:
-            get_one = self.getter(plan)
-            clock = self.clock
-            out: List[Tuple[Optional[bytes], float]] = []
-            append = out.append
-            for key in keys:
-                start = clock.now_us
-                value = get_one(key)
-                append((value, clock.now_us - start))
-            return out
-        finally:
-            if plan is not None:
-                plan.release()
+        self._check_open()
+        return read_path.get_many(self, keys, timed=True)
 
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
         """All pairs with ``low <= key <= high`` (inclusive), in key order.
 
-        Uses each table's range filter (when available) to skip tables
-        whose filter proves the intersection empty — the optimization that
-        motivated range filters (section 2.2).  With
-        ``options.sorted_view`` the merge runs over the version's sorted
-        view (:mod:`repro.lsm.sorted_view`); filter probes, stats and
-        simulated-time charges are bit-identical either way.
+        Range filters prune tables whose filter proves the intersection
+        empty (:func:`read_path.range_query`).
         """
         self._check_open()
-        if low > high:
-            return []
         # Scans read blocks lazily across the merge loop, so the version
-        # stays pinned for the whole query regardless of engine mode.
+        # stays pinned for the whole query.
         version = self.versions.pin()
         try:
-            return _range_query_impl(self, version, self._memtable.items_from,
-                                     low, high, limit)
+            return read_path.range_query(self, version,
+                                         self._memtable.items_from,
+                                         low, high, limit)
         finally:
             self.versions.unpin(version)
 
@@ -1018,114 +640,42 @@ class LSMTree:
         alternative).  Each step charges the range-iteration cost.
         """
         self._check_open()
-        from repro.lsm.iterator import DBIterator
         costs = self.options.costs
         self.charge_cost(costs.range_seek_cost_us)
         effective_high = high if high is not None else b"\xff" * 64
         version = self.versions.pin()
         try:
-            active = _plan_range_sources(self, version, low, high,
-                                         bound=effective_high)
-            view = _view_of(self, version)
-            if view is not None:
-                self.stats.sorted_view_seeks += 1
-                merged = view.walk(active, self._memtable.items_from(low),
-                                   low, None, self.cache)
-                sources = []
-            else:
-                merged = None
-                sources = [self._memtable.items_from(low)]
-                sources.extend(table.reader.iterate_from(low, self.cache)
-                               for table in active)
+            active = read_path.plan_range_sources(self, version, low, high,
+                                                  bound=effective_high)
+            merged = read_path.merged_entries(
+                self, version, active, self._memtable.items_from(low),
+                low, None)
         except BaseException:
             self.versions.unpin(version)
             raise
         return DBIterator(
-            sources, high=high, merged=merged,
+            merged, high=high,
             on_step=lambda: self.charge_cost(costs.range_next_cost_us),
             on_close=lambda: self.versions.unpin(version))
 
     # ------------------------------------------------------- attack-side APIs
 
     def filters_pass(self, key: bytes) -> bool:
-        """Ground-truth filter decision for ``key`` across the search path.
-
-        This is the "internal debugging counter" oracle of section 10.2.2:
-        True iff a ``get`` for ``key`` would read at least one table (some
-        filter passes, or some candidate table has no filter).  Charges no
-        simulated time and performs no I/O.
-        """
+        """Ground-truth filter decision for ``key`` across the search path
+        (:func:`read_path.filters_pass`): no simulated time, no I/O."""
         self._check_open()
-        for table in self.versions.current.candidates_for_key(key):
-            if table.filter is None or table.filter.may_contain(key):
-                return True
-        return False
+        return read_path.filters_pass(self.versions.current, key)
 
     def filters_pass_many(self, keys: Iterable[bytes]) -> List[bool]:
-        """Batch :meth:`filters_pass`: one batched probe per filter.
-
-        Exactly ``[self.filters_pass(k) for k in keys]`` — same verdicts,
-        same short-circuit filter-stats accounting (a key's later filters
-        are not probed, and not recorded, once one passes).  Unlike the
-        get path this ignores the memtable, so the prepass covers every
-        key.
-        """
+        """Batch :meth:`filters_pass`: one batched probe per filter."""
         self._check_open()
-        keys = list(keys)
-        plan = self.probe_plan(keys, include_memtable_hits=True)
-        version = plan.version if plan is not None else self.versions.current
-        candidates_for_key = version.candidates_for_key
-        plan_lookup = plan.lookup if plan is not None else None
-        plan_candidates = (plan.candidates.get if plan is not None
-                           else lambda _key: None)
-        try:
-            out: List[bool] = []
-            append = out.append
-            for key in keys:
-                passed_any = False
-                tables = plan_candidates(key)
-                if tables is None:
-                    tables = candidates_for_key(key)
-                for table in tables:
-                    filt = table.filter
-                    if filt is None:
-                        passed_any = True
-                        break
-                    if plan_lookup is not None:
-                        passed = plan_lookup(filt, key)
-                        if passed is None:
-                            passed = filt.may_contain(key)
-                        else:
-                            filt.stats.record_point(passed)
-                    else:
-                        passed = filt.may_contain(key)
-                    if passed:
-                        passed_any = True
-                        break
-                append(passed_any)
-            return out
-        finally:
-            if plan is not None:
-                plan.release()
+        return read_path.filters_pass_many(self, keys)
 
     def range_filters_pass(self, low: bytes, high: bytes) -> bool:
-        """Ground-truth range-filter decision for ``[low, high]``.
-
-        The range-query analogue of :meth:`filters_pass`: True iff a
-        ``range_query(low, high)`` would read at least one table.  Used by
-        the idealized range-descent attack (the range-query attack the
-        paper's section 11 anticipates).
-        """
+        """Ground-truth range-filter decision for ``[low, high]``
+        (:func:`read_path.range_filters_pass`)."""
         self._check_open()
-        if low > high:
-            return False
-        current = self.versions.current
-        for level in range(self.options.max_levels):
-            for table in current.overlapping(level, low, high):
-                filt = _range_filter_of(table)
-                if filt is None or filt.may_contain_range(low, high):
-                    return True
-        return False
+        return read_path.range_filters_pass(self.versions.current, low, high)
 
     @property
     def version(self) -> Version:

@@ -72,13 +72,12 @@ class DBIterator:
     cursor exhausts, or by :meth:`close` for a cursor abandoned early.
     """
 
-    def __init__(self, sources: List[Iterable[Tuple[bytes, Entry]]],
+    def __init__(self, merged: Iterable[Tuple[bytes, Entry]],
                  high: Optional[bytes] = None,
-                 on_step=None, on_close=None, merged=None) -> None:
-        # ``merged`` substitutes a pre-merged (key, entry) stream (the
-        # sorted-view walk) for the heap merge over ``sources``; the
-        # cursor's bound/step/close behaviour is identical either way.
-        self._merged = merged if merged is not None else merge_entries(sources)
+                 on_step=None, on_close=None) -> None:
+        #: The newest-wins (key, entry) stream, tombstones included (a
+        #: sorted-view walk or :func:`merge_entries`).
+        self._merged = iter(merged)
         self._high = high
         self._on_step = on_step
         self._on_close = on_close

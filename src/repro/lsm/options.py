@@ -77,32 +77,10 @@ class LSMOptions:
     #: compaction subcompactions).  ``1`` runs the engine inline, ``>1``
     #: fans table/filter builds out to a process pool (clamped to the
     #: CPUs the process may run on — extra workers on a saturated machine
-    #: only add transport overhead), and ``0`` selects the pre-engine
-    #: serial reference paths (kept as the equivalence and benchmark
-    #: baseline).  Output bytes, file numbering and simulated costs are
-    #: identical for every value >= 1 (see DESIGN.md section 9).
+    #: only add transport overhead).  Output bytes, file numbering and
+    #: simulated costs are identical for every value (see DESIGN.md
+    #: section 9).
     build_threads: int = 1
-    #: Batched filter-probe engine for ``get_many``/``get_many_timed``/
-    #: ``filters_pass_many``: a pure prepass computes every candidate
-    #: table's filter verdict with the vectorized/shared-prefix batch
-    #: probes, then the scalar per-key control flow replays against the
-    #: memoized verdicts.  Simulated time, filter verdicts and stats are
-    #: bit-identical on and off (see DESIGN.md section 10); ``False``
-    #: selects the pre-engine scalar probes (kept as the equivalence and
-    #: benchmark baseline, mirroring ``build_threads=0``).
-    probe_engine: bool = True
-    #: REMIX-style sorted view over each version's tables
-    #: (:mod:`repro.lsm.sorted_view`): range reads seek a per-version
-    #: globally-sorted key array and step forward cursors instead of
-    #: rebuilding a k-way heap merge per query.  Views are maintained
-    #: incrementally at install time (only segments whose input tables
-    #: changed are rebuilt, through the parallel build pool) and carried
-    #: on ``Version`` objects, so snapshots share them for free.  Results,
-    #: per-filter stats and simulated time are bit-identical on and off
-    #: (see DESIGN.md section 13); ``False`` selects the classic merge
-    #: (kept as the equivalence and benchmark baseline, mirroring
-    #: ``build_threads=0`` / ``probe_engine=False``).
-    sorted_view: bool = True
     #: Run leveled compaction on a background thread: flushes install the
     #: L0 table and return immediately; merges run concurrently with
     #: serving through the MVCC version set (readers pin snapshots, so
@@ -134,8 +112,8 @@ class LSMOptions:
             raise ConfigError("max_levels must be in [1, 16]")
         if self.decoded_cache_entries is not None and self.decoded_cache_entries < 0:
             raise ConfigError("decoded cache entries must be non-negative")
-        if self.build_threads < 0:
-            raise ConfigError("build_threads must be non-negative")
+        if self.build_threads < 1:
+            raise ConfigError("build_threads must be at least 1")
         if self.background_compaction and self.compaction_style == "tiered":
             raise ConfigError(
                 "background compaction requires the leveled style "

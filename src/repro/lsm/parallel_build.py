@@ -7,9 +7,9 @@ rules, which is what makes ``build_threads`` invisible in every output:
   final file image — happens in :func:`build_table_artifact`, which
   touches *no* device, clock, cache or RNG.  It is a pure function from a
   record list to a :class:`TableArtifact` (the exact bytes the streaming
-  :class:`~repro.lsm.sstable.SSTableBuilder` would have written, proven
-  equivalent by test), so it can run on any worker, in any order, on any
-  number of processes.
+  reference builder in ``tests/reference`` writes, proven equivalent by
+  test), so it can run on any worker, in any order, on any number of
+  processes.
 * **Effects** — path allocation, ``device.create_file``, simulated-cost
   charges, cache traffic — happen only on the caller's thread, in
   canonical key order, via :func:`install_artifact`.  Costs are therefore
@@ -102,11 +102,13 @@ def _encode_block(encoded: List[bytes], lens: List[int]) -> bytes:
 def build_table_artifact(records: List[Record], block_size: int,
                          filter_builder: Optional[FilterBuilder]
                          ) -> TableArtifact:
-    """Pure batch equivalent of streaming records through ``SSTableBuilder``.
+    """Encode sorted records into one complete SSTable file image.
 
-    Produces byte-for-byte the file the streaming builder writes for the
-    same records (same block split points, same props/filter/index/footer
-    layout); ``tests/lsm/test_sstable.py`` asserts the equivalence over
+    The store's only table writer (flush, bulk load and compaction all
+    build through it).  Byte-for-byte the file the streaming reference
+    builder (``tests/reference``) writes for the same records (same
+    block split points, same props/filter/index/footer layout);
+    ``tests/lsm/test_sstable.py`` asserts the equivalence over
     randomized inputs.  Raises the same :class:`ConfigError` family for
     unsorted/duplicate/empty/oversized keys.
     """
@@ -222,12 +224,11 @@ def split_records(records: List[Record], block_size: int,
                   target_bytes: int) -> List[List[Record]]:
     """Split a sorted record run into per-table chunks.
 
-    Replicates the streaming builders' split rule exactly: a table closes
-    when its *flushed-block* bytes (payload + per-record offset trailer +
-    count + crc per block) reach ``target_bytes``, evaluated at block
-    boundaries — the only points where ``SSTableBuilder.estimated_bytes``
-    grows.  Chunk boundaries are therefore identical to the tables a
-    serial streaming build would emit for the same stream.
+    A table closes when its *finished-block* bytes (payload + per-record
+    offset trailer + count + crc per block) reach ``target_bytes``,
+    evaluated at block boundaries — exactly where a streaming build that
+    closes tables on emitted bytes would cut (the reference builder in
+    ``tests/reference`` is held to the same boundaries by test).
     """
     out: List[List[Record]] = []
     current: List[Record] = []
@@ -275,7 +276,7 @@ def plan_split_points(tables, target_bytes: int) -> List[bytes]:
     coalesced until each range is attributed roughly ``target_bytes`` of
     input.  Depends only on the input tables, never on the worker count,
     so the partition — and with it every downstream byte — is identical
-    for any ``build_threads >= 1``.
+    for any ``build_threads``.
     """
     if len(tables) < 2:
         return []
@@ -299,8 +300,8 @@ def merge_sorted_runs(runs: List[List[Record]],
     """Merge sorted runs, newest (lowest index) first; newest value wins.
 
     Pure compute — safe on workers.  Shadowing is resolved before the
-    tombstone drop, exactly like the streaming
-    :func:`~repro.lsm.iterator.merge_entries` path: a tombstone shadows
+    tombstone drop, exactly like a streaming
+    :func:`~repro.lsm.iterator.merge_entries` merge: a tombstone shadows
     older values even when it is itself dropped from the output.
     """
     if len(runs) == 1:

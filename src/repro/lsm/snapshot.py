@@ -17,16 +17,14 @@ simulated clock, RNG streams, page cache and stats.  Two consequences:
   simulated time — the property the attack-equivalence suite asserts
   while a writer and background compaction churn the live tree.
 
-The view duck-types the read surface :class:`~repro.system.service.KVService`
-and the attack oracles consume (``clock``/``options``/``stats``/
-``charge_cost``/``get``/``get_timed``/``getter``/``probe_plan``/
-``get_many``/``get_many_timed``/``filters_pass``/``filters_pass_many``),
-so ``KVService(db=tree.snapshot())`` runs the full attack machinery
-against a frozen store with no further changes.  Range reads
-(``range_query``/``scan``) are served through the same engine as the
-live tree — including the pinned version's sorted view, which the
-snapshot shares for free — so the range side channel is identically
-frozen; writes still require the live tree.
+The view carries every public read method of the tree (point, batch,
+range, and the ground-truth ``*filters_pass`` oracles — a parity test
+holds the two surfaces together), all delegating to
+:mod:`repro.lsm.read_path` exactly as the tree does, so
+``KVService(db=tree.snapshot())`` runs the full attack machinery, point
+and range, against a frozen store with no further changes.  Range reads
+share the pinned version's sorted view for free.  Writes and the
+``iterator`` cursor still require the live tree.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import DBClosedError
 from repro.common.rng import make_rng
+from repro.lsm import read_path
 from repro.lsm.memtable import Entry
 from repro.storage.clock import SimClock
 from repro.storage.page_cache import PageCache
@@ -108,30 +107,14 @@ class SnapshotView:
         self.clock.charge(base_us)
 
     # ------------------------------------------------------------------ reads
+    # Every read delegates to repro.lsm.read_path with the frozen
+    # memtable and the pinned version; see the LSMTree method of the
+    # same name for the contract.
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Point query against the frozen state (see ``LSMTree.get``)."""
+        """Point query against the frozen state."""
         self._check_open()
-        costs = self.options.costs
-        self.stats.gets += 1
-        self.charge_cost(costs.get_base_cost_us
-                         + costs.memtable_lookup_cost_us)
-        entry = self._memtable.get(key)
-        if entry is not None:
-            self.stats.memtable_hits += 1
-            return entry.value
-        for table in self.version.candidates_for_key(key):
-            if table.filter is not None:
-                self.stats.filter_checks += 1
-                self.charge_cost(costs.filter_query_cost_us)
-                if not table.filter.may_contain(key):
-                    self.stats.filter_negatives += 1
-                    continue
-            self.stats.table_reads += 1
-            entry = table.reader.get(key, self.cache, costs)
-            if entry is not None:
-                return entry.value
-        return None
+        return read_path.getter(self, self.version)(key)
 
     def get_timed(self, key: bytes) -> Tuple[Optional[bytes], float]:
         """``get`` plus its simulated response time in microseconds."""
@@ -139,123 +122,30 @@ class SnapshotView:
             value = self.get(key)
         return value, stopwatch.elapsed_us
 
-    def probe_plan(self, keys: Iterable[bytes],
-                   include_memtable_hits: bool = False):
-        """Pure batched-probe prepass (see ``LSMTree.probe_plan``).
+    def probe_plan(self, keys: Iterable[bytes]
+                   ) -> Optional[read_path.ProbePlan]:
+        """Pure batched-probe prepass.
 
         The snapshot already holds the version pin, so the returned
-        plan's :meth:`~repro.lsm.db.ProbePlan.release` is a no-op.
+        plan's :meth:`~read_path.ProbePlan.release` is a no-op.
         """
-        from repro.lsm.db import ProbePlan
-        if not self.options.probe_engine:
-            return None
-        memtable_get = self._memtable.get
-        candidates_for_key = self.version.candidates_for_key
-        groups: Dict[int, Tuple[object, List[bytes]]] = {}
-        key_candidates: Dict[bytes, tuple] = {}
-        seen = set()
-        for key in keys:
-            if key in seen:
-                continue
-            seen.add(key)
-            if not include_memtable_hits and memtable_get(key) is not None:
-                continue
-            tables = tuple(candidates_for_key(key))
-            key_candidates[key] = tables
-            for table in tables:
-                filt = table.filter
-                if filt is None:
-                    continue
-                entry = groups.get(id(filt))
-                if entry is None:
-                    groups[id(filt)] = entry = (filt, [])
-                entry[1].append(key)
-        if not groups:
-            return None
-        plan = ProbePlan(self.version)
-        plan.candidates = key_candidates
-        for filt, filt_keys in groups.values():
-            plan.add(filt, filt_keys, filt.probe_many(filt_keys))
-        return plan
+        return read_path.probe_plan(self, keys, self.version)
 
-    def getter(self, plan=None):
-        """Fast-path point-read closure (see ``LSMTree.getter``)."""
+    def getter(self, plan: Optional[read_path.ProbePlan] = None):
+        """Fast-path point-read closure for batch callers."""
         self._check_open()
-        costs = self.options.costs
-        stats = self.stats
-        cache = self.cache
-        memtable_get = self._memtable.get
-        candidates_for_key = self.version.candidates_for_key
-        base_cost = costs.get_base_cost_us + costs.memtable_lookup_cost_us
-        filter_cost = costs.filter_query_cost_us
-        jitter = costs.jitter
-        gauss = self._cost_rng.gauss
-        clock_charge = self.clock.charge
-        plan_lookup = plan.lookup if plan is not None else None
-        plan_candidates = (plan.candidates.get if plan is not None
-                           else lambda _key: None)
-
-        def get_one(key: bytes) -> Optional[bytes]:
-            stats.gets += 1
-            if jitter:
-                clock_charge(base_cost * max(0.1, gauss(1.0, jitter)))
-            else:
-                clock_charge(base_cost)
-            entry = memtable_get(key)
-            if entry is not None:
-                stats.memtable_hits += 1
-                return entry.value
-            tables = plan_candidates(key)
-            if tables is None:
-                tables = candidates_for_key(key)
-            for table in tables:
-                filt = table.filter
-                if filt is not None:
-                    stats.filter_checks += 1
-                    if jitter:
-                        clock_charge(filter_cost * max(0.1, gauss(1.0, jitter)))
-                    else:
-                        clock_charge(filter_cost)
-                    if plan_lookup is not None:
-                        passed = plan_lookup(filt, key)
-                        if passed is None:
-                            passed = filt.may_contain(key)
-                        else:
-                            filt.stats.record_point(passed)
-                    else:
-                        passed = filt.may_contain(key)
-                    if not passed:
-                        stats.filter_negatives += 1
-                        continue
-                stats.table_reads += 1
-                entry = table.reader.get(key, cache, costs)
-                if entry is not None:
-                    return entry.value
-            return None
-
-        return get_one
+        return read_path.getter(self, self.version, plan)
 
     def get_many(self, keys: Iterable[bytes]) -> List[Optional[bytes]]:
-        """Batch point query (see ``LSMTree.get_many``)."""
-        keys = list(keys)
-        get_one = self.getter(self.probe_plan(keys))
-        return [get_one(key) for key in keys]
+        """Batch point query."""
+        self._check_open()
+        return read_path.get_many(self, keys, self.version)
 
     def get_many_timed(self, keys: Iterable[bytes]
                        ) -> List[Tuple[Optional[bytes], float]]:
-        """Batch ``get_timed`` (see ``LSMTree.get_many_timed``)."""
-        keys = list(keys)
-        get_one = self.getter(self.probe_plan(keys))
-        clock = self.clock
-        out: List[Tuple[Optional[bytes], float]] = []
-        append = out.append
-        for key in keys:
-            start = clock.now_us
-            value = get_one(key)
-            append((value, clock.now_us - start))
-        return out
-
-    # ------------------------------------------------------------ range reads
+        """Batch ``get_timed``: per-key (value, simulated elapsed us)."""
+        self._check_open()
+        return read_path.get_many(self, keys, self.version, timed=True)
 
     def _memtable_from(self, low: bytes) -> Iterator[Tuple[bytes, Entry]]:
         """Frozen-memtable analogue of ``MemTable.items_from``.
@@ -270,19 +160,12 @@ class SnapshotView:
 
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
-        """Bounded range read against the frozen state.
-
-        Same engine as ``LSMTree.range_query`` — filter-probe prepass,
-        then the pinned version's sorted view (shared with the live tree
-        at no cost) or the classic heap merge — charged against the
-        snapshot's own clock and RNG streams.
-        """
+        """Bounded range read against the frozen state, charged against
+        the snapshot's own clock and RNG streams (the pinned version's
+        sorted view is shared with the live tree at no cost)."""
         self._check_open()
-        if low > high:
-            return []
-        from repro.lsm.db import _range_query_impl
-        return _range_query_impl(self, self.version, self._memtable_from,
-                                 low, high, limit)
+        return read_path.range_query(self, self.version, self._memtable_from,
+                                     low, high, limit)
 
     def scan(self, low: bytes, high: Optional[bytes] = None,
              limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
@@ -294,47 +177,19 @@ class SnapshotView:
     # ------------------------------------------------------- attack-side APIs
 
     def filters_pass(self, key: bytes) -> bool:
-        """Ground-truth filter decision (see ``LSMTree.filters_pass``)."""
+        """Ground-truth filter decision for ``key``."""
         self._check_open()
-        for table in self.version.candidates_for_key(key):
-            if table.filter is None or table.filter.may_contain(key):
-                return True
-        return False
+        return read_path.filters_pass(self.version, key)
 
     def filters_pass_many(self, keys: Iterable[bytes]) -> List[bool]:
-        """Batch :meth:`filters_pass` (see ``LSMTree.filters_pass_many``)."""
+        """Batch :meth:`filters_pass`."""
         self._check_open()
-        keys = list(keys)
-        plan = self.probe_plan(keys, include_memtable_hits=True)
-        candidates_for_key = self.version.candidates_for_key
-        plan_lookup = plan.lookup if plan is not None else None
-        plan_candidates = (plan.candidates.get if plan is not None
-                           else lambda _key: None)
-        out: List[bool] = []
-        append = out.append
-        for key in keys:
-            passed_any = False
-            tables = plan_candidates(key)
-            if tables is None:
-                tables = candidates_for_key(key)
-            for table in tables:
-                filt = table.filter
-                if filt is None:
-                    passed_any = True
-                    break
-                if plan_lookup is not None:
-                    passed = plan_lookup(filt, key)
-                    if passed is None:
-                        passed = filt.may_contain(key)
-                    else:
-                        filt.stats.record_point(passed)
-                else:
-                    passed = filt.may_contain(key)
-                if passed:
-                    passed_any = True
-                    break
-            append(passed_any)
-        return out
+        return read_path.filters_pass_many(self, keys, self.version)
+
+    def range_filters_pass(self, low: bytes, high: bytes) -> bool:
+        """Ground-truth range-filter decision for ``[low, high]``."""
+        self._check_open()
+        return read_path.range_filters_pass(self.version, low, high)
 
     # ------------------------------------------------------------------ intro
 

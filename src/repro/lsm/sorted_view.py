@@ -27,8 +27,8 @@ table's mapped region (:meth:`MappedRegion.view`), never through the page
 cache, so building or rebuilding a view moves no simulated time and draws
 no RNG.  Queries replay the classic engine's *exact* I/O schedule — the
 same ``read_decoded`` calls in the same order (see :meth:`SortedView.walk`)
-— so the timing side channel the attack measures is bit-identical with
-the view on or off.
+— so the timing side channel the attack measures is bit-identical
+whether a version has a view or (unmappable) falls back to that merge.
 
 Incremental maintenance: :meth:`SortedView.evolve` keeps every segment
 whose key span no added or removed table's ``[min_key, max_key]`` range

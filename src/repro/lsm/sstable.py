@@ -10,9 +10,11 @@ memory, mirroring RocksDB's pinned index/filter blocks — the paper's
 timing asymmetry comes from *data* block reads only, and that is the only
 read path that goes through the page cache here.
 
-Filters are built from the table's keys at construction time, persisted
-into the filter block (:mod:`repro.filters.serialize`), and reloaded from
-it on reopen — no key re-scan needed.
+Files are written by :mod:`repro.lsm.parallel_build`
+(``build_table_artifact`` + ``install_artifact``), which builds the
+filter from the table's keys and persists it into the filter block
+(:mod:`repro.filters.serialize`); it is reloaded from there on reopen —
+no key re-scan needed.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, List, Optional, Tuple
 
-from repro.common.errors import ConfigError, CorruptionError, StorageError
-from repro.filters.base import Filter, FilterBuilder
-from repro.lsm.block import Block, BlockBuilder
+from repro.common.errors import CorruptionError, StorageError
+from repro.filters.base import Filter
+from repro.lsm.block import Block
 from repro.lsm.memtable import Entry
 from repro.lsm.options import CostModel
 from repro.storage.device import MappedRegion, StorageDevice
@@ -42,115 +44,6 @@ class BlockHandle:
     length: int
 
 
-class SSTableBuilder:
-    """Streams sorted records into an SSTable file on the device."""
-
-    def __init__(self, device: StorageDevice, path: str, block_size: int,
-                 filter_builder: Optional[FilterBuilder] = None) -> None:
-        self.device = device
-        self.path = path
-        self.block_size = block_size
-        self.filter_builder = filter_builder
-        self._chunks: List[bytes] = []
-        self._size = 0
-        self._current = BlockBuilder(block_size)
-        self._index_entries: List[Tuple[bytes, BlockHandle]] = []
-        self._keys: List[bytes] = []
-        self._min_key: Optional[bytes] = None
-        self._max_key: Optional[bytes] = None
-        self._finished = False
-
-    def add(self, key: bytes, entry: Entry) -> None:
-        """Append a record; keys must arrive in ascending order."""
-        if self._finished:
-            raise ConfigError("builder already finished")
-        if self._max_key is not None and key <= self._max_key:
-            raise ConfigError("SSTable records must be added in ascending key order")
-        self._current.add(key, entry)
-        self._keys.append(key)
-        if self._min_key is None:
-            self._min_key = key
-        self._max_key = key
-        if self._current.is_full:
-            self._flush_block()
-
-    @property
-    def num_entries(self) -> int:
-        """Records added so far."""
-        return len(self._keys)
-
-    @property
-    def estimated_bytes(self) -> int:
-        """Bytes emitted so far (flush-threshold heuristic)."""
-        return self._size
-
-    def finish(self) -> "SSTable":
-        """Write the file and return the in-memory table handle."""
-        if self._finished:
-            raise ConfigError("builder already finished")
-        if not self._keys:
-            raise ConfigError("cannot finish an empty SSTable")
-        self._finished = True
-        if self._current.num_records:
-            self._flush_block()
-
-        props = BlockBuilder(1 << 30)
-        props.add(b"max_key", Entry(self._max_key))
-        props.add(b"min_key", Entry(self._min_key))
-        props.add(b"num_entries", Entry(len(self._keys).to_bytes(8, "big")))
-        props_data = props.finish()
-        props_offset = self._size
-        self._emit(props_data)
-
-        # Build and persist the filter block, so reopening the table never
-        # needs to re-derive the filter from its keys (RocksDB-style).
-        filt = self.filter_builder.build(self._keys) if self.filter_builder else None
-        filter_offset = self._size
-        filter_data = b""
-        if filt is not None:
-            from repro.filters.serialize import serialize_filter
-            filter_data = serialize_filter(filt)
-            self._emit(filter_data)
-
-        index = BlockBuilder(1 << 30)
-        for last_key, handle in self._index_entries:
-            index.add(last_key, Entry(_BLOCK_REF.pack(handle.offset, handle.length)))
-        index_data = index.finish()
-        index_offset = self._size
-        self._emit(index_data)
-
-        self._emit(_FOOTER.pack(props_offset, len(props_data),
-                                index_offset, len(index_data),
-                                filter_offset, len(filter_data), _MAGIC))
-        self.device.create_file(self.path, b"".join(self._chunks))
-
-        reader = SSTableReader(
-            self.device, self.path,
-            index_entries=list(self._index_entries),
-            num_entries=len(self._keys),
-        )
-        return SSTable(
-            path=self.path,
-            reader=reader,
-            filter=filt,
-            min_key=self._min_key,
-            max_key=self._max_key,
-            num_entries=len(self._keys),
-            size_bytes=self._size,
-        )
-
-    def _flush_block(self) -> None:
-        data = self._current.finish()
-        handle = BlockHandle(self._size, len(data))
-        self._index_entries.append((self._current.last_key, handle))
-        self._emit(data)
-        self._current = BlockBuilder(self.block_size)
-
-    def _emit(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._size += len(data)
-
-
 class SSTableReader:
     """Query-side view: pinned index + page-cached data block reads.
 
@@ -166,7 +59,7 @@ class SSTableReader:
         self.device = device
         self.path = path
         # Decoded props/footer pinned at open (None when the reader was
-        # constructed straight from a builder and never read the file).
+        # handed its index by the table writer and never read the file).
         self._props: Optional[Block] = None
         self._filter_handle: Optional[BlockHandle] = None
         if index_entries is None:
@@ -213,23 +106,16 @@ class SSTableReader:
         return entries, num_entries
 
     def properties(self) -> Tuple[bytes, bytes]:
-        """(min_key, max_key), from the pinned props block when available.
+        """(min_key, max_key), from the props block pinned at open.
 
-        Readers opened from disk decoded the properties once at open;
-        builder-constructed readers (which never read the file) fall back
-        to reading it here — the recovery path either way, off the
-        measured query cycle.
+        A reader handed its index by the table writer never read the
+        file; it loads the metadata here on first use (recovery path,
+        off the measured query cycle).
         """
-        props = self._props
-        if props is None:
-            size = self.device.file_size(self.path)
-            footer = self.device.read(self.path, size - _FOOTER.size, _FOOTER.size)
-            props_off, props_len, _, _, _, _, magic = _FOOTER.unpack(footer)
-            if magic != _MAGIC:
-                raise CorruptionError(f"{self.path!r} has bad magic {magic:#x}")
-            props = Block(self.device.read(self.path, props_off, props_len))
-        min_entry = props.get(b"min_key")
-        max_entry = props.get(b"max_key")
+        if self._props is None:
+            self._load_metadata()
+        min_entry = self._props.get(b"min_key")
+        max_entry = self._props.get(b"max_key")
         if min_entry is None or max_entry is None:
             raise CorruptionError(f"{self.path!r} missing key-range properties")
         return min_entry.value, max_entry.value
@@ -287,19 +173,14 @@ class SSTableReader:
     def load_filter(self):
         """Deserialize the table's persisted filter block, or None.
 
-        Uses the filter location pinned at open when available; otherwise
-        reads the footer first (recovery path, off the measured query
-        cycle).  The live filter is pinned in memory by the caller after.
+        Uses the filter location pinned at open (loading the metadata
+        first for a reader that never read the file, like
+        :meth:`properties`).  The live filter is pinned in memory by the
+        caller after.
         """
+        if self._filter_handle is None:
+            self._load_metadata()
         handle = self._filter_handle
-        if handle is None:
-            size = self.device.file_size(self.path)
-            footer = self.device.read(self.path, size - _FOOTER.size,
-                                      _FOOTER.size)
-            (_, _, _, _, filter_off, filter_len, magic) = _FOOTER.unpack(footer)
-            if magic != _MAGIC:
-                raise CorruptionError(f"{self.path!r} has bad magic {magic:#x}")
-            handle = BlockHandle(filter_off, filter_len)
         if not handle.length:
             return None
         from repro.filters.serialize import deserialize_filter
@@ -339,10 +220,11 @@ class SSTable:
     max_key: bytes
     num_entries: int
     size_bytes: int
-    #: ``filter`` when it can answer range probes, else None.  Resolved
-    #: once at construction so the per-query source-planning loop reads
-    #: a plain attribute instead of re-deriving the capability check
-    #: (:func:`repro.lsm.db._range_filter_of` is the lookup's one home).
+    #: ``filter`` when it can answer range probes, else None: point-only
+    #: filters (plain Bloom) can never prune a range read.  Resolved once
+    #: at construction so the per-query source-planning loop
+    #: (:func:`repro.lsm.read_path.plan_range_sources`) reads a plain
+    #: attribute instead of re-deriving the capability check.
     range_filter: Optional[Filter] = dc_field(init=False, default=None)
 
     def __post_init__(self) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ConfigError
-from repro.lsm.db import ProbePlan
+from repro.lsm.read_path import ProbePlan
 from repro.system.detector import DetectorPolicy, SiphoningDetector
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
 from repro.system.responses import Response, Status

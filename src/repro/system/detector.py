@@ -33,7 +33,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.keys import common_prefix_len
-from repro.lsm.db import ProbePlan
+from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response, Status
 from repro.system.service import KVService
 

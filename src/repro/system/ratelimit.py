@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.lsm.db import ProbePlan
+from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response
 from repro.system.service import KVService
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ServiceError
-from repro.lsm.db import LSMTree, ProbePlan
+from repro.lsm.db import LSMTree
+from repro.lsm.read_path import ProbePlan
 from repro.system.acl import Acl, pack_value, unpack_value
 from repro.system.responses import Response, Status
 
@@ -169,7 +170,7 @@ class KVService:
         per-request attribute lookups hoisted.  This is the single point
         the batch APIs (:meth:`get_many`, :meth:`get_many_timed`) and the
         attack oracles' probe fast path build on.  ``plan`` is an optional
-        :class:`~repro.lsm.db.ProbePlan` from the store's batched-probe
+        :class:`~repro.lsm.read_path.ProbePlan` from the store's batched-probe
         prepass; it changes wall-clock only, never the simulated trace.
         """
         db = self.db

@@ -54,10 +54,6 @@ class DatasetConfig:
     #: pins version snapshots; background merges are free in simulated
     #: time — see DESIGN.md section 12).
     background_compaction: bool = False
-    #: Per-version sorted view on the range-read path (``False`` selects
-    #: the classic k-way heap merge; results and simulated time are
-    #: bit-identical either way — see DESIGN.md section 13).
-    sorted_view: bool = True
 
     def __post_init__(self) -> None:
         if self.num_keys <= 0:
@@ -114,7 +110,6 @@ def build_environment(config: DatasetConfig) -> Environment:
         page_cache_bytes=cache_bytes,
         seed=config.seed,
         background_compaction=config.background_compaction,
-        sorted_view=config.sorted_view,
     )
     db = LSMTree(options, clock=clock, device=device, cache=cache)
     db.bulk_load(items)

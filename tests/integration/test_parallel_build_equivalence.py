@@ -8,17 +8,25 @@ pool, because workers run pure compute and all effects stay on the
 caller's thread in canonical order.  These tests run identical seeded
 histories at several worker counts and diff the whole device.
 
-The ``build_threads=0`` streaming paths are the pre-engine reference:
-``bulk_load`` must match it byte-for-byte too (same split rule), while
-forced compaction only promises the same *logical* state (the engine
-splits outputs at key-range boundaries the streaming path does not).
+The streaming builders in ``tests/reference`` are the pre-engine oracle
+(worker count ``0`` below): ``bulk_load`` and ``flush`` must match them
+byte-for-byte (same split rule, same file image), while forced
+compaction only promises the same *logical* state (the engine splits
+outputs at key-range boundaries the streaming merge does not).
 """
 
 import dataclasses
 
 import pytest
+from reference.streaming_build import (
+    SSTableBuilder,
+    bulk_load_streaming,
+    use_streaming_merges,
+)
 
+from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
+from repro.filters import SuRFBuilder
 from repro.filters.bloom import BloomFilterBuilder
 from repro.lsm import parallel_build
 from repro.lsm.db import LSMTree
@@ -52,10 +60,15 @@ def make_options(build_threads, **overrides):
 
 
 def fresh_db(build_threads, **overrides):
+    """A store at ``build_threads`` workers; ``0`` = the streaming oracle
+    (an inline-engine store whose bulk load and merges are rerouted)."""
     clock = SimClock()
     device = StorageDevice(clock)
-    db = LSMTree(options=make_options(build_threads, **overrides),
+    db = LSMTree(options=make_options(max(build_threads, 1), **overrides),
                  clock=clock, device=device)
+    if build_threads == 0:
+        db.bulk_load = lambda items: bulk_load_streaming(db, items)
+        use_streaming_merges(db)
     return db, device, clock
 
 
@@ -103,6 +116,44 @@ class TestBulkLoadEquivalence:
         for key, value in items[::97]:
             assert db.get(key) == value
         assert db.get(b"\x00" * 6) is None
+
+
+class TestFlushEquivalence:
+    @pytest.mark.parametrize("filter_builder",
+                             [None, BloomFilterBuilder(10),
+                              SuRFBuilder(variant="real", suffix_bits=8,
+                                          backend="louds")],
+                             ids=["filterless", "bloom", "surf-louds"])
+    def test_flush_file_matches_streaming_builder(self, filter_builder):
+        # flush builds through the artifact writer; streaming the same
+        # memtable through the reference builder must give the same file.
+        db, device, _ = fresh_db(1, filter_builder=filter_builder,
+                                 memtable_size_bytes=1 << 20)
+        for index in range(600):
+            db.put(b"fk%05d" % (index * 7 % 601), b"fv-%05d" % index)
+        for index in range(0, 600, 9):
+            db.delete(b"fk%05d" % index)
+        memtable = list(db._memtable.items())
+        table = db.flush()
+
+        oracle_device = StorageDevice(SimClock())
+        builder = SSTableBuilder(oracle_device, table.path,
+                                 db.options.block_size_bytes, filter_builder)
+        for key, entry in memtable:
+            builder.add(key, entry)
+        oracle = builder.finish()
+        assert device._files[table.path] == oracle_device._files[table.path]
+        assert ((table.min_key, table.max_key, table.num_entries,
+                 table.size_bytes)
+                == (oracle.min_key, oracle.max_key, oracle.num_entries,
+                    oracle.size_bytes))
+
+
+class TestOptionsValidation:
+    def test_zero_workers_rejected(self):
+        # The streaming paths are test oracles now, not a setting.
+        with pytest.raises(ConfigError):
+            LSMOptions(build_threads=0)
 
 
 class TestCompactionEquivalence:

@@ -1,18 +1,21 @@
 """Probe-engine equivalence: the batched filter path must be invisible.
 
-The filter-probe engine (``LSMOptions.probe_engine``, DESIGN.md section
-10) is a wall-clock optimization: a pure prepass computes a batch's
-filter verdicts through vectorized/shared-prefix batch probes, and the
-scalar per-key loop replays against the memo.  The attack's signal lives
-entirely in *simulated* time, so everything observable — verdicts,
-per-query latencies, extracted keys, per-stage query counts, per-filter
-stats, the final clock — must be bit-identical with the engine on or
-off.  These tests run the same seeded pipelines twice and compare every
+The filter-probe engine (DESIGN.md section 10) is a wall-clock
+optimization: a pure prepass computes a batch's filter verdicts through
+vectorized/shared-prefix batch probes, and the per-key search loop
+replays against the memo.  The attack's signal lives entirely in
+*simulated* time, so everything observable — verdicts, per-query
+latencies, extracted keys, per-stage query counts, per-filter stats, the
+final clock — must be bit-identical to a store that has no engine at
+all.  "Off" here is that store: a twin whose point reads are served by
+the plain scalar loop in ``tests/reference`` (``use_scalar_reads``).
+These tests run the same seeded pipelines on both and compare every
 observable, for the SuRF timing attack (both trie and LOUDS backends)
 and the PBF attack the paper's section 7 describes.
 """
 
 import pytest
+from reference.point_read import use_scalar_reads
 
 from repro.core import (
     AttackConfig,
@@ -36,7 +39,8 @@ def build_surf_env(probe_engine, backend="trie", num_keys=4000):
         num_keys=num_keys, key_width=WIDTH, seed=77,
         filter_builder=SuRFBuilder(variant="real", suffix_bits=8,
                                    backend=backend)))
-    env.db.options.probe_engine = probe_engine
+    if not probe_engine:
+        use_scalar_reads(env.db)
     return env
 
 
@@ -96,7 +100,8 @@ class TestPbfAttackEquivalence:
                 num_keys=8000, key_width=4, seed=62,
                 filter_builder=PrefixBloomFilterBuilder(prefix_len=3,
                                                         bits_per_key=18.0)))
-            env.db.options.probe_engine = engine_on
+            if not engine_on:
+                use_scalar_reads(env.db)
             oracle = IdealizedOracle(env.service, ATTACKER_USER)
             strategy = PbfAttackStrategy(key_width=4, seed=63)
             scan = strategy.detect_prefix_length(oracle, min_len=2, max_len=3,

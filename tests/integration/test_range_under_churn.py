@@ -8,14 +8,22 @@ entries and observe **bit-identical** simulated time as the same batch
 against the same snapshot of an untouched twin.  Installs happening under
 the snapshot evolve fresh views on successor versions; none of that may
 reach the pinned version's view, clock, RNG streams or page cache.
+
+A third twin on an unmappable device (``reference.unmappable``) answers
+the same batch through the classic heap merge: the view — frozen under
+churn or not — must be indistinguishable from having no view at all.
 """
 
+import dataclasses
 import random
 import threading
 import time
 
+from reference.unmappable import UnmappableDevice
+
 from repro.filters import SuRFBuilder
 from repro.workloads import OWNER_USER, DatasetConfig, build_environment
+from repro.workloads import datasets
 
 WIDTH = 5
 
@@ -55,13 +63,28 @@ def churn(env, stop, failures):
 
 
 class TestRangeUnderChurn:
-    def test_snapshot_ranges_bit_identical_to_quiesced(self):
+    def test_snapshot_ranges_bit_identical_to_quiesced(self, monkeypatch):
         # Quiesced twin: same build, same snapshot point, no churn.
         env_q = build_env()
         snap_q = env_q.db.snapshot()
         trace_q, clock_q = range_workload(snap_q)
+        assert snap_q.stats.sorted_view_seeks > 0
+        cache_q = dataclasses.astuple(snap_q.cache.stats)
         snap_q.close()
         env_q.db.close()
+
+        # Classic twin: no mappings, so no view — the heap merge serves
+        # the same batch with the same entries, clock and cache traffic.
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "StorageDevice", UnmappableDevice)
+            env_c = build_env()
+        snap_c = env_c.db.snapshot()
+        trace_c, clock_c = range_workload(snap_c)
+        assert snap_c.stats.sorted_view_seeks == 0
+        assert (trace_c, clock_c) == (trace_q, clock_q)
+        assert dataclasses.astuple(snap_c.cache.stats) == cache_q
+        snap_c.close()
+        env_c.db.close()
 
         # Live run: snapshot first, then range-read it while the writer
         # drives flushes and background compactions underneath.

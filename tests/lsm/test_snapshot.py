@@ -194,3 +194,94 @@ class TestRegionLifetimes:
         # The pinned regions survived close; only the API gate stops us.
         assert all(not region.closed for region in snap._regions)
         snap.close()
+
+
+class TestSurfaceParity:
+    """``SnapshotView`` is the tree's read surface, method for method."""
+
+    #: Public ``LSMTree`` methods a snapshot deliberately lacks: writes,
+    #: lifecycle/recovery, and the cursor (it holds a live-version pin
+    #: across calls; range reads cover the frozen case).
+    LIVE_ONLY = {
+        "put", "put_many", "delete", "delete_many", "flush", "compact_all",
+        "bulk_load", "reopen", "snapshot", "iterator",
+    }
+
+    def test_every_public_read_method_is_on_the_snapshot(self):
+        import inspect
+
+        from repro.lsm.snapshot import SnapshotView
+        tree_methods = {
+            name: member
+            for name, member in inspect.getmembers(LSMTree,
+                                                   inspect.isroutine)
+            if not name.startswith("_")}
+        assert self.LIVE_ONLY <= set(tree_methods)
+        missing, mismatched = [], []
+        for name, member in tree_methods.items():
+            if name in self.LIVE_ONLY:
+                continue
+            twin = getattr(SnapshotView, name, None)
+            if twin is None:
+                missing.append(name)
+            elif inspect.signature(twin) != inspect.signature(member):
+                mismatched.append(name)
+        assert not missing, f"SnapshotView lacks {missing}"
+        assert not mismatched, f"signatures differ: {mismatched}"
+
+
+class TestRangeOracleOverSnapshot:
+    def test_range_descent_over_snapshot_matches_live_tree(self):
+        # The drift this guards: SnapshotView had no range_filters_pass,
+        # so the idealized range oracle raised AttributeError on it.
+        from repro.core.range_attack import (
+            IdealizedRangeOracle,
+            RangeAttackConfig,
+            RangeDescentAttack,
+        )
+        from repro.filters import SuRFBuilder
+        from repro.system.service import KVService
+        from repro.workloads import (
+            ATTACKER_USER,
+            DatasetConfig,
+            build_environment,
+        )
+        env = build_environment(DatasetConfig(
+            num_keys=1500, key_width=4, seed=5,
+            filter_builder=SuRFBuilder(variant="real", suffix_bits=8)))
+        config = RangeAttackConfig(key_width=4, max_keys=12, seed=6)
+
+        def descend(service):
+            oracle = IdealizedRangeOracle(service, ATTACKER_USER)
+            result = RangeDescentAttack(oracle, config).run()
+            return result.keys, oracle.range_queries, oracle.point_queries
+
+        with env.db.snapshot() as snap:
+            assert snap.range_filters_pass(b"\x00" * 4, b"\xff" * 4)
+            assert not snap.range_filters_pass(b"\xff", b"\x00")
+            frozen = descend(KVService(snap))
+        live = descend(env.service)
+        assert frozen == live
+        assert frozen[0] and set(frozen[0]) <= env.key_set
+        env.db.close()
+        assert env.db.leaked_pins == 0
+
+
+class TestProbePlanPinRelease:
+    def test_raising_filter_does_not_leak_the_prepass_pin(self):
+        from repro.filters import BloomFilterBuilder
+        db, items = filled_db(filter_builder=BloomFilterBuilder())
+        keys = sorted(items)[:20]
+        broken = next(db.version.candidates_for_key(keys[0])).filter
+
+        def explode(_keys):
+            raise RuntimeError("filter probe failed")
+
+        broken.probe_many = explode
+        for batch_read in (db.get_many, db.get_many_timed,
+                           db.filters_pass_many, db.probe_plan):
+            with pytest.raises(RuntimeError):
+                batch_read(keys)
+        assert db.versions.pinned_count() == 0
+        db.close()
+        assert db.leaked_pins == 0

@@ -1,11 +1,15 @@
 """Sorted-view equivalence suite (DESIGN.md section 13).
 
-The contract: with ``options.sorted_view`` on, every range surface
+The contract: served through the sorted view, every range surface
 (``range_query``/``scan``/``iterator``) returns identical results, drives
 identical per-filter stats, and reads a **bit-identical** simulated clock
 compared to the classic per-query heap merge — across fresh bulk-loaded
 trees, write/delete/flush churn (the incremental ``evolve`` path), lazy
 full rebuilds, snapshots, and the process-pool build transport.
+
+The classic twin is not a flag: it is the same store on a device whose
+files cannot be mapped (``reference.unmappable``), where the read path
+falls back to the heap merge by itself.
 """
 
 from __future__ import annotations
@@ -13,22 +17,32 @@ from __future__ import annotations
 import dataclasses
 import random
 
-import pytest
+
+from reference.unmappable import UnmappableDevice
 
 from repro.filters import SuRFBuilder
 from repro.lsm import parallel_build
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
-from repro.lsm.sorted_view import SortedView, ensure_view
+from repro.lsm.sorted_view import UNBUILDABLE, SortedView, ensure_view
+from repro.storage.clock import SimClock
+from repro.storage.device import StorageDevice
 
 
-def _options(sorted_view: bool, **overrides) -> LSMOptions:
+def _options(**overrides) -> LSMOptions:
     defaults = dict(filter_builder=SuRFBuilder(variant="real", suffix_bits=8),
                     sstable_target_bytes=8 * 1024,
-                    memtable_size_bytes=8 * 1024,
-                    sorted_view=sorted_view, seed=7)
+                    memtable_size_bytes=8 * 1024, seed=7)
     defaults.update(overrides)
     return LSMOptions(**defaults)
+
+
+def _tree(mappable: bool = True, **overrides) -> LSMTree:
+    """A store on a mappable (sorted view) or unmappable (classic) device."""
+    clock = SimClock()
+    device_cls = StorageDevice if mappable else UnmappableDevice
+    return LSMTree(_options(**overrides), clock=clock,
+                   device=device_cls(clock))
 
 
 def _keys(n, seed=11, width=5):
@@ -55,11 +69,12 @@ def _db_stats(db):
     return counters
 
 
-def _run_script(sorted_view: bool, script, **options):
-    db = LSMTree(_options(sorted_view, **options))
+def _run_script(mappable: bool, script, **options):
+    db = _tree(mappable, **options)
     try:
         trace = script(db)
-        return (trace, db.clock.now_us, _db_stats(db), _filter_stats(db))
+        return (trace, db.clock.now_us, _db_stats(db), _filter_stats(db),
+                db.stats.sorted_view_seeks)
     finally:
         db.close()
         assert db.leaked_pins == 0
@@ -72,6 +87,8 @@ def _assert_equivalent(script, **options):
     assert with_view[1] == without[1], "simulated clocks diverged"
     assert with_view[2] == without[2], "DBStats diverged"
     assert with_view[3] == without[3], "per-filter stats diverged"
+    # The unmappable twin really served every read from the heap merge.
+    assert without[4] == 0
 
 
 def _load(db, keys, start=0):
@@ -119,7 +136,7 @@ def test_churn_exercises_incremental_evolve():
 
     # The view-on run must actually maintain views across several
     # flush/compaction installs, not just build once.
-    db = LSMTree(_options(True))
+    db = _tree()
     try:
         script(db)
         assert db.stats.flushes > 3
@@ -228,7 +245,7 @@ def test_snapshot_range_reads_equivalent():
 
 def test_snapshot_isolated_from_later_writes():
     keys = _keys(800, seed=51)
-    db = LSMTree(_options(True))
+    db = _tree()
     try:
         _load(db, keys)
         db.flush()
@@ -266,7 +283,7 @@ def test_pool_built_view_equivalent(monkeypatch):
 
 
 def test_view_built_lazily_and_carried_on_version():
-    db = LSMTree(_options(True))
+    db = _tree()
     try:
         _load(db, _keys(600, seed=4))
         db.flush()
@@ -282,7 +299,7 @@ def test_view_built_lazily_and_carried_on_version():
 
 
 def test_view_segments_cover_all_live_keys():
-    db = LSMTree(_options(True))
+    db = _tree()
     keys = sorted(set(_keys(900, seed=8)))
     try:
         _load(db, keys)
@@ -301,8 +318,8 @@ def test_view_segments_cover_all_live_keys():
 def test_incremental_evolve_reuses_unchanged_segments():
     # Enough keys for several SEGMENT_TARGET-sized segments, so a
     # key-clustered flush demonstrably rebuilds a strict subset.
-    db = LSMTree(_options(True, memtable_size_bytes=2 * 1024 * 1024,
-                          sstable_target_bytes=256 * 1024))
+    db = _tree(memtable_size_bytes=2 * 1024 * 1024,
+               sstable_target_bytes=256 * 1024)
     try:
         keys = sorted(set(_keys(14000, seed=29)))
         _load(db, keys)
@@ -326,13 +343,13 @@ def test_incremental_evolve_reuses_unchanged_segments():
         db.close()
 
 
-def test_off_switch_never_builds_a_view():
-    db = LSMTree(_options(False))
+def test_unmappable_device_never_builds_a_view():
+    db = _tree(mappable=False)
     try:
         _load(db, _keys(500, seed=6))
         db.flush()
         db.range_query(b"\x00", b"\xff" * 8)
-        assert db.versions.current._view is None
+        assert db.versions.current._view is UNBUILDABLE
         assert db.stats.sorted_view_seeks == 0
         assert db.stats.view_rebuild_segments == 0
     finally:
@@ -340,7 +357,7 @@ def test_off_switch_never_builds_a_view():
 
 
 def test_counters_route_through_view():
-    db = LSMTree(_options(True))
+    db = _tree()
     try:
         _load(db, _keys(500, seed=16))
         db.flush()

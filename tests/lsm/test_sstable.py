@@ -1,16 +1,27 @@
-"""SSTable builder/reader tests."""
+"""SSTable writer/reader tests.
+
+Tables under test are written by the production writer
+(``build_table_artifact`` + ``install_artifact``); the streaming
+``SSTableBuilder`` from ``tests/reference`` is the byte oracle it is
+held to.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.streaming_build import SSTableBuilder
 
 from repro.common.errors import ConfigError, CorruptionError
 from repro.common.rng import make_rng
 from repro.filters.bloom import BloomFilterBuilder
 from repro.lsm.memtable import TOMBSTONE, Entry
 from repro.lsm.options import CostModel
-from repro.lsm.parallel_build import build_table_artifact, split_records
-from repro.lsm.sstable import SSTableBuilder, SSTableReader
+from repro.lsm.parallel_build import (
+    build_table_artifact,
+    install_artifact,
+    split_records,
+)
+from repro.lsm.sstable import SSTableReader
 from repro.storage.clock import SimClock
 from repro.storage.device import StorageDevice
 from repro.storage.page_cache import PageCache
@@ -27,10 +38,9 @@ def env():
 
 
 def build_table(device, items, path="sst/0.sst", filter_builder=None):
-    builder = SSTableBuilder(device, path, 4096, filter_builder)
-    for key, entry in items:
-        builder.add(key, entry)
-    return builder.finish()
+    records = [(key, entry.value) for key, entry in items]
+    return install_artifact(
+        device, path, build_table_artifact(records, 4096, filter_builder))
 
 
 def sample_items(n=2000, value_size=40):

@@ -1,0 +1,10 @@
+"""Reference implementations the equivalence suites compare ``src/`` to.
+
+Each production job has one path in ``src/repro``; the slower, simpler
+twin it replaced lives here, called directly by the tests that hold the
+two together.  Each module's docstring says what its oracle proves:
+:mod:`reference.point_read` (clock), :mod:`reference.streaming_build`
+(bytes, logical content), :mod:`reference.unmappable` (clock, range
+side).  Imported as ``reference``: pytest puts ``tests/`` on
+``sys.path``.
+"""

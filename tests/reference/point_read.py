@@ -1,0 +1,65 @@
+"""The plain scalar point read: one key, one loop, nothing hoisted.
+
+This is the ``LSMTree.get`` body from before the reads moved into
+``repro.lsm.read_path`` — every charge goes through ``db.charge_cost``,
+every filter is probed with the scalar ``may_contain``.  It proves the
+**clock**: the production search loop, with or without a probe plan,
+must charge the same amounts in the same order from the same RNG stream.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+
+def scalar_get(db, key: bytes) -> Optional[bytes]:
+    """``db.get(key)``, spelled out (``db``: an open ``LSMTree``)."""
+    costs = db.options.costs
+    db.stats.gets += 1
+    db.charge_cost(costs.get_base_cost_us + costs.memtable_lookup_cost_us)
+    entry = db._memtable.get(key)
+    if entry is not None:
+        db.stats.memtable_hits += 1
+        return entry.value
+    version = db.versions.pin()
+    try:
+        for table in version.candidates_for_key(key):
+            if table.filter is not None:
+                db.stats.filter_checks += 1
+                db.charge_cost(costs.filter_query_cost_us)
+                if not table.filter.may_contain(key):
+                    db.stats.filter_negatives += 1
+                    continue
+            db.stats.table_reads += 1
+            entry = table.reader.get(key, db.cache, costs)
+            if entry is not None:
+                return entry.value
+        return None
+    finally:
+        db.versions.unpin(version)
+
+
+def use_scalar_reads(db) -> None:
+    """Serve every point-read entry of ``db`` from :func:`scalar_get`.
+
+    Instance-level overrides: no prepass (``probe_plan`` yields no plan),
+    and each batch API becomes the per-key loop it abbreviates — the
+    shape the whole attack stack ran on before the batched engine.
+    """
+    def get(key):
+        return scalar_get(db, key)
+
+    def get_many_timed(keys):
+        out = []
+        for key in keys:
+            start = db.clock.now_us
+            value = get(key)
+            out.append((value, db.clock.now_us - start))
+        return out
+
+    db.get = get
+    db.probe_plan = lambda keys: None
+    db.getter = lambda plan=None: get
+    db.get_many = lambda keys: [get(key) for key in keys]
+    db.get_many_timed = get_many_timed
+    db.filters_pass_many = lambda keys: [db.filters_pass(key) for key in keys]
