@@ -37,7 +37,7 @@ ingest-smoke:
 	REPRO_INGEST_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 	    benchmarks/bench_ingest.py -q --benchmark-disable
 
-# Small-N run of the asyncio scale + defense bench: asserts the event
+# Small-N run of the server scale + defense bench: asserts the event
 # loop really holds every connection, the defense flags the attacker
 # fleet (throttle escalates, noise injects), and benign zipf traffic is
 # never flagged — without the full-size runs, and without touching the
@@ -64,8 +64,9 @@ e2e-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/test_e2e.py -q
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 
-# One real TCP round trip through the wire-protocol server: build a small
-# store, serve it, ping + get + stats from a client, shut down cleanly.
+# One real TCP round trip through the wire server (the event loop's
+# listener path): build a small store, serve it, ping + get + stats from
+# a client, shut down cleanly.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve --keys 2000 --width 4 --smoke
 

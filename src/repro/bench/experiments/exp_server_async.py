@@ -1,10 +1,10 @@
-"""Asyncio serving core at scale, and the online defense's teeth.
+"""The wire server at scale, and the online defense's teeth.
 
 Two questions, one served system:
 
-* **Scale** — the event-loop core must hold 1000+ concurrent
-  connections in one process (the threaded core's ceiling is its worker
-  pool) while serving legitimate zipf traffic at full speed.
+* **Scale** — the event-loop server must hold 1000+ concurrent
+  connections in one process while serving legitimate zipf traffic at
+  full speed.
 * **Defense** — with a :class:`~repro.system.defense.DefendedService`
   in the serving path, an attacker *fleet* (independent users, each
   running the full three-step SuRF attack) must lose extraction rate —

@@ -144,7 +144,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.server import AsyncKVWireServer, KVWireServer, ServerConfig, connect
+    from repro.server import AsyncKVWireServer, ServerConfig, connect
     from repro.system.defense import DefensePolicy, build_defended_service
     from repro.system.ratelimit import RateLimitPolicy, RateLimitedService
     from repro.workloads import ATTACKER_USER, DatasetConfig, build_environment
@@ -167,14 +167,12 @@ def _cmd_serve(args) -> int:
                                     burst=args.penalty_burst),
             noise_max_us=args.noise_max_us))
         print(f"online defense: {args.defense}", flush=True)
-    server_cls = AsyncKVWireServer if args.use_async else KVWireServer
-    server = server_cls(service, ServerConfig(
-        host=args.host, port=args.port, backlog=args.backlog,
-        workers=args.workers), background=env.background)
+    server = AsyncKVWireServer(service, ServerConfig(
+        host=args.host, port=args.port, backlog=args.backlog),
+        background=env.background)
     server.start()
     host, port = server.address
-    core = "asyncio" if args.use_async else "threaded"
-    print(f"listening on {host}:{port} ({core} core)", flush=True)
+    print(f"listening on {host}:{port}", flush=True)
 
     if args.smoke:
         # One real TCP round trip of each basic frame, then exit cleanly:
@@ -344,17 +342,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (default: ephemeral)")
-    serve.add_argument("--workers", type=int, default=8,
-                       help="connection worker threads (default 8)")
     serve.add_argument("--backlog", type=int, default=16,
                        help="accept backlog (default 16)")
     serve.add_argument("--rate-limit", type=float, default=0.0,
                        help="per-user requests/second (0 = unlimited)")
     serve.add_argument("--burst", type=int, default=32,
                        help="rate-limit token-bucket burst (default 32)")
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="asyncio core: coroutines instead of worker "
-                            "threads, thousands of concurrent connections")
     serve.add_argument("--defense", default="off",
                        choices=("off", "observe", "throttle", "noise"),
                        help="online siphoning defense mode (default off)")

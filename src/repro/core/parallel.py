@@ -9,7 +9,7 @@ results identical to the serial in-process attack:
 
 * **Timing-classified stages** (FindFPK, IdPrefix) shard each breadth-
   first batch across the pool and flag every shard ``FLAG_ORDERED``: the
-  server's :class:`~repro.server.tcp.OrderedGate` executes the shards in
+  server's :class:`~repro.server.aio.AsyncOrderedGate` executes the shards in
   shard order, so the one simulated timeline — clock charges, RNG draws,
   page-cache evolution — is *exactly* the serial batch's.  Wall-clock
   parallelism comes from overlapping the transport work (framing, socket

@@ -3,7 +3,7 @@
 Everything below this package moves *bytes over sockets*: the simulated
 LSM-tree/service stack stays exactly as it is (one :class:`SimClock`, one
 simulated timeline), and this package puts a length-prefixed binary
-protocol, a threaded TCP server, a pooled client, and an in-process
+protocol, an event-loop TCP server, a pooled client, and an in-process
 loopback transport in front of it.  Wall-clock concurrency lives here;
 the timing side channel stays in SimClock charges (DESIGN.md section 7).
 """
@@ -22,7 +22,6 @@ from repro.server.client import (
     WireConnection,
     connect,
 )
-from repro.server.loopback import LoopbackTransport
 from repro.server.protocol import (
     FLAG_ORDERED,
     FLAG_RESPONSE,
@@ -31,7 +30,7 @@ from repro.server.protocol import (
     Frame,
     Opcode,
 )
-from repro.server.tcp import KVWireServer, ServerConfig
+from repro.server.tcp import ServerConfig
 
 __all__ = [
     "AsyncKVWireServer",
@@ -41,8 +40,6 @@ __all__ = [
     "FLAG_ORDERED",
     "FLAG_RESPONSE",
     "Frame",
-    "KVWireServer",
-    "LoopbackTransport",
     "MAX_KEY_BYTES",
     "Opcode",
     "PROTOCOL_VERSION",

@@ -1,24 +1,21 @@
-"""Asyncio event-loop server core: thousands of connections, one thread.
+"""The wire server: every connection a coroutine on one event loop.
 
-The threaded server (:mod:`repro.server.tcp`) pins one worker thread to
-one connection, so its concurrency ceiling is the pool size — fine for a
-4-connection attack driver, hopeless for a fleet.  This core holds every
-connection as a coroutine on a single event loop (DESIGN.md section 11):
+One thread, one loop, thousands of connections (DESIGN.md section 7):
 
 * the loop runs in a dedicated daemon thread, so synchronous clients —
   :class:`~repro.server.client.RemoteKV`, the attack oracles, benches —
-  use it exactly like the threaded server;
-* the **one-SimClock contract** needs no lock here: the loop is one
-  thread and :meth:`RequestExecutor.execute` is synchronous — it never
-  yields mid-request, so service calls are serialized by construction.
-  The executor, opcode handling, error mapping, and STATS aggregation
-  are literally the same objects the threaded server uses;
-* ordered frames pass an :class:`AsyncOrderedGate` with the same
-  per-stream (nonce, seq) semantics and LRU stream bound as the threaded
-  :class:`~repro.server.tcp.OrderedGate`, so a concurrent client's
-  execution order — and therefore the simulated timeline — is pinned to
-  the order the client chose.  The parallel attack driver is
-  bit-identical to serial on either server core.
+  talk to it over ordinary blocking sockets;
+* the **one-SimClock contract** needs no lock: the loop is the admission
+  point, and :meth:`~repro.server.tcp.RequestExecutor.execute` is
+  synchronous — it never yields mid-request, so service calls are
+  serialized by construction;
+* ordered frames pass the :class:`AsyncOrderedGate`, which admits them in
+  per-stream (nonce, seq) order, so a concurrent client's execution
+  order — and therefore the simulated timeline — is pinned to the order
+  the client chose.  That is why the parallel attack driver is
+  bit-identical to the serial in-process attack;
+* shutdown is graceful by default: stop accepting, let in-flight
+  requests finish and their responses flush, then close.
 
 Wall-clock concurrency is framing and socket I/O overlap; simulated time
 stays exactly the serial in-process timeline.
@@ -49,7 +46,6 @@ from repro.server.client import (
 )
 from repro.server.protocol import ErrorCode, Frame
 from repro.server.tcp import (
-    OrderedGate,
     RequestExecutor,
     ServerConfig,
     error_frame,
@@ -59,17 +55,23 @@ from repro.storage.background import BackgroundLoad
 
 
 class AsyncOrderedGate:
-    """Per-stream (nonce, seq) admission for coroutines.
+    """Admits ordered frames in per-stream (nonce, seq) order.
 
-    Same contract as the threaded :class:`OrderedGate` — contiguous
-    sequence numbers per stream, LRU-bounded stream table, typed
-    :class:`OrderTimeoutError` past the deadline — but waiters are
-    futures resolved by ``complete``, not condition-variable wakeups.
+    Streams number their frames 0, 1, 2, ... contiguously; a frame whose
+    turn has not come waits on a future that ``complete`` resolves, and
+    raises a typed :class:`OrderTimeoutError` past the deadline.  Stream
+    state is bounded: least-recently-used streams are forgotten past a
+    cap (a forgotten stream's next frame would wait and time out —
+    acceptable for the short-lived streams the attack driver creates).
+    Recency is refreshed on every ``admit``/``complete``, so a busy
+    long-lived stream survives arbitrary churn from one-shot streams.
     Single-threaded by design: only event-loop coroutines touch it.
     """
 
+    DEFAULT_MAX_STREAMS = 64
+
     def __init__(self, timeout_s: float,
-                 max_streams: int = OrderedGate.DEFAULT_MAX_STREAMS) -> None:
+                 max_streams: int = DEFAULT_MAX_STREAMS) -> None:
         if max_streams < 1:
             raise ConfigError("gate needs room for at least one stream")
         self._timeout_s = timeout_s
@@ -118,17 +120,18 @@ class AsyncOrderedGate:
 
 
 class AsyncKVWireServer:
-    """Event-loop server speaking the same wire protocol as the threaded one.
+    """Serves the wire protocol over TCP (or any attached stream socket).
 
-    ``service`` is anything with the :class:`KVService` surface; stacks
-    with :class:`~repro.system.defense.DefendedService` plug in directly
-    and their decision counters surface through STATS.  ``workers`` in
-    the config is ignored — concurrency is per-connection coroutines.
+    ``service`` is anything with the :class:`KVService` surface — a bare
+    service, a :class:`~repro.system.ratelimit.RateLimitedService`, a
+    :class:`~repro.system.defense.DefendedService` stack (its decision
+    counters surface through STATS), or a test double.  ``background``
+    enables the WAIT opcode (cache-churn simulation control); without it
+    WAIT answers UNSUPPORTED.
 
-    The loop lives in a daemon thread started by :meth:`start`, so the
-    public surface (``start``/``attach``/``address``/``stop``) mirrors
-    :class:`~repro.server.tcp.KVWireServer` and synchronous clients work
-    unchanged.
+    The loop lives in a daemon thread started by :meth:`start`; the
+    public surface (``start``/``attach``/``address``/``stop``) is
+    callable from any thread.
     """
 
     def __init__(self, service, config: Optional[ServerConfig] = None,
@@ -136,13 +139,12 @@ class AsyncKVWireServer:
         self.service = service
         self.config = config or ServerConfig()
         self.background = background
-        # No service guard: the single-threaded loop is the admission
-        # point (execute never awaits), preserving the one-SimClock rule.
         self._executor = RequestExecutor(service, background)
         self._gate = AsyncOrderedGate(self.config.order_timeout_s)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._listener: Optional[asyncio.AbstractServer] = None
+        self._address: Optional[Tuple[str, int]] = None
         self._tasks: Set["asyncio.Task"] = set()
         self._closing = False
         self._inflight = 0
@@ -177,7 +179,11 @@ class AsyncKVWireServer:
     def _call(self, coro, timeout_s: float = 30.0):
         """Run ``coro`` on the loop from the caller's thread, wait, return."""
         assert self._loop is not None
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        try:
+            future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        except RuntimeError:  # a concurrent stop() closed the loop
+            coro.close()
+            raise TransportError("asyncio server is stopped") from None
         try:
             return future.result(timeout_s)
         except asyncio.TimeoutError:
@@ -188,22 +194,31 @@ class AsyncKVWireServer:
         self._listener = await asyncio.start_server(
             self._serve_stream, host=self.config.host, port=self.config.port,
             backlog=self.config.backlog)
+        self._address = self._listener.sockets[0].getsockname()[:2]
 
     @property
     def address(self) -> Tuple[str, int]:
-        """The bound (host, port); valid after :meth:`start`."""
-        if self._listener is None:
+        """The bound (host, port), from ``start(listen=True)`` to ``stop``."""
+        if self._address is None:
             raise ConfigError("server is not listening")
-        return self._listener.sockets[0].getsockname()[:2]
+        return self._address
 
     def attach(self, sock: socket.socket) -> None:
-        """Serve an already-connected stream socket (loopback transport)."""
-        self._call(self._attach(sock))
+        """Serve an already-connected stream socket (loopback transport).
 
-    async def _attach(self, sock: socket.socket) -> None:
-        if self._closing:
+        On a server that is not running the socket is closed instead, so
+        the peer sees a typed ``TransportError`` on first use.
+        """
+        if self._loop is None or self._closing:
             sock.close()
             return
+        try:
+            self._call(self._attach(sock))
+        except TransportError:
+            sock.close()
+            raise
+
+    async def _attach(self, sock: socket.socket) -> None:
         sock.setblocking(False)
         reader, writer = await asyncio.open_connection(sock=sock)
         task = asyncio.get_event_loop().create_task(
@@ -219,6 +234,7 @@ class AsyncKVWireServer:
         if self._loop is None or self._closing:
             return
         self._closing = True
+        self._address = None
         with contextlib.suppress(TransportError):
             self._call(self._shutdown(graceful),
                        timeout_s=self.config.drain_timeout_s + 5.0)
@@ -354,12 +370,13 @@ class AsyncKVWireServer:
 
 
 class AsyncLoopbackTransport:
-    """In-process loopback over the asyncio core: no connection ceiling.
+    """A served KV stack reachable only from inside this process.
 
-    Mirrors :class:`~repro.server.loopback.LoopbackTransport`, but every
-    socketpair end becomes a coroutine on the event loop instead of
-    occupying a worker thread — so :meth:`pool` has no worker cap and a
-    thousand concurrent clients is routine.
+    Tests, benches and the deterministic parallel-attack harness need the
+    *entire* serving path — framing, dispatch, the ordered gate — without
+    TCP ports, ephemeral-port races, or firewall surprises.  Connections
+    are ``socket.socketpair()`` ends handed to the event loop: byte for
+    byte the same protocol, and :meth:`pool` can be any size.
     """
 
     def __init__(self, service, background: Optional[BackgroundLoad] = None,
@@ -371,7 +388,11 @@ class AsyncLoopbackTransport:
     def dial(self) -> socket.socket:
         """New connection: hand one socketpair end to the event loop."""
         client_end, server_end = socket.socketpair()
-        self.server.attach(server_end)
+        try:
+            self.server.attach(server_end)
+        except TransportError:
+            client_end.close()
+            raise
         return client_end
 
     def connect(self, timeout_s: float = DEFAULT_TIMEOUT_S) -> RemoteKV:

@@ -100,8 +100,8 @@ class DefendedService:
     Wraps any service stack (typically
     ``RateLimitedService(KVService)``); every request outcome — scalar or
     batch, read or write — feeds the detector, and flagged users are
-    punished per :class:`DefensePolicy`.  Thread-safe for the threaded
-    wire server; single-threaded asyncio needs no extra care.
+    punished per :class:`DefensePolicy`.  Thread-safe for multi-threaded
+    embedders; the wire server's event loop needs no extra care.
 
     Noise is charged to the simulated clock *inside* the lookup window,
     so both the server-reported elapsed time and any client-side clock

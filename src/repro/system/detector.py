@@ -79,8 +79,8 @@ class UserVerdict:
 class SiphoningDetector:
     """Per-user sliding-window scoring of the request stream.
 
-    Thread-safe: the serving layers observe from many workers (and the
-    asyncio defense layer re-scores concurrently with observation), so
+    Thread-safe: embedders may observe from many threads (and re-score
+    concurrently with observation), so
     window mutation and scoring serialize on one lock.  ``observe`` is a
     deque append plus a counter bump — the lock is never held across
     anything slow.

@@ -63,9 +63,9 @@ class RateLimitedService:
         self._buckets: Dict[int, _Bucket] = {}
         self._user_policies: Dict[int, RateLimitPolicy] = {}
         #: Serializes bucket mutation and the stall counters: admission is
-        #: read-modify-write state, and concurrent callers (the threaded
-        #: wire server, or any multi-threaded embedder) would otherwise
-        #: race on token accounting and lose stall counts.
+        #: read-modify-write state, and concurrent callers (any
+        #: multi-threaded embedder) would otherwise race on token
+        #: accounting and lose stall counts.
         self._lock = threading.Lock()
         self.total_stall_us = 0.0
         self.stalled_requests = 0

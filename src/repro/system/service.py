@@ -38,8 +38,8 @@ class ServiceStats:
     """Request counters by outcome.
 
     Increments go through :meth:`record` under a lock: ``+=`` on an
-    attribute is a read-modify-write, and the threaded wire server (and
-    any other concurrent caller) would otherwise lose counts.
+    attribute is a read-modify-write, and concurrent callers (any
+    multi-threaded embedder) would otherwise lose counts.
     """
 
     requests: int = 0

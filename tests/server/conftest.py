@@ -15,7 +15,7 @@ import faulthandler
 import pytest
 
 from repro.filters import SuRFBuilder
-from repro.server import LoopbackTransport
+from repro.server import AsyncLoopbackTransport
 from repro.workloads import DatasetConfig, build_environment
 
 #: Wall-clock seconds any one serving-layer test may take.
@@ -53,7 +53,7 @@ def wire_env():
 @pytest.fixture()
 def loopback(wire_env):
     """A fresh loopback-served stack per test."""
-    transport = LoopbackTransport(wire_env.service,
-                                  background=wire_env.background, workers=4)
+    transport = AsyncLoopbackTransport(wire_env.service,
+                                       background=wire_env.background)
     yield transport
     transport.close()

@@ -1,49 +1,43 @@
-"""Asyncio server core behavior: gate semantics, framing, scale, defense.
+"""Event-loop server behavior: gate unit contract, scale, lifecycle, defense.
 
-Mirrors the threaded-server suites where the contract is shared (ordered
-frames, error paths, STATS) and adds what only the event-loop core
-promises: connection counts far past any worker-pool ceiling.
+Request/response behavior over the loopback transport lives in
+``test_client_server.py`` and the real-TCP lifecycle in ``test_tcp.py``;
+this file holds what is specific to the event loop — the gate's
+coroutine contract, connection counts in the hundreds, and use after
+``stop()``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
+import warnings
 
 import pytest
 
 from repro.common.errors import (
     ConfigError,
     OrderTimeoutError,
-    RemoteError,
+    TransportError,
 )
 from repro.common.rng import make_rng
 from repro.filters import SuRFBuilder
-from repro.server import protocol
-from repro.server.aio import AsyncLoopbackTransport, AsyncOrderedGate
-from repro.server.protocol import ErrorCode, Frame, Opcode, OrderToken
-from repro.server.tcp import read_frame
+from repro.server import (
+    AsyncKVWireServer,
+    AsyncLoopbackTransport,
+    AsyncOrderedGate,
+)
 from repro.system.defense import DefensePolicy, build_defended_service
-from repro.system.responses import Status
 from repro.workloads import (
     ATTACKER_USER,
-    OWNER_USER,
     DatasetConfig,
     build_environment,
 )
 
 
-@pytest.fixture()
-def aio_loopback(wire_env):
-    """A fresh asyncio-served stack per test."""
-    transport = AsyncLoopbackTransport(wire_env.service,
-                                       background=wire_env.background)
-    yield transport
-    transport.close()
-
-
 class TestAsyncOrderedGate:
-    """Unit contract: same semantics as the threaded OrderedGate."""
+    """Unit contract of the one ordered gate."""
 
     def test_in_order_admits_immediately(self):
         async def scenario():
@@ -94,44 +88,13 @@ class TestAsyncOrderedGate:
 
 
 class TestAioServing:
-    def test_full_opcode_round_trip(self, aio_loopback, wire_env):
-        client = aio_loopback.connect()
-        assert client.ping(b"aio") == b"aio"
-        stored = wire_env.keys[0]
-        assert client.get(OWNER_USER, stored).status is Status.OK
-        assert client.get(ATTACKER_USER, stored).status is Status.UNAUTHORIZED
-        assert client.put(OWNER_USER, b"aio:k", b"v").status is Status.OK
-        count, sim_us = client.put_many_timed(
-            OWNER_USER, [(b"aio:%d" % i, b"v") for i in range(8)])
-        assert count == 8 and sim_us > 0
-        responses = client.get_many(OWNER_USER, [b"aio:k", b"aio:3",
-                                                 b"aio:absent"])
-        assert [r.status for r in responses] == [
-            Status.OK, Status.OK, Status.NOT_FOUND]
-        assert client.delete(OWNER_USER, b"aio:k").status is Status.OK
-        stats = client.stats()
-        assert stats.requests >= 5  # the read-path counter
-        assert stats.ok >= 3 and stats.unauthorized >= 1
-        assert stats.sim_now_us == wire_env.clock.now_us
-        client.close()
-
-    def test_hundreds_of_concurrent_connections(self, aio_loopback):
-        held = [aio_loopback.connect() for _ in range(200)]
+    def test_hundreds_of_concurrent_connections(self, loopback):
+        held = [loopback.connect() for _ in range(200)]
         for i, client in enumerate(held):
             payload = b"c%d" % i
             assert client.ping(payload) == payload
-        assert aio_loopback.server.peak_connections >= 200
+        assert loopback.server.peak_connections >= 200
         for client in held:
-            client.close()
-
-    def test_pool_has_no_worker_cap(self, aio_loopback, wire_env):
-        # The threaded transport refuses pools wider than its worker
-        # count; the event loop has no such ceiling.
-        pool = aio_loopback.pool(32)
-        pool.close()
-        clients = [aio_loopback.connect() for _ in range(8)]
-        for client in clients:
-            assert client.get(OWNER_USER, wire_env.keys[1]).status is Status.OK
             client.close()
 
     def test_stop_is_idempotent_and_refuses_restart(self, wire_env):
@@ -143,60 +106,42 @@ class TestAioServing:
             transport.server.start()
 
 
-class TestAioOrderedFrames:
-    def test_out_of_order_frame_blocks_until_predecessor(self, aio_loopback):
-        """Same raw-frame scenario as the threaded TestOrderedGate."""
-        nonce = 0xDEAD
-        sock1 = aio_loopback.dial()
-        sock1.sendall(protocol.encode_frame(Frame(
-            opcode=Opcode.PING, request_id=11,
-            payload=protocol.prepend_order(b"second", OrderToken(nonce, 1)),
-            flags=protocol.FLAG_ORDERED)))
-        sock1.settimeout(0.3)
-        with pytest.raises(socket.timeout):
-            read_frame(sock1)  # the gate is holding seq 1
-        sock0 = aio_loopback.dial()
-        sock0.sendall(protocol.encode_frame(Frame(
-            opcode=Opcode.PING, request_id=10,
-            payload=protocol.prepend_order(b"first", OrderToken(nonce, 0)),
-            flags=protocol.FLAG_ORDERED)))
-        assert read_frame(sock0).payload == b"first"
-        sock1.settimeout(5.0)
-        assert read_frame(sock1).payload == b"second"
-        sock0.close()
-        sock1.close()
+class TestUseAfterStop:
+    """A closed transport fails its dialers with a typed error.
 
-    def test_ordered_serial_equals_unordered_serial(self, aio_loopback,
-                                                    wire_env):
-        client = aio_loopback.connect()
-        keys = wire_env.keys[20:26]
-        plain = client.get_many(ATTACKER_USER, keys)
-        ordered = client.get_many(ATTACKER_USER, keys,
-                                  order=OrderToken(0xBEEF, 0))
-        assert [r.status for r in plain] == [r.status for r in ordered]
-        client.close()
+    Regression: ``attach`` used to schedule onto the closed loop, so
+    ``dial``/``connect``/``pool`` raised a bare ``RuntimeError: Event
+    loop is closed`` and leaked both socketpair ends plus an un-awaited
+    coroutine.
+    """
 
-
-class TestAioErrorPaths:
-    def test_garbage_header_yields_protocol_error(self, aio_loopback):
-        sock = aio_loopback.dial()
-        sock.sendall(b"\x00" * protocol.HEADER_BYTES)
-        reply = read_frame(sock)
-        assert reply.opcode == Opcode.ERROR
-        code, _ = protocol.decode_error(reply.payload)
-        assert code in (ErrorCode.PROTOCOL, ErrorCode.VERSION)
-        sock.close()
-
-    def test_error_response_keeps_connection_alive(self, wire_env):
-        with AsyncLoopbackTransport(wire_env.service,
-                                    background=None) as transport:
+    def test_dial_after_close_fails_typed_and_leaks_nothing(self, wire_env):
+        transport = AsyncLoopbackTransport(wire_env.service,
+                                           background=wire_env.background)
+        transport.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             client = transport.connect()
-            with pytest.raises(RemoteError) as excinfo:
-                client.wait(1000.0)  # no background load attached
-            assert excinfo.value.code == ErrorCode.UNSUPPORTED
-            # The connection survives an error response.
-            assert client.ping(b"still here") == b"still here"
+            with pytest.raises(TransportError):
+                client.ping()
             client.close()
+            pool = transport.pool(2)
+            with pytest.raises(TransportError):
+                pool.primary.ping()
+            pool.close()
+            del client, pool
+            gc.collect()
+        leaks = [w for w in caught
+                 if issubclass(w.category, (ResourceWarning, RuntimeWarning))]
+        assert leaks == []
+
+    def test_attach_before_start_closes_the_socket(self, wire_env):
+        server = AsyncKVWireServer(wire_env.service)
+        client_end, server_end = socket.socketpair()
+        server.attach(server_end)
+        assert server_end.fileno() == -1
+        assert client_end.recv(1) == b""  # peer sees EOF, not a hang
+        client_end.close()
 
 
 class TestAioDefendedStats:

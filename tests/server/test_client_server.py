@@ -1,7 +1,7 @@
 """Loopback client/server behavior: the full serving path in-process.
 
-Everything here exercises real framing through a real worker pool — only
-the sockets are socketpairs instead of TCP.
+Everything here exercises real framing through the real event-loop
+server — only the sockets are socketpairs instead of TCP.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ import socket
 
 import pytest
 
-from repro.common.errors import ConfigError, RemoteError
-from repro.server import LoopbackTransport, protocol
+from repro.common.errors import RemoteError
+from repro.server import AsyncLoopbackTransport, protocol
 from repro.server.protocol import ErrorCode, Frame, Opcode, OrderToken
 from repro.server.tcp import read_frame
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
@@ -98,8 +98,8 @@ class TestBasicRequests:
 
 class TestErrorPaths:
     def test_wait_without_background_is_unsupported(self, wire_env):
-        with LoopbackTransport(wire_env.service, background=None,
-                               workers=1) as transport:
+        with AsyncLoopbackTransport(wire_env.service,
+                                    background=None) as transport:
             client = transport.connect()
             with pytest.raises(RemoteError) as excinfo:
                 client.wait(1000.0)
@@ -134,10 +134,6 @@ class TestErrorPaths:
         assert code == ErrorCode.PROTOCOL
         sock.close()
 
-    def test_pool_wider_than_workers_refused(self, loopback):
-        with pytest.raises(ConfigError):
-            loopback.pool(5)  # fixture serves 4 workers
-
 
 class TestOrderedGate:
     def test_out_of_order_frame_blocks_until_predecessor(self, loopback):
@@ -162,17 +158,15 @@ class TestOrderedGate:
         sock0.close()
         sock1.close()
 
-    def test_ordered_serial_equals_unordered_serial(self, wire_env):
+    def test_ordered_serial_equals_unordered_serial(self, loopback,
+                                                    wire_env):
         """On one connection, ordering tokens change nothing."""
-        with LoopbackTransport(wire_env.service,
-                               background=wire_env.background,
-                               workers=2) as transport:
-            client = transport.connect()
-            keys = wire_env.keys[20:26]
-            plain = client.get_many(ATTACKER_USER, keys)
-            ordered = client.get_many(ATTACKER_USER, keys,
-                                      order=OrderToken(0xBEEF, 0))
-            assert [r.status for r in plain] == [r.status for r in ordered]
+        client = loopback.connect()
+        keys = wire_env.keys[20:26]
+        plain = client.get_many(ATTACKER_USER, keys)
+        ordered = client.get_many(ATTACKER_USER, keys,
+                                  order=OrderToken(0xBEEF, 0))
+        assert [r.status for r in plain] == [r.status for r in ordered]
 
 
 class TestInjectableTransport:
@@ -268,8 +262,8 @@ class TestRateLimitedComposition:
         limited = RateLimitedService(
             wire_env.service,
             RateLimitPolicy(requests_per_second=100.0, burst=2))
-        with LoopbackTransport(limited, background=wire_env.background,
-                               workers=2) as transport:
+        with AsyncLoopbackTransport(
+                limited, background=wire_env.background) as transport:
             client = transport.connect()
             for key in wire_env.keys[30:36]:
                 client.get_timed(ATTACKER_USER, key)

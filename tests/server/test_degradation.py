@@ -12,7 +12,7 @@ from repro.common.errors import CorruptionError, RemoteError
 from repro.common.rng import make_rng
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
-from repro.server import KVWireServer, ServerConfig, connect
+from repro.server import AsyncKVWireServer, ServerConfig, connect
 from repro.server.protocol import ErrorCode
 from repro.storage.clock import SimClock
 from repro.storage.faults import FaultPlan, FaultyStorageDevice
@@ -40,8 +40,8 @@ def faulty_stack():
         db.put(key, pack_value(acl, key * 3))
     db.flush()
     service = KVService(db, True)
-    server = KVWireServer(service, ServerConfig(host="127.0.0.1", port=0,
-                                                workers=2))
+    server = AsyncKVWireServer(service,
+                               ServerConfig(host="127.0.0.1", port=0))
     server.start()
     host, port = server.address
     client = connect(host, port)

@@ -3,6 +3,8 @@ timeouts, and stats aggregation over arbitrary facade stacks."""
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.common.errors import (
@@ -12,9 +14,9 @@ from repro.common.errors import (
 )
 from repro.common.rng import make_rng
 from repro.filters import SuRFBuilder
-from repro.server import LoopbackTransport, protocol
+from repro.server import AsyncLoopbackTransport, AsyncOrderedGate, protocol
 from repro.server.protocol import ErrorCode
-from repro.server.tcp import OrderedGate, collect_stats, map_dispatch_error
+from repro.server.tcp import collect_stats, map_dispatch_error
 from repro.system.defense import build_defended_service
 from repro.system.detector import MonitoredService
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
@@ -44,41 +46,63 @@ class TestOrderedGateEviction:
     """
 
     def test_busy_stream_survives_one_shot_churn(self):
-        gate = OrderedGate(timeout_s=0.25, max_streams=4)
-        busy = 0x7
-        gate.admit(busy, 0)
-        gate.complete(busy)
-        # 12 one-shot streams against a table of 4: under FIFO the busy
-        # stream is evicted on the first overflow; under LRU every
-        # admit/complete refreshes it, so it survives arbitrary churn.
-        for i, nonce in enumerate(range(0x100, 0x10C)):
-            gate.admit(nonce, 0)
-            gate.complete(nonce)
-            gate.admit(busy, i + 1)  # would raise OrderTimeoutError if reset
+        async def scenario():
+            gate = AsyncOrderedGate(timeout_s=0.25, max_streams=4)
+            busy = 0x7
+            await gate.admit(busy, 0)
             gate.complete(busy)
+            # 12 one-shot streams against a table of 4: under FIFO the
+            # busy stream is evicted on the first overflow; under LRU
+            # every admit/complete refreshes it, so it survives the churn.
+            for i, nonce in enumerate(range(0x100, 0x10C)):
+                await gate.admit(nonce, 0)
+                gate.complete(nonce)
+                await gate.admit(busy, i + 1)  # OrderTimeoutError if reset
+                gate.complete(busy)
+
+        asyncio.run(scenario())
 
     def test_idle_one_shot_streams_are_evicted(self):
-        gate = OrderedGate(timeout_s=0.25, max_streams=4)
-        for nonce in range(0x100, 0x10C):
-            gate.admit(nonce, 0)
-            gate.complete(nonce)
-        # The earliest one-shot was evicted, so its stream restarts at
-        # seq 0 — an un-evicted stream would expect seq 1 and time out.
-        gate.admit(0x100, 0)
-        gate.complete(0x100)
+        async def scenario():
+            gate = AsyncOrderedGate(timeout_s=0.25, max_streams=4)
+            for nonce in range(0x100, 0x10C):
+                await gate.admit(nonce, 0)
+                gate.complete(nonce)
+            # The earliest one-shot was evicted, so its stream restarts
+            # at seq 0 — an un-evicted stream would expect seq 1 and
+            # time out.
+            await gate.admit(0x100, 0)
+            gate.complete(0x100)
+
+        asyncio.run(scenario())
 
     def test_gate_needs_at_least_one_stream(self):
         with pytest.raises(ConfigError):
-            OrderedGate(timeout_s=1.0, max_streams=0)
+            AsyncOrderedGate(timeout_s=1.0, max_streams=0)
 
 
 class TestTypedOrderTimeout:
     def test_admit_raises_typed_error(self):
-        gate = OrderedGate(timeout_s=0.05)
-        with pytest.raises(OrderTimeoutError):
-            gate.admit(0x1, 5)  # seq 0 never arrives
+        async def scenario():
+            gate = AsyncOrderedGate(timeout_s=0.05)
+            with pytest.raises(OrderTimeoutError):
+                await gate.admit(0x1, 5)  # seq 0 never arrives
+
+        asyncio.run(scenario())
         # Still a ProtocolError for coarse-grained handlers.
         assert issubclass(OrderTimeoutError, ProtocolError)
+
+    def test_timed_out_waiter_leaves_no_stream_state(self):
+        async def scenario():
+            gate = AsyncOrderedGate(timeout_s=0.05)
+            with pytest.raises(OrderTimeoutError):
+                await gate.admit(0x1, 5)
+            assert gate._waiters == {}
+            # The stream is not wedged: its real turn is still admitted.
+            await gate.admit(0x1, 0)
+            gate.complete(0x1)
+
+        asyncio.run(scenario())
 
     def test_error_mapping_dispatches_on_type_not_text(self):
         frame = map_dispatch_error(7, OrderTimeoutError("seq=3 timed out"))
@@ -125,8 +149,8 @@ class TestStatsOverStacks:
         env = _env()
         stack = MonitoredService(RateLimitedService(
             env.service, RateLimitPolicy(requests_per_second=1e6, burst=64)))
-        with LoopbackTransport(stack, background=env.background,
-                               workers=2) as transport:
+        with AsyncLoopbackTransport(
+                stack, background=env.background) as transport:
             client = transport.connect()
             client.get_many(OWNER_USER, env.keys[:32])
             stats = client.stats()
@@ -141,8 +165,8 @@ class TestMonitoredSurfaceOverWire:
     def test_write_and_batch_opcodes_are_observed(self):
         env = _env()
         monitored = MonitoredService(env.service)
-        with LoopbackTransport(monitored, background=env.background,
-                               workers=2) as transport:
+        with AsyncLoopbackTransport(
+                monitored, background=env.background) as transport:
             client = transport.connect()
             assert client.put(OWNER_USER, b"mw:a", b"v").status is Status.OK
             count, _ = client.put_many_timed(

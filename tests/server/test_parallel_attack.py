@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.filters import SuRFBuilder
 from repro.filters.surf import SuffixScheme, SurfVariant
-from repro.server import LoopbackTransport
+from repro.server import AsyncLoopbackTransport
 from repro.workloads import ATTACKER_USER, DatasetConfig, build_environment
 
 
@@ -50,9 +50,9 @@ class TestClassificationEquality:
         serial_verdicts = serial.classify(keys)
 
         env_parallel = _twin_env(num_keys=2000, key_width=4)
-        with LoopbackTransport(env_parallel.service,
-                               background=env_parallel.background,
-                               workers=4) as transport:
+        with AsyncLoopbackTransport(
+                env_parallel.service,
+                background=env_parallel.background) as transport:
             pool = transport.pool(4)
             parallel = ParallelTimingOracle(pool, ATTACKER_USER,
                                             cutoff_us=25.0, rounds=4,
@@ -67,12 +67,33 @@ class TestClassificationEquality:
         assert parallel.counter.total == serial.counter.total
 
 
+SCHEME = SuffixScheme(SurfVariant.REAL, 8)
+CONFIG = AttackConfig(key_width=5, num_candidates=12_000)
+
+
+def _parallel_attack():
+    """The full three-step attack over 4 loopback connections, on a fresh
+    twin environment."""
+    env = _twin_env()
+    with AsyncLoopbackTransport(env.service,
+                                background=env.background) as transport:
+        pool = transport.pool(4)
+        outcome = run_parallel_surf_attack(
+            pool, ATTACKER_USER, 5, SCHEME, config=CONFIG, seed=0,
+            rounds=4, learn_samples=6000, wait_us=100_000)
+        pool.close()
+    return outcome
+
+
+@pytest.fixture(scope="module")
+def parallel_outcome():
+    return _parallel_attack()
+
+
 class TestFullAttackEquality:
     @pytest.mark.wire_deadline(300)
-    def test_parallel_loopback_extracts_identical_key_set(self):
-        scheme = SuffixScheme(SurfVariant.REAL, 8)
-        config = AttackConfig(key_width=5, num_candidates=12_000)
-
+    def test_parallel_loopback_extracts_identical_key_set(
+            self, parallel_outcome):
         env_serial = _twin_env()
         learning = learn_cutoff(env_serial.service, ATTACKER_USER, 5,
                                 num_samples=6000, seed=0,
@@ -81,19 +102,9 @@ class TestFullAttackEquality:
             TimingOracle(env_serial.service, ATTACKER_USER,
                          cutoff_us=learning.cutoff_us, rounds=4,
                          background=env_serial.background, wait_us=100_000),
-            SurfAttackStrategy(5, scheme, mode="truncate", seed=0),
-            config).run()
-
-        env_parallel = _twin_env()
-        with LoopbackTransport(env_parallel.service,
-                               background=env_parallel.background,
-                               workers=4) as transport:
-            pool = transport.pool(4)
-            outcome = run_parallel_surf_attack(
-                pool, ATTACKER_USER, 5, scheme, config=config, seed=0,
-                rounds=4, learn_samples=6000, wait_us=100_000)
-            pool.close()
-        parallel_result = outcome.result
+            SurfAttackStrategy(5, SCHEME, mode="truncate", seed=0),
+            CONFIG).run()
+        parallel_result = parallel_outcome.result
 
         serial_keys = {e.key for e in serial_result.extracted}
         parallel_keys = {e.key for e in parallel_result.extracted}
@@ -102,7 +113,28 @@ class TestFullAttackEquality:
         assert serial_keys <= env_serial.key_set
         # ... and 4-way concurrency changes nothing about the outcome.
         assert parallel_keys == serial_keys
-        assert outcome.learning.cutoff_us == learning.cutoff_us
-        assert outcome.connections == 4
+        assert parallel_outcome.learning.cutoff_us == learning.cutoff_us
+        assert parallel_outcome.connections == 4
         # Chunked extension may overshoot past a hit, never undershoot.
         assert parallel_result.total_queries >= serial_result.total_queries
+
+    @pytest.mark.wire_deadline(300)
+    def test_parallel_attack_repeats_identically(self, parallel_outcome):
+        """A second 4-connection run on a twin environment: thread and
+        socket scheduling are invisible to the simulated timeline."""
+        first, second = parallel_outcome, _parallel_attack()
+        assert ({e.key for e in second.result.extracted}
+                == {e.key for e in first.result.extracted})
+        assert second.learning.cutoff_us == first.learning.cutoff_us
+        assert (second.result.queries_by_stage
+                == first.result.queries_by_stage)
+        # The gated stages replay one pinned execution order, so their
+        # simulated durations are bit-identical.  Step-3 extension runs
+        # candidates concurrently on separate streams by design, so its
+        # duration is interleave-dependent; it must still agree to well
+        # under a percent.
+        for stage in ("find_fpk", "id_prefix"):
+            assert (second.result.stage_durations_us[stage]
+                    == first.result.stage_durations_us[stage])
+        assert second.result.sim_duration_us == pytest.approx(
+            first.result.sim_duration_us, rel=5e-3)
