@@ -7,7 +7,7 @@
 PYTHON ?= python
 PY39 ?= python3.9
 
-.PHONY: check test test39 bench serve-smoke ingest-smoke async-smoke mvcc-smoke e2e-smoke torture clean
+.PHONY: check test test39 bench serve-smoke async-smoke mvcc-smoke e2e-smoke torture clean
 
 check: test test39
 
@@ -28,14 +28,6 @@ test39:
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
-
-# Small-N run of the ingest bench: asserts every worker count leaves the
-# same device digest (the engine's determinism contract) without the
-# full-size timing runs, and without touching the committed results
-# files.
-ingest-smoke:
-	REPRO_INGEST_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
-	    benchmarks/bench_ingest.py -q --benchmark-disable
 
 # Small-N run of the server scale + defense bench: asserts the event
 # loop really holds every connection, the defense flags the attacker

@@ -191,7 +191,7 @@ def _bench_amortization(rows: List[Dict[str, object]], num_keys: int,
     db.range_query(b"\x10", b"\x10" + b"\xff" * (WIDTH - 1),
                    limit=32)  # instantiate the first view
     churn_s = _churn(db, keys_per_band, rounds, seed + 1)
-    view = ensure_view(db.version, db.options.build_threads)
+    view = ensure_view(db.version)
     segments_now = len(view.seg_keys) if view is not None else 0
     installs = db.stats.flushes
     rebuilt = db.stats.view_rebuild_segments

@@ -39,12 +39,12 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import CompactionError
 from repro.lsm.options import LSMOptions
-from repro.lsm.parallel_build import (
-    _merge_range_task,
-    _merge_range_task_portable,
+from repro.lsm.table_build import (
+    build_table_artifact,
     install_artifact,
-    map_build_tasks,
+    merge_sorted_runs,
     plan_split_points,
+    split_records,
 )
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import Version, VersionEdit, VersionSet
@@ -128,11 +128,11 @@ class Compactor:
         ``sstable_target_bytes``, one sorted run may span several tables,
         and sizing the merge window on individual tables would see the
         split pieces as small similar-size runs and re-merge them forever.
-        Splicing by group position also replaces the old O(n^2)
-        list-membership rebuild of the surviving runs.
 
-        Tiered compaction runs inline only (the whole-L0 splice assumes
-        no concurrent flush; options validation enforces it).
+        The edit names only the merged run and its inputs; the version
+        set splices the run in where its first input stands *at install
+        time*, so flushes that landed while a background merge was
+        running stay in front of it.
         """
         ran = 0
         while True:
@@ -146,10 +146,7 @@ class Compactor:
             oldest_included = end == len(groups)
             merged = self._merge_tables(inputs,
                                         drop_tombstones=oldest_included)
-            before = [t for group in groups[:start] for t in group]
-            after = [t for group in groups[end:] for t in group]
-            self._install(VersionEdit().replace_l0(before + merged + after,
-                                                   inputs), inputs)
+            self._install(VersionEdit(0, merged, inputs))
             ran += 1
 
     def merge_all_runs(self) -> None:
@@ -159,7 +156,7 @@ class Compactor:
         if len(runs) <= 1:
             return
         merged = self._merge_tables(runs, drop_tombstones=True)
-        self._install(VersionEdit().replace_l0(merged, runs), runs)
+        self._install(VersionEdit(0, merged, runs))
 
     @staticmethod
     def _group_runs(tables: List[SSTable]) -> List[List[SSTable]]:
@@ -247,14 +244,13 @@ class Compactor:
         removed = newer + older
         drop_tombstones = self._is_bottom(target_level)
         outputs = self._merge_tables(removed, drop_tombstones)
-        self._install(VersionEdit().install(target_level, outputs, removed),
-                      removed)
+        self._install(VersionEdit(target_level, outputs, removed))
         if not outputs and not drop_tombstones and any(
             t.num_entries for t in removed
         ):
             raise CompactionError("compaction dropped live entries")
 
-    def _install(self, edit: VersionEdit, removed: List[SSTable]) -> None:
+    def _install(self, edit: VersionEdit) -> None:
         """Install an edit and invalidate the serving cache's stale pages.
 
         The removed tables' *files* are not touched here: the version set
@@ -263,10 +259,10 @@ class Compactor:
         manifest (crash ordering, PR 3).
         """
         if self.rebind_device is not None:
-            for table in edit.added_tables():
+            for table in edit.added:
                 table.reader.rebind(self.rebind_device)
         self.versions.install(edit)
-        for table in removed:
+        for table in edit.removed:
             self.invalidate_cache.invalidate_file(table.path)
         self.compactions_run += 1
 
@@ -274,43 +270,36 @@ class Compactor:
                       drop_tombstones: bool) -> List[SSTable]:
         """Merge input tables (newest first) into target-size outputs.
 
-        RocksDB-style subcompactions with deterministic effects: outputs
-        split at ``sstable_target_bytes`` and at the engine's key-range
-        boundaries, which depend only on the inputs.  Three phases keep
-        every effect on this thread in a fixed order, making the merge's
-        observable behaviour independent of the worker count: (1) read
-        *all* input records here, newest table first, block by block
-        through the page cache — the same blocks a serial merge reads, so
-        device charges, RNG draws and cache traffic are one
-        deterministic sequence; (2) partition the key space at input
-        table boundaries (:func:`plan_split_points`) and hand each range's
-        record slices to pure workers that merge, shadow, drop tombstones
-        and build table artifacts; (3) install the artifacts here, in key
-        order — path allocation and file writes happen exactly as a
-        single-threaded engine would.
+        Outputs split at ``sstable_target_bytes`` and at key-range
+        boundaries that depend only on the inputs
+        (:func:`plan_split_points`).  Every effect happens in a fixed
+        order: (1) read *all* input records, newest table first, block by
+        block through the page cache, so device charges, RNG draws and
+        cache traffic are one deterministic sequence; (2) per key range,
+        in key order, merge the tables' record slices (shadowing,
+        tombstone drop), cut the result into tables, and build (pure)
+        then install each one — so files are numbered and written in key
+        order.
         """
         loaded = [self._load_table_records(t) for t in tables]
-        points = plan_split_points(tables, self.options.sstable_target_bytes)
-        bounds: List[bytes] = [b""] + points
-        tasks = []
-        for index, low in enumerate(bounds):
-            high = bounds[index + 1] if index + 1 < len(bounds) else None
+        options = self.options
+        points = plan_split_points(tables, options.sstable_target_bytes)
+        bounds: List[Optional[bytes]] = [b"", *points, None]
+        outputs: List[SSTable] = []
+        for low, high in zip(bounds, bounds[1:]):
             runs = []
             for keys, records in loaded:
                 lo = bisect_left(keys, low) if low else 0
                 hi = bisect_left(keys, high) if high is not None else len(records)
                 if lo < hi:
                     runs.append(records[lo:hi])
-            if runs:
-                tasks.append((runs, self.options.block_size_bytes,
-                              self.options.sstable_target_bytes,
-                              self.options.filter_builder, drop_tombstones))
-        results = map_build_tasks(tasks, self.options.build_threads,
-                                  _merge_range_task,
-                                  _merge_range_task_portable)
-        outputs: List[SSTable] = []
-        for artifacts in results:
-            for artifact in artifacts:
+            if not runs:
+                continue
+            merged = merge_sorted_runs(runs, drop_tombstones)
+            for chunk in split_records(merged, options.block_size_bytes,
+                                       options.sstable_target_bytes):
+                artifact = build_table_artifact(
+                    chunk, options.block_size_bytes, options.filter_builder)
                 outputs.append(install_artifact(
                     self.device, self._allocate_path(), artifact))
         return outputs

@@ -21,38 +21,22 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.common.errors import (
-    ConfigError,
-    CorruptionError,
-    DBClosedError,
-    FileNotFoundInStoreError,
-    StorageError,
-    TransientIOError,
-)
+from repro.common.errors import ConfigError, DBClosedError
 from repro.common.rng import make_rng
 from repro.lsm import read_path
 from repro.lsm.compaction import BackgroundCompactor, Compactor
 from repro.lsm.iterator import DBIterator
-from repro.lsm.manifest import Manifest, ManifestEntry, ManifestLoad
+from repro.lsm.manifest import Manifest, ManifestEntry
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import LSMOptions
-from repro.lsm.parallel_build import (
-    _build_chunk_task,
-    _build_chunk_task_portable,
+from repro.lsm.recovery import RecoveryReport, recover
+from repro.lsm.sorted_view import UNBUILDABLE
+from repro.lsm.sstable import SSTable
+from repro.lsm.table_build import (
     build_table_artifact,
     install_artifact,
-    map_build_tasks,
     shard_sorted_items,
 )
-from repro.lsm.recovery import (
-    REASON_CORRUPT,
-    REASON_MISSING,
-    REASON_UNREADABLE,
-    QuarantinedFile,
-    RecoveryReport,
-)
-from repro.lsm.sorted_view import UNBUILDABLE
-from repro.lsm.sstable import SSTable, SSTableReader
 from repro.lsm.version import Version, VersionEdit, VersionSet
 from repro.lsm.wal import WriteAheadLog
 from repro.storage.clock import SimClock
@@ -160,7 +144,7 @@ class LSMTree:
         base_view = base._view
         if base_view is None or base_view is UNBUILDABLE:
             return
-        view = base_view.evolve(successor, edit, self.options.build_threads)
+        view = base_view.evolve(successor, edit)
         if view is not None:
             successor._view = view
             self.stats.view_rebuild_segments += view.rebuilt_segments
@@ -175,211 +159,30 @@ class LSMTree:
 
     # --------------------------------------------------------------- recovery
 
-    #: How often :meth:`reopen` reissues a read that failed transiently
-    #: before giving up on the table.
-    TRANSIENT_OPEN_RETRIES = 3
-
     @classmethod
     def reopen(cls, device: StorageDevice,
                options: Optional[LSMOptions] = None) -> "LSMTree":
         """Recover a tree from an existing device: manifest + WAL replay.
 
-        The recovery path is built to survive a hostile disk, not just a
-        clean restart: the manifest is loaded from the newest readable
-        generation (``MANIFEST`` / ``.new`` / ``.prev``), tables that
-        cannot be opened — corrupt, missing, or persistently erroring —
-        are quarantined instead of crashing recovery, unreferenced table
-        files are swept aside, and the WAL tail is classified by checksum
-        (torn vs corrupt) with everything after the first untrustworthy
-        record dropped.  What happened is recorded on
-        ``db.recovery_report`` (:class:`RecoveryReport`).
-
-        Filters load from each table's persisted filter block; tables
-        written without one (filterless configurations) fall back to
-        rebuilding from their keys when the options supply a builder.
+        The procedure (:func:`repro.lsm.recovery.recover`) survives a
+        hostile disk, not just a clean restart; what it decided is
+        recorded on ``db.recovery_report`` (:class:`RecoveryReport`).
         """
         db = cls(options=options, clock=device.clock, device=device)
-        report = RecoveryReport()
-        db.recovery_report = report
-
-        try:
-            load = db._retry_transient(db._manifest.read_checked, report)
-        except TransientIOError:
-            load = ManifestLoad(unreadable=True)
-        report.manifest_source = load.source
-        report.manifest_fallback = (load.source is not None
-                                    and load.source != db._manifest.path)
-        report.manifest_legacy = load.legacy and load.source is not None
-        report.manifest_unreadable = load.unreadable
-        report.manifest_corrupt_entries = load.corrupt_entries
-
-        referenced = set()
-        levels: List[List[SSTable]] = [
-            [] for _ in range(db.options.max_levels)]
-        for entry in load.entries:
-            referenced.add(entry.path)
-            db._bump_file_counter(entry.path)
-            table = db._recover_table(entry, report)
-            if table is None:
-                continue
-            # Manifest order preserves L0's newest-first flush order;
-            # deeper levels are re-sorted and overlap-checked on build.
-            levels[entry.level].append(table)
-            report.tables_opened += 1
-        db.versions.reset(Version.from_levels(db.options.max_levels, levels))
-        db._sweep_orphans(referenced, report)
-
-        try:
-            records = db._retry_transient(
-                lambda: list(db._wal.replay(tolerate_torn_tail=True,
-                                            report=report)), report)
-        except TransientIOError:
-            # The WAL itself is persistently unreadable: recover the
-            # table state and surface the loss loudly.
-            records = []
-            report.wal_tail_dropped = True
-            report.wal_tail_reason = REASON_UNREADABLE
-        for key, value in records:
-            if value is None:
-                db._memtable.delete(key)
-            else:
-                db._memtable.put(key, value)
-        if report.wal_tail_reason == REASON_UNREADABLE:
-            if device.exists(db._wal.path):
-                db._quarantine(db._wal.path, REASON_UNREADABLE, report)
-        elif report.wal_tail_dropped or report.wal_legacy_format:
-            # Rewrite the log to exactly the replayed records: appends
-            # from the recovered process must never land after a dropped
-            # tail's garbage, where the *next* recovery would discard
-            # them (a bug the stateful crash tests caught).  This also
-            # upgrades legacy v1 logs to the checksummed format.
-            db._wal.reset()
-            for key, value in records:
-                if value is None:
-                    db._wal.log_delete(key)
-                else:
-                    db._wal.log_put(key, value)
-
-        # When recovery diverged from what the primary manifest said —
-        # fallback generation, corrupt entries, quarantined tables, or a
-        # pre-checksum format — persist the recovered version so the next
-        # restart starts from a clean, checksummed manifest.
-        if (report.manifest_fallback or report.manifest_unreadable
-                or report.manifest_corrupt_entries or report.quarantined
-                or report.manifest_legacy):
-            db._commit_version()
+        db.recovery_report = recover(db)
         return db
-
-    def _retry_transient(self, fn, report: RecoveryReport):
-        """Call ``fn``, retrying through a bounded number of transient
-        read errors (each retry restarts the whole — idempotent — call)."""
-        budget = self.TRANSIENT_OPEN_RETRIES
-        while True:
-            try:
-                return fn()
-            except TransientIOError:
-                report.transient_retries += 1
-                budget -= 1
-                if budget < 0:
-                    raise
-
-    def _recover_table(self, entry: ManifestEntry,
-                       report: RecoveryReport) -> Optional[SSTable]:
-        """Open one manifest-listed table, or quarantine it and return None.
-
-        Transient read errors are retried a bounded number of times (the
-        whole open restarts — it is cheap and idempotent); corruption and
-        missing files quarantine immediately.
-        """
-        transient_budget = self.TRANSIENT_OPEN_RETRIES
-        while True:
-            try:
-                reader = SSTableReader.open(self.device, entry.path)
-                min_key, max_key = reader.properties()
-                filt = reader.load_filter()
-                if filt is None and self.options.filter_builder is not None:
-                    keys = [key for key, _
-                            in reader.iterate_from(b"", self.cache)]
-                    filt = self.options.filter_builder.build(keys)
-                return SSTable(path=entry.path, reader=reader, filter=filt,
-                               min_key=min_key, max_key=max_key,
-                               num_entries=entry.num_entries,
-                               size_bytes=entry.size_bytes)
-            except TransientIOError as exc:
-                report.transient_retries += 1
-                transient_budget -= 1
-                if transient_budget < 0:
-                    self._quarantine(entry.path, REASON_UNREADABLE, report,
-                                     str(exc))
-                    return None
-            except FileNotFoundInStoreError as exc:
-                report.quarantined.append(QuarantinedFile(
-                    entry.path, REASON_MISSING, None, str(exc)))
-                return None
-            except (CorruptionError, StorageError) as exc:
-                self._quarantine(entry.path, REASON_CORRUPT, report, str(exc))
-                return None
-
-    def _quarantine(self, path: str, reason: str, report: RecoveryReport,
-                    detail: str = "") -> None:
-        """Move an untrusted file out of the data namespace, keeping it
-        for post-mortem instead of deleting possibly-recoverable bytes."""
-        moved_to = None
-        if self.device.exists(path):
-            moved_to = "quarantine/" + path.replace("/", "_")
-            self.device.rename(path, moved_to)
-            self.cache.invalidate_file(path)
-        report.quarantined.append(QuarantinedFile(path, reason, moved_to,
-                                                  detail))
-
-    def _sweep_orphans(self, referenced: set,
-                       report: RecoveryReport) -> None:
-        """Quarantine table files no manifest generation references.
-
-        These are the half-born outputs of a flush or compaction that
-        crashed before its manifest commit (possibly torn mid-write);
-        they carry only unacknowledged state and must not shadow — or be
-        confused with — live tables.
-        """
-        for path in self.device.list_files():
-            if not path.startswith("sst/") or path in referenced:
-                continue
-            self._bump_file_counter(path)
-            moved_to = "quarantine/" + path.replace("/", "_")
-            self.device.rename(path, moved_to)
-            self.cache.invalidate_file(path)
-            report.orphans_quarantined.append(path)
-
-    def _bump_file_counter(self, path: str) -> None:
-        try:
-            number = int(path.split("/")[-1].split(".")[0])
-        except ValueError:
-            return
-        self._next_file = max(self._next_file, number + 1)
 
     # ----------------------------------------------------------------- writes
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update ``key``."""
-        self._check_open()
-        self.stats.puts += 1
-        self.charge_cost(self.options.costs.put_base_cost_us
-                         + self.options.costs.memtable_insert_cost_us)
-        if self.options.enable_wal:
-            self._wal.log_put(key, value)
-        self._memtable.put(key, value)
-        self._maybe_flush()
+        if value is None:
+            raise ConfigError("use delete() for tombstones, not put(None)")
+        self._write([(key, value)])
 
     def delete(self, key: bytes) -> None:
         """Delete ``key`` (writes a tombstone)."""
-        self._check_open()
-        self.stats.deletes += 1
-        self.charge_cost(self.options.costs.put_base_cost_us
-                         + self.options.costs.memtable_insert_cost_us)
-        if self.options.enable_wal:
-            self._wal.log_delete(key)
-        self._memtable.delete(key)
-        self._maybe_flush()
+        self._write([(key, None)], deletes=True)
 
     def put_many(self, items: Iterable[Tuple[bytes, bytes]]) -> None:
         """Batch put with WAL group commit.
@@ -388,38 +191,35 @@ class LSMTree:
         inserts, same RNG draws, same per-record in-memory charges) but
         the whole batch is logged with **one** crc-framed device append
         (:meth:`WriteAheadLog.log_batch`) — the modeled group-commit
-        latency win.  The flush threshold is checked once, after the
-        batch: flushing mid-batch would reset a WAL that already holds
-        the batch's later records, losing acknowledged data on a crash.
-        A torn batch append keeps a durable *prefix* of the batch (see
-        ``log_batch``); nothing is acknowledged until the append returns.
+        latency win.
         """
-        self._check_open()
-        pairs = [(key, value) for key, value in items]
-        if not pairs:
-            return
-        self.stats.puts += len(pairs)
-        cost = (self.options.costs.put_base_cost_us
-                + self.options.costs.memtable_insert_cost_us)
-        for _ in pairs:
-            self.charge_cost(cost)
-        if self.options.enable_wal:
-            self._wal.log_batch(pairs)
-        self._memtable.put_many(pairs)
-        self._maybe_flush()
+        self._write([(key, value) for key, value in items])
 
     def delete_many(self, keys: Iterable[bytes]) -> None:
-        """Batch delete (tombstones) with WAL group commit.
+        """Batch delete (tombstones): the delete analogue of
+        :meth:`put_many`."""
+        self._write([(key, None) for key in keys], deletes=True)
 
-        The delete analogue of :meth:`put_many`: one batched WAL append,
-        per-record in-memory charges, one flush check at the end.
+    def _write(self, records: List[Tuple[bytes, Optional[bytes]]],
+               deletes: bool = False) -> None:
+        """The one write body: count, charge per record, log, insert.
+
+        ``records`` are ``(key, value)`` with ``None`` for a tombstone,
+        logged with one WAL append however many there are (a batch of one
+        is byte-identical to a single-record log call).  The flush
+        threshold is checked once, after the batch: flushing mid-batch
+        would reset a WAL that already holds the batch's later records,
+        losing acknowledged data on a crash.  A torn batch append keeps a
+        durable *prefix* of the batch (see ``log_batch``); nothing is
+        acknowledged until the append returns.
         """
         self._check_open()
-        records: List[Tuple[bytes, Optional[bytes]]] = [
-            (key, None) for key in keys]
         if not records:
             return
-        self.stats.deletes += len(records)
+        if deletes:
+            self.stats.deletes += len(records)
+        else:
+            self.stats.puts += len(records)
         cost = (self.options.costs.put_base_cost_us
                 + self.options.costs.memtable_insert_cost_us)
         for _ in records:
@@ -451,7 +251,7 @@ class LSMTree:
             [(key, entry.value) for key, entry in self._memtable.items()],
             self.options.block_size_bytes, self.options.filter_builder)
         table = install_artifact(self.device, self._allocate_path(), artifact)
-        self.versions.install(VersionEdit().add_l0(table))
+        self.versions.install(VersionEdit(0, [table], []))
         self._memtable = MemTable(self._rng.spawn(f"memtable-{self._next_file}"))
         self.stats.flushes += 1
         if self._background is None:
@@ -510,10 +310,8 @@ class LSMTree:
         analogue).  The tree must be empty.
 
         The input is sharded at ``sstable_target_bytes`` boundaries and
-        the tables (and their filters) are built through the parallel
-        engine (:mod:`repro.lsm.parallel_build`); installation happens
-        here, in key order, so file bytes, numbering and simulated costs
-        are identical for every worker count.
+        each shard is built and installed in key order through the one
+        table writer (:mod:`repro.lsm.table_build`).
         """
         self._check_open()
         if len(self._memtable) or self.versions.current.total_tables():
@@ -522,19 +320,16 @@ class LSMTree:
                                     self.options.sstable_target_bytes)
         if not chunks:
             return
-        tasks = [(chunk, self.options.block_size_bytes,
-                  self.options.filter_builder) for chunk in chunks]
-        artifacts = map_build_tasks(tasks, self.options.build_threads,
-                                    _build_chunk_task,
-                                    _build_chunk_task_portable)
         tables: List[SSTable] = []
-        total_bytes = 0
-        for artifact in artifacts:
+        for chunk in chunks:
+            artifact = build_table_artifact(
+                chunk, self.options.block_size_bytes,
+                self.options.filter_builder)
             tables.append(install_artifact(self.device, self._allocate_path(),
                                            artifact))
-            total_bytes += artifact.size_bytes
-        level = self._deepest_fitting_level(total_bytes)
-        self.versions.install(VersionEdit().install(level, tables, []))
+        level = self._deepest_fitting_level(
+            sum(table.size_bytes for table in tables))
+        self.versions.install(VersionEdit(level, tables, []))
         self._commit_version()
 
     def _deepest_fitting_level(self, total_bytes: int) -> int:

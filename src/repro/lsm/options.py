@@ -73,21 +73,12 @@ class LSMOptions:
     #: ``None`` = auto-size from the page capacity, ``0`` = disabled.
     decoded_cache_entries: Optional[int] = None
     enable_wal: bool = True
-    #: Worker count for the parallel build engine (bulk_load sharding and
-    #: compaction subcompactions).  ``1`` runs the engine inline, ``>1``
-    #: fans table/filter builds out to a process pool (clamped to the
-    #: CPUs the process may run on — extra workers on a saturated machine
-    #: only add transport overhead).  Output bytes, file numbering and
-    #: simulated costs are identical for every value (see DESIGN.md
-    #: section 9).
-    build_threads: int = 1
-    #: Run leveled compaction on a background thread: flushes install the
-    #: L0 table and return immediately; merges run concurrently with
-    #: serving through the MVCC version set (readers pin snapshots, so
-    #: compaction never blocks the read path).  Background I/O charges a
-    #: throwaway clock — by design it is invisible in simulated time.
-    #: Incompatible with the tiered style, whose whole-L0 splice assumes
-    #: no concurrent flushes.
+    #: Run compaction (either style) on a background thread: flushes
+    #: install the L0 table and return immediately; merges run
+    #: concurrently with serving through the MVCC version set (readers
+    #: pin snapshots, so compaction never blocks the read path).
+    #: Background I/O charges a throwaway clock — by design it is
+    #: invisible in simulated time.
     background_compaction: bool = False
     costs: CostModel = field(default_factory=CostModel)
     seed: int = 0
@@ -112,9 +103,3 @@ class LSMOptions:
             raise ConfigError("max_levels must be in [1, 16]")
         if self.decoded_cache_entries is not None and self.decoded_cache_entries < 0:
             raise ConfigError("decoded cache entries must be non-negative")
-        if self.build_threads < 1:
-            raise ConfigError("build_threads must be at least 1")
-        if self.background_compaction and self.compaction_style == "tiered":
-            raise ConfigError(
-                "background compaction requires the leveled style "
-                "(tiered's whole-L0 splice assumes no concurrent flushes)")

@@ -382,7 +382,7 @@ def merged_entries(ctx, version: Version, active: List[SSTable],
     stats and simulated time do not depend on which one ran.
     ``high=None`` leaves the stream unbounded (the cursor bounds it).
     """
-    view = ensure_view(version, ctx.options.build_threads, ctx.stats)
+    view = ensure_view(version, ctx.stats)
     if view is not None:
         ctx.stats.sorted_view_seeks += 1
         return view.walk(active, mem_items, low, high, ctx.cache)

@@ -32,8 +32,7 @@ whether a version has a view or (unmappable) falls back to that merge.
 
 Incremental maintenance: :meth:`SortedView.evolve` keeps every segment
 whose key span no added or removed table's ``[min_key, max_key]`` range
-intersects, and rebuilds only the stretches between surviving segments
-(dispatched through :func:`repro.lsm.parallel_build.map_build_tasks`).
+intersects, and rebuilds only the stretches between surviving segments.
 An install that invalidates most of the view (a whole-keyspace memtable
 flush) returns None instead, deferring to a lazy full rebuild on the next
 range read.
@@ -47,7 +46,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.common.errors import CorruptionError, StorageError
 from repro.lsm.block import Block
 from repro.lsm.memtable import Entry
-from repro.lsm.parallel_build import map_build_tasks
 
 #: Target elements per segment; actual segments may run long to keep an
 #: equal-key group (a cross-table tie) inside one segment.
@@ -107,17 +105,16 @@ def key_map_for(reader) -> Optional[TableKeyMap]:
     return key_map
 
 
-def _merge_slices_task(task) -> Tuple[List[bytes], List[int], List[int]]:
+def _merge_slices(runs) -> Tuple[List[bytes], List[int], List[int]]:
     """Merge per-table key slices into one sorted element run.
 
-    ``task`` is a list of ``(rank, src, base_record, keys)`` runs; the
-    output is parallel ``(keys, srcs, recs)`` lists sorted by
-    ``(key, rank)`` — the merge-enumeration tie-break.  Pure compute,
-    safe on workers, results picklable as-is.
+    ``runs`` is a list of ``(rank, src, base_record, keys)``; the output
+    is parallel ``(keys, srcs, recs)`` lists sorted by ``(key, rank)`` —
+    the merge-enumeration tie-break.  Pure compute.
     """
     tagged: List[Tuple[bytes, int, int, int]] = []
     extend = tagged.extend
-    for rank, src, base, keys in task:
+    for rank, src, base, keys in runs:
         extend((key, rank, src, base + i) for i, key in enumerate(keys))
     tagged.sort()
     return ([t[0] for t in tagged], [t[2] for t in tagged],
@@ -174,7 +171,7 @@ class SortedView:
     # ------------------------------------------------------------ building
 
     @classmethod
-    def build(cls, version, workers: int) -> Optional["SortedView"]:
+    def build(cls, version) -> Optional["SortedView"]:
         """Full build for ``version``; None if any table is unmappable."""
         registry: List = []
         key_maps: List[TableKeyMap] = []
@@ -186,9 +183,10 @@ class SortedView:
             path_to_src[table.path] = len(registry)
             registry.append(table)
             key_maps.append(key_map)
-        segments = cls._build_range(registry, key_maps,
-                                    list(range(len(registry))),
-                                    None, None, workers)
+        srcs = list(range(len(registry)))
+        ranks = {src: src for src in srcs}
+        segments = _chunk_segments(*_merge_slices(
+            cls._gather_runs(registry, key_maps, srcs, ranks, None, None)))
         if not segments:
             # An empty tree has no view to speak of; signal the caller to
             # fall back (walks over zero tables are classic-cheap anyway).
@@ -209,74 +207,18 @@ class SortedView:
                 runs.append((ranks[src], src, start, keys[start:stop]))
         return runs
 
-    @classmethod
-    def _build_range(cls, registry, key_maps, srcs: List[int],
-                     lo: Optional[bytes], hi: Optional[bytes], workers: int
-                     ) -> List[Tuple[List[bytes], List[int], List[int]]]:
-        """Build segments covering ``[lo, hi)`` over ``srcs``.
-
-        Splits the key range so the merge fans out over the worker pool
-        (split keys never separate equal keys: every slice boundary is a
-        ``bisect_left``, so an equal-key group lands on one side whole).
-        """
-        ranks = {src: rank for rank, src in enumerate(srcs)}
-        splits = cls._split_keys(key_maps, srcs, lo, hi, workers)
-        bounds = [lo] + splits + [hi]
-        tasks = []
-        for i in range(len(bounds) - 1):
-            runs = cls._gather_runs(registry, key_maps, srcs, ranks,
-                                    bounds[i], bounds[i + 1])
-            if runs:
-                tasks.append(runs)
-        if not tasks:
-            return []
-        merged = map_build_tasks(tasks, workers,
-                                 _merge_slices_task, _merge_slices_task)
-        segments = []
-        for keys, out_srcs, recs in merged:
-            segments.extend(_chunk_segments(keys, out_srcs, recs))
-        return segments
-
-    @staticmethod
-    def _split_keys(key_maps, srcs: List[int], lo: Optional[bytes],
-                    hi: Optional[bytes], workers: int) -> List[bytes]:
-        """Evenly-spaced split keys inside ``[lo, hi)`` for the fan-out."""
-        if workers <= 1 or not srcs:
-            return []
-        largest = max(srcs, key=lambda s: len(key_maps[s].keys))
-        keys = key_maps[largest].keys
-        start = bisect_left(keys, lo) if lo is not None else 0
-        stop = bisect_left(keys, hi) if hi is not None else len(keys)
-        span = stop - start
-        parts = min(workers * 2, max(span // SEGMENT_TARGET, 1))
-        if parts <= 1:
-            return []
-        step = span // parts
-        out: List[bytes] = []
-        for i in range(1, parts):
-            key = keys[start + i * step]
-            if not out or key > out[-1]:
-                out.append(key)
-        return out
-
     # ------------------------------------------------------- incremental
 
-    def evolve(self, version, edit, workers: int) -> Optional["SortedView"]:
+    def evolve(self, version, edit) -> Optional["SortedView"]:
         """Successor view after ``edit``, reusing unaffected segments.
 
         Returns None when the eager rebuild is not worth it (too little
         reuse, or a new table cannot be mapped) — the caller leaves the
         successor viewless and the next range read rebuilds lazily.
         """
-        removed = set(edit.removed_paths())
-        changed: List[Tuple[bytes, bytes]] = []
-        for table in edit.added_tables():
-            changed.append((table.min_key, table.max_key))
-        for path in removed:
-            src = self.path_to_src.get(path)
-            if src is not None:
-                table = self.registry[src]
-                changed.append((table.min_key, table.max_key))
+        changed: List[Tuple[bytes, bytes]] = [
+            (table.min_key, table.max_key)
+            for table in edit.added + edit.removed]
 
         registry, key_maps = self.registry, self.key_maps
         path_to_src = dict(self.path_to_src)
@@ -295,7 +237,7 @@ class SortedView:
         # Registry hygiene: once dead entries outnumber live ones, fold
         # the lineage into a fresh registry instead of growing forever.
         if len(registry) > 2 * len(live_srcs):
-            return SortedView.build(version, workers)
+            return SortedView.build(version)
 
         reusable = [
             all(c_hi < lo or c_lo > hi for c_lo, c_hi in changed)
@@ -308,10 +250,6 @@ class SortedView:
         ranks = {src: rank for rank, src in enumerate(live_srcs)}
         segments: List[Tuple[List[bytes], List[int], List[int]]] = []
         rebuilt = 0
-        tasks: List[Tuple] = []
-        #: (position in ``segments`` to splice at) per task, filled after
-        #: the pool returns so results land in key order.
-        splice_at: List[int] = []
         i = 0
         while i < total:
             if reusable[i]:
@@ -329,17 +267,10 @@ class SortedView:
             runs = self._gather_runs(registry, key_maps, live_srcs, ranks,
                                      lo, hi)
             if runs:
-                tasks.append(runs)
-                splice_at.append(len(segments))
-            i = j
-        if tasks:
-            merged = map_build_tasks(tasks, workers,
-                                     _merge_slices_task, _merge_slices_task)
-            for pos, (keys, out_srcs, recs) in zip(reversed(splice_at),
-                                                   reversed(merged)):
-                built = _chunk_segments(keys, out_srcs, recs)
-                segments[pos:pos] = built
+                built = _chunk_segments(*_merge_slices(runs))
+                segments.extend(built)
                 rebuilt += len(built)
+            i = j
         if not segments:
             return None
         return SortedView(registry, key_maps, path_to_src, segments, rebuilt)
@@ -488,7 +419,7 @@ class SortedView:
                 mem_key = None
 
 
-def ensure_view(version, workers: int, stats=None) -> Optional[SortedView]:
+def ensure_view(version, stats=None) -> Optional[SortedView]:
     """The version's view, building it lazily on first use.
 
     A failed build is remembered (:data:`UNBUILDABLE`) so unmappable
@@ -501,7 +432,7 @@ def ensure_view(version, workers: int, stats=None) -> Optional[SortedView]:
     if view is UNBUILDABLE:
         return None
     if view is None:
-        view = SortedView.build(version, workers)
+        view = SortedView.build(version)
         version._view = view if view is not None else UNBUILDABLE
         if view is not None and stats is not None:
             stats.view_rebuild_segments += view.rebuilt_segments

@@ -10,7 +10,7 @@ memory, mirroring RocksDB's pinned index/filter blocks — the paper's
 timing asymmetry comes from *data* block reads only, and that is the only
 read path that goes through the page cache here.
 
-Files are written by :mod:`repro.lsm.parallel_build`
+Files are written by :mod:`repro.lsm.table_build`
 (``build_table_artifact`` + ``install_artifact``), which builds the
 filter from the table's keys and persists it into the filter block
 (:mod:`repro.filters.serialize`); it is reloaded from there on reopen —

@@ -1,40 +1,28 @@
-"""Parallel SSTable/filter build engine (bulk load + subcompactions).
+"""The store's one SSTable writer: pure artifact build + effectful install.
 
-The engine splits table building into two halves with very different
-rules, which is what makes ``build_threads`` invisible in every output:
+Table building is split into two halves with very different rules:
 
 * **Pure compute** — encoding blocks, building the filter, assembling the
   final file image — happens in :func:`build_table_artifact`, which
   touches *no* device, clock, cache or RNG.  It is a pure function from a
   record list to a :class:`TableArtifact` (the exact bytes the streaming
   reference builder in ``tests/reference`` writes, proven equivalent by
-  test), so it can run on any worker, in any order, on any number of
-  processes.
+  test).  The sharding and merging helpers (:func:`split_records`,
+  :func:`plan_split_points`, :func:`merge_sorted_runs`) are pure too.
 * **Effects** — path allocation, ``device.create_file``, simulated-cost
-  charges, cache traffic — happen only on the caller's thread, in
-  canonical key order, via :func:`install_artifact`.  Costs are therefore
-  charged once, deterministically, regardless of worker count, and file
-  numbering matches the serial order exactly.
+  charges, cache traffic — happen only in the caller, in canonical key
+  order, via :func:`install_artifact`.
 
-Workers ship artifacts back by value.  A filter that cannot be pickled
-(the LOUDS backend refuses, by design) travels as its *serialized filter
-block* instead — :mod:`repro.filters.serialize` guarantees a deserialized
-filter answers every query identically — so the parent rehydrates it from
-the same bytes that land in the file.
-
-The pool uses the ``fork`` start method and is cached per worker count;
-platforms without ``fork`` silently fall back to inline execution (the
-engine's outputs do not depend on where the compute ran).
+Flush, bulk load and compaction all run the same plain loop over these
+functions on the calling thread; nothing here is parallel (DESIGN.md
+section 9).
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import pickle
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, List, Optional, Tuple
 
@@ -56,8 +44,8 @@ _RECORD_HEADER = struct.Struct("<HBI")
 _U32 = struct.Struct("<I")
 _FLAG_TOMBSTONE = 0x01
 
-#: A record as the engine moves it between processes: ``(key, value)``
-#: with ``None`` marking a tombstone.  Plain tuples keep pickling cheap.
+#: A record as the builders move it: ``(key, value)`` with ``None``
+#: marking a tombstone.
 Record = Tuple[bytes, Optional[bytes]]
 
 
@@ -67,9 +55,7 @@ class TableArtifact:
 
     ``file_bytes`` is the exact file image; everything else is the
     metadata a live :class:`~repro.lsm.sstable.SSTable` handle needs, so
-    installation never re-reads the file.  ``filter`` is the live filter
-    when it survived transport (or was built inline); ``filter_data`` is
-    its serialized block, always present when the table has a filter.
+    installation never re-reads the file.
     """
 
     file_bytes: bytes
@@ -78,7 +64,6 @@ class TableArtifact:
     max_key: bytes
     num_entries: int
     size_bytes: int
-    filter_data: bytes = b""
     filter: Optional[Filter] = field(default=None, repr=False)
 
 
@@ -185,7 +170,6 @@ def build_table_artifact(records: List[Record], block_size: int,
         max_key=keys[-1],
         num_entries=len(keys),
         size_bytes=size,
-        filter_data=filter_data,
         filter=filt,
     )
 
@@ -194,31 +178,21 @@ def install_artifact(device: StorageDevice, path: str,
                      artifact: TableArtifact) -> SSTable:
     """Write one artifact to the device and return its live handle.
 
-    The only effectful step of a build: runs on the caller's thread, in
-    canonical order, so device charges and stats are identical for every
-    worker count.  Rehydrates the filter from its serialized block when
-    the live object did not survive transport.
+    The only effectful step of a build: callers run it in canonical key
+    order, so file numbering, device charges and stats are one
+    deterministic sequence.
     """
     device.create_file(path, artifact.file_bytes)
     reader = SSTableReader(device, path,
                            index_entries=list(artifact.index_entries),
                            num_entries=artifact.num_entries)
-    filt = artifact.filter
-    if filt is None and artifact.filter_data:
-        from repro.filters.serialize import deserialize_filter
-        filt = deserialize_filter(artifact.filter_data)
-    return SSTable(path=path, reader=reader, filter=filt,
+    return SSTable(path=path, reader=reader, filter=artifact.filter,
                    min_key=artifact.min_key, max_key=artifact.max_key,
                    num_entries=artifact.num_entries,
                    size_bytes=artifact.size_bytes)
 
 
 # ------------------------------------------------------------- sharding
-
-def record_encoded_len(key: bytes, value: Optional[bytes]) -> int:
-    """On-disk record length (header + key + value; tombstones carry none)."""
-    return _RECORD_HEADER.size + len(key) + (0 if value is None else len(value))
-
 
 def split_records(records: List[Record], block_size: int,
                   target_bytes: int) -> List[List[Record]]:
@@ -269,14 +243,14 @@ def shard_sorted_items(items: Iterable[Tuple[bytes, bytes]], block_size: int,
 
 
 def plan_split_points(tables, target_bytes: int) -> List[bytes]:
-    """Key-space split points for subcompactions.
+    """Key-space split points a compaction partitions its merge at.
 
-    RocksDB-style: candidate boundaries are the input tables' min keys
-    (cheap, already in memory, and guaranteed to fall between records),
-    coalesced until each range is attributed roughly ``target_bytes`` of
-    input.  Depends only on the input tables, never on the worker count,
-    so the partition — and with it every downstream byte — is identical
-    for any ``build_threads``.
+    RocksDB-subcompaction-style: candidate boundaries are the input
+    tables' min keys (cheap, already in memory, and guaranteed to fall
+    between records), coalesced until each range is attributed roughly
+    ``target_bytes`` of input.  Depends only on the input tables, so the
+    partition — and with it every output table boundary — is a pure
+    function of the merge's inputs.
     """
     if len(tables) < 2:
         return []
@@ -299,10 +273,10 @@ def merge_sorted_runs(runs: List[List[Record]],
                       drop_tombstones: bool) -> List[Record]:
     """Merge sorted runs, newest (lowest index) first; newest value wins.
 
-    Pure compute — safe on workers.  Shadowing is resolved before the
-    tombstone drop, exactly like a streaming
-    :func:`~repro.lsm.iterator.merge_entries` merge: a tombstone shadows
-    older values even when it is itself dropped from the output.
+    Pure compute.  Shadowing is resolved before the tombstone drop,
+    exactly like a streaming :func:`~repro.lsm.iterator.merge_entries`
+    merge: a tombstone shadows older values even when it is itself
+    dropped from the output.
     """
     if len(runs) == 1:
         if drop_tombstones:
@@ -326,105 +300,3 @@ def merge_sorted_runs(runs: List[List[Record]],
             continue
         append((key, value))
     return out
-
-
-# ------------------------------------------------------------ worker pool
-
-def _portable(artifact: TableArtifact) -> TableArtifact:
-    """Strip a filter that cannot cross the process boundary.
-
-    The LOUDS backend refuses pickling by design; its serialized filter
-    block (already part of the artifact) round-trips identically, so the
-    parent rehydrates from that instead.
-    """
-    if artifact.filter is None:
-        return artifact
-    try:
-        pickle.dumps(artifact.filter)
-    except Exception:
-        return replace(artifact, filter=None)
-    return artifact
-
-
-def _build_chunk_task(task) -> TableArtifact:
-    records, block_size, filter_builder = task
-    return build_table_artifact(records, block_size, filter_builder)
-
-
-def _build_chunk_task_portable(task) -> TableArtifact:
-    return _portable(_build_chunk_task(task))
-
-
-def _merge_range_task(task) -> List[TableArtifact]:
-    runs, block_size, target_bytes, filter_builder, drop_tombstones = task
-    merged = merge_sorted_runs(runs, drop_tombstones)
-    return [build_table_artifact(chunk, block_size, filter_builder)
-            for chunk in split_records(merged, block_size, target_bytes)]
-
-
-def _merge_range_task_portable(task) -> List[TableArtifact]:
-    return [_portable(artifact) for artifact in _merge_range_task(task)]
-
-
-_POOLS = {}
-
-#: Test hook: force the process pool whenever ``workers > 1``, even on a
-#: single-core machine where the CPU clamp below would run inline.  The
-#: equivalence and torture suites set this to exercise the cross-process
-#: transport path (pickling, portable filters) regardless of the host.
-FORCE_POOL = False
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def _pool(workers: int):
-    pool = _POOLS.get(workers)
-    if pool is None:
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        pool = context.Pool(processes=workers)
-        _POOLS[workers] = pool
-    return pool
-
-
-def shutdown_pools() -> None:
-    """Tear down the cached worker pools (idempotent; re-created on use)."""
-    pools = list(_POOLS.values())
-    _POOLS.clear()
-    for pool in pools:
-        pool.terminate()
-        pool.join()
-
-
-atexit.register(shutdown_pools)
-
-
-def map_build_tasks(tasks: List, workers: int, inline_fn, pool_fn) -> List:
-    """Run build tasks, inline or on the fork pool; results stay in order.
-
-    ``inline_fn`` and ``pool_fn`` compute the same value; the pool variant
-    additionally makes its result portable across the process boundary.
-    The fan-out is clamped to the CPUs the process may run on: extra
-    worker processes on a saturated machine only add fork/pickle overhead
-    (RocksDB clamps background jobs to cores for the same reason), and a
-    clamp to one core runs inline.  Falls back to inline execution where
-    ``fork`` is unavailable — the outputs are identical in every case,
-    only wall-clock differs.
-    """
-    effective = min(workers, len(tasks))
-    if not FORCE_POOL:
-        effective = min(effective, _available_cpus())
-    if effective <= 1:
-        return [inline_fn(task) for task in tasks]
-    try:
-        pool = _pool(effective)
-    except (ImportError, OSError, ValueError):
-        return [inline_fn(task) for task in tasks]
-    return pool.map(pool_fn, tasks)

@@ -11,8 +11,8 @@ MVCC model (DESIGN.md section 12):
 * :class:`Version` is **immutable** — levels are tuples of tuples.  A
   reader holding a version can walk it without any lock, concurrently
   with flushes and compactions, and always sees one consistent table set.
-* :class:`VersionEdit` is a description of a change (add an L0 flush,
-  replace tables in a compaction); :meth:`Version.apply` produces the
+* :class:`VersionEdit` is a description of a change (tables added at
+  one level, tables removed); :meth:`Version.apply` produces the
   successor version without touching the original.
 * :class:`VersionSet` owns the current version and the refcounts: readers
   :meth:`~VersionSet.pin` the version they start from and
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import CompactionError, LSMError
@@ -44,62 +45,31 @@ def _sorted_level(tables: Sequence[SSTable], level: int) -> Tuple[SSTable, ...]:
     return tuple(ordered)
 
 
+@dataclass(frozen=True)
 class VersionEdit:
     """A described change from one version to its successor.
 
-    Edits accumulate operations (in application order) and are applied
-    atomically by :meth:`VersionSet.install`.  Three operation kinds
-    cover every mutation the tree performs:
+    One shape covers every mutation the tree performs: drop ``removed``
+    (by path, from every level) and insert ``added`` at ``level``.
 
-    * ``add_l0(table)`` — a fresh memtable flush, prepended (newest
-      first).
-    * ``install(level, added, removed)`` — a leveled compaction result:
-      drop ``removed`` (by path, from every level) and insert ``added``
-      at ``level``.
-    * ``replace_l0(tables, removed)`` — a tiered-compaction splice: the
-      full new L0 run list, with ``removed`` recorded for retirement.
+    * flush — ``VersionEdit(0, [table], [])``: nothing removed, so the
+      table is prepended to L0 (newest first).
+    * leveled compaction / bulk load — ``VersionEdit(level, outputs,
+      inputs)`` with ``level >= 1``: the level is re-sorted by key and
+      overlap-checked.
+    * tiered compaction — ``VersionEdit(0, merged, inputs)``: the merged
+      run is spliced in where its first input stood, so it keeps the
+      inputs' recency slot no matter how many flushes were prepended
+      between planning the merge and installing it.
     """
 
-    __slots__ = ("ops",)
+    level: int
+    added: Tuple[SSTable, ...]
+    removed: Tuple[SSTable, ...]
 
-    def __init__(self) -> None:
-        self.ops: List[tuple] = []
-
-    def add_l0(self, table: SSTable) -> "VersionEdit":
-        self.ops.append(("add_l0", table))
-        return self
-
-    def install(self, level: int, added: Sequence[SSTable],
-                removed: Sequence[SSTable]) -> "VersionEdit":
-        self.ops.append(("install", level, tuple(added), tuple(removed)))
-        return self
-
-    def replace_l0(self, tables: Sequence[SSTable],
-                   removed: Sequence[SSTable]) -> "VersionEdit":
-        self.ops.append(("replace_l0", tuple(tables), tuple(removed)))
-        return self
-
-    def removed_paths(self) -> List[str]:
-        """Paths this edit removes (for conflict checks and retirement)."""
-        out: List[str] = []
-        for op in self.ops:
-            if op[0] == "install":
-                out.extend(t.path for t in op[3])
-            elif op[0] == "replace_l0":
-                out.extend(t.path for t in op[2])
-        return out
-
-    def added_tables(self) -> List[SSTable]:
-        """Tables this edit introduces."""
-        out: List[SSTable] = []
-        for op in self.ops:
-            if op[0] == "add_l0":
-                out.append(op[1])
-            elif op[0] == "install":
-                out.extend(op[2])
-            elif op[0] == "replace_l0":
-                out.extend(op[2])
-        return out
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "added", tuple(self.added))
+        object.__setattr__(self, "removed", tuple(self.removed))
 
 
 class Version:
@@ -150,30 +120,26 @@ class Version:
     # ---------------------------------------------------------------- updates
 
     def apply(self, edit: VersionEdit) -> "Version":
-        """Produce the successor version described by ``edit``."""
+        """Produce the successor version described by ``edit``.
+
+        The edit is applied to *this* version, whatever the edit's author
+        was looking at when it was planned: at level 0 ``added`` lands at
+        the position of the first removed L0 table still present here
+        (front of the level when none is removed).
+        """
         levels: List[Tuple[SSTable, ...]] = list(self.levels)
-        for op in edit.ops:
-            if op[0] == "add_l0":
-                levels[0] = (op[1],) + levels[0]
-            elif op[0] == "install":
-                _, level, added, removed = op
-                removed_paths = {t.path for t in removed}
-                if removed_paths:
-                    levels = [
-                        tuple(t for t in tables if t.path not in removed_paths)
-                        for tables in levels
-                    ]
-                if added:
-                    if level == 0:
-                        levels[0] = tuple(added) + levels[0]
-                    else:
-                        levels[level] = _sorted_level(
-                            levels[level] + tuple(added), level)
-            elif op[0] == "replace_l0":
-                _, tables, _removed = op
-                levels[0] = tables
-            else:  # pragma: no cover - construction guards op names
-                raise LSMError(f"unknown version edit op {op[0]!r}")
+        at = 0
+        if edit.removed:
+            removed = {t.path for t in edit.removed}
+            at = next((index for index, table in enumerate(levels[0])
+                       if table.path in removed), 0)
+            levels = [tuple(t for t in tables if t.path not in removed)
+                      for tables in levels]
+        if edit.level == 0:
+            levels[0] = levels[0][:at] + edit.added + levels[0][at:]
+        elif edit.added:
+            levels[edit.level] = _sorted_level(
+                levels[edit.level] + edit.added, edit.level)
         return Version(self.max_levels, levels)
 
     # ----------------------------------------------------------------- search
@@ -350,11 +316,11 @@ class VersionSet:
                 raise LSMError("version set is closed")
             base = self.current
             live = {t.path for t in base.all_tables()}
-            for path in edit.removed_paths():
-                if path not in live:
+            for table in edit.removed:
+                if table.path not in live:
                     raise CompactionError(
-                        f"version edit removes {path} which is not live; "
-                        f"a concurrent install won the race")
+                        f"version edit removes {table.path} which is not "
+                        f"live; a concurrent install won the race")
             successor = base.apply(edit)
             for table in successor.all_tables():
                 self._table_refs[table.path] = \

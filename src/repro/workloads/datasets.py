@@ -50,7 +50,7 @@ class DatasetConfig:
     #: Decoded-block cache entries (``None`` = proportional default,
     #: ``0`` disables — wall-clock knob only, simulated time is identical).
     decoded_cache_entries: Optional[int] = None
-    #: Run leveled compaction on the background thread (MVCC read path
+    #: Run compaction on the background thread (MVCC read path
     #: pins version snapshots; background merges are free in simulated
     #: time — see DESIGN.md section 12).
     background_compaction: bool = False

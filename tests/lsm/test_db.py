@@ -45,6 +45,14 @@ class TestBasicOps:
         db.flush()
         assert db.get(b"key01") is None
 
+    def test_put_none_is_rejected_before_anything_is_written(self, db):
+        # Tombstones go through delete(); a None value must not reach
+        # the WAL or the counters.
+        with pytest.raises(ConfigError):
+            db.put(b"key01", None)
+        assert db.stats.puts == 0
+        assert not db.device.exists("wal/current.wal")
+
     def test_get_after_flush(self, db):
         db.put(b"key01", b"value")
         db.flush()

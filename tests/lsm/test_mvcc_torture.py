@@ -197,17 +197,32 @@ class VersionSetMachine(RuleBasedStateMachine):
     def install_add(self):
         table = fake_table("t%04d" % self.next_path)
         self.next_path += 1
-        self.vs.install(VersionEdit().add_l0(table))
+        self.vs.install(VersionEdit(0, [table], []))
 
-    @rule()
-    def install_replace_l0(self):
-        current = self.vs.current
-        if not current.levels[0]:
+    @rule(start=st.integers(min_value=0, max_value=7),
+          width=st.integers(min_value=1, max_value=8),
+          flush_between=st.booleans())
+    def install_tiered_splice(self, start, width, flush_between):
+        """Plan a merge of a recency-adjacent L0 window, optionally let a
+        flush install first (a background merge racing the writer), then
+        install the plan: the merged run must sit in its inputs' slot."""
+        runs = list(self.vs.current.levels[0])
+        if not runs:
             return
-        removed = list(current.levels[0])
+        start %= len(runs)
+        removed = runs[start:start + width]
         merged = fake_table("t%04d" % self.next_path)
         self.next_path += 1
-        self.vs.install(VersionEdit().replace_l0([merged], removed))
+        plan = VersionEdit(0, [merged], removed)
+        flushed = []
+        if flush_between:
+            flushed = [fake_table("t%04d" % self.next_path)]
+            self.next_path += 1
+            self.vs.install(VersionEdit(0, flushed, []))
+        self.vs.install(plan)
+        expected = (flushed + runs[:start] + [merged]
+                    + runs[start + len(removed):])
+        assert list(self.vs.current.levels[0]) == expected
 
     @rule()
     def pin(self):
@@ -236,7 +251,7 @@ class VersionSetMachine(RuleBasedStateMachine):
             return
         ghost = fake_table(sorted(self.retired_paths)[0])
         with pytest.raises(CompactionError):
-            self.vs.install(VersionEdit().install(1, [], [ghost]))
+            self.vs.install(VersionEdit(1, [], [ghost]))
 
     @invariant()
     def refcounts_match_model(self):

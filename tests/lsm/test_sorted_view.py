@@ -21,7 +21,6 @@ import random
 from reference.unmappable import UnmappableDevice
 
 from repro.filters import SuRFBuilder
-from repro.lsm import parallel_build
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
 from repro.lsm.sorted_view import UNBUILDABLE, SortedView, ensure_view
@@ -262,23 +261,6 @@ def test_snapshot_isolated_from_later_writes():
         assert db.leaked_pins == 0
 
 
-def test_pool_built_view_equivalent(monkeypatch):
-    monkeypatch.setattr(parallel_build, "FORCE_POOL", True)
-    keys = _keys(1200, seed=67)
-
-    def script(db):
-        _load(db, keys)
-        db.flush()
-        rng = random.Random(2)
-        trace = []
-        for _ in range(30):
-            low = keys[rng.randrange(len(keys))]
-            trace.append(db.range_query(low, low + b"\xff\xff"))
-        return trace
-
-    _assert_equivalent(script, build_threads=4)
-
-
 # ------------------------------------------------------------- unit level
 
 
@@ -304,7 +286,7 @@ def test_view_segments_cover_all_live_keys():
     try:
         _load(db, keys)
         db.flush()
-        view = ensure_view(db.versions.current, workers=1)
+        view = ensure_view(db.versions.current)
         flat = [key for segment in view.seg_keys for key in segment]
         live = {k for k, _ in db.range_query(b"\x00", b"\xff" * 8)}
         assert live <= set(flat)

@@ -16,7 +16,7 @@ from repro.common.rng import make_rng
 from repro.filters.bloom import BloomFilterBuilder
 from repro.lsm.memtable import TOMBSTONE, Entry
 from repro.lsm.options import CostModel
-from repro.lsm.parallel_build import (
+from repro.lsm.table_build import (
     build_table_artifact,
     install_artifact,
     split_records,
@@ -214,7 +214,7 @@ class TestArtifactEquivalence:
                                        BloomFilterBuilder(10))
         artifact = build_table_artifact(records, 256, BloomFilterBuilder(10))
         assert artifact.file_bytes == file_bytes
-        assert artifact.filter_data != b""
+        assert artifact.filter is not None
 
     def test_rejects_same_inputs_as_streaming(self):
         with pytest.raises(ConfigError):

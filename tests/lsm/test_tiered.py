@@ -124,6 +124,54 @@ class TestTieredPolicy:
             assert reopened.get(key) == value
 
 
+class TestTieredBackground:
+    """Tiered merges on the background thread: the positional L0 splice
+    keeps a merged run behind every flush that landed while it ran."""
+
+    @staticmethod
+    def churn(db):
+        """put_many/delete_many bursts with overwrites; returns the dict
+        oracle and the keys whose final state is a tombstone."""
+        rng = make_rng(3, "tiered-churn")
+        oracle, deleted = {}, set()
+        pool = [rng.random_bytes(5) for _ in range(1500)]
+        for burst in range(60):
+            items = [(rng.choice(pool), b"g%03d-%s" % (burst, bytes(24)))
+                     for _ in range(100)]
+            db.put_many(items)
+            for key, value in items:
+                oracle[key] = value
+                deleted.discard(key)
+            victims = [rng.choice(pool) for _ in range(15)]
+            db.delete_many(victims)
+            for key in victims:
+                oracle.pop(key, None)
+                deleted.add(key)
+            # Reads race whatever merge is in flight.
+            probe = rng.choice(pool)
+            assert db.get(probe) == oracle.get(probe)
+        return oracle, deleted
+
+    def test_background_churn_matches_sync_twin_and_oracle(self):
+        contents = {}
+        for background in (False, True):
+            db = LSMTree(tiered_options(background_compaction=background))
+            oracle, deleted = self.churn(db)
+            db.compact_all()
+            groups = db._compactor._group_runs(db.version.levels[0])
+            assert len(groups) == 1
+            contents[background] = db.range_query(b"", b"\xff" * 6)
+            assert contents[background] == sorted(oracle.items())
+            for key in sorted(deleted)[::7]:
+                assert db.get(key) is None  # tombstones respected
+            if background:
+                assert db._background.cycles > 0
+                assert db._bg_compactor.compactions_run > 1
+            db.close()
+            assert db.leaked_pins == 0
+        assert contents[True] == contents[False]
+
+
 def test_invalid_style_rejected():
     with pytest.raises(ConfigError):
         LSMOptions(compaction_style="cosmic")

@@ -21,12 +21,16 @@ def fake_table(path, min_key, max_key, entries=10, size=1000):
                    num_entries=entries, size_bytes=size)
 
 
+def flush_edit(table):
+    return VersionEdit(0, [table], [])
+
+
 def add_l0(version, table):
-    return version.apply(VersionEdit().add_l0(table))
+    return version.apply(flush_edit(table))
 
 
 def install(version, level, added, removed=()):
-    return version.apply(VersionEdit().install(level, added, removed))
+    return version.apply(VersionEdit(level, added, removed))
 
 
 class TestL0:
@@ -126,23 +130,23 @@ class TestVersionSet:
     def test_install_updates_current(self):
         vs = VersionSet(Version(4))
         table = fake_table("1", b"a", b"z")
-        vs.install(VersionEdit().add_l0(table))
+        vs.install(flush_edit(table))
         assert [t.path for t in vs.current.levels[0]] == ["1"]
 
     def test_unpinned_replaced_table_retires_immediately(self):
         t0 = fake_table("old", b"a", b"z")
         vs = VersionSet(Version(4))
-        vs.install(VersionEdit().add_l0(t0))
-        vs.install(VersionEdit().install(
+        vs.install(flush_edit(t0))
+        vs.install(VersionEdit(
             1, [fake_table("new", b"a", b"z")], [t0]))
         assert [t.path for t in vs.drain_retired()] == ["old"]
 
     def test_pinned_version_defers_retirement(self):
         t0 = fake_table("old", b"a", b"z")
         vs = VersionSet(Version(4))
-        vs.install(VersionEdit().add_l0(t0))
+        vs.install(flush_edit(t0))
         pinned = vs.pin()
-        vs.install(VersionEdit().install(
+        vs.install(VersionEdit(
             1, [fake_table("new", b"a", b"z")], [t0]))
         # The pinned version still references "old": no retirement yet.
         assert vs.drain_retired() == []
@@ -154,9 +158,9 @@ class TestVersionSet:
         keeper = fake_table("keeper", b"n", b"z")
         t0 = fake_table("old", b"a", b"m")
         vs = VersionSet(Version(4))
-        vs.install(VersionEdit().install(1, [keeper, t0], []))
+        vs.install(VersionEdit(1, [keeper, t0], []))
         pinned = vs.pin()
-        vs.install(VersionEdit().install(
+        vs.install(VersionEdit(
             1, [fake_table("new", b"a", b"m")], [t0]))
         vs.unpin(pinned)
         retired = {t.path for t in vs.drain_retired()}
@@ -165,7 +169,7 @@ class TestVersionSet:
 
     def test_pin_of_current_never_retires(self):
         vs = VersionSet(Version(4))
-        vs.install(VersionEdit().add_l0(fake_table("1", b"a", b"z")))
+        vs.install(flush_edit(fake_table("1", b"a", b"z")))
         pinned = vs.pin()
         vs.unpin(pinned)
         assert vs.drain_retired() == []
@@ -174,11 +178,11 @@ class TestVersionSet:
     def test_conflicting_install_raises(self):
         t0 = fake_table("old", b"a", b"z")
         vs = VersionSet(Version(4))
-        vs.install(VersionEdit().add_l0(t0))
-        vs.install(VersionEdit().install(
+        vs.install(flush_edit(t0))
+        vs.install(VersionEdit(
             1, [fake_table("new", b"a", b"z")], [t0]))
         with pytest.raises(CompactionError):
-            vs.install(VersionEdit().install(
+            vs.install(VersionEdit(
                 2, [fake_table("newer", b"a", b"z")], [t0]))
 
     def test_unpin_unknown_version_raises(self):
@@ -203,15 +207,65 @@ class TestVersionSet:
         vs = VersionSet(Version(4))
         assert vs.live_versions() == 1
         pinned = vs.pin()
-        vs.install(VersionEdit().add_l0(fake_table("1", b"a", b"z")))
+        vs.install(flush_edit(fake_table("1", b"a", b"z")))
         assert vs.live_versions() == 2
         vs.unpin(pinned)
         assert vs.live_versions() == 1
 
     def test_close_retires_current_tables(self):
         vs = VersionSet(Version(4))
-        vs.install(VersionEdit().add_l0(fake_table("1", b"a", b"z")))
+        vs.install(flush_edit(fake_table("1", b"a", b"z")))
         vs.close()
         assert [t.path for t in vs.drain_retired()] == ["1"]
         with pytest.raises(LSMError):
-            vs.install(VersionEdit().add_l0(fake_table("2", b"a", b"z")))
+            vs.install(flush_edit(fake_table("2", b"a", b"z")))
+
+
+class TestL0Splice:
+    """The tiered shape of the one edit: ``VersionEdit(0, merged, inputs)``
+    lands where its first input stands in the version it is applied to."""
+
+    @staticmethod
+    def l0_of(*paths):
+        tables = {path: fake_table(path, b"a", b"z") for path in paths}
+        return Version(4, [list(tables.values())]), tables
+
+    def test_merged_run_takes_its_inputs_slot(self):
+        v, t = self.l0_of("5", "4", "3", "2", "1")
+        merged = [fake_table("m1", b"a", b"m"), fake_table("m2", b"n", b"z")]
+        v = v.apply(VersionEdit(0, merged, [t["4"], t["3"], t["2"]]))
+        assert [x.path for x in v.levels[0]] == ["5", "m1", "m2", "1"]
+
+    def test_empty_merge_just_removes(self):
+        v, t = self.l0_of("3", "2", "1")
+        v = v.apply(VersionEdit(0, [], [t["2"], t["1"]]))
+        assert [x.path for x in v.levels[0]] == ["3"]
+
+    def test_stale_base_edit_lands_behind_intervening_flush(self):
+        # Plan a merge of "3","2" against base (4,3,2,1), let a flush
+        # install first, then install the merge: the new flush stays in
+        # front, and before/after keep their places around the run.
+        base, t = self.l0_of("4", "3", "2", "1")
+        vs = VersionSet(base)
+        planned = VersionEdit(0, [fake_table("m", b"a", b"z")],
+                              [t["3"], t["2"]])
+        vs.install(flush_edit(fake_table("5", b"a", b"z")))
+        vs.install(planned)
+        assert [x.path for x in vs.current.levels[0]] == ["5", "4", "m", "1"]
+        assert {x.path for x in vs.drain_retired()} == {"3", "2"}
+
+    def test_stale_edit_whose_input_is_gone_still_raises(self):
+        base, t = self.l0_of("2", "1")
+        vs = VersionSet(base)
+        vs.install(VersionEdit(0, [fake_table("m", b"a", b"z")],
+                               [t["2"], t["1"]]))
+        with pytest.raises(CompactionError):
+            vs.install(VersionEdit(0, [fake_table("m'", b"a", b"z")],
+                                   [t["2"], t["1"]]))
+        assert [x.path for x in vs.current.levels[0]] == ["m"]
+
+    def test_edit_is_immutable(self):
+        edit = flush_edit(fake_table("1", b"a", b"z"))
+        assert isinstance(edit.added, tuple) and edit.removed == ()
+        with pytest.raises(AttributeError):
+            edit.level = 1

@@ -1,6 +1,6 @@
-"""Streaming table builds: the pre-engine serial writer and its callers.
+"""Streaming table builds: the serial streaming writer and its callers.
 
-What each oracle proves against ``repro.lsm.parallel_build`` (the store's
+What each oracle proves against ``repro.lsm.table_build`` (the store's
 one table writer):
 
 * :class:`SSTableBuilder` — **bytes**.  Streams records into a file one
@@ -9,10 +9,10 @@ one table writer):
   ``estimated_bytes`` cuts.  Also the flush oracle: a memtable streamed
   through it is byte-identical to the file ``LSMTree.flush`` installs.
 * :func:`bulk_load_streaming` — **bytes**, whole device.  One streaming
-  builder at a time over the sorted input; ``LSMTree.bulk_load`` at any
-  worker count leaves the same files, clock and device stats.
+  builder at a time over the sorted input; ``LSMTree.bulk_load`` leaves
+  the same files, clock and device stats.
 * :func:`merge_tables_streaming` — **logical content**.  A heap merge fed
-  straight into streaming builders; the subcompaction engine may cut
+  straight into streaming builders; the store's merge may cut
   tables at different boundaries, so only the recovered key/value state
   must agree.  :func:`use_streaming_merges` routes a tree's compactions
   through it.
@@ -178,7 +178,7 @@ def bulk_load_streaming(db, items: Iterable[Tuple[bytes, bytes]]) -> None:
     if not tables:
         return
     level = db._deepest_fitting_level(total_bytes)
-    db.versions.install(VersionEdit().install(level, tables, []))
+    db.versions.install(VersionEdit(level, tables, []))
     db._commit_version()
 
 
