@@ -7,7 +7,7 @@
 PYTHON ?= python
 PY39 ?= python3.9
 
-.PHONY: check test test39 bench serve-smoke async-smoke mvcc-smoke e2e-smoke torture clean
+.PHONY: check test test39 bench serve-smoke async-smoke mvcc-smoke e2e-smoke e2e-ab torture clean
 
 check: test test39
 
@@ -55,6 +55,15 @@ mvcc-smoke:
 e2e-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/test_e2e.py -q
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+# The measurement a performance claim needs (benchmarks/ab_pairs.py):
+# ten alternating parent/change runs of the registered e2e command per
+# seed, quartiles, pair wins, golden/exact-count identity (~8 min a seed).
+#   make e2e-ab BASE=HEAD~1 WORKLOAD=range_descent [SEEDS=0,1] [OUT=file.json]
+SEEDS ?= 0,1
+e2e-ab:
+	$(PYTHON) benchmarks/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+	    --seeds $(SEEDS) $(if $(OUT),--out $(OUT))
 
 # One real TCP round trip through the wire server (the event loop's
 # listener path): build a small store, serve it, ping + get + stats from

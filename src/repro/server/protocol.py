@@ -25,6 +25,7 @@ a bare ``struct.error`` — truncated input included.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -506,8 +507,9 @@ def decode_wait_request(payload: bytes) -> float:
     if len(payload) != _F64.size:
         raise ProtocolError("WAIT request must carry exactly one f64")
     duration_us = _F64.unpack(payload)[0]
-    if duration_us < 0:
-        raise ProtocolError(f"cannot wait a negative duration {duration_us}")
+    if not 0 <= duration_us < math.inf:
+        raise ProtocolError(
+            f"WAIT duration must be finite and >= 0, got {duration_us}")
     return duration_us
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError
@@ -86,13 +87,14 @@ class PageCache:
     decodes afresh, byte-for-byte what a plain :meth:`read` caller did).
 
     Threading: a reentrant lock serializes every structural operation
-    (LRU order, insert, eviction, invalidation), making the cache safe
-    for concurrent readers such as the wire server's worker threads.
-    Pure membership probes (:meth:`contains`, :meth:`contains_decoded`)
-    stay lock-free — a racy answer there is at worst stale, never
-    corrupting.  As with the device, *determinism* additionally needs a
-    deterministic access order, which the parallel build engine provides
-    by keeping all cache traffic on one thread.
+    (LRU order, insert, eviction, invalidation).  Two threads reach the
+    cache: the one that serves requests (the wire server's event loop,
+    or the caller in-process) and the background compactor, which only
+    invalidates the files it deletes.  Pure membership probes
+    (:meth:`contains`, :meth:`contains_decoded`) stay lock-free — a racy
+    answer there is at worst stale, never corrupting.  *Determinism*
+    additionally needs a deterministic access order: all reads and all
+    churn come from the serving thread.
     """
 
     def __init__(self, device: StorageDevice, capacity_bytes: int,
@@ -120,6 +122,9 @@ class PageCache:
         # on it, so page eviction can invalidate dependents in O(dependents).
         self._decoded: "OrderedDict[DecodedKey, object]" = OrderedDict()
         self._decoded_by_page: Dict[PageKey, Set[DecodedKey]] = {}
+        # For displace(): one zero page per size, the next foreign number.
+        self._zero_pages: Dict[int, memoryview] = {}
+        self._next_foreign = 0
         self.stats = CacheStats()
         self._lock = threading.RLock()
         #: The device block size is immutable; bound here to keep the
@@ -338,17 +343,40 @@ class PageCache:
 
     # -------------------------------------------------------------- churning
 
-    def insert_foreign(self, tag: str, block_index: int, size: int) -> None:
-        """Insert a synthetic page on behalf of background load.
+    def displace(self, count: int, size: int) -> None:
+        """Churn the cache as ``count`` foreign ``size``-byte pages would.
 
         Legitimate traffic reading unrelated files pushes the attacker's
-        blocks out of the cache; the payload content is irrelevant, only the
-        displacement matters, so we insert zero-filled pages keyed by an
-        artificial path (generation 0: the path never exists on device).
+        blocks out of the cache; the payload is irrelevant, only the
+        displacement matters.  The end state is exactly that of inserting
+        the pages one at a time (the loop in ``tests/reference/churn.py``)
+        but follows from ``used_bytes``, ``count`` and ``size``: the LRU
+        front is popped only until the newcomers fit, newcomers that would
+        themselves be pushed out count as evictions without being built,
+        and the rest share one zero page under keys no device file has
+        (path ``!bg``, numbered by the cache so no two waits collide).
         """
         with self._lock:
-            self._insert((f"!bg:{tag}", 0, block_index),
-                         memoryview(b"\x00" * size))
+            pages = self._pages
+            kept = count
+            if count * size > self.capacity_bytes:
+                # Nothing resident survives: no need to pop page by page.
+                kept = self.capacity_bytes // size
+                self.stats.evictions += len(pages) + count - kept
+                for key in pages.keys() & self._decoded_by_page.keys():
+                    self._invalidate_decoded_for_page(key)
+                pages.clear()
+                self._bytes = 0
+            else:
+                self._shrink_to(self.capacity_bytes - count * size)
+            page = self._zero_pages.get(size)
+            if page is None:
+                page = self._zero_pages[size] = memoryview(bytes(size))
+            end = self._next_foreign = self._next_foreign + count
+            pages.update(zip(
+                zip(repeat("!bg"), repeat(0), range(end - kept, end)),
+                repeat(page)))
+            self._bytes += kept * size
 
     def invalidate_file(self, path: str) -> None:
         """Drop every cached block of ``path``, across all generations.
@@ -398,7 +426,10 @@ class PageCache:
             self._bytes -= len(self._pages.pop(key))
         self._pages[key] = block
         self._bytes += len(block)
-        while self._bytes > self.capacity_bytes and self._pages:
+        self._shrink_to(self.capacity_bytes)
+
+    def _shrink_to(self, limit: int) -> None:
+        while self._bytes > limit and self._pages:
             evicted_key, evicted = self._pages.popitem(last=False)
             self._bytes -= len(evicted)
             self.stats.evictions += 1

@@ -107,6 +107,16 @@ class TestErrorPaths:
             # The connection survives an error response.
             assert client.ping(b"still here") == b"still here"
 
+    @pytest.mark.parametrize("duration_us", [float("nan"), float("inf")])
+    def test_non_finite_wait_answered_with_protocol_error(self, loopback,
+                                                          duration_us):
+        """NaN/+inf used to escape dispatch untyped and kill the connection."""
+        client = loopback.connect()
+        with pytest.raises(RemoteError) as excinfo:
+            client.wait(duration_us)
+        assert excinfo.value.code == ErrorCode.PROTOCOL
+        assert client.ping(b"still here") == b"still here"
+
     def test_malformed_payload_yields_protocol_error(self, loopback):
         client = loopback.connect()
         with pytest.raises(RemoteError) as excinfo:

@@ -73,14 +73,14 @@ class TestEviction:
         _, device, cache = make_cache(capacity_blocks=2)
         device.create_file("a", b"x" * device.model.block_size)
         cache.read_block("a", 0)
-        cache.insert_foreign("bg", 0, device.model.block_size)
-        cache.insert_foreign("bg", 1, device.model.block_size)
+        cache.displace(1, device.model.block_size)
+        cache.displace(1, device.model.block_size)
         assert not cache.contains("a", 0)
 
     def test_capacity_respected(self):
         _, device, cache = make_cache(capacity_blocks=3)
-        for i in range(10):
-            cache.insert_foreign("bg", i, device.model.block_size)
+        for _ in range(10):
+            cache.displace(1, device.model.block_size)
         assert cache.used_bytes <= cache.capacity_bytes
 
     def test_invalidate_file(self):
