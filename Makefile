@@ -7,7 +7,7 @@
 PYTHON ?= python
 PY39 ?= python3.9
 
-.PHONY: check test test39 bench serve-smoke async-smoke mvcc-smoke e2e-smoke e2e-ab torture clean
+.PHONY: check test test39 bench results-check serve-smoke e2e-smoke e2e-ab torture clean
 
 check: test test39
 
@@ -26,27 +26,19 @@ test39:
 	    echo "    tests/filters/test_bitarray.py::TestPopcount)"; \
 	fi
 
+# The one experiment runner: every registered experiment at full scale,
+# its paper claim asserted, results/<name>.{txt,json} rewritten (~4.5 min).
 bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_experiments.py -q
 
-# Small-N run of the server scale + defense bench: asserts the event
-# loop really holds every connection, the defense flags the attacker
-# fleet (throttle escalates, noise injects), and benign zipf traffic is
-# never flagged — without the full-size runs, and without touching the
-# committed results files.
-async-smoke:
-	REPRO_ASYNC_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
-	    benchmarks/bench_server_async.py -q --benchmark-disable
-
-# Small-N run of the mixed-workload bench: races point reads against a
-# forced compact_all in both compaction modes and siphons a pinned
-# snapshot while the live tree churns — asserts the MVCC machinery holds
-# (no leaked version pins, background merges really ran) without the
-# full-size stall quantiles, and without touching the committed results
-# files.
-mvcc-smoke:
-	REPRO_MVCC_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
-	    benchmarks/bench_mixed_workload.py -q --benchmark-disable
+# `make bench`, then fail if any committed report changed: a report is a
+# function of its run() arguments (simulated time, seeded RNG), so a diff
+# is a stale file, an order dependence or a simulated-time drift.  The
+# reports with wall-clock columns are excluded by name.
+WALL_CLOCK_REPORTS = server ablation-backend mixed-workload defense
+results-check: bench
+	git diff --exit-code -- results/ \
+	    $(foreach r,$(WALL_CLOCK_REPORTS),':!results/$(r).txt' ':!results/$(r).json')
 
 # The e2e benchmark's self-tests plus one short traced + untraced pass of
 # all five workloads (~15 s).  The tracer patches every layer's public

@@ -6,6 +6,7 @@ from repro.bench.experiments import (
     exp_ablation_cutoff,
     exp_ablation_margin,
     exp_bruteforce,
+    exp_defense,
     exp_detector,
     exp_fig2,
     exp_fig3,
@@ -16,6 +17,7 @@ from repro.bench.experiments import (
     exp_fig8,
     exp_fine_timing,
     exp_mitigation,
+    exp_mixed_workload,
     exp_network,
     exp_range_attack,
     exp_ratelimit,
@@ -26,7 +28,10 @@ from repro.bench.experiments import (
     exp_theory,
 )
 
-#: Registry used by the CLI: name -> module (each exposes ``run``).
+#: The registry: name -> module (each exposes ``run``).  The CLI lists and
+#: runs from it, ``benchmarks/bench_experiments.py`` regenerates
+#: ``results/`` from it, and tier-1 fails on an ``exp_*`` module missing
+#: from it.
 ALL_EXPERIMENTS = {
     "table1": exp_table1,
     "fig2": exp_fig2,
@@ -51,6 +56,8 @@ ALL_EXPERIMENTS = {
     "skew": exp_skew,
     "fine-timing": exp_fine_timing,
     "detector": exp_detector,
+    "defense": exp_defense,
+    "mixed-workload": exp_mixed_workload,
 }
 
 __all__ = ["ALL_EXPERIMENTS"]

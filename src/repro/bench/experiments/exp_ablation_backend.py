@@ -9,7 +9,6 @@ throughput, and measured vs estimated succinct size.
 
 from __future__ import annotations
 
-import functools
 import time
 
 from repro.bench.report import ExperimentReport
@@ -22,7 +21,6 @@ PAPER_CLAIM = ("(beyond the paper) Both backends implement section 6.1's "
 SCALE_NOTE = "20k 40-bit keys, 20k mixed-length probe queries"
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 20_000, probes: int = 20_000,
         seed: int = 0) -> ExperimentReport:
     """Build both backends, compare answers, time queries."""

@@ -12,8 +12,6 @@ might wrongly hope defends them.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.report import ExperimentReport
 from repro.core.oracle import IdealizedOracle
 from repro.core.surf_attack import SurfAttackStrategy
@@ -47,7 +45,6 @@ def _build_service(style: str, keys) -> KVService:
     return KVService(db)
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 15_000, candidates: int = 15_000,
         seed: int = 0) -> ExperimentReport:
     """Same data, same attack, both compaction styles."""

@@ -10,7 +10,6 @@ mode.
 
 from __future__ import annotations
 
-import functools
 from typing import List
 
 from repro.analysis.distribution import classifier_quality
@@ -27,7 +26,6 @@ PAPER_CLAIM = ("(beyond the paper) The 25us cutoff of section 10.2.1 sits on "
 SCALE_NOTE = "50k keys, 20k labelled samples, cutoffs swept 5-45us"
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 50_000, samples: int = 20_000,
         seed: int = 0) -> ExperimentReport:
     """Label random-key response times, sweep the cutoff."""

@@ -12,7 +12,6 @@ the memory-vs-storage gap (section 5.1).
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import List
 
@@ -41,7 +40,6 @@ def _environment(read_median_us: float, seed: int):
     return env
 
 
-@functools.lru_cache(maxsize=2)
 def run(probes: int = 2_000, seed: int = 0) -> ExperimentReport:
     """Sweep the device latency and measure classifier quality."""
     rows = []

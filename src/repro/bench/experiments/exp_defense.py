@@ -1,16 +1,12 @@
-"""The wire server at scale, and the online defense's teeth.
+"""Section 11, detect and respond: the online defense against a fleet.
 
-Two questions, one served system:
-
-* **Scale** — the event-loop server must hold 1000+ concurrent
-  connections in one process while serving legitimate zipf traffic at
-  full speed.
-* **Defense** — with a :class:`~repro.system.defense.DefendedService`
-  in the serving path, an attacker *fleet* (independent users, each
-  running the full three-step SuRF attack) must lose extraction rate —
-  throttle mode by exploding the attack's simulated duration, noise
-  mode by drowning the timing side channel — while benign zipf clients
-  keep their throughput and never get flagged.
+With a :class:`~repro.system.defense.DefendedService` in the wire
+server's serving path, an attacker *fleet* (independent users, each
+running the full three-step SuRF attack) must lose extraction rate —
+throttle mode by exploding the attack's simulated duration, noise mode
+by drowning the timing side channel — while benign zipf clients keep
+their throughput and never get flagged.  The ``off`` row is the same
+fleet and the same benign traffic against the undefended server.
 
 The attack cutoff is learned once on the undefended twin and shared:
 the modeled adversary calibrated beforehand, so the defense is measured
@@ -22,7 +18,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import List, Optional
+from typing import List
 
 from repro.bench.report import ExperimentReport
 from repro.common.rng import make_rng
@@ -123,30 +119,6 @@ def _benign_load(transport: AsyncLoopbackTransport, keys: List[bytes],
     }
 
 
-def _scale_phase(num_keys: int, connections: int, benign_clients: int,
-                 benign_requests: int) -> dict:
-    """Hold ``connections`` concurrent clients, serve zipf through them."""
-    env = _environment(num_keys)
-    with AsyncLoopbackTransport(env.service,
-                                background=env.background) as transport:
-        held = [transport.connect() for _ in range(connections)]
-        pings_ok = 0
-        for client in held:
-            if client.ping(b"scale") == b"scale":
-                pings_ok += 1
-        benign = _benign_load(transport, env.keys, benign_clients,
-                              benign_requests)
-        peak = transport.server.peak_connections
-        served = transport.server.connections_served
-        for client in held:
-            client.close()
-    return dict(benign,
-                connections_held=connections,
-                pings_ok=pings_ok,
-                peak_connections=peak,
-                connections_served=served)
-
-
 def _fleet_keys(fleet: FleetOutcome, key_set) -> set:
     keys = set()
     for member in fleet.members:
@@ -185,8 +157,8 @@ def _defense_phase(mode: str, num_keys: int, candidates: int,
     attack_sim_s = (after_attack.sim_now_us - before.sim_now_us) / 1e6
     queries = fleet.total_queries
     return dict(
-        benign,
         mode=mode,
+        **benign,
         keys_extracted=len(extracted),
         attacker_queries=queries,
         attack_sim_s=attack_sim_s,
@@ -220,13 +192,10 @@ def _learn_shared_cutoff(num_keys: int, samples: int) -> float:
 
 
 def run(num_keys: int = 8_000, candidates: int = 12_000,
-        learn_samples: int = 6_000, scale_connections: int = 1_100,
-        scale_benign_requests: int = 4_000, benign_clients: int = 8,
+        learn_samples: int = 6_000, benign_clients: int = 8,
         defense_benign_requests: int = 2_000,
         attackers: int = 2) -> ExperimentReport:
-    """Scale phase, then the three defense modes against the same fleet."""
-    scale = _scale_phase(num_keys, scale_connections, benign_clients,
-                         scale_benign_requests)
+    """The three defense modes against the same fleet."""
     cutoff_us = _learn_shared_cutoff(num_keys, learn_samples)
     rows = [_defense_phase(mode, num_keys, candidates, attackers,
                            benign_clients, defense_benign_requests,
@@ -239,33 +208,27 @@ def run(num_keys: int = 8_000, candidates: int = 12_000,
         return (by_mode[mode][metric] / off[metric]) if off[metric] else 0.0
 
     return ExperimentReport(
-        experiment="BENCH_server_async",
-        title="Asyncio serving core at scale + online siphoning defense",
+        experiment="defense",
+        title="Online siphoning defense against an attacker fleet",
         paper_claim=("Section 11: a deployment can detect the attack's "
                      "request signature and respond — rate limiting slows "
                      "the attack down; perturbing response times destroys "
                      "the timing channel outright."),
         scale_note=(f"{num_keys:,} keys of {KEY_WIDTH} bytes served by the "
-                    f"asyncio core; {scale_connections:,} held connections "
-                    f"in the scale phase; {attackers} concurrent attackers "
-                    f"x {candidates:,} candidates per defense mode; shared "
+                    f"asyncio core; {attackers} concurrent attackers x "
+                    f"{candidates:,} candidates per defense mode, then "
+                    f"{benign_clients} benign zipf clients; shared "
                     f"pre-learned cutoff {cutoff_us:.1f} us."),
-        rows=[dict(phase="scale", **scale)] + rows,
+        rows=rows,
         summary={
-            "peak_connections": scale["peak_connections"],
-            "scale_benign_rps": round(scale["benign_rps"], 1),
             "cutoff_us": cutoff_us,
             "off_keys_extracted": off["keys_extracted"],
             "throttle_time_rate_ratio": rate_ratio("throttle",
                                                    "keys_per_sim_min"),
             "noise_query_rate_ratio": rate_ratio("noise",
                                                  "keys_per_10k_queries"),
-            "throttle_benign_rps_ratio": (
-                by_mode["throttle"]["benign_rps"] / off["benign_rps"]
-                if off["benign_rps"] else 0.0),
-            "noise_benign_rps_ratio": (
-                by_mode["noise"]["benign_rps"] / off["benign_rps"]
-                if off["benign_rps"] else 0.0),
+            "throttle_benign_rps_ratio": rate_ratio("throttle", "benign_rps"),
+            "noise_benign_rps_ratio": rate_ratio("noise", "benign_rps"),
             "benign_flagged": max(r["benign_flagged_delta"] for r in rows),
         },
     )

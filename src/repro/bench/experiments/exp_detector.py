@@ -11,8 +11,6 @@ background mix — is never flagged.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import surf_environment, surf_strategy
 from repro.bench.report import ExperimentReport
 from repro.common.rng import make_rng
@@ -43,7 +41,6 @@ def _requests_until_flagged(monitored: MonitoredService, user: int) -> int:
     return -1
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Run each traffic source against a monitored service."""
     rows = []

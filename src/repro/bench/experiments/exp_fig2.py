@@ -10,7 +10,6 @@ making the shape-derived cutoff a good classifier.
 
 from __future__ import annotations
 
-import functools
 from typing import List
 
 from repro.analysis.distribution import breakdown_by_type, classifier_quality
@@ -27,7 +26,6 @@ PAPER_CLAIM = ("Most false-positive queries respond in 25-35us; >50% of all "
 SCALE_NOTE = "Same environment as Table 1; labels from engine debug counters"
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 50_000, samples: int = 30_000,
         seed: int = 0) -> ExperimentReport:
     """Measure, label, and bucket random-key response times."""

@@ -46,7 +46,6 @@ def run_pair(num_keys: int = 20_000, candidates: int = 20_000,
     return actual, idealized, env
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 20_000, candidates: int = 20_000,
         seed: int = 0) -> ExperimentReport:
     """Report the Figure 3 comparison."""

@@ -12,8 +12,6 @@ keys extracted under SuRF-Hash (2490 vs 2171).
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import (
     correctness,
     run_idealized_attack,
@@ -29,7 +27,6 @@ SCALE_NOTE = ("50k 32-bit keys; Real 30k candidates, Hash 90k (3x); "
               "hash pruning skips 255/256 of extension candidates")
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 50_000, real_candidates: int = 30_000,
         seed: int = 0) -> ExperimentReport:
     """Compare idealized attacks on Real-8 vs Hash-8 over the same keys."""

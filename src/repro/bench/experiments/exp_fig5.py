@@ -9,8 +9,6 @@ property of the configuration, not of a particular key set.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import (
     correctness,
     run_idealized_attack,
@@ -27,7 +25,6 @@ SCALE_NOTE = ("Three 50k-key sets, 30k candidates each; expected convergence "
               "~2^15 queries/key vs 2^24.4 brute force")
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 50_000, candidates: int = 30_000,
         num_seeds: int = 3) -> ExperimentReport:
     """Run the idealized attack on ``num_seeds`` independent key sets."""

@@ -10,8 +10,6 @@ dataset grows.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import (
     correctness,
     run_idealized_attack,
@@ -26,7 +24,6 @@ SCALE_NOTE = ("c*10k keys for c in 1..5 (paper: c*10M); same 20k-candidate "
               "set for every size")
 
 
-@functools.lru_cache(maxsize=4)
 def run(base_keys: int = 10_000, steps: int = 5,
         candidates: int = 20_000, seed: int = 0) -> ExperimentReport:
     """Attack c*base_keys datasets with a shared candidate set."""

@@ -15,8 +15,6 @@ SuRF-Real's extra byte makes 4-byte known prefixes common.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import (
     correctness,
     run_idealized_attack,
@@ -32,7 +30,6 @@ SCALE_NOTE = ("200k 40-bit keys, 400k candidates, keep prefixes >= 32 bits "
               "(extension <= 256 queries)")
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 200_000, candidates: int = 400_000,
         seed: int = 0) -> ExperimentReport:
     """Idealized attacks on Base vs Real over the same key set."""

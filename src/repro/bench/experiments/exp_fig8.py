@@ -12,8 +12,6 @@ than brute force.
 
 from __future__ import annotations
 
-import functools
-
 from repro.analysis.theory import analyze_pbf_attack
 from repro.bench.report import ExperimentReport, downsample
 from repro.core.oracle import IdealizedOracle
@@ -29,7 +27,6 @@ SCALE_NOTE = ("50k 32-bit keys, l = 24 bits, 18 bits/key, 50k guesses "
               "(paper: 50M 64-bit keys, l = 40 bits, 1M guesses)")
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 50_000, key_width: int = 4, prefix_len: int = 3,
         candidates: int = 50_000, seed: int = 0) -> ExperimentReport:
     """Detect l, guess prefixes, extend — all via the idealized oracle."""

@@ -13,8 +13,6 @@ and *no waiting at all*, collapsing the attack's duration.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import (
     correctness,
     run_timing_attack,
@@ -35,7 +33,6 @@ SCALE_NOTE = ("20k keys, 12k candidates; coarse = 4-query averages + 2s "
               "eviction waits, fine = warm + 12-query averages, no waits")
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 20_000, candidates: int = 12_000,
         seed: int = 0) -> ExperimentReport:
     """Coarse (paper) vs fine (footnote) timing attacks, same store."""

@@ -19,8 +19,6 @@ Three of the paper's proposed defenses, demonstrated end to end:
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import (
     run_idealized_attack,
     surf_environment,
@@ -43,7 +41,6 @@ SCALE_NOTE = ("20k 40-bit keys for split filters and response hiding; "
               "20k 32-bit keys for Rosetta")
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 20_000, candidates: int = 20_000,
         seed: int = 0) -> ExperimentReport:
     """Attack split-filter, Rosetta, and response-hiding configurations."""

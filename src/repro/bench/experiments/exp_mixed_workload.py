@@ -1,4 +1,4 @@
-"""Mixed-workload bench: read stalls under compaction, sync vs background.
+"""Mixed workload — read stalls under compaction, sync vs background.
 
 The MVCC overhaul's performance claim: moving compaction merges off the
 serving path (copy-on-install versions + the silent background device)
@@ -17,8 +17,8 @@ latencies.  Two measurements, one store layout each mode:
   thread the same batch pays only its WAL append + flush.
 
 Plus the paper-side sanity check: the siphoning attack, run against a
-snapshot while the store churns, still extracts keys (the bench twin of
-``tests/integration/test_concurrent_attack_equivalence.py``).
+snapshot while the store churns, still extracts keys (the full-scale twin
+of ``tests/integration/test_concurrent_attack_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def run(num_reads: int = 20_000, batches: int = 120,
     rows.append({"mode": "attack-under-churn", **attack})
 
     return ExperimentReport(
-        experiment="BENCH_mixed_workload",
+        experiment="mixed-workload",
         title="Mixed workload: read stalls under compaction, sync vs "
               "background MVCC",
         paper_claim=PAPER_CLAIM,

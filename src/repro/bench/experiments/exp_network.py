@@ -11,7 +11,6 @@ for this reproduction's latency scales.
 
 from __future__ import annotations
 
-import functools
 from typing import List
 
 from repro.bench.harness import surf_environment
@@ -29,7 +28,6 @@ SCALE_NOTE = ("10k keys; 4-query averages; jitter model per network preset "
               "(localhost/LAN/datacenter/WAN)")
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 10_000, probes: int = 3_000,
         seed: int = 0) -> ExperimentReport:
     """Classification accuracy of the timing oracle per network preset."""

@@ -15,8 +15,6 @@ range-descent instantiation and quantifies both warnings:
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import (
     run_idealized_attack,
     surf_environment,
@@ -38,7 +36,6 @@ SCALE_NOTE = ("SuRF-Real 100k 40-bit keys, 50-key target; Rosetta 50k 32-bit "
               "keys; point attack shown for comparison")
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 100_000, target_keys: int = 50,
         seed: int = 0) -> ExperimentReport:
     """Range descent vs point attack on SuRF; range descent on Rosetta."""

@@ -12,8 +12,6 @@ simulated attack duration explodes in proportion to the rate cap.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.report import ExperimentReport
 from repro.core.oracle import IdealizedOracle
 from repro.core.template import AttackConfig, PrefixSiphoningAttack
@@ -27,7 +25,6 @@ SCALE_NOTE = ("10k keys, 15k candidates; attack repeated at descending "
               "per-user rate caps")
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 10_000, candidates: int = 15_000,
         seed: int = 0) -> ExperimentReport:
     """Attack the same store under different rate caps."""

@@ -11,7 +11,6 @@ prefixes, publicly known) of equal size with the same budget.
 
 from __future__ import annotations
 
-import functools
 from typing import List
 
 from repro.bench.report import ExperimentReport
@@ -57,7 +56,6 @@ def _build_service(keys) -> KVService:
     return KVService(db)
 
 
-@functools.lru_cache(maxsize=2)
 def run(num_keys: int = 30_000, candidates: int = 30_000,
         seed: int = 0) -> ExperimentReport:
     """Attack equal-sized uniform vs clustered datasets."""

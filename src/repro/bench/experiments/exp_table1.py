@@ -8,8 +8,6 @@ high tail is the filter-positive/I/O mode.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.harness import surf_environment
 from repro.bench.report import ExperimentReport
 from repro.core.learning import learn_cutoff
@@ -23,7 +21,6 @@ SCALE_NOTE = ("50k SHA1 40-bit keys (paper: 50M 64-bit), simulated NVMe + "
               "data-dependent")
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 50_000, samples: int = 30_000,
         seed: int = 0) -> ExperimentReport:
     """Build the environment, run the learning phase, report the buckets."""

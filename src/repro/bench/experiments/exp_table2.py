@@ -8,8 +8,6 @@ IdPrefix negligible and ~8% wasted.
 
 from __future__ import annotations
 
-import functools
-
 from repro.bench.experiments.exp_fig3 import run_pair
 from repro.bench.report import ExperimentReport
 
@@ -20,7 +18,6 @@ SCALE_NOTE = ("Same run as Figure 3; the actual attack's 4-query averaging "
               "makes step 1's share larger at this scale")
 
 
-@functools.lru_cache(maxsize=4)
 def run(num_keys: int = 20_000, candidates: int = 20_000,
         seed: int = 0) -> ExperimentReport:
     """Report the per-stage query breakdown of the actual attack."""

@@ -9,8 +9,6 @@ for direct comparison against the measured benches.
 
 from __future__ import annotations
 
-import functools
-
 from repro.analysis.theory import (
     analyze_pbf_attack,
     analyze_range_attack,
@@ -26,7 +24,6 @@ PAPER_CLAIM = ("SuRF at 50M 64-bit keys: ~400 keys from 10M guesses, ~9-10M "
 SCALE_NOTE = "Pure closed forms (no simulation); worst-case uniform keys"
 
 
-@functools.lru_cache(maxsize=2)
 def run() -> ExperimentReport:
     """Evaluate the closed forms at both scales."""
     rows = list(paper_scale_summary())

@@ -1,14 +1,15 @@
-"""Shared experiment plumbing: environments, attacks, and caching.
+"""Shared experiment plumbing: environments and attacks.
 
-Experiment modules compose these helpers; the caches let a pytest session
-reuse one expensive dataset/attack across benches that report different
-views of the same run (Figure 3 and Table 2 share one actual-attack run,
-exactly as in the paper).
+Experiment modules compose these helpers.  An environment is mutable
+(clock, page cache, RNG streams), so every call builds a fresh one: a
+report is a function of its ``run()`` arguments, never of what ran
+earlier in the process.  Memoize results, not environments — Figure 3
+and Table 2 share one actual-attack run (``exp_fig3.run_pair``), exactly
+as in the paper.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -22,12 +23,11 @@ from repro.filters.surf import SuRFBuilder, SuffixScheme, SurfVariant
 from repro.workloads.datasets import ATTACKER_USER, DatasetConfig, Environment, build_environment
 
 
-@functools.lru_cache(maxsize=8)
 def surf_environment(num_keys: int = 50_000, key_width: int = 5,
                      variant: str = "real", suffix_bits: int = 8,
                      seed: int = 0,
                      distinguish_unauthorized: bool = True) -> Environment:
-    """A cached RocksDB+SuRF-style environment (DESIGN.md defaults)."""
+    """A fresh RocksDB+SuRF-style environment (DESIGN.md defaults)."""
     config = DatasetConfig(
         num_keys=num_keys, key_width=key_width, seed=seed,
         filter_builder=SuRFBuilder(variant=variant, suffix_bits=suffix_bits),

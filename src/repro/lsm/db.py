@@ -87,8 +87,7 @@ class LSMTree:
         # (PageCache defines __len__, so a fresh one is falsy) and leave
         # the caller churning an orphan while reads bypass it entirely.
         self.cache = cache if cache is not None else PageCache(
-            self.device, self.options.page_cache_bytes,
-            decoded_capacity=self.options.decoded_cache_entries)
+            self.device, self.options.page_cache_bytes)
         self._rng = rng
         self._memtable = MemTable(rng.spawn("memtable"))
         self._wal = WriteAheadLog(self.device, "wal/current.wal")

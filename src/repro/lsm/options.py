@@ -68,10 +68,6 @@ class LSMOptions:
     base_level_size_bytes: int = 1 * 1024 * 1024
     filter_builder: Optional[FilterBuilder] = None
     page_cache_bytes: int = 4 * 1024 * 1024
-    #: Entry bound of the decoded-block cache riding on the page cache
-    #: (wall-clock optimization; simulated charges are unaffected).
-    #: ``None`` = auto-size from the page capacity, ``0`` = disabled.
-    decoded_cache_entries: Optional[int] = None
     enable_wal: bool = True
     #: Run compaction (either style) on a background thread: flushes
     #: install the L0 table and return immediately; merges run
@@ -101,5 +97,3 @@ class LSMOptions:
             raise ConfigError("level size multiplier must be at least 2")
         if not 1 <= self.max_levels <= 16:
             raise ConfigError("max_levels must be in [1, 16]")
-        if self.decoded_cache_entries is not None and self.decoded_cache_entries < 0:
-            raise ConfigError("decoded cache entries must be non-negative")

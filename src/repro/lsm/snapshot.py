@@ -59,8 +59,7 @@ class SnapshotView:
         rng = make_rng(db.options.seed, f"snapshot-{snapshot_id}")
         self._cost_rng = rng.spawn("costs")
         self._device = db.device.reader_view(self.clock, rng.spawn("device"))
-        self.cache = PageCache(self._device, db.options.page_cache_bytes,
-                               decoded_capacity=db.options.decoded_cache_entries)
+        self.cache = PageCache(self._device, db.options.page_cache_bytes)
         self.stats = DBStats()
         # Pin every table's mapping: a region doomed by a later retire or
         # by db.close() must not unmap while this snapshot can read it.

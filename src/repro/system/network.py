@@ -63,7 +63,10 @@ class RemoteClient:
 
     Responses are unchanged; observed response times gain RTT + jitter.
     The jitter draws from this client's own seeded stream, so adding a
-    remote client never perturbs the server-side simulation.
+    remote client never perturbs the server-side simulation.  The client
+    has the ``KVService`` surface the attack oracles consume, so a remote
+    attacker plugs into :class:`~repro.core.oracle.TimingOracle` and
+    :func:`~repro.core.learning.learn_cutoff` unchanged.
     """
 
     def __init__(self, transport, model: NetworkModel,
@@ -73,6 +76,11 @@ class RemoteClient:
         #: the in-process service.
         self.service = transport
         self.model = model
+        # What the attack oracles read off a service besides the query
+        # surface.  Wire transports have no in-process db handle.
+        self.db = getattr(transport, "db", None)
+        self.distinguish_unauthorized = getattr(
+            transport, "distinguish_unauthorized", True)
         self._rng = rng or make_rng(None, f"network/{model.name}")
 
     def get(self, user: int, key: bytes) -> Response:
@@ -118,45 +126,7 @@ class RemoteClient:
         return observed
 
 
-class RemoteServiceAdapter:
-    """Adapts a :class:`RemoteClient` to the ``KVService`` surface the
-    attack oracles consume (``get``/``get_timed``/``db``), so a remote
-    attacker plugs into :class:`~repro.core.oracle.TimingOracle` and
-    :func:`~repro.core.learning.learn_cutoff` unchanged.
-    """
-
-    def __init__(self, client: RemoteClient) -> None:
-        self._client = client
-        # Wire transports have no in-process db handle; the adapter then
-        # only offers the query surface (enough for the oracles).
-        self.db = getattr(client.transport, "db", None)
-        self.distinguish_unauthorized = getattr(
-            client.transport, "distinguish_unauthorized", True)
-
-    def get(self, user: int, key: bytes) -> Response:
-        """Forward a plain request."""
-        return self._client.get(user, key)
-
-    def get_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
-        """Forward a timed request with network-observed latency."""
-        return self._client.get_timed(user, key)
-
-    def getter(self, user: int) -> Callable[[bytes], Response]:
-        """Forward the fast-path closure (probes do not need timing)."""
-        return self._client.getter(user)
-
-    def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
-        """Forward a batch of plain requests."""
-        return self._client.get_many(user, keys)
-
-    def get_many_timed(self, user: int, keys: Sequence[bytes]
-                       ) -> List[Tuple[Response, float]]:
-        """Forward a batch of timed requests with network latency."""
-        return self._client.get_many_timed(user, keys)
-
-
 def remote_service(service: KVService, model: NetworkModel,
-                   seed: int = 0) -> RemoteServiceAdapter:
+                   seed: int = 0) -> RemoteClient:
     """Convenience constructor: service as seen from across ``model``."""
-    client = RemoteClient(service, model, make_rng(seed, f"net/{model.name}"))
-    return RemoteServiceAdapter(client)
+    return RemoteClient(service, model, make_rng(seed, f"net/{model.name}"))

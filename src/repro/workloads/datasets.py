@@ -47,9 +47,6 @@ class DatasetConfig:
     cache_fraction: float = 0.05
     sstable_target_bytes: int = 128 * 1024
     background_load: LoadModel = field(default_factory=LoadModel)
-    #: Decoded-block cache entries (``None`` = proportional default,
-    #: ``0`` disables — wall-clock knob only, simulated time is identical).
-    decoded_cache_entries: Optional[int] = None
     #: Run compaction on the background thread (MVCC read path
     #: pins version snapshots; background merges are free in simulated
     #: time — see DESIGN.md section 12).
@@ -101,8 +98,7 @@ def build_environment(config: DatasetConfig) -> Environment:
     dataset_bytes = sum(len(k) + len(v) for k, v in items)
     cache_bytes = max(device.model.block_size,
                       int(dataset_bytes * config.cache_fraction))
-    cache = PageCache(device, cache_bytes,
-                      decoded_capacity=config.decoded_cache_entries)
+    cache = PageCache(device, cache_bytes)
 
     options = LSMOptions(
         filter_builder=config.filter_builder,

@@ -26,12 +26,17 @@ from repro.workloads import ATTACKER_USER, DatasetConfig, build_environment
 WIDTH = 5
 
 
-def build_env(decoded_entries):
-    return build_environment(DatasetConfig(
+def build_env(decoded=True):
+    env = build_environment(DatasetConfig(
         num_keys=4000, key_width=WIDTH, seed=77,
         filter_builder=SuRFBuilder(variant="real", suffix_bits=8),
-        decoded_cache_entries=decoded_entries,
     ))
+    if not decoded:
+        # Nothing has been read yet, so the layer is empty: a zero
+        # capacity from here on means it never holds an entry.
+        assert env.cache.decoded_entries == 0
+        env.cache.decoded_capacity = 0
+    return env
 
 
 def run_attack(env, num_samples=1500, num_candidates=6000):
@@ -58,8 +63,8 @@ def stored_key_sweep(env):
 
 class TestDecodedCacheEquivalence:
     def test_simulated_trace_identical_on_and_off(self):
-        env_on = build_env(None)   # default: layer enabled
-        env_off = build_env(0)     # disabled: every read decodes afresh
+        env_on = build_env()                # default: layer enabled
+        env_off = build_env(decoded=False)  # every read decodes afresh
         learn_on, result_on = run_attack(env_on)
         learn_off, result_off = run_attack(env_off)
         sweep_on = stored_key_sweep(env_on)
@@ -92,7 +97,7 @@ class TestDecodedCacheEquivalence:
         # get_many_timed over one environment must equal get_timed over a
         # twin: same statuses, same latencies, same final clock.  Mix
         # stored keys (positive path: device reads) with misses.
-        env_a, env_b = build_env(None), build_env(None)
+        env_a, env_b = build_env(), build_env()
         probe_keys = []
         for i, stored in enumerate(env_a.keys[::67]):
             probe_keys.append(stored)
@@ -113,9 +118,9 @@ class TestCompactionInvalidation:
             sstable_target_bytes=8 * 1024,
             l0_compaction_trigger=3,
             page_cache_bytes=256 * 1024,
-            decoded_cache_entries=4096,
         )
         db = LSMTree(options)
+        db.cache.decoded_capacity = 4096
         items = {bytes([i % 251, i // 251, 3, 4, 5]): b"v%d" % i
                  for i in range(2500)}
         for key, value in items.items():

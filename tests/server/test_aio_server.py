@@ -16,11 +16,7 @@ import warnings
 
 import pytest
 
-from repro.common.errors import (
-    ConfigError,
-    OrderTimeoutError,
-    TransportError,
-)
+from repro.common.errors import ConfigError, TransportError
 from repro.common.rng import make_rng
 from repro.filters import SuRFBuilder
 from repro.server import (
@@ -37,7 +33,8 @@ from repro.workloads import (
 
 
 class TestAsyncOrderedGate:
-    """Unit contract of the one ordered gate."""
+    """Unit contract of the one ordered gate (timeout and eviction
+    behaviour: ``test_gate_regressions.py``)."""
 
     def test_in_order_admits_immediately(self):
         async def scenario():
@@ -59,32 +56,6 @@ class TestAsyncOrderedGate:
             await asyncio.wait_for(second, 1.0)
 
         asyncio.run(scenario())
-
-    def test_timeout_raises_typed_error(self):
-        async def scenario():
-            gate = AsyncOrderedGate(timeout_s=0.05)
-            with pytest.raises(OrderTimeoutError):
-                await gate.admit(0x1, 5)
-
-        asyncio.run(scenario())
-
-    def test_busy_stream_survives_one_shot_churn(self):
-        async def scenario():
-            gate = AsyncOrderedGate(timeout_s=0.25, max_streams=4)
-            busy = 0x7
-            await gate.admit(busy, 0)
-            gate.complete(busy)
-            for i, nonce in enumerate(range(0x100, 0x10C)):
-                await gate.admit(nonce, 0)
-                gate.complete(nonce)
-                await gate.admit(busy, i + 1)  # LRU keeps its state alive
-                gate.complete(busy)
-
-        asyncio.run(scenario())
-
-    def test_gate_needs_at_least_one_stream(self):
-        with pytest.raises(ConfigError):
-            AsyncOrderedGate(timeout_s=1.0, max_streams=0)
 
 
 class TestAioServing:

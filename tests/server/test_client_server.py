@@ -204,11 +204,10 @@ class TestInjectableTransport:
 
     def test_adapter_tolerates_wire_transport(self, loopback):
         from repro.common.rng import make_rng
-        from repro.system.network import (LOCALHOST, RemoteClient,
-                                          RemoteServiceAdapter)
+        from repro.system.network import LOCALHOST, RemoteClient
 
-        adapter = RemoteServiceAdapter(RemoteClient(
-            loopback.connect(), LOCALHOST, rng=make_rng(1, "test-net")))
+        adapter = RemoteClient(
+            loopback.connect(), LOCALHOST, rng=make_rng(1, "test-net"))
         # Wire transports expose no in-process db handle.
         assert adapter.db is None
         assert adapter.distinguish_unauthorized is True
