@@ -18,21 +18,20 @@ from repro.core import AttackConfig, IdealizedOracle, PrefixSiphoningAttack
 from repro.core.surf_attack import SurfAttackStrategy
 from repro.filters import SuRFBuilder
 from repro.filters.surf import SuffixScheme, SurfVariant
-from repro.system import RateLimitedService, RateLimitPolicy
+from repro.system import RateLimitedService, RateLimitPolicy, ServiceLayer
 from repro.system.detector import MonitoredService
 from repro.workloads import ATTACKER_USER, OWNER_USER, DatasetConfig, build_environment
 
 KEY_WIDTH = 5
 
 
-class DefendedService:
+class DefendedService(ServiceLayer):
     """Monitor everyone; rate-limit whoever the detector flags."""
 
     def __init__(self, service, attacker_rate=RateLimitPolicy(200.0, burst=16)):
+        super().__init__(service)
         self.monitored = MonitoredService(service)
         self.throttled = RateLimitedService(self.monitored, attacker_rate)
-        self.db = service.db
-        self.distinguish_unauthorized = service.distinguish_unauthorized
 
     def _route(self, user):
         if self.monitored.detector.verdict(user).flagged:
@@ -44,6 +43,11 @@ class DefendedService:
 
     def get_timed(self, user, key):
         return self._route(user).get_timed(user, key)
+
+    def getter(self, user, plan=None):
+        # Routed per request, not per closure: a user flagged mid-batch
+        # is throttled from the next probe on.
+        return lambda key: self.get(user, key)
 
 
 def main() -> None:

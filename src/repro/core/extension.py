@@ -19,19 +19,9 @@ from typing import Optional
 
 from repro.common.errors import AttackError
 from repro.common.keys import suffix_space_size
-from repro.core.oracle import QueryOracle
+from repro.core.oracle import ProbeOracle
 from repro.filters.hashing import SUFFIX_HASH_SEED, fnv1a_64_init, fnv1a_64_update
 from repro.system.responses import Status
-
-
-def _prober_for(oracle) -> "Callable[[bytes], Status]":
-    """``oracle.prober()`` when offered, else the plain ``probe`` method.
-
-    Range-attack adapters and test doubles only implement ``probe``; the
-    fast path is an optimization, never a requirement.
-    """
-    factory = getattr(oracle, "prober", None)
-    return factory() if factory is not None else oracle.probe
 
 
 @dataclass(frozen=True)
@@ -69,7 +59,7 @@ def expected_extension_queries(prefix_len: int, key_width: int,
     return max(1, space >> hash_bits)
 
 
-def extend_prefix_variable(oracle: QueryOracle, prefix: bytes,
+def extend_prefix_variable(oracle: ProbeOracle, prefix: bytes,
                            max_suffix_len: int,
                            charset: bytes = bytes(range(256)),
                            max_queries: Optional[int] = None,
@@ -94,7 +84,7 @@ def extend_prefix_variable(oracle: QueryOracle, prefix: bytes,
     found: list = []
     queries = 0
     considered = 0
-    probe = _prober_for(oracle)
+    probe = oracle.prober()
 
     def candidates():
         yield prefix
@@ -141,105 +131,31 @@ class VariableExtensionResult:
         return bool(self.keys)
 
 
-def extend_prefix(oracle: QueryOracle, prefix: bytes, key_width: int,
+def extend_prefix(oracle: ProbeOracle, prefix: bytes, key_width: int,
                   hash_constraint: Optional[HashConstraint] = None,
                   max_queries: Optional[int] = None,
-                  probe=None, probe_many=None,
-                  chunk_size: int = 256) -> ExtensionResult:
+                  probe_many=None, chunk_size: int = 256) -> ExtensionResult:
     """Brute-force the suffix space of ``prefix`` (paper step 3).
 
     Stops at the first UNAUTHORIZED/OK response.  ``max_queries`` bounds
-    the probes actually issued (pruned candidates are free).  ``probe``
-    may supply a pre-built fast prober (``oracle.prober()``) so a caller
-    extending many prefixes hoists the per-query overhead once; it must be
-    observationally equivalent to ``oracle.probe``.
+    the probes actually issued (pruned candidates are free).
 
-    ``probe_many`` (a ``keys -> [Status]`` batch prober) switches to
-    chunked probing: candidates are issued ``chunk_size`` at a time, with
-    early stop at the first chunk containing a positive.  Remote attackers
-    use this — a per-key wire round trip would dominate the suffix search —
-    and it discloses the *same key* as the serial scan (statuses are pure
-    functions of the key), at the cost of up to ``chunk_size - 1`` extra
-    probes past the hit.
-
-    The serial scan itself buffers ``chunk_size`` candidates at a time so
-    an oracle offering ``prober_for`` can precompute the buffer's filter
-    verdicts in one pure batched pass; unlike the ``probe_many`` path this
-    changes nothing observable — probes are still consumed one at a time
-    with early exit, so query counts and simulated time are exactly the
-    unbuffered scan's.
+    One scan enumerates the candidates, ``chunk_size`` at a time; what
+    varies is how a chunk is issued.  By default the chunk goes to
+    ``oracle.prober_for``, which may precompute its filter verdicts in one
+    pure batched pass, and is then probed serially with early exit — so
+    queries issued, responses and simulated time are exactly the
+    one-at-a-time scan's.  ``probe_many`` (a ``keys -> [Status]`` batch
+    prober) issues whole chunks instead.  Remote attackers use this — a
+    per-key wire round trip would dominate the suffix search — and it
+    discloses the *same key* as the serial scan (candidates are enumerated
+    in the same order and statuses are pure functions of the key), at the
+    cost of up to ``chunk_size - 1`` extra probes past the hit.
     """
     if len(prefix) > key_width:
         raise AttackError(
             f"prefix of {len(prefix)} bytes exceeds key width {key_width}"
         )
-    if probe_many is not None:
-        return _extend_prefix_chunked(prefix, key_width, hash_constraint,
-                                      max_queries, probe_many, chunk_size)
-    if probe is None:
-        probe = _prober_for(oracle)
-    planner = getattr(oracle, "prober_for", None)
-    suffix_len = key_width - len(prefix)
-    space = suffix_space_size(len(prefix), key_width)
-    mask = None
-    prefix_state = None
-    target_bits = 0
-    if hash_constraint is not None and hash_constraint.num_bits:
-        mask = (1 << hash_constraint.num_bits) - 1
-        prefix_state = fnv1a_64_update(fnv1a_64_init(SUFFIX_HASH_SEED), prefix)
-        target_bits = hash_constraint.value
-
-    queries = 0
-    considered = 0
-    positive = (Status.UNAUTHORIZED, Status.OK)
-    # Candidates are buffered so the oracle can precompute the buffer's
-    # filter verdicts in one pure batched pass (``prober_for``); each
-    # flush then probes serially with early exit, so queries issued,
-    # responses, and simulated time are exactly the one-at-a-time scan's.
-    # All buffered candidates lie within the query budget by construction.
-    pending: list = []
-
-    def flush() -> Optional[bytes]:
-        nonlocal queries
-        probe_fn = planner(pending) if planner is not None else probe
-        for candidate in pending:
-            queries += 1
-            if probe_fn(candidate) in positive:
-                return candidate
-        return None
-
-    for value in range(space):
-        suffix = value.to_bytes(suffix_len, "big") if suffix_len else b""
-        considered += 1
-        if mask is not None:
-            if fnv1a_64_update(prefix_state, suffix) & mask != target_bits:
-                continue  # pruned for free: hash bits cannot match
-        if max_queries is not None and queries + len(pending) >= max_queries:
-            hit = flush() if pending else None
-            return ExtensionResult(hit, queries, considered, exhausted=False)
-        pending.append(prefix + suffix)
-        if len(pending) >= chunk_size:
-            hit = flush()
-            pending = []
-            if hit is not None:
-                return ExtensionResult(hit, queries, considered,
-                                       exhausted=False)
-    if pending:
-        hit = flush()
-        if hit is not None:
-            return ExtensionResult(hit, queries, considered, exhausted=False)
-    return ExtensionResult(None, queries, considered, exhausted=True)
-
-
-def _extend_prefix_chunked(prefix: bytes, key_width: int,
-                           hash_constraint: Optional[HashConstraint],
-                           max_queries: Optional[int],
-                           probe_many, chunk_size: int) -> ExtensionResult:
-    """Chunked suffix-space scan (see ``extend_prefix``'s ``probe_many``).
-
-    Enumerates candidates in exactly the serial order, so the first
-    positive found is the same key the one-probe-at-a-time scan returns.
-    """
     if chunk_size < 1:
         raise AttackError(f"chunk size must be positive, got {chunk_size}")
     suffix_len = key_width - len(prefix)
@@ -255,17 +171,26 @@ def _extend_prefix_chunked(prefix: bytes, key_width: int,
     queries = 0
     considered = 0
     positive = (Status.UNAUTHORIZED, Status.OK)
-    chunk: list = []
 
-    def issue() -> Optional[bytes]:
+    def issue(chunk: list) -> Optional[bytes]:
+        """Probe ``chunk``; the first stored key in it, if any."""
         nonlocal queries
-        statuses = probe_many(chunk)
-        queries += len(chunk)
-        for candidate, status in zip(chunk, statuses):
-            if status in positive:
+        if probe_many is not None:
+            queries += len(chunk)
+            for candidate, status in zip(chunk, probe_many(chunk)):
+                if status in positive:
+                    return candidate
+            return None
+        probe = oracle.prober_for(chunk)
+        for candidate in chunk:
+            queries += 1
+            if probe(candidate) in positive:
                 return candidate
         return None
 
+    # Every buffered candidate lies within the query budget by construction.
+    chunk: list = []
+    exhausted = True
     for value in range(space):
         suffix = value.to_bytes(suffix_len, "big") if suffix_len else b""
         considered += 1
@@ -273,20 +198,15 @@ def _extend_prefix_chunked(prefix: bytes, key_width: int,
             if fnv1a_64_update(prefix_state, suffix) & mask != target_bits:
                 continue  # pruned for free: hash bits cannot match
         if max_queries is not None and queries + len(chunk) >= max_queries:
-            hit = issue() if chunk else None
-            if hit is not None:
-                return ExtensionResult(hit, queries, considered,
-                                       exhausted=False)
-            return ExtensionResult(None, queries, considered, exhausted=False)
+            exhausted = False
+            break
         chunk.append(prefix + suffix)
         if len(chunk) >= chunk_size:
-            hit = issue()
+            hit = issue(chunk)
             chunk = []
             if hit is not None:
                 return ExtensionResult(hit, queries, considered,
                                        exhausted=False)
-    if chunk:
-        hit = issue()
-        if hit is not None:
-            return ExtensionResult(hit, queries, considered, exhausted=False)
-    return ExtensionResult(None, queries, considered, exhausted=True)
+    hit = issue(chunk) if chunk else None
+    return ExtensionResult(hit, queries, considered,
+                           exhausted=exhausted and hit is None)

@@ -28,7 +28,23 @@ from repro.system.responses import Status
 from repro.system.service import KVService
 
 
-class QueryOracle(abc.ABC):
+class ProbeOracle(abc.ABC):
+    """What step 3 needs of an oracle: authorization-observing probes."""
+
+    @abc.abstractmethod
+    def probe(self, key: bytes) -> Status:
+        """One query's response status (and its accounting)."""
+
+    def prober(self) -> Callable[[bytes], Status]:
+        """A ``key -> Status`` callable equivalent to :meth:`probe`."""
+        return self.probe
+
+    def prober_for(self, keys: Sequence[bytes]) -> Callable[[bytes], Status]:
+        """:meth:`prober` for an upcoming candidate batch, probed in order."""
+        return self.prober()
+
+
+class QueryOracle(ProbeOracle):
     """Attacker-side query interface with per-stage accounting."""
 
     def __init__(self, service: KVService, attacker_user: int) -> None:
@@ -60,19 +76,8 @@ class QueryOracle(abc.ABC):
         self.counter.charge(1)
         return self.service.get(self.attacker_user, key).status
 
-    def prober(self) -> Callable[[bytes], Status]:
-        """Fast ``key -> Status`` callable equivalent to :meth:`probe`.
-
-        Built on the service's batch-get closure when available (hoisting
-        per-request overhead out of the extension loops, which issue up to
-        ``max_extension_queries`` probes per prefix); falls back to
-        :meth:`probe` otherwise.  Accounting and simulated charges are
-        identical either way.
-        """
-        getter = getattr(self.service, "getter", None)
-        if getter is None:
-            return self.probe
-        get_one = getter(self.attacker_user)
+    def _counting(self, get_one) -> Callable[[bytes], Status]:
+        """``get_one`` as a prober: one counted query per call."""
         counter = self.counter
 
         def probe_one(key: bytes) -> Status:
@@ -80,6 +85,16 @@ class QueryOracle(abc.ABC):
             return get_one(key).status
 
         return probe_one
+
+    def prober(self) -> Callable[[bytes], Status]:
+        """Fast ``key -> Status`` callable equivalent to :meth:`probe`.
+
+        Built on the service's batch-get closure, hoisting per-request
+        overhead out of the extension loops (which issue up to
+        ``max_extension_queries`` probes per prefix).  Accounting and
+        simulated charges are :meth:`probe`'s.
+        """
+        return self._counting(self.service.getter(self.attacker_user))
 
     def probe_many(self, keys: Sequence[bytes]) -> List[Status]:
         """Batch of :meth:`probe` calls (same accounting, amortized)."""
@@ -89,33 +104,21 @@ class QueryOracle(abc.ABC):
     def prober_for(self, keys: Sequence[bytes]) -> Callable[[bytes], Status]:
         """:meth:`prober`, primed for an upcoming candidate batch.
 
-        When the service exposes the store's probe engine, the batch's
-        filter verdicts are precomputed in one pure pass (vectorized
-        Bloom hashing, shared-prefix trie traversal) and the returned
-        per-key prober replays against the memo.  The prepass touches no
-        stats, clock, or RNG and the replay consumes verdicts in call
-        order, so probing any prefix of ``keys`` — the extension loops
-        stop at the first hit — is bit-identical to :meth:`prober`,
-        including the accounting of the probes never issued.
+        When the service has a local store, the batch's filter verdicts
+        are precomputed in one pure pass (vectorized Bloom hashing,
+        shared-prefix trie traversal) and the returned per-key prober
+        replays against the memo.  The prepass touches no stats, clock,
+        or RNG and the replay consumes verdicts in call order, so probing
+        any prefix of ``keys`` — the extension loops stop at the first
+        hit — is bit-identical to :meth:`prober`, including the
+        accounting of the probes never issued.
         """
-        getter = getattr(self.service, "getter", None)
-        probe_plan = getattr(getattr(self.service, "db", None),
-                             "probe_plan", None)
-        if getter is None or probe_plan is None:
-            return self.prober()
-        plan = probe_plan(list(keys))
+        plan = self.service.probe_plan(list(keys))
         self.release_plan()
-        if plan is None:  # engine disabled, or nothing reaches a filter
+        if plan is None:  # no local store, or nothing reaches a filter
             return self.prober()
         self._active_plan = plan
-        get_one = getter(self.attacker_user, plan)
-        counter = self.counter
-
-        def probe_one(key: bytes) -> Status:
-            counter.charge(1)
-            return get_one(key).status
-
-        return probe_one
+        return self._counting(self.service.getter(self.attacker_user, plan))
 
 
 class TimingOracle(QueryOracle):

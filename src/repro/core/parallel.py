@@ -34,7 +34,7 @@ from repro.common.errors import ConfigError
 from repro.core.extension import extend_prefix
 from repro.core.learning import LearningResult, learn_cutoff
 from repro.core.oracle import QueryOracle
-from repro.core.results import AttackResult, ExtractedKey, PrefixCandidate
+from repro.core.results import AttackResult, PrefixCandidate
 from repro.core.template import AttackConfig, PrefixSiphoningAttack
 from repro.server.client import ConnectionPool, RemoteBackground
 from repro.server.protocol import OrderToken
@@ -251,20 +251,11 @@ class ParallelPrefixSiphoningAttack(PrefixSiphoningAttack):
         if errors:
             raise errors[0]
 
-        # Deterministic merge: the serial loop's body, in the serial
-        # loop's (longest-prefix-first) order.
-        counter = oracle.counter
+        # Deterministic merge: the serial loop's bookkeeping, in the
+        # serial loop's (longest-prefix-first) order.
         found_keys: set = set()
         for candidate, extension in zip(kept, extensions):
-            if extension.found and extension.key not in found_keys:
-                found_keys.add(extension.key)
-                result.extracted.append(ExtractedKey(
-                    key=extension.key, prefix=candidate.prefix,
-                    queries_spent=extension.queries_spent,
-                ))
-            else:
-                result.wasted_queries += extension.queries_spent
-            result.progress.append((counter.total, len(result.extracted)))
+            self._record_extension(candidate, extension, found_keys, result)
 
 
 @dataclass

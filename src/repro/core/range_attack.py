@@ -47,6 +47,7 @@ from typing import List, Optional, Tuple
 from repro.common.errors import AttackError, ConfigError
 from repro.common.rng import make_rng
 from repro.core.extension import HashConstraint, extend_prefix
+from repro.core.oracle import ProbeOracle
 from repro.storage.background import BackgroundLoad
 from repro.system.responses import Status
 from repro.system.service import KVService
@@ -55,7 +56,7 @@ from repro.system.service import KVService
 _ALPHABET = 256
 
 
-class RangeOracle(abc.ABC):
+class RangeOracle(ProbeOracle):
     """Attacker-side range membership test with query accounting."""
 
     def __init__(self, service: KVService, attacker_user: int) -> None:
@@ -359,7 +360,7 @@ class RangeDescentAttack:
                 self.config.hash_bits,
                 suffix_hash_bits(witness, self.config.hash_bits))
         extension = extend_prefix(
-            _PointOracleAdapter(self.oracle), prefix, self.config.key_width,
+            self.oracle, prefix, self.config.key_width,
             hash_constraint=constraint,
             max_queries=self._remaining_budget(),
         )
@@ -394,16 +395,6 @@ class RangeDescentAttack:
         if (self.config.max_queries is not None
                 and self.oracle.total_queries >= self.config.max_queries):
             raise _BudgetExhausted()
-
-
-class _PointOracleAdapter:
-    """Expose a :class:`RangeOracle`'s point probe to ``extend_prefix``."""
-
-    def __init__(self, oracle: RangeOracle) -> None:
-        self._oracle = oracle
-
-    def probe(self, key: bytes) -> Status:
-        return self._oracle.probe(key)
 
 
 class _BudgetExhausted(Exception):

@@ -18,7 +18,11 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.common.errors import AttackError, ConfigError
-from repro.core.extension import expected_extension_queries, extend_prefix
+from repro.core.extension import (
+    ExtensionResult,
+    expected_extension_queries,
+    extend_prefix,
+)
 from repro.core.oracle import QueryOracle
 from repro.core.results import (
     STAGE_EXTEND,
@@ -68,26 +72,10 @@ class PrefixSiphoningAttack:
                 "strategy key width exceeds the attack's target key width"
             )
 
-    def _sim_now_us(self) -> float:
-        """The simulated clock behind the oracle's service.
-
-        In-process services expose it as ``db.clock``; wire transports
-        report it on request (``sim_now_us()``); bare test doubles get a
-        constant (durations then read zero, which is honest: no simulated
-        clock exists to measure).
-        """
-        service = self.oracle.service
-        db = getattr(service, "db", None)
-        if db is not None:
-            return db.clock.now_us
-        reader = getattr(service, "sim_now_us", None)
-        if callable(reader):
-            return reader()
-        return 0.0
-
     def run(self) -> AttackResult:
         """Execute the attack and return its full accounting."""
-        start_us = self._sim_now_us()
+        sim_now_us = self.oracle.service.sim_now_us
+        start_us = sim_now_us()
         counter = self.oracle.counter
         result = AttackResult()
 
@@ -97,7 +85,7 @@ class PrefixSiphoningAttack:
         candidates = self.strategy.generate_candidates(self.config.num_candidates)
         fp_keys = self.strategy.find_false_positives(self.oracle, candidates)
         result.progress.append((counter.total, 0))
-        stage_ended = self._sim_now_us()
+        stage_ended = sim_now_us()
         result.stage_durations_us[STAGE_FIND_FPK] = stage_ended - stage_started
 
         # Step 2: identify shared prefixes.
@@ -106,7 +94,7 @@ class PrefixSiphoningAttack:
         identified = self.strategy.identify_prefixes(self.oracle, fp_keys)
         result.prefixes_identified = list(identified)
         result.progress.append((counter.total, 0))
-        stage_ended = self._sim_now_us()
+        stage_ended = sim_now_us()
         result.stage_durations_us[STAGE_ID_PREFIX] = stage_ended - stage_started
 
         # Step 3: keep feasible prefixes, dedupe, extend cheapest-first.
@@ -115,7 +103,7 @@ class PrefixSiphoningAttack:
         kept = self._select_for_extension(identified, result)
         if self.config.extend:
             self._extend_all(kept, result)
-        stage_ended = self._sim_now_us()
+        stage_ended = sim_now_us()
         result.stage_durations_us[STAGE_EXTEND] = stage_ended - stage_started
 
         result.queries_by_stage = dict(counter.by_stage)
@@ -151,29 +139,28 @@ class PrefixSiphoningAttack:
 
     def _extend_all(self, kept: List[PrefixCandidate],
                     result: AttackResult) -> None:
-        counter = self.oracle.counter
         found_keys: set = set()
-        # One fast prober shared across every suffix-space search: the
-        # per-request closure construction happens once here instead of
-        # once per prefix (and the per-probe overhead once per batch
-        # instead of once per query).
-        probe = self.oracle.prober()
         for candidate in kept:
-            constraint = self.strategy.hash_constraint_for(candidate)
             extension = extend_prefix(
                 self.oracle, candidate.prefix, self.config.key_width,
-                hash_constraint=constraint,
+                hash_constraint=self.strategy.hash_constraint_for(candidate),
                 max_queries=self.config.max_extension_queries,
-                probe=probe,
             )
-            if extension.found and extension.key not in found_keys:
-                found_keys.add(extension.key)
-                result.extracted.append(ExtractedKey(
-                    key=extension.key, prefix=candidate.prefix,
-                    queries_spent=extension.queries_spent,
-                ))
-            else:
-                # Exhausted (misidentified prefix / plain Bloom FP) or a
-                # duplicate disclosure: the probes bought nothing.
-                result.wasted_queries += extension.queries_spent
-            result.progress.append((counter.total, len(result.extracted)))
+            self._record_extension(candidate, extension, found_keys, result)
+
+    def _record_extension(self, candidate: PrefixCandidate,
+                          extension: ExtensionResult, found_keys: set,
+                          result: AttackResult) -> None:
+        """Book one finished suffix search, in ``kept`` order."""
+        if extension.found and extension.key not in found_keys:
+            found_keys.add(extension.key)
+            result.extracted.append(ExtractedKey(
+                key=extension.key, prefix=candidate.prefix,
+                queries_spent=extension.queries_spent,
+            ))
+        else:
+            # Exhausted (misidentified prefix / plain Bloom FP) or a
+            # duplicate disclosure: the probes bought nothing.
+            result.wasted_queries += extension.queries_spent
+        result.progress.append((self.oracle.counter.total,
+                                len(result.extracted)))

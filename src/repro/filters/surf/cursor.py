@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.filters.surf.suffix import SuffixScheme
 
@@ -61,82 +61,6 @@ def lookup(backend, key: bytes, scheme: SuffixScheme) -> bool:
             return False
         node = child
         depth += 1
-
-
-class BatchCursor:
-    """Resumable traversal state for sorted-batch point lookups.
-
-    ``nodes[d]`` is the node reached after consuming ``d`` bytes of
-    ``key`` — the path stack the next probe truncates to its common
-    prefix with ``key`` instead of restarting from the root.
-    """
-
-    __slots__ = ("nodes", "key")
-
-    def __init__(self, root) -> None:
-        self.nodes: List[object] = [root]
-        self.key = b""
-
-
-def _common_prefix_len(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
-
-
-def lookup_many(backend, keys: Sequence[bytes],
-                scheme: SuffixScheme) -> List[bool]:
-    """Batched point queries over any cursor backend.
-
-    Probes in sorted order, resuming each traversal from the deepest node
-    of the previous probe's path that still lies on the new key's prefix
-    (clamped to the depth the previous traversal actually reached).  The
-    resumed node is by construction the node a root walk over the shared
-    prefix would reach, so the verdict vector equals
-    ``[lookup(backend, k, scheme) for k in keys]`` exactly — input order
-    and duplicates included.
-    """
-    n = len(keys)
-    verdicts = [False] * n
-    state = BatchCursor(backend.root())
-    nodes = state.nodes
-    prev = state.key
-    terminal = backend.terminal
-    child = backend.child
-    matches = scheme.matcher()
-    leaf_kind = TerminalKind.LEAF
-    for i in sorted(range(n), key=keys.__getitem__):
-        key = keys[i]
-        depth = _common_prefix_len(prev, key)
-        top = len(nodes) - 1
-        if depth > top:
-            depth = top
-        else:
-            del nodes[depth + 1:]
-        node = nodes[depth]
-        key_len = len(key)
-        while True:
-            term = terminal(node)
-            if depth == key_len:
-                verdicts[i] = (term is not None
-                               and matches(key, depth, term.payload))
-                break
-            if term is not None and term.kind is leaf_kind:
-                verdicts[i] = matches(key, depth, term.payload)
-                break
-            nxt = child(node, key[depth])
-            if nxt is None:
-                break  # verdicts[i] stays False
-            node = nxt
-            depth += 1
-            nodes.append(node)
-        prev = key
-    state.key = prev
-    return verdicts
 
 
 class _SeekOutcome(enum.Enum):

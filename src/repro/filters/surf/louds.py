@@ -34,7 +34,7 @@ from repro.filters.rank_select import BitVector
 from repro.filters.surf import cursor as _cursor
 from repro.filters.surf.cursor import Terminal, TerminalKind
 from repro.filters.surf.suffix import SuffixScheme
-from repro.filters.surf.trie import TrieBackend, TrieNode, build_pruned_trie
+from repro.filters.surf.trie import TrieNode, build_pruned_trie
 
 #: Bits one dense node costs: two 256-bit bitmaps + the prefix-key bit.
 _DENSE_NODE_BITS = 2 * 256 + 1
@@ -115,9 +115,8 @@ class LoudsBackend:
     backend_name = "louds"
 
     def __init__(self, trie_root: TrieNode,
-                 num_dense_levels: Optional[int] = None,
-                 dense_ratio: int = DEFAULT_DENSE_RATIO) -> None:
-        self._build(trie_root, num_dense_levels, dense_ratio)
+                 num_dense_levels: Optional[int] = None) -> None:
+        self._build(trie_root, num_dense_levels)
 
     @classmethod
     def build(cls, sorted_keys: Sequence[bytes], scheme: SuffixScheme,
@@ -126,16 +125,10 @@ class LoudsBackend:
         return cls(build_pruned_trie(sorted_keys, scheme),
                    num_dense_levels=num_dense_levels)
 
-    @classmethod
-    def from_trie(cls, trie: TrieBackend,
-                  num_dense_levels: Optional[int] = None) -> "LoudsBackend":
-        """Encode an existing reference backend's trie."""
-        return cls(trie.root(), num_dense_levels=num_dense_levels)
-
     # ------------------------------------------------------------------ build
 
-    def _build(self, root: TrieNode, num_dense_levels: Optional[int],
-               dense_ratio: int) -> None:
+    def _build(self, root: TrieNode,
+               num_dense_levels: Optional[int]) -> None:
         self._root_terminal: Optional[Terminal] = None
         if not root.children:
             # Degenerate tries (empty, or a lone empty-key terminal) have no
@@ -162,8 +155,7 @@ class LoudsBackend:
         level_nodes = [len(level) for level in levels]
         level_labels = [sum(len(n.children) for n in level) for level in levels]
         if num_dense_levels is None:
-            num_dense_levels = choose_dense_levels(level_nodes, level_labels,
-                                                   dense_ratio)
+            num_dense_levels = choose_dense_levels(level_nodes, level_labels)
         num_dense_levels = max(0, min(num_dense_levels, len(levels)))
         self._num_dense = sum(level_nodes[:num_dense_levels])
 
@@ -375,16 +367,18 @@ class LoudsBackend:
                     scheme: SuffixScheme) -> List[bool]:
         """De-virtualized batched point lookups.
 
-        Same algorithm as :func:`repro.filters.surf.cursor.lookup_many`
-        (sorted probes, shared-prefix path-stack resume) but with the
-        cursor protocol inlined: the structural bitmaps' packed words and
-        precomputed popcount directories are bound to locals, every
-        ``rank1``/``get`` becomes one index plus one popcount, and node
-        references live in two parallel int stacks instead of tuples.
-        The verdict vector is exactly the scalar loop's.
+        Probes in sorted order, resuming each traversal from the deepest
+        node of the previous probe's path that still lies on the new
+        key's prefix, with the cursor protocol inlined: the structural
+        bitmaps' packed words and precomputed popcount directories are
+        bound to locals, every ``rank1``/``get`` becomes one index plus
+        one popcount, and node references live in two parallel int stacks
+        instead of tuples.  The verdict vector is exactly the scalar
+        loop's (:func:`repro.filters.surf.cursor.lookup`), input order and
+        duplicates included.
         """
-        if self._empty:
-            return _cursor.lookup_many(self, list(keys), scheme)
+        if self._empty:  # sentinel root only: nothing to share or inline
+            return [_cursor.lookup(self, key, scheme) for key in keys]
 
         # Locals-bound structure views (see BitVector.rank_directory).
         dl_words = self._d_labels.words

@@ -64,15 +64,10 @@ class SuRF(RangeFilter):
     def _may_contain_many(self, keys: Sequence[bytes]) -> List[bool]:
         """Sorted batch with shared-prefix cursor reuse.
 
-        The LOUDS backend supplies a de-virtualized traversal core; other
-        backends go through the generic cursor-protocol version.  Both
+        Each backend supplies its own de-virtualized traversal; both
         return exactly the scalar loop's verdicts.
         """
-        keys = list(keys)
-        backend_batch = getattr(self._backend, "lookup_many", None)
-        if backend_batch is not None:
-            return backend_batch(keys, self.scheme)
-        return cursor.lookup_many(self._backend, keys, self.scheme)
+        return self._backend.lookup_many(list(keys), self.scheme)
 
     def _may_contain_range(self, low: bytes, high: bytes) -> bool:
         return cursor.may_contain_range(self._backend, low, high)

@@ -162,10 +162,10 @@ class TrieBackend:
                     scheme: SuffixScheme) -> List[bool]:
         """De-virtualized batched point lookups over the dict trie.
 
-        Same algorithm as :func:`repro.filters.surf.cursor.lookup_many`
-        (sorted probes, shared-prefix path-stack resume) with the cursor
-        protocol inlined to direct ``children.get``/``terminal``
-        attribute access.  Verdicts are exactly the scalar loop's.
+        Sorted probes with shared-prefix path-stack resume, as in
+        :meth:`LoudsBackend.lookup_many`, with the cursor protocol inlined
+        to direct ``children.get``/``terminal`` attribute access.
+        Verdicts are exactly the scalar loop's.
         """
         n = len(keys)
         verdicts = [False] * n

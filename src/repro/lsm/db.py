@@ -156,6 +156,16 @@ class LSMTree:
             self._commit_version(manifest=self._silent_manifest,
                                  device=self._silent_device)
 
+    @property
+    def compactions_run(self) -> int:
+        """Compactions installed so far, by whichever engine this tree runs."""
+        return (self._bg_compactor or self._compactor).compactions_run
+
+    @property
+    def background_cycles(self) -> int:
+        """Background-compaction thread cycles (0 for a sync tree)."""
+        return self._background.cycles if self._background is not None else 0
+
     # --------------------------------------------------------------- recovery
 
     @classmethod

@@ -84,9 +84,8 @@ def key_map_for(reader) -> Optional[TableKeyMap]:
     be mapped, or the region closed) — the caller falls back to the
     classic merge path.
     """
-    cached = getattr(reader, "_key_map", None)
-    if cached is not None:
-        return cached
+    if reader._key_map is not None:
+        return reader._key_map
     region = reader.region
     if region is None or region.closed:
         return None

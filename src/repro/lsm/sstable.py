@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.errors import CorruptionError, StorageError
-from repro.filters.base import Filter
+from repro.filters.base import Filter, RangeFilter
 from repro.lsm.block import Block
 from repro.lsm.memtable import Entry
 from repro.lsm.options import CostModel
@@ -66,6 +66,9 @@ class SSTableReader:
             index_entries, num_entries = self._load_metadata()
         self._index = index_entries
         self.num_entries = num_entries or 0
+        #: Wall-clock cache of the table's decoded keys, built on first
+        #: use by :func:`repro.lsm.sorted_view.key_map_for`.
+        self._key_map = None
         try:
             self.region: Optional[MappedRegion] = device.map_file(path)
         except StorageError:
@@ -229,7 +232,7 @@ class SSTable:
 
     def __post_init__(self) -> None:
         filt = self.filter
-        if filt is not None and hasattr(filt, "may_contain_range"):
+        if isinstance(filt, RangeFilter):
             self.range_filter = filt
 
     def covers(self, key: bytes) -> bool:

@@ -143,8 +143,7 @@ def build_table_artifact(records: List[Record], block_size: int,
     filter_data = b""
     filter_offset = size
     if filter_builder is not None:
-        build = getattr(filter_builder, "build_batch", filter_builder.build)
-        filt = build(keys)
+        filt = filter_builder.build_batch(keys)
         from repro.filters.serialize import serialize_filter
         filter_data = serialize_filter(filt)
         chunks.append(filter_data)

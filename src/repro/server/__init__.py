@@ -17,7 +17,6 @@ from repro.server.client import (
     ConnectionPool,
     RemoteBackground,
     RemoteKV,
-    ServerStats,
     WallClockStats,
     WireConnection,
     connect,
@@ -46,7 +45,6 @@ __all__ = [
     "RemoteBackground",
     "RemoteKV",
     "ServerConfig",
-    "ServerStats",
     "WallClockStats",
     "WireConnection",
     "connect",

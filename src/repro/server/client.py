@@ -55,31 +55,6 @@ class WallClockStats:
         return self.total_us / self.requests if self.requests else 0.0
 
 
-@dataclass(frozen=True)
-class ServerStats:
-    """Friendly view of a STATS response."""
-
-    sim_now_us: float
-    requests: int
-    ok: int
-    not_found: int
-    unauthorized: int
-    eviction_wait_us: float
-    stalled_requests: int
-    total_stall_us: float
-    #: Online-defense decision counters (zero without a defense layer).
-    flagged_users: int = 0
-    throttle_escalations: int = 0
-    noise_injections: int = 0
-    #: Compaction progress (zeros in stores without background threads).
-    compactions_run: int = 0
-    background_cycles: int = 0
-    #: Range-read engine counters (zeros with the classic heap merge).
-    range_queries: int = 0
-    sorted_view_seeks: int = 0
-    view_rebuild_segments: int = 0
-
-
 class WireConnection:
     """One protocol connection: sequential request/response over a socket."""
 
@@ -150,9 +125,20 @@ class WireConnection:
 class RemoteKV:
     """The :class:`KVService` surface, spoken over one wire connection."""
 
+    #: No store on this side of the wire: idealized oracles cannot run
+    #: here, and :meth:`probe_plan` has nothing to prime.
+    db = None
+    #: The protocol carries whatever statuses the server's stack sends;
+    #: the attack assumes the distinguishing system of the threat model.
+    distinguish_unauthorized = True
+
     def __init__(self, connection: WireConnection) -> None:
         self.connection = connection
         self.wall = connection.wall
+
+    def probe_plan(self, keys: Sequence[bytes]) -> None:
+        """No local store, so no plan: probes are plain round trips."""
+        return None
 
     # ------------------------------------------------------------------ reads
 
@@ -170,8 +156,13 @@ class RemoteKV:
         response, sim_us, _ = protocol.decode_result(frame.payload)
         return response, sim_us
 
-    def getter(self, user: int) -> Callable[[bytes], Response]:
-        """Per-key closure; each call is one GET round trip."""
+    def getter(self, user: int, plan: None = None
+               ) -> Callable[[bytes], Response]:
+        """Per-key closure; each call is one GET round trip.
+
+        ``plan`` is the surface's probe-plan slot; :meth:`probe_plan`
+        only ever hands out None here.
+        """
         request = self.connection.request
         encode = protocol.encode_get_request
         decode = protocol.decode_result
@@ -257,11 +248,10 @@ class RemoteKV:
             Opcode.WAIT, protocol.encode_wait_request(duration_us))
         return protocol.decode_wait_response(frame.payload)
 
-    def stats(self) -> ServerStats:
+    def stats(self) -> protocol.StatsSnapshot:
         """Server counters + simulated clock reading."""
         frame = self.connection.request(Opcode.STATS)
-        snap = protocol.decode_stats_response(frame.payload)
-        return ServerStats(**snap.__dict__)
+        return protocol.decode_stats_response(frame.payload)
 
     def sim_now_us(self) -> float:
         """The server's simulated clock (for attack duration accounting)."""

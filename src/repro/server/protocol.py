@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolError, VersionMismatchError
@@ -61,7 +61,6 @@ _PUT_PREFIX = struct.Struct("!QBH")
 _PUT_MANY_PREFIX = struct.Struct("!QBI")
 _PUT_MANY_RESPONSE = struct.Struct("!Id")
 _RESULT_PREFIX = struct.Struct("!BdB")
-_STATS = struct.Struct("!dQQQQdQdQQQQQQQQ")
 
 #: PUT/PUT_MANY request flag: store the object world-readable.
 PUT_FLAG_PUBLIC_READ = 0x01
@@ -446,18 +445,23 @@ def decode_get_many_response(payload: bytes) -> List[Tuple[Response, float]]:
 class StatsSnapshot:
     """Server-side counters exposed over the wire (STATS response).
 
-    The last three fields are the online-defense decision counters
-    (DESIGN.md §11); servers without a defense layer report zeros.
+    The one declaration of the record: the payload is these fields in
+    this order, a ``float`` as f64 and an ``int`` as u64.  A new counter
+    is a field appended here plus the layer that owns it adding it in its
+    ``stats_fields`` (DESIGN.md, "Adding a STATS counter"); appending
+    changes the payload size, so it is a protocol version bump.
     """
 
-    sim_now_us: float
-    requests: int
-    ok: int
-    not_found: int
-    unauthorized: int
-    eviction_wait_us: float
-    stalled_requests: int
-    total_stall_us: float
+    sim_now_us: float = 0.0
+    requests: int = 0
+    ok: int = 0
+    not_found: int = 0
+    unauthorized: int = 0
+    eviction_wait_us: float = 0.0
+    stalled_requests: int = 0
+    total_stall_us: float = 0.0
+    #: Online-defense decision counters (DESIGN.md §11); zeros without a
+    #: defense layer.
     flagged_users: int = 0
     throttle_escalations: int = 0
     noise_injections: int = 0
@@ -467,23 +471,21 @@ class StatsSnapshot:
     background_cycles: int = 0
     #: Range-read engine counters (DESIGN.md §13): bounded range reads
     #: served, how many of them went through the per-version sorted view,
-    #: and segments rebuilt by incremental view maintenance.  Zeros when
-    #: the store runs the classic heap merge.
+    #: and segments rebuilt by incremental view maintenance.
     range_queries: int = 0
     sorted_view_seeks: int = 0
     view_rebuild_segments: int = 0
 
 
+#: ``!dQQQQdQdQQQQQQQQ`` as of v3.  (Annotations are strings under
+#: ``from __future__ import annotations``.)
+_STATS = struct.Struct("!" + "".join(
+    {"float": "d", "int": "Q"}[field.type] for field in fields(StatsSnapshot)))
+
+
 def encode_stats_response(stats: StatsSnapshot) -> bytes:
     """STATS response payload."""
-    return _STATS.pack(stats.sim_now_us, stats.requests, stats.ok,
-                       stats.not_found, stats.unauthorized,
-                       stats.eviction_wait_us, stats.stalled_requests,
-                       stats.total_stall_us, stats.flagged_users,
-                       stats.throttle_escalations, stats.noise_injections,
-                       stats.compactions_run, stats.background_cycles,
-                       stats.range_queries, stats.sorted_view_seeks,
-                       stats.view_rebuild_segments)
+    return _STATS.pack(*astuple(stats))
 
 
 def decode_stats_response(payload: bytes) -> StatsSnapshot:

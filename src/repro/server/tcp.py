@@ -7,7 +7,7 @@ Two jobs live here (DESIGN.md section 7):
   pull one complete frame off a stream;
 * **execution** — :class:`RequestExecutor` turns a decoded request into
   its response frame against the service stack, :func:`collect_stats`
-  aggregates STATS over an arbitrary facade stack, and
+  asks the stack for its STATS counters, and
   :func:`map_dispatch_error` maps typed library errors to ERROR frames.
   :class:`ServerConfig` holds the server's knobs.
 
@@ -61,66 +61,16 @@ class ServerConfig:
 
 def collect_stats(service, background: Optional[BackgroundLoad] = None
                   ) -> protocol.StatsSnapshot:
-    """Aggregate a STATS snapshot across an arbitrary facade stack.
+    """The STATS snapshot of a service stack.
 
-    Services stack (``MonitoredService(RateLimitedService(KVService))``,
-    defense layers, test doubles), so no fixed unwrap depth is correct:
-    this walks the ``.service`` chain, takes the request counters from the
-    first layer that owns a stats object, sums the stall counters from
-    whichever layers own them, and picks up defense counters from a
-    defense layer anywhere in the stack.
+    Every layer of the stack answers for its own counters plus what it
+    wraps (``stats_fields``), so any stacking depth is correct by
+    construction; the ambient load's displacement time is the server's.
     """
-    stats = None
-    stalled = 0
-    stall_us = 0.0
-    flagged = 0
-    escalations = 0
-    noise = 0
-    layer = service
-    seen: set = set()
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
-        if stats is None:
-            candidate = getattr(layer, "stats", None)
-            if candidate is not None and hasattr(candidate, "requests"):
-                stats = candidate
-        own = vars(layer) if hasattr(layer, "__dict__") else {}
-        if "stalled_requests" in own:
-            stalled += layer.stalled_requests
-            stall_us += layer.total_stall_us
-        snapshot = getattr(layer, "defense_snapshot", None)
-        if callable(snapshot):
-            defense = snapshot()
-            flagged += defense.flagged_users
-            escalations += defense.escalations
-            noise += defense.noise_injections
-        layer = getattr(layer, "service", None)
-    eviction = background.eviction_wait_us() if background is not None else 0.0
-    db = getattr(service, "db", None)
-    compactor = (getattr(db, "_bg_compactor", None)
-                 or getattr(db, "_compactor", None))
-    background_thread = getattr(db, "_background", None)
-    dbstats = getattr(db, "stats", None)
     return protocol.StatsSnapshot(
-        sim_now_us=service.db.clock.now_us,
-        requests=stats.requests if stats else 0,
-        ok=stats.ok if stats else 0,
-        not_found=stats.not_found if stats else 0,
-        unauthorized=stats.unauthorized if stats else 0,
-        eviction_wait_us=eviction,
-        stalled_requests=stalled,
-        total_stall_us=stall_us,
-        flagged_users=flagged,
-        throttle_escalations=escalations,
-        noise_injections=noise,
-        compactions_run=compactor.compactions_run if compactor else 0,
-        background_cycles=(background_thread.cycles
-                           if background_thread is not None else 0),
-        range_queries=dbstats.range_queries if dbstats else 0,
-        sorted_view_seeks=dbstats.sorted_view_seeks if dbstats else 0,
-        view_rebuild_segments=(dbstats.view_rebuild_segments
-                               if dbstats else 0),
-    )
+        eviction_wait_us=(background.eviction_wait_us()
+                          if background is not None else 0.0),
+        **service.stats_fields())
 
 
 def _response_frame(opcode: int, request_id: int, payload: bytes) -> Frame:
@@ -218,7 +168,7 @@ class RequestExecutor:
             self.background.run_for(duration_us)
             return _response_frame(
                 Opcode.WAIT, request_id,
-                protocol.encode_wait_response(self.service.db.clock.now_us))
+                protocol.encode_wait_response(self.service.sim_now_us()))
         return error_frame(request_id, ErrorCode.UNSUPPORTED,
                            f"opcode {opcode} is not servable")
 

@@ -25,7 +25,13 @@ from repro.system.network import (
     remote_service,
 )
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
-from repro.system.service import ACL_CHECK_US, REQUEST_OVERHEAD_US, KVService, ServiceStats
+from repro.system.service import (
+    ACL_CHECK_US,
+    REQUEST_OVERHEAD_US,
+    KVService,
+    ServiceLayer,
+    ServiceStats,
+)
 
 __all__ = [
     "ACL_CHECK_US",
@@ -51,6 +57,7 @@ __all__ = [
     "KVService",
     "REQUEST_OVERHEAD_US",
     "Response",
+    "ServiceLayer",
     "ServiceStats",
     "Status",
     "pack_value",

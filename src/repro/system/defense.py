@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -37,6 +38,7 @@ from repro.lsm.read_path import ProbePlan
 from repro.system.detector import DetectorPolicy, SiphoningDetector
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
 from repro.system.responses import Response, Status
+from repro.system.service import ServiceLayer
 
 #: Escalation modes, in order of aggressiveness.
 DEFENSE_MODES = ("observe", "throttle", "noise")
@@ -82,19 +84,7 @@ class DefenseSnapshot:
     mode: str
 
 
-def find_limiter(service) -> Optional[RateLimitedService]:
-    """First layer in the ``.service`` chain that can escalate per user."""
-    layer = service
-    seen: Set[int] = set()
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
-        if callable(getattr(layer, "set_user_policy", None)):
-            return layer
-        layer = getattr(layer, "service", None)
-    return None
-
-
-class DefendedService:
+class DefendedService(ServiceLayer):
     """A full-surface :class:`KVService` facade that fights back.
 
     Wraps any service stack (typically
@@ -111,13 +101,10 @@ class DefendedService:
 
     def __init__(self, service, policy: DefensePolicy = DefensePolicy(),
                  detector: Optional[SiphoningDetector] = None) -> None:
-        self.service = service
+        super().__init__(service)
         self.policy = policy
         self.detector = detector or SiphoningDetector()
-        self.db = service.db
-        self.distinguish_unauthorized = service.distinguish_unauthorized
-        self._limiter = find_limiter(service)
-        if policy.mode == "throttle" and self._limiter is None:
+        if policy.mode == "throttle" and self.limiter is None:
             raise ConfigError(
                 "throttle mode needs a RateLimitedService in the stack "
                 "(see build_defended_service)")
@@ -145,11 +132,11 @@ class DefendedService:
             if user not in self._flagged:
                 self._flagged.add(user)
                 escalate = (self.policy.mode == "throttle"
-                            and self._limiter is not None)
+                            and self.limiter is not None)
                 if escalate:
                     self._escalations += 1
         if escalate:
-            self._limiter.set_user_policy(user, self.policy.penalty)
+            self.limiter.set_user_policy(user, self.policy.penalty)
 
     def _noise_for(self, user: int, status: Status) -> float:
         """Charge (and return) noise for one lookup outcome, maybe zero."""
@@ -177,6 +164,15 @@ class DefendedService:
                 noise_injections=self._noise_injections,
                 mode=self.policy.mode,
             )
+
+    def stats_fields(self) -> Counter:
+        """The wrapped stack's STATS counters plus the decision counters."""
+        fields = self.service.stats_fields()
+        defense = self.defense_snapshot()
+        fields["flagged_users"] += defense.flagged_users
+        fields["throttle_escalations"] += defense.escalations
+        fields["noise_injections"] += defense.noise_injections
+        return fields
 
     # ------------------------------------------------------------------ reads
 
@@ -323,7 +319,7 @@ def build_defended_service(service, mode: str = "observe",
     policy = policy or DefensePolicy(mode=mode)
     if detector is None and detector_policy is not None:
         detector = SiphoningDetector(detector_policy)
-    if policy.mode == "throttle" and find_limiter(service) is None:
+    if policy.mode == "throttle" and service.limiter is None:
         service = RateLimitedService(service,
                                      base_limit or DEFAULT_BASE_LIMIT)
     return DefendedService(service, policy=policy, detector=detector)

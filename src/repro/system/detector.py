@@ -35,7 +35,7 @@ from repro.common.errors import ConfigError
 from repro.common.keys import common_prefix_len
 from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response, Status
-from repro.system.service import KVService
+from repro.system.service import KVService, ServiceLayer
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class SiphoningDetector:
         return mean_lcp - baseline
 
 
-class MonitoredService:
+class MonitoredService(ServiceLayer):
     """A :class:`KVService` facade that feeds the detector inline.
 
     Exposes the *full* surface the attack oracles and the wire servers
@@ -166,10 +166,8 @@ class MonitoredService:
 
     def __init__(self, service: KVService,
                  detector: Optional[SiphoningDetector] = None) -> None:
-        self.service = service
+        super().__init__(service)
         self.detector = detector or SiphoningDetector()
-        self.db = service.db
-        self.distinguish_unauthorized = service.distinguish_unauthorized
 
     # ------------------------------------------------------------------ reads
 

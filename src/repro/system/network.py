@@ -15,10 +15,11 @@ Presets correspond to the paper's cited scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import SeededRng, make_rng
+from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response
 from repro.system.service import KVService
 
@@ -52,10 +53,9 @@ WAN = NetworkModel(rtt_us=40_000.0, jitter_us=15.0, name="wan")
 class RemoteClient:
     """The attacker's view of a KV transport across a network.
 
-    ``transport`` is anything with the :class:`KVService` read surface
-    (``get`` / ``get_timed`` / ``getter`` / ``get_many`` /
-    ``get_many_timed``): the in-process service itself, a rate-limited
-    facade, or the wire client :class:`~repro.server.client.RemoteKV`.
+    ``transport`` is anything with the service surface (DESIGN.md,
+    "Service surface"): the in-process service itself, a facade over it,
+    or the wire client :class:`~repro.server.client.RemoteKV`.
     Injecting the transport keeps exactly one copy of the observation
     model — every transport's reported times gain RTT + jitter through
     the same :meth:`_observe` path, so the simulated-network benches and
@@ -64,24 +64,29 @@ class RemoteClient:
     Responses are unchanged; observed response times gain RTT + jitter.
     The jitter draws from this client's own seeded stream, so adding a
     remote client never perturbs the server-side simulation.  The client
-    has the ``KVService`` surface the attack oracles consume, so a remote
-    attacker plugs into :class:`~repro.core.oracle.TimingOracle` and
-    :func:`~repro.core.learning.learn_cutoff` unchanged.
+    answers the whole attack-side surface by handing everything but the
+    observed times to its transport, so a remote attacker plugs into the
+    oracles, :func:`~repro.core.learning.learn_cutoff` and the full
+    three-step :class:`~repro.core.template.PrefixSiphoningAttack`
+    unchanged.
     """
 
     def __init__(self, transport, model: NetworkModel,
                  rng: SeededRng = None) -> None:
         self.transport = transport
-        #: Backwards-compatible alias: historically the only transport was
-        #: the in-process service.
-        self.service = transport
         self.model = model
-        # What the attack oracles read off a service besides the query
-        # surface.  Wire transports have no in-process db handle.
-        self.db = getattr(transport, "db", None)
-        self.distinguish_unauthorized = getattr(
-            transport, "distinguish_unauthorized", True)
+        #: The transport's store handle (None across a real wire).
+        self.db = transport.db
+        self.distinguish_unauthorized = transport.distinguish_unauthorized
         self._rng = rng or make_rng(None, f"network/{model.name}")
+
+    def probe_plan(self, keys: Sequence[bytes]) -> Optional[ProbePlan]:
+        """The transport's probe-plan prepass (pure: the network adds nothing)."""
+        return self.transport.probe_plan(keys)
+
+    def sim_now_us(self) -> float:
+        """The server's simulated clock (the attacker's wall time is not modelled)."""
+        return self.transport.sim_now_us()
 
     def get(self, user: int, key: bytes) -> Response:
         """Plain request (extension probes do not need timing)."""
@@ -92,9 +97,10 @@ class RemoteClient:
         response, server_us = self.transport.get_timed(user, key)
         return response, self._observe(server_us)
 
-    def getter(self, user: int) -> Callable[[bytes], Response]:
+    def getter(self, user: int, plan: Optional[ProbePlan] = None
+               ) -> Callable[[bytes], Response]:
         """Fast-path closure (plain requests carry no network timing)."""
-        return self.transport.getter(user)
+        return self.transport.getter(user, plan)
 
     def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
         """Batch of plain requests."""

@@ -15,13 +15,14 @@ unchanged keys-extracted, massively inflated simulated wall-clock.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response
-from repro.system.service import KVService
+from repro.system.service import KVService, ServiceLayer
 
 
 @dataclass(frozen=True)
@@ -46,20 +47,18 @@ class _Bucket:
         self.last_us = now_us
 
 
-class RateLimitedService:
+class RateLimitedService(ServiceLayer):
     """A :class:`KVService` facade that stalls over-rate users.
 
-    Exposes the same surface the attack oracles consume (``get``,
-    ``get_timed``, ``range_query_timed``, ``db``), so it drops into any
-    experiment as the service.  Stalls advance the simulated clock — the
-    cost the mitigation imposes is *time*, not errors.
+    Exposes the full service surface, so it drops into any experiment as
+    the service.  Stalls advance the simulated clock — the cost the
+    mitigation imposes is *time*, not errors.
     """
 
     def __init__(self, service: KVService, policy: RateLimitPolicy) -> None:
-        self.service = service
+        super().__init__(service)
+        self.limiter = self
         self.policy = policy
-        self.db = service.db
-        self.distinguish_unauthorized = service.distinguish_unauthorized
         self._buckets: Dict[int, _Bucket] = {}
         self._user_policies: Dict[int, RateLimitPolicy] = {}
         #: Serializes bucket mutation and the stall counters: admission is
@@ -114,6 +113,14 @@ class RateLimitedService:
                 bucket.tokens = 1.0
                 bucket.last_us = clock.now_us
             bucket.tokens -= 1.0
+
+    def stats_fields(self) -> Counter:
+        """The wrapped stack's STATS counters plus this layer's stalls."""
+        fields = self.service.stats_fields()
+        with self._lock:
+            fields["stalled_requests"] += self.stalled_requests
+            fields["total_stall_us"] += self.total_stall_us
+        return fields
 
     # ---------------------------------------------------------------- surface
 

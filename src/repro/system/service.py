@@ -18,6 +18,7 @@ prefixes.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -57,12 +58,48 @@ class ServiceStats:
 
 
 class KVService:
-    """ACL-enforcing facade over an :class:`LSMTree`."""
+    """ACL-enforcing facade over an :class:`LSMTree`.
+
+    The bottom of every service stack, and the reference for the surface
+    the attack side and the wire server call on any service-shaped object
+    (DESIGN.md, "Service surface").
+    """
+
+    #: The layer that can escalate one user's rate limit: none down here.
+    limiter = None
 
     def __init__(self, db: LSMTree, distinguish_unauthorized: bool = True) -> None:
         self.db = db
         self.distinguish_unauthorized = distinguish_unauthorized
         self.stats = ServiceStats()
+
+    # ---------------------------------------------------------- introspection
+
+    def probe_plan(self, keys: Sequence[bytes]) -> Optional[ProbePlan]:
+        """The store's batched filter-probe prepass for an upcoming batch."""
+        return self.db.probe_plan(keys)
+
+    def sim_now_us(self) -> float:
+        """The simulated clock every request of this stack is charged to."""
+        return self.db.clock.now_us
+
+    def stats_fields(self) -> Counter:
+        """This stack's STATS counters, by ``StatsSnapshot`` field name.
+
+        The store and the request counters are this layer's; every
+        :class:`ServiceLayer` above adds its own to the same mapping (a
+        field nobody has written yet reads 0).
+        """
+        db, dbstats, stats = self.db, self.db.stats, self.stats
+        return Counter(
+            sim_now_us=db.clock.now_us,
+            requests=stats.requests, ok=stats.ok,
+            not_found=stats.not_found, unauthorized=stats.unauthorized,
+            compactions_run=db.compactions_run,
+            background_cycles=db.background_cycles,
+            range_queries=dbstats.range_queries,
+            sorted_view_seeks=dbstats.sorted_view_seeks,
+            view_rebuild_segments=dbstats.view_rebuild_segments)
 
     # ----------------------------------------------------------------- writes
 
@@ -260,3 +297,32 @@ class KVService:
 
     def _failure(self, status: Status) -> Status:
         return status if self.distinguish_unauthorized else Status.FAILED
+
+
+class ServiceLayer:
+    """What a facade over another service passes through, declared once.
+
+    A layer adds behaviour to the request methods (each subclass defines
+    all of them, and ``getter``, in its own body) and answers everything
+    else for itself plus what it wraps — so a stack of any depth reads
+    like its bottom :class:`KVService`.
+    """
+
+    def __init__(self, service) -> None:
+        self.service = service
+        self.db = service.db
+        self.distinguish_unauthorized = service.distinguish_unauthorized
+        #: The nearest layer that can escalate per user, or None.
+        self.limiter = service.limiter
+
+    def probe_plan(self, keys: Sequence[bytes]) -> Optional[ProbePlan]:
+        """The wrapped stack's probe-plan prepass (pure: nothing to add)."""
+        return self.service.probe_plan(keys)
+
+    def sim_now_us(self) -> float:
+        """The wrapped stack's simulated clock."""
+        return self.service.sim_now_us()
+
+    def stats_fields(self) -> Counter:
+        """The wrapped stack's STATS counters; layers with counters add them."""
+        return self.service.stats_fields()

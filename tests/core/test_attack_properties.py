@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.extension import extend_prefix
+from repro.core.oracle import ProbeOracle
 from repro.core.surf_attack import SurfAttackStrategy
 from repro.filters.surf import SuRF
 from repro.filters.surf.suffix import SuffixScheme, SurfVariant
@@ -23,7 +24,7 @@ from repro.system.responses import Status
 WIDTH = 4
 
 
-class FilterOracle:
+class FilterOracle(ProbeOracle):
     """Classification straight from a filter; probes from a key set."""
 
     def __init__(self, filt, stored):

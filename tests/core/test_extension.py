@@ -8,11 +8,12 @@ from repro.core.extension import (
     expected_extension_queries,
     extend_prefix,
 )
+from repro.core.oracle import ProbeOracle
 from repro.filters.hashing import suffix_hash_bits
 from repro.system.responses import Status
 
 
-class ScriptedOracle:
+class ScriptedOracle(ProbeOracle):
     """Probe oracle over an explicit stored-key set."""
 
     def __init__(self, stored):

@@ -199,8 +199,7 @@ class TestInjectableTransport:
         batch = observed_via_net.get_many_timed(ATTACKER_USER,
                                                 wire_env.keys[4:7])
         assert all(t >= LAN.rtt_us for _, t in batch)
-        # Back-compat alias: the transport doubles as .service.
-        assert observed_via_net.service is wire_client
+        assert observed_via_net.transport is wire_client
 
     def test_adapter_tolerates_wire_transport(self, loopback):
         from repro.common.rng import make_rng

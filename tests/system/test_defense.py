@@ -13,7 +13,6 @@ from repro.system.defense import (
     DefendedService,
     DefensePolicy,
     build_defended_service,
-    find_limiter,
 )
 from repro.system.detector import MonitoredService, SiphoningDetector
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
@@ -148,7 +147,7 @@ class TestDefendedModes:
         env = _env()
         policy = DefensePolicy(mode="throttle")
         defended = build_defended_service(env.service, policy=policy)
-        limiter = find_limiter(defended.service)
+        limiter = defended.service.limiter
         assert isinstance(limiter, RateLimitedService)
         _flood(defended, ATTACKER_USER)
         assert defended.defense_snapshot().escalations == 1
