@@ -64,9 +64,10 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve --keys 2000 --width 4 --smoke
 
 # Exhaustive crash-point sweep over a fixed seed matrix: every device
-# mutation of a 200-op workload is crashed (torn final write), recovered,
-# and diffed against a dict oracle of the acknowledged ops.  Nonzero exit
-# on the first lost or resurrected write.
+# mutation of a 200-op workload, under sync and then under background
+# compaction, is crashed (torn final write), recovered, and diffed against
+# a dict oracle of the acknowledged ops.  Nonzero exit on the first lost
+# or resurrected write.
 torture:
 	PYTHONPATH=src $(PYTHON) -m repro.cli doctor --torture --ops 200 \
 	    --seeds 0,1,2

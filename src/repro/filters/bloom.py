@@ -20,15 +20,6 @@ from repro.filters.hashing import probe_indices
 _BATCH_MIN = 16
 
 
-def _numpy():
-    """The numpy module, or ``None`` when unavailable (3.9 floor allows it)."""
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    return np
-
-
 def _batch_hashes_mod(np, keys: Sequence[bytes], num_bits: int):
     """``(h1 % m, h2 % m)`` per key, in input order.
 
@@ -127,9 +118,11 @@ class BloomFilter(Filter):
         ``h1 + i*h2`` would wrap at 2**64 and diverge from the scalar
         path's arbitrary-precision ints).
         """
-        np = _numpy()
-        if np is None or len(keys) < _BATCH_MIN:
+        if len(keys) < _BATCH_MIN:
             return super()._may_contain_many(keys)
+        # Imported at first use: a store without Bloom filters (the SuRF
+        # attacks) never pays numpy's import time and ~16 MB resident.
+        import numpy as np
         num_bits = len(self._bits)
         m = np.uint64(num_bits)
         h1m, h2m = _batch_hashes_mod(np, keys, num_bits)
@@ -188,20 +181,19 @@ class BloomFilterBuilder(FilterBuilder):
     def build_batch(self, sorted_keys: Sequence[bytes]) -> BloomFilter:
         """Vectorized build, bit-identical to :meth:`build`.
 
-        Uses numpy when available to hash all keys at once (FNV-1a folded
-        one byte-column at a time over keys grouped by length) and set all
-        probe bits with one scatter.  Falls back to the scalar path when
-        numpy is missing or the key count is too small to amortize the
-        array setup.
+        Hashes all keys at once with numpy (FNV-1a folded one byte-column
+        at a time over keys grouped by length) and sets all probe bits
+        with one scatter.  Falls back to the scalar path when the key
+        count is too small to amortize the array setup.
 
         Bit-identity caveat: the scalar probe ``(h1 + i*h2) % m`` runs in
         arbitrary-precision Python ints, so the uint64 pipeline must
         decompose it as ``((h1 % m) + (i * (h2 % m)) % m) % m`` — the
         direct form would wrap ``h1 + i*h2`` at 2**64 and diverge.
         """
-        np = _numpy()
-        if np is None or len(sorted_keys) < 32:
+        if len(sorted_keys) < 32:
             return self.build(sorted_keys)
+        import numpy as np  # at first use, as in ``_may_contain_many``
 
         filt = BloomFilter.for_entries(len(sorted_keys), self.bits_per_key)
         num_bits = len(filt.bit_array)

@@ -233,8 +233,7 @@ class LSMTree:
                 + self.options.costs.memtable_insert_cost_us)
         for _ in records:
             self.charge_cost(cost)
-        if self.options.enable_wal:
-            self._wal.log_batch(records)
+        self._wal.log_batch(records)
         self._memtable.put_many(records)
         self._maybe_flush()
 
@@ -267,8 +266,7 @@ class LSMTree:
             with self._compaction_lock:
                 self._compactor.maybe_compact()
         self._commit_version()
-        if self.options.enable_wal:
-            self._wal.reset()
+        self._wal.reset()
         if self._background is not None:
             # Install + durable manifest done; merging happens
             # off-thread, overlapping the caller's next operations.

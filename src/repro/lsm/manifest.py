@@ -3,16 +3,14 @@
 Replaced after every flush or compaction and read back at
 :meth:`repro.lsm.db.LSMTree.reopen` time to reconstruct the version.
 
-Format v2 (current): a header line then one checksummed line per table::
+Format (v2): a header line then one checksummed line per table::
 
     MANIFESTv2 <entry_count>
     <crc32-hex> <level> <path> <num_entries> <size_bytes>
 
 Each line's CRC32 covers the text after the checksum field, so a flipped
 bit in any record is detected on read instead of silently installing a
-wrong level/size (or a truncated table list).  v1 files (bare
-``<level> <path> <num_entries> <size_bytes>`` lines, no header) are still
-decoded; writes are always v2.
+wrong level/size (or a truncated table list).
 
 Replacement is atomic, write-new-then-swap::
 
@@ -58,8 +56,6 @@ class ManifestLoad:
     source: Optional[str] = None
     #: Entry lines skipped because their checksum failed.
     corrupt_entries: int = 0
-    #: The winning file used the pre-checksum v1 format.
-    legacy: bool = False
     #: A manifest existed but no candidate parsed (total corruption).
     unreadable: bool = False
 
@@ -96,22 +92,6 @@ class Manifest:
 
     # ---------------------------------------------------------------- reading
 
-    def read(self) -> List[ManifestEntry]:
-        """Load the last persisted version (empty if no manifest exists).
-
-        Strict: any checksum failure or header/count mismatch raises
-        :class:`CorruptionError`.  Recovery uses :meth:`read_checked`.
-        """
-        if not self.device.exists(self.path):
-            return []
-        raw = self.device.read(self.path, 0, self.device.file_size(self.path))
-        entries, corrupt, legacy = self._parse(raw)
-        if corrupt:
-            raise CorruptionError(
-                f"{corrupt} manifest entr{'y' if corrupt == 1 else 'ies'} "
-                f"failed checksum")
-        return entries
-
     def read_checked(self) -> ManifestLoad:
         """Fault-tolerant read for recovery: newest readable source wins.
 
@@ -135,7 +115,7 @@ class Manifest:
                 continue
             raw = self.device.read(source, 0, self.device.file_size(source))
             try:
-                entries, corrupt, legacy = self._parse(raw)
+                entries, corrupt = self._parse(raw)
             except CorruptionError:
                 if source != staging:
                     existed = True
@@ -144,32 +124,27 @@ class Manifest:
                 continue
             existed = True
             return ManifestLoad(entries=entries, source=source,
-                                corrupt_entries=corrupt, legacy=legacy)
+                                corrupt_entries=corrupt)
         return ManifestLoad(unreadable=existed)
 
     # ---------------------------------------------------------------- parsing
 
-    def _parse(self, raw: bytes) -> Tuple[List[ManifestEntry], int, bool]:
-        """Decode either format; returns (entries, corrupt_count, legacy).
+    def _parse(self, raw: bytes) -> Tuple[List[ManifestEntry], int]:
+        """Decode one manifest image; returns (entries, corrupt_count).
 
         Raises :class:`CorruptionError` when the data is structurally
-        unusable (undecodable text, garbled header, malformed v1 line);
-        per-line checksum failures in v2 are *counted*, not raised, so
-        one flipped record cannot take down the whole table list.
+        unusable (undecodable text, missing or garbled header); per-line
+        checksum failures are *counted*, not raised, so one flipped
+        record cannot take down the whole table list.
         """
         try:
             text = raw.decode()
         except UnicodeDecodeError as exc:
             raise CorruptionError(f"manifest is not text: {exc}") from None
         lines = text.splitlines()
-        if lines and lines[0].split() and lines[0].split()[0] == HEADER_TAG:
-            return self._parse_v2(lines)
-        return self._parse_v1(lines) + (True,)
-
-    def _parse_v2(self, lines: List[str]) -> Tuple[List[ManifestEntry], int, bool]:
-        header = lines[0].split()
-        if len(header) != 2:
-            raise CorruptionError(f"malformed manifest header: {lines[0]!r}")
+        header = lines[0].split() if lines else []
+        if len(header) != 2 or header[0] != HEADER_TAG:
+            raise CorruptionError(f"malformed manifest header: {lines[:1]!r}")
         try:
             declared = int(header[1])
         except ValueError:
@@ -190,7 +165,7 @@ class Manifest:
         # entries count as corrupt so recovery knows the list is partial.
         if len(body) < declared:
             corrupt += declared - len(body)
-        return entries, corrupt, False
+        return entries, corrupt
 
     @staticmethod
     def _decode_line(crc_field: str, rest: str) -> Optional[ManifestEntry]:
@@ -209,23 +184,3 @@ class Manifest:
                                  int(size_bytes))
         except ValueError:
             return None
-
-    @staticmethod
-    def _parse_v1(lines: List[str]) -> Tuple[List[ManifestEntry], int]:
-        entries: List[ManifestEntry] = []
-        for line_number, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise CorruptionError(
-                    f"manifest line {line_number} malformed: {line!r}")
-            level, path, num_entries, size_bytes = parts
-            try:
-                entries.append(ManifestEntry(int(level), path,
-                                             int(num_entries), int(size_bytes)))
-            except ValueError:
-                raise CorruptionError(
-                    f"manifest line {line_number} malformed: {line!r}"
-                ) from None
-        return entries, 0

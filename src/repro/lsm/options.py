@@ -68,7 +68,6 @@ class LSMOptions:
     base_level_size_bytes: int = 1 * 1024 * 1024
     filter_builder: Optional[FilterBuilder] = None
     page_cache_bytes: int = 4 * 1024 * 1024
-    enable_wal: bool = True
     #: Run compaction (either style) on a background thread: flushes
     #: install the L0 table and return immediately; merges run
     #: concurrently with serving through the MVCC version set (readers

@@ -57,7 +57,6 @@ class RecoveryReport:
     manifest_source: Optional[str] = None
     #: The primary manifest was unusable; a staged/previous copy won.
     manifest_fallback: bool = False
-    manifest_legacy: bool = False
     manifest_unreadable: bool = False
     manifest_corrupt_entries: int = 0
     # -- tables
@@ -67,7 +66,6 @@ class RecoveryReport:
     #: half-born outputs of a crashed flush/compaction), swept aside.
     orphans_quarantined: List[str] = field(default_factory=list)
     # -- WAL
-    wal_legacy_format: bool = False
     wal_records_replayed: int = 0
     wal_tail_dropped: bool = False
     #: ``"torn"`` (frame cut short by the crash) or ``"checksum"``
@@ -106,9 +104,7 @@ class RecoveryReport:
     def summary(self) -> str:
         """Multi-line human-readable report (the ``doctor`` output)."""
         lines = [f"recovery: {'clean' if self.clean else 'degraded'}"]
-        source = self.manifest_source or "(none)"
-        fmt = " [v1 legacy]" if self.manifest_legacy else ""
-        lines.append(f"  manifest: {source}{fmt}")
+        lines.append(f"  manifest: {self.manifest_source or '(none)'}")
         if self.manifest_unreadable:
             lines.append("  manifest: UNREADABLE — no candidate parsed")
         if self.manifest_corrupt_entries:
@@ -124,9 +120,7 @@ class RecoveryReport:
         if self.orphans_quarantined:
             lines.append(f"  orphans: {len(self.orphans_quarantined)} "
                          f"unreferenced table file(s) swept to quarantine/")
-        wal_fmt = " [v1 legacy]" if self.wal_legacy_format else ""
-        lines.append(f"  wal: {self.wal_records_replayed} records "
-                     f"replayed{wal_fmt}")
+        lines.append(f"  wal: {self.wal_records_replayed} records replayed")
         if self.wal_tail_dropped:
             lines.append(f"  wal: tail dropped ({self.wal_tail_reason}, "
                          f"{self.wal_tail_dropped_bytes} bytes)")
@@ -162,7 +156,6 @@ def recover(db) -> RecoveryReport:
     report.manifest_source = load.source
     report.manifest_fallback = (load.source is not None
                                 and load.source != db._manifest.path)
-    report.manifest_legacy = load.legacy and load.source is not None
     report.manifest_unreadable = load.unreadable
     report.manifest_corrupt_entries = load.corrupt_entries
 
@@ -199,8 +192,7 @@ def recover(db) -> RecoveryReport:
     wal = db._wal
     try:
         records = _retry_transient(
-            lambda: list(wal.replay(tolerate_torn_tail=True, report=report)),
-            report)
+            lambda: list(wal.replay(report)), report)
     except TransientIOError:
         # The WAL itself is persistently unreadable: recover the table
         # state and surface the loss loudly.
@@ -211,23 +203,21 @@ def recover(db) -> RecoveryReport:
     if report.wal_tail_reason == REASON_UNREADABLE:
         if device.exists(wal.path):
             _quarantine(db, wal.path, REASON_UNREADABLE, report)
-    elif report.wal_tail_dropped or report.wal_legacy_format:
+    elif report.wal_tail_dropped:
         # Rewrite the log to exactly the replayed records: appends from
         # the recovered process must never land after a dropped tail's
         # garbage, where the *next* recovery would discard them (a bug
-        # the stateful crash tests caught).  This also upgrades legacy
-        # v1 logs to the checksummed format.
+        # the stateful crash tests caught).
         wal.reset()
         for record in records:
             wal.log_batch([record])  # an append (crash point) per record
 
     # When recovery diverged from what the primary manifest said —
-    # fallback generation, corrupt entries, quarantined tables, or a
-    # pre-checksum format — persist the recovered version so the next
-    # restart starts from a clean, checksummed manifest.
+    # fallback generation, corrupt entries or quarantined tables —
+    # persist the recovered version so the next restart starts from a
+    # clean, checksummed manifest.
     if (report.manifest_fallback or report.manifest_unreadable
-            or report.manifest_corrupt_entries or report.quarantined
-            or report.manifest_legacy):
+            or report.manifest_corrupt_entries or report.quarantined):
         db._commit_version()
     return report
 

@@ -22,14 +22,25 @@ resurrection are therefore hard failures, at every crash point:
 
 This is the proof obligation behind the WAL/manifest checksum formats and
 the manifest-before-WAL-reset crash ordering in :mod:`repro.lsm.db`.
+
+The sweep covers both halves of the {sync, background} product.  Under
+background compaction the harness quiesces the compactor after every op,
+so the device sees one deterministic mutation sequence (the op's own
+writes, then the merge it kicked) and the mutation index names the same
+crash point on every replay; a crash landing on the compactor's thread
+reaches the harness as the ``CompactionError`` that quiesce re-raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigError, SimulatedCrashError
+from repro.common.errors import (
+    CompactionError,
+    ConfigError,
+    SimulatedCrashError,
+)
 from repro.common.rng import make_rng
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
@@ -63,6 +74,11 @@ def default_torture_options() -> LSMOptions:
     return LSMOptions(memtable_size_bytes=700, sstable_target_bytes=2048,
                       block_size_bytes=256, l0_compaction_trigger=3,
                       base_level_size_bytes=4096)
+
+
+def background_torture_options() -> LSMOptions:
+    """The same thresholds with merges on the compactor's thread."""
+    return replace(default_torture_options(), background_compaction=True)
 
 
 def generate_workload(seed: int, num_ops: int,
@@ -118,6 +134,8 @@ def _apply(db: LSMTree, op: WorkloadOp) -> None:
         db.compact_all()
     else:
         raise ConfigError(f"unknown workload op {op.kind!r}")
+    if db._background is not None:
+        db._background.quiesce()
 
 
 def _advance_oracle(oracle: Dict[bytes, bytes], op: WorkloadOp) -> None:
@@ -159,6 +177,8 @@ class CrashPointResult:
     """Outcome of one crash-point run (or the fault-free baseline)."""
 
     crash_at: Optional[int]
+    #: Which half of the {sync, background} product this run was.
+    mode: str = "sync"
     #: Whether the armed crash actually fired during the workload.
     crashed: bool = False
     ops_acknowledged: int = 0
@@ -179,6 +199,7 @@ class CrashPointResult:
     def describe(self) -> str:
         where = "no crash" if not self.crashed \
             else f"crash at mutation {self.crash_at}"
+        where = f"{self.mode}, {where}"
         if self.ok:
             return f"{where}: ok ({self.ops_acknowledged} ops acknowledged)"
         lines = [f"{where}: {len(self.mismatches)} mismatch(es)"]
@@ -196,19 +217,16 @@ def run_crash_point(seed: int, ops: List[WorkloadOp],
                     = default_torture_options) -> CrashPointResult:
     """Run the workload, crashing at device-mutation index ``crash_at``
     (``None`` = fault-free), then recover and diff against the oracle.
-
-    The WAL must be enabled: the op-acknowledged rule keys off the op's
-    own WAL append being the op's first device mutation.
     """
     options = options_factory()
-    if not options.enable_wal:
-        raise ConfigError("crash torture requires enable_wal=True")
     clock = SimClock()
     device = FaultyStorageDevice(
         clock, rng=make_rng(seed, "torture-device"),
         plan=FaultPlan(seed=seed, crash_at_op=crash_at))
     db = LSMTree(options=options, clock=clock, device=device)
-    result = CrashPointResult(crash_at=crash_at)
+    result = CrashPointResult(
+        crash_at=crash_at,
+        mode="background" if options.background_compaction else "sync")
     oracle: Dict[bytes, bytes] = {}
 
     for op in ops:
@@ -216,13 +234,17 @@ def run_crash_point(seed: int, ops: List[WorkloadOp],
         wal_existed = device.exists(db._wal.path)
         try:
             _apply(db, op)
-        except SimulatedCrashError:
+        except (SimulatedCrashError, CompactionError):
+            if not device.crashed:
+                raise  # a background failure that is not the crash
             result.crashed = True
             # The op's WAL append is its first device mutation.  A crash
             # landing exactly there tears the record (strict prefix), so
             # the op was never durable; a crash anywhere later in the op
             # (flush, compaction, manifest swap) happened *after* the
-            # record was fully appended, so recovery must restore it.
+            # record was fully appended, so recovery must restore it —
+            # the compactor's thread included, since it only ever runs
+            # after the op that kicked it has returned.
             # A group commit crashing on its own append is the one case
             # with partial durability: the complete frames of the torn
             # blob's prefix must replay, the rest must not.
@@ -241,6 +263,7 @@ def run_crash_point(seed: int, ops: List[WorkloadOp],
             result.ops_acknowledged += 1
 
     result.mutations = device.fault_stats.mutations
+    _stop_background(db)
     device.revive()
     recovered = LSMTree.reopen(device, options=options_factory())
     result.report = recovered.recovery_report
@@ -253,32 +276,44 @@ def run_crash_point(seed: int, ops: List[WorkloadOp],
         observed = recovered.get(key)
         if expected != observed:
             result.mismatches.append((key, expected, observed))
+    _stop_background(recovered)
     return result
+
+
+def _stop_background(db: LSMTree) -> None:
+    """End an abandoned tree's compactor thread (nothing is in flight:
+    every op was quiesced)."""
+    if db._background is not None:
+        db._background.stop()
 
 
 @dataclass
 class SweepResult:
-    """Aggregate of a full crash-point sweep for one seed."""
+    """Aggregate of a full crash-point sweep for one seed, both modes."""
 
     seed: int
     num_ops: int
+    #: Device mutations of the fault-free run, summed over the modes.
     total_mutations: int = 0
-    points_run: int = 0
+    #: mode -> crash points run there (the fault-free baseline included).
+    points_run: Dict[str, int] = field(default_factory=dict)
     failures: List[CrashPointResult] = field(default_factory=list)
-    #: Crash points whose recovery flagged ``data_suspect`` — it had to
-    #: quarantine or discard something it could not trust.  Expected at
-    #: points that tear a durable structure mid-write; tracked so suites
-    #: can assert the *clean* points (e.g. the install-to-retire window,
-    #: where every file is either fully durable or safely absent) never
-    #: raise suspicion.
-    suspect_points: List[int] = field(default_factory=list)
+    #: (mode, crash point) pairs whose recovery flagged ``data_suspect``
+    #: — it had to quarantine or discard something it could not trust.
+    #: Expected at points that tear a durable structure mid-write;
+    #: tracked so suites can assert the *clean* points (e.g. the
+    #: install-to-retire window, where every file is either fully durable
+    #: or safely absent) never raise suspicion.
+    suspect_points: List[Tuple[str, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def describe(self) -> str:
-        head = (f"seed {self.seed}: {self.points_run} crash points over "
+        points = " + ".join(f"{count} {mode}"
+                            for mode, count in self.points_run.items())
+        head = (f"seed {self.seed}: {points} crash points over "
                 f"{self.total_mutations} mutations "
                 f"({self.num_ops}-op workload): "
                 f"{'all recovered exactly' if self.ok else 'FAILURES'}")
@@ -287,36 +322,38 @@ class SweepResult:
         return "\n".join([head] + [f.describe() for f in self.failures])
 
 
-def crash_point_sweep(seed: int, num_ops: int = 200,
-                      options_factory: Callable[[], LSMOptions]
-                      = default_torture_options,
-                      stride: int = 1,
+def crash_point_sweep(seed: int, num_ops: int = 200, stride: int = 1,
                       progress: Optional[Callable[[str], None]] = None
                       ) -> SweepResult:
-    """Exhaustively (or strided) torture every crash point of a workload.
+    """Exhaustively (or strided) torture every crash point of a workload,
+    under sync and then under background compaction.
 
-    First runs fault-free to learn the mutation count and check the
-    baseline, then replays with a crash armed at each mutation index
+    Per mode: first runs fault-free to learn the mutation count and check
+    the baseline, then replays with a crash armed at each mutation index
     ``0, stride, 2*stride, ...``.  ``stride`` exists for quick smoke runs;
     the acceptance suite uses ``stride=1``.
     """
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     ops = generate_workload(seed, num_ops)
-    baseline = run_crash_point(seed, ops, None, options_factory)
-    total = baseline.mutations
-
-    result = SweepResult(seed=seed, num_ops=num_ops, total_mutations=total)
-    if not baseline.ok:
-        result.failures.append(baseline)
-    result.points_run += 1
-    for crash_at in range(0, total, stride):
-        point = run_crash_point(seed, ops, crash_at, options_factory)
-        result.points_run += 1
-        if not point.ok:
-            result.failures.append(point)
-        if point.report is not None and point.report.data_suspect:
-            result.suspect_points.append(crash_at)
-        if progress is not None and crash_at % 50 == 0:
-            progress(f"seed {seed}: crash point {crash_at}/{total}")
+    result = SweepResult(seed=seed, num_ops=num_ops)
+    for options_factory in (default_torture_options,
+                            background_torture_options):
+        baseline = run_crash_point(seed, ops, None, options_factory)
+        mode = baseline.mode
+        total = baseline.mutations
+        result.total_mutations += total
+        if not baseline.ok:
+            result.failures.append(baseline)
+        result.points_run[mode] = 1
+        for crash_at in range(0, total, stride):
+            point = run_crash_point(seed, ops, crash_at, options_factory)
+            result.points_run[mode] += 1
+            if not point.ok:
+                result.failures.append(point)
+            if point.report is not None and point.report.data_suspect:
+                result.suspect_points.append((mode, crash_at))
+            if progress is not None and crash_at % 50 == 0:
+                progress(f"seed {seed} ({mode}): "
+                         f"crash point {crash_at}/{total}")
     return result

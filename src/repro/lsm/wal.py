@@ -1,30 +1,29 @@
 """Write-ahead log for memtable durability.
 
-Every ``put``/``delete`` appends one record before touching the memtable;
-on reopen the log is replayed into a fresh memtable.  The WAL is truncated
+Every write appends its records before touching the memtable; on reopen
+the log is replayed into a fresh memtable.  The WAL is truncated
 (deleted and restarted) whenever the memtable it protects is flushed to an
 SSTable — but only *after* the manifest durably lists the flushed table,
 so no crash point leaves acknowledged writes in neither place.
 
-Record format v2 (current): the file opens with the 4-byte magic
-``WAL2``; each record is length-framed and checksummed::
+Record format (v2): the file opens with the 4-byte magic ``WAL2``; each
+record is length-framed and checksummed::
 
     u32 crc32 | u8 op | u16 key_len | u32 value_len | key | value
 
-The CRC covers everything after itself.  v1 files (no magic; records are
-``u8 op | u16 key_len | u32 value_len | key | value``) are still decoded
-on replay, so a store written before the format change reopens cleanly;
-new records are always v2.
+The CRC covers everything after itself.
 
 Checksums buy exact crash classification.  A record cut short by the end
 of the file is a **torn tail** — the crash interrupted an append, the
 write was never acknowledged, dropping it is correct.  A record that is
 *complete* but fails its CRC is an **untrustworthy tail**: either a torn
 write whose garbage happens to frame, or media corruption — in both cases
-nothing from that point on can be trusted, so tolerant replay stops there
-(and reports it) instead of replaying garbage.  A record whose CRC is
-*valid* but whose opcode is unknown is a genuine format error — fully
-written, checksummed, nonsense — and raises even in tolerant mode.
+nothing from that point on can be trusted, so replay stops there (and
+reports it) instead of replaying garbage.  The magic is held to the same
+rule: a strict prefix of it is a torn first append, anything else is an
+untrustworthy file.  A record whose CRC is *valid* but whose opcode is
+unknown is a genuine format error — fully written, checksummed,
+nonsense — and raises.
 """
 
 from __future__ import annotations
@@ -36,15 +35,14 @@ from typing import Iterator, Optional, Tuple
 from repro.common.errors import CorruptionError
 from repro.storage.device import StorageDevice
 
-#: v2 file magic.  v1 files start with an opcode byte (1 or 2), never 'W'.
+#: v2 file magic.
 MAGIC = b"WAL2"
 
-_HEADER_V1 = struct.Struct("<BHI")
 _HEADER_V2 = struct.Struct("<IBHI")  # crc32, op, key_len, value_len
 _OP_PUT = 1
 _OP_DELETE = 2
 
-#: Reasons a tolerant replay stopped before the end of the file.
+#: Reasons a replay stopped before the end of the file.
 TAIL_TORN = "torn"
 TAIL_CHECKSUM = "checksum"
 
@@ -63,28 +61,13 @@ class WriteAheadLog:
         body = struct.pack("<BHI", op, len(key), len(value)) + key + value
         return struct.pack("<I", zlib.crc32(body)) + body
 
-    def _append_record(self, op: int, key: bytes, value: bytes) -> None:
-        record = self._frame(op, key, value)
-        if not self.device.exists(self.path):
-            record = MAGIC + record
-        self.device.append(self.path, record)
-
-    def log_put(self, key: bytes, value: bytes) -> None:
-        """Record a put."""
-        self._append_record(_OP_PUT, key, value)
-
-    def log_delete(self, key: bytes) -> None:
-        """Record a delete."""
-        self._append_record(_OP_DELETE, key, b"")
-
     def log_batch(self, records) -> None:
         """Group commit: one device append for many records.
 
         ``records`` is an iterable of ``(key, value)`` with ``None``
-        values meaning deletes.  The file ends up byte-identical to the
-        equivalent sequence of :meth:`log_put`/:meth:`log_delete` calls —
-        per-record crc framing is unchanged, so replay needs no batch
-        awareness — but the device sees a single append, which is the
+        values meaning deletes.  Framing is per record, so replay needs
+        no batch awareness and a batch of one is the single-record log
+        call — but the device sees a single append, which is the
         group-commit latency win (and, on the simulated device's
         quadratic append, the wall-clock one).
 
@@ -110,60 +93,44 @@ class WriteAheadLog:
 
     # --------------------------------------------------------------- replay
 
-    def replay(self, tolerate_torn_tail: bool = False, report=None
-               ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
+    def replay(self, report) -> Iterator[Tuple[bytes, Optional[bytes]]]:
         """Yield (key, value-or-None-for-delete) in log order.
 
         Recovery happens at open time, off the measured query path.
 
-        ``tolerate_torn_tail`` implements crash semantics: a record the
-        crash cut short — or one whose checksum fails, which means the
-        tail cannot be trusted — is dropped along with everything after
-        it (those writes were never acknowledged), while structural
-        corruption that a checksum *vouches for* still raises.  When a
-        :class:`~repro.lsm.recovery.RecoveryReport` is passed as
-        ``report``, replayed-record counts and the dropped-tail
-        classification are recorded on it.
+        Crash semantics: a record the crash cut short — or one whose
+        checksum fails, which means the tail cannot be trusted — is
+        dropped along with everything after it (those writes were never
+        acknowledged), while structural corruption that a checksum
+        *vouches for* raises.  Replayed-record counts and the
+        dropped-tail classification are recorded on ``report`` (a
+        :class:`~repro.lsm.recovery.RecoveryReport`).
         """
         if not self.device.exists(self.path):
             return
         data = self.device.read(self.path, 0, self.device.file_size(self.path))
-        if data[:len(MAGIC)] == MAGIC:
-            yield from self._replay_v2(data, tolerate_torn_tail, report)
-        else:
-            yield from self._replay_v1(data, tolerate_torn_tail, report)
-
-    def _drop_tail(self, report, reason: str, offset: int, total: int,
-                   tolerate: bool, message: str) -> None:
-        if not tolerate:
-            raise CorruptionError(message)
-        if report is not None:
-            report.wal_tail_dropped = True
-            report.wal_tail_reason = reason
-            report.wal_tail_dropped_bytes = total - offset
-
-    def _replay_v2(self, data: bytes, tolerate: bool, report
-                   ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        offset = len(MAGIC)
         total = len(data)
+        if data[:len(MAGIC)] != MAGIC:
+            torn = MAGIC.startswith(data)
+            self._drop_tail(report, TAIL_TORN if torn else TAIL_CHECKSUM,
+                            0, total)
+            return
+        offset = len(MAGIC)
         while offset < total:
             if offset + _HEADER_V2.size > total:
-                self._drop_tail(report, TAIL_TORN, offset, total, tolerate,
-                                "torn WAL header")
+                self._drop_tail(report, TAIL_TORN, offset, total)
                 return
             crc, op, key_len, value_len = _HEADER_V2.unpack_from(data, offset)
             end = offset + _HEADER_V2.size + key_len + value_len
             if end > total:
-                self._drop_tail(report, TAIL_TORN, offset, total, tolerate,
-                                "torn WAL record")
+                self._drop_tail(report, TAIL_TORN, offset, total)
                 return
             body = data[offset + 4 : end]
             if zlib.crc32(body) != crc:
                 # Complete frame, bad checksum: a torn write whose garbage
                 # happens to frame, or a media flip.  Either way nothing
                 # from here on is trustworthy.
-                self._drop_tail(report, TAIL_CHECKSUM, offset, total, tolerate,
-                                f"WAL record checksum mismatch at {offset}")
+                self._drop_tail(report, TAIL_CHECKSUM, offset, total)
                 return
             if op not in (_OP_PUT, _OP_DELETE):
                 # The checksum vouches these bytes were fully written as
@@ -171,46 +138,15 @@ class WriteAheadLog:
                 # format bug), never a crash artifact — always raise.
                 raise CorruptionError(f"unknown WAL op {op} with valid checksum")
             key = data[offset + _HEADER_V2.size : offset + _HEADER_V2.size + key_len]
-            if report is not None:
-                report.wal_records_replayed += 1
+            report.wal_records_replayed += 1
             if op == _OP_PUT:
                 yield key, data[offset + _HEADER_V2.size + key_len : end]
             else:
                 yield key, None
             offset = end
 
-    def _replay_v1(self, data: bytes, tolerate: bool, report
-                   ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """Legacy decode: no per-record checksum, coarser classification.
-
-        Without a CRC, a garbled opcode at the exact tail cannot be told
-        apart from a torn header — v1 conservatively treats any unknown
-        opcode as corruption.  v2's checksums are what make the finer
-        torn-vs-corrupt classification possible.
-        """
-        if report is not None:
-            report.wal_legacy_format = True
-        offset = 0
-        total = len(data)
-        while offset < total:
-            if offset + _HEADER_V1.size > total:
-                self._drop_tail(report, TAIL_TORN, offset, total, tolerate,
-                                "truncated WAL header")
-                return
-            op, key_len, value_len = _HEADER_V1.unpack_from(data, offset)
-            if op not in (_OP_PUT, _OP_DELETE):
-                raise CorruptionError(f"unknown WAL op {op}")
-            offset += _HEADER_V1.size
-            end = offset + key_len + value_len
-            if end > total:
-                self._drop_tail(report, TAIL_TORN, offset, total, tolerate,
-                                "truncated WAL record")
-                return
-            key = data[offset : offset + key_len]
-            if report is not None:
-                report.wal_records_replayed += 1
-            if op == _OP_PUT:
-                yield key, data[offset + key_len : end]
-            else:
-                yield key, None
-            offset = end
+    @staticmethod
+    def _drop_tail(report, reason: str, offset: int, total: int) -> None:
+        report.wal_tail_dropped = True
+        report.wal_tail_reason = reason
+        report.wal_tail_dropped_bytes = total - offset

@@ -185,8 +185,9 @@ class RemoteKV:
                        ) -> List[Tuple[Response, float]]:
         """Batch of timed requests; sim times are server-reported.
 
-        The whole batch executes under the server's service lock, so the
-        per-key simulated times are exactly what a serial in-process
+        The server executes the whole batch in one synchronous call on
+        its event loop (no other request interleaves), so the per-key
+        simulated times are exactly what a serial in-process
         ``get_many_timed`` call would have measured.
         """
         frame = self.connection.request(

@@ -84,10 +84,8 @@ class MappedRegion:
     rewrites of the path never show through — real mmaps of replaced
     files keep the old pages) and hands out ``memoryview`` slices.
     Readers :meth:`pin` the region for the duration of any borrowed
-    view; :meth:`close` with ``strict=True`` raises while pins are
-    outstanding (the simulated analogue of ``BufferError`` on exporting
-    a buffer that is still borrowed, or a Windows strict file close),
-    while :meth:`mark_doomed` defers the unmap to the last unpin.
+    view; :meth:`mark_doomed` unmaps it, deferring to the last unpin
+    while pins are outstanding.
     """
 
     __slots__ = ("path", "generation", "_data", "_pins", "_doomed",
@@ -142,30 +140,11 @@ class MappedRegion:
                 self._unmap()
 
     def mark_doomed(self) -> None:
-        """Schedule the unmap for the moment the last pin drops."""
+        """Unmap now, or at the moment the last pin drops."""
         with self._lock:
             self._doomed = True
             if self._pins == 0:
                 self._unmap()
-
-    def close(self, strict: bool = True) -> None:
-        """Unmap now (``strict``) or as soon as the last reader unpins.
-
-        ``strict=True`` models platforms where tearing down a mapping
-        with borrowed buffers is an error (Windows-style strict close /
-        CPython ``BufferError``): it raises if any pin is outstanding.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            if self._pins:
-                if strict:
-                    raise StorageError(
-                        f"cannot unmap {self.path!r}: "
-                        f"{self._pins} reader(s) still pinned")
-                self._doomed = True
-                return
-            self._unmap()
 
     def _unmap(self) -> None:
         """Drop the file image (lock held by caller)."""
@@ -180,13 +159,22 @@ class StorageDevice:
     the :class:`~repro.storage.page_cache.PageCache`; direct reads model
     cache misses.
 
+    Every charged operation has one implementation, the underscore-named
+    I/O core (``_create``/``_append``/``_rename``/``_delete``/
+    ``_read_view``/``_read_block_view``), which takes *who is charged* —
+    the ``account``: anything with a ``clock``, a latency ``_rng`` and a
+    ``stats`` — as its first argument.  The public methods pass the
+    device itself; a :class:`DeviceView` passes the view.  The fault
+    layer (:class:`~repro.storage.faults.FaultyStorageDevice`) gates the
+    core, so it covers both.
+
     Threading: a reentrant lock serializes every operation, so concurrent
-    callers (the wire server's workers, engine installers) see atomic
-    file mutations and consistent stats/latency-RNG state.  Determinism
-    still requires a deterministic *operation order* — the parallel build
-    engine guarantees it by keeping all device effects on one thread in
-    canonical order (see DESIGN.md section 9); the lock makes any other
-    concurrent use safe rather than silently corrupting.
+    callers (the background compactor, snapshot readers, the serving
+    thread) see atomic file mutations and consistent stats/latency-RNG
+    state.  Determinism still requires a deterministic *operation order*
+    per account — each view has its own clock, RNG and stats, so a
+    background merge or a snapshot read cannot reorder the serving
+    store's draws; the lock makes the shared namespace safe.
     """
 
     def __init__(self, clock, model: Optional[DeviceModel] = None,
@@ -219,22 +207,11 @@ class StorageDevice:
 
     def create_file(self, path: str, data: bytes) -> None:
         """Write a complete immutable file (SSTables are write-once)."""
-        with self._lock:
-            self._files[path] = bytes(data)
-            self._bump_generation(path)
-            self._mappings.pop(path, None)
-            self.stats.writes += 1
-            self.stats.bytes_written += len(data)
-            self.clock.charge(self.model.write_latency_us)
+        self._create(self, path, data)
 
     def append(self, path: str, data: bytes) -> None:
         """Append to a file, creating it if missing (WAL traffic)."""
-        with self._lock:
-            self._files[path] = self._files.get(path, b"") + bytes(data)
-            self._bump_generation(path)
-            self.stats.writes += 1
-            self.stats.bytes_written += len(data)
-            self.clock.charge(self.model.write_latency_us)
+        self._append(self, path, data)
 
     def delete_file(self, path: str) -> None:
         """Remove a file (compaction garbage collection).
@@ -243,10 +220,7 @@ class StorageDevice:
         semantics): readers holding the region keep reading the old
         image until its owner unmaps it.
         """
-        with self._lock:
-            if self._files.pop(path, None) is not None:
-                self._bump_generation(path)
-            self._mappings.pop(path, None)
+        self._delete(path)
 
     def rename(self, src: str, dst: str) -> None:
         """Atomically move ``src`` over ``dst`` (POSIX rename semantics).
@@ -256,15 +230,7 @@ class StorageDevice:
         content, never a mix — a crash can prevent the rename but cannot
         tear it.
         """
-        with self._lock:
-            self._files[dst] = self._file(src)
-            del self._files[src]
-            self._bump_generation(src)
-            self._bump_generation(dst)
-            self._mappings.pop(src, None)
-            self._mappings.pop(dst, None)
-            self.stats.writes += 1
-            self.clock.charge(self.model.write_latency_us)
+        self._rename(self, src, dst)
 
     def exists(self, path: str) -> bool:
         """Whether ``path`` exists on the device."""
@@ -296,14 +262,6 @@ class StorageDevice:
             self._mappings[path] = region
             return region
 
-    def mapping_for(self, path: str) -> Optional[MappedRegion]:
-        """The live mapping of ``path``, if any (tests, fallbacks)."""
-        with self._lock:
-            region = self._mappings.get(path)
-            if region is not None and region.closed:
-                return None
-            return region
-
     # ------------------------------------------------------------------ reads
 
     def read(self, path: str, offset: int, length: int) -> bytes:
@@ -321,18 +279,7 @@ class StorageDevice:
         The returned view aliases the immutable file image; callers must
         not mutate it (and cannot: the backing object is ``bytes``).
         """
-        with self._lock:
-            data = self._readable(path)
-            if offset < 0 or length < 0 or offset + length > len(data):
-                raise ReadOutOfBoundsError(
-                    f"read [{offset}, {offset + length}) out of bounds for "
-                    f"{path!r} of size {len(data)}"
-                )
-            blocks = self._blocks_spanned(offset, length)
-            self.stats.reads += 1
-            self.stats.blocks_read += blocks
-            self.clock.charge(self._read_cost_us(blocks))
-            return memoryview(data)[offset : offset + length]
+        return self._read_view(self, path, offset, length)
 
     def read_block(self, path: str, block_index: int) -> bytes:
         """Read one whole block (page-cache fill granularity)."""
@@ -340,18 +287,7 @@ class StorageDevice:
 
     def read_block_view(self, path: str, block_index: int) -> memoryview:
         """Zero-copy :meth:`read_block`: same charge, stats, RNG draw."""
-        with self._lock:
-            data = self._readable(path)
-            start = block_index * self.model.block_size
-            if start >= len(data) or block_index < 0:
-                raise ReadOutOfBoundsError(
-                    f"block {block_index} out of bounds for {path!r} "
-                    f"of size {len(data)}"
-                )
-            self.stats.reads += 1
-            self.stats.blocks_read += 1
-            self.clock.charge(self._read_cost_us(1))
-            return memoryview(data)[start : start + self.model.block_size]
+        return self._read_block_view(self, path, block_index)
 
     def num_blocks(self, path: str) -> int:
         """Number of blocks in ``path`` (last one may be partial)."""
@@ -382,6 +318,79 @@ class StorageDevice:
         return DeviceView(self, SimClock(), make_rng(0, "silent-device"),
                           mutable=True)
 
+    # --------------------------------------------------------------- I/O core
+    # One implementation per charged operation; ``account`` is whoever
+    # pays for it (this device, or a view of it).
+
+    def _create(self, account, path: str, data: bytes) -> None:
+        with self._lock:
+            self._files[path] = bytes(data)
+            self._bump_generation(path)
+            self._mappings.pop(path, None)
+            self._charge_write(account, len(data))
+
+    def _append(self, account, path: str, data: bytes) -> None:
+        with self._lock:
+            self._files[path] = self._files.get(path, b"") + bytes(data)
+            self._bump_generation(path)
+            self._charge_write(account, len(data))
+
+    def _rename(self, account, src: str, dst: str) -> None:
+        with self._lock:
+            self._files[dst] = self._file(src)
+            del self._files[src]
+            self._bump_generation(src)
+            self._bump_generation(dst)
+            self._mappings.pop(src, None)
+            self._mappings.pop(dst, None)
+            self._charge_write(account, 0)
+
+    def _delete(self, path: str) -> None:
+        """Uncharged and uncounted, so it takes no account."""
+        with self._lock:
+            if self._files.pop(path, None) is not None:
+                self._bump_generation(path)
+            self._mappings.pop(path, None)
+
+    def _read_view(self, account, path: str, offset: int, length: int
+                   ) -> memoryview:
+        with self._lock:
+            data = self._readable(path)
+            if offset < 0 or length < 0 or offset + length > len(data):
+                raise ReadOutOfBoundsError(
+                    f"read [{offset}, {offset + length}) out of bounds for "
+                    f"{path!r} of size {len(data)}"
+                )
+            self._charge_read(account, self._blocks_spanned(offset, length))
+            return memoryview(data)[offset : offset + length]
+
+    def _read_block_view(self, account, path: str, block_index: int
+                         ) -> memoryview:
+        with self._lock:
+            data = self._readable(path)
+            start = block_index * self.model.block_size
+            if start >= len(data) or block_index < 0:
+                raise ReadOutOfBoundsError(
+                    f"block {block_index} out of bounds for {path!r} "
+                    f"of size {len(data)}"
+                )
+            self._charge_read(account, 1)
+            return memoryview(data)[start : start + self.model.block_size]
+
+    def _charge_write(self, account, payload_len: int) -> None:
+        account.stats.writes += 1
+        account.stats.bytes_written += payload_len
+        account.clock.charge(self.model.write_latency_us)
+
+    def _charge_read(self, account, blocks: int) -> None:
+        account.stats.reads += 1
+        account.stats.blocks_read += blocks
+        service = account._rng.lognormvariate(
+            self.model.read_latency_mu, self.model.read_latency_sigma
+        )
+        account.clock.charge(
+            service + self.model.per_block_transfer_us * (blocks - 1))
+
     # ---------------------------------------------------------------- helpers
 
     def _file(self, path: str) -> bytes:
@@ -411,19 +420,15 @@ class StorageDevice:
         last = (offset + length - 1) // self.model.block_size
         return last - first + 1
 
-    def _read_cost_us(self, blocks: int) -> float:
-        service = self._rng.lognormvariate(
-            self.model.read_latency_mu, self.model.read_latency_sigma
-        )
-        return service + self.model.per_block_transfer_us * (blocks - 1)
-
 
 class DeviceView:
-    """A device facade that redirects timing effects to private streams.
+    """The parent device, charged to private streams.
 
-    Shares the parent device's files, lock, generations, and mappings —
-    the *state* is one store — but charges its own clock, draws latency
-    from its own RNG, and counts into its own stats.  Two flavors:
+    There is one store: every call goes to the parent — namespace queries
+    to its public methods, charged I/O to its I/O core with this view as
+    the account, so the view's own clock is charged, its own RNG drawn
+    and its own stats counted, and whatever gates the parent's core
+    (the fault layer) gates the view.  Two flavors:
 
     * ``reader_view`` (``mutable=False``): snapshot reads; mutation
       methods raise.
@@ -439,21 +444,6 @@ class DeviceView:
         self._rng = rng
         self._mutable = mutable
         self.stats = DeviceStats()
-        self._lock = parent._lock
-
-    # The shared-state helpers delegate to the parent under its lock.
-
-    @property
-    def _files(self) -> Dict[str, bytes]:
-        return self._parent._files
-
-    @property
-    def _generations(self) -> Dict[str, int]:
-        return self._parent._generations
-
-    @property
-    def _mappings(self) -> Dict[str, MappedRegion]:
-        return self._parent._mappings
 
     def file_generation(self, path: str) -> int:
         return self._parent.file_generation(path)
@@ -473,49 +463,37 @@ class DeviceView:
     def map_file(self, path: str) -> MappedRegion:
         return self._parent.map_file(path)
 
-    def mapping_for(self, path: str) -> Optional[MappedRegion]:
-        return self._parent.mapping_for(path)
+    def read(self, path: str, offset: int, length: int) -> bytes:
+        return bytes(self.read_view(path, offset, length))
 
-    # Reads: parent data, private timing.
+    def read_view(self, path: str, offset: int, length: int) -> memoryview:
+        return self._parent._read_view(self, path, offset, length)
 
-    read = StorageDevice.read
-    read_view = StorageDevice.read_view
-    read_block = StorageDevice.read_block
-    read_block_view = StorageDevice.read_block_view
-    _readable = StorageDevice._readable
-    _file = StorageDevice._file
-    _blocks_spanned = StorageDevice._blocks_spanned
-    _read_cost_us = StorageDevice._read_cost_us
+    def read_block(self, path: str, block_index: int) -> bytes:
+        return bytes(self.read_block_view(path, block_index))
 
-    # Mutations: allowed only on silent views; they go through the
-    # parent's bookkeeping but charge this view's clock/stats.
+    def read_block_view(self, path: str, block_index: int) -> memoryview:
+        return self._parent._read_block_view(self, path, block_index)
 
     def _require_mutable(self) -> None:
         if not self._mutable:
             raise StorageError("read-only device view cannot mutate files")
 
-    def _bump_generation(self, path: str) -> None:
-        self._parent._bump_generation(path)
-
-    create_file_impl = StorageDevice.create_file
-    append_impl = StorageDevice.append
-    rename_impl = StorageDevice.rename
-
     def create_file(self, path: str, data: bytes) -> None:
         self._require_mutable()
-        self.create_file_impl(path, data)
+        self._parent._create(self, path, data)
 
     def append(self, path: str, data: bytes) -> None:
         self._require_mutable()
-        self.append_impl(path, data)
+        self._parent._append(self, path, data)
 
     def rename(self, src: str, dst: str) -> None:
         self._require_mutable()
-        self.rename_impl(src, dst)
+        self._parent._rename(self, src, dst)
 
     def delete_file(self, path: str) -> None:
         self._require_mutable()
-        self._parent.delete_file(path)
+        self._parent._delete(path)
 
     def reader_view(self, clock, rng: SeededRng) -> "DeviceView":
         return self._parent.reader_view(clock, rng)

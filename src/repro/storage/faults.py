@@ -177,26 +177,29 @@ class FaultyStorageDevice(StorageDevice):
             f"({path!r})")
 
     # -------------------------------------------------------------- mutations
+    # The gates sit on the device's I/O core, which the public methods
+    # and every view reach, so a fault means the same thing to the live
+    # store, a snapshot's ``reader_view`` and the background compactor's
+    # ``silent_view``.  The device lock spans gate + operation so the
+    # fault counters and the operation they describe stay atomic under
+    # concurrency (the lock is reentrant; super() re-acquires it).
 
-    def create_file(self, path: str, data: bytes) -> None:
-        # The device lock spans gate + operation so the fault counters
-        # and the mutation they describe stay atomic under concurrency
-        # (the lock is reentrant; super() re-acquires it harmlessly).
+    def _create(self, account, path: str, data: bytes) -> None:
         with self._lock:
             surviving = self._mutation_gate(path, len(data))
             if surviving is None:
-                super().create_file(path, data)
+                super()._create(account, path, data)
                 return
             if surviving:
                 self._files[path] = bytes(data[:surviving])
                 self._bump_generation(path)
         raise self._crash(path)
 
-    def append(self, path: str, data: bytes) -> None:
+    def _append(self, account, path: str, data: bytes) -> None:
         with self._lock:
             surviving = self._mutation_gate(path, len(data))
             if surviving is None:
-                super().append(path, data)
+                super()._append(account, path, data)
                 return
             if surviving:
                 self._files[path] = self._files.get(path, b"") \
@@ -204,19 +207,19 @@ class FaultyStorageDevice(StorageDevice):
                 self._bump_generation(path)
         raise self._crash(path)
 
-    def rename(self, src: str, dst: str) -> None:
+    def _rename(self, account, src: str, dst: str) -> None:
         # Atomic: a crash here prevents the rename entirely.
         with self._lock:
             if self._mutation_gate(src, 0) is not None:
                 raise self._crash(src)
-            super().rename(src, dst)
+            super()._rename(account, src, dst)
 
-    def delete_file(self, path: str) -> None:
+    def _delete(self, path: str) -> None:
         # Atomic: a crash here leaves the file in place.
         with self._lock:
             if self._mutation_gate(path, 0) is not None:
                 raise self._crash(path)
-            super().delete_file(path)
+            super()._delete(path)
 
     # ------------------------------------------------------------------ reads
 
@@ -238,19 +241,20 @@ class FaultyStorageDevice(StorageDevice):
             raise TransientIOError(
                 f"injected transient failure on read {index} (sampled)")
 
-    # The ``_view`` methods are the read core (``read``/``read_block``
-    # wrap them, and the page cache calls them directly on the zero-copy
-    # path), so gating here covers every read exactly once.
+    # ``read``/``read_block`` wrap the ``*_view`` reads, so gating the
+    # two core reads covers every read exactly once.
 
-    def read_view(self, path: str, offset: int, length: int) -> memoryview:
+    def _read_view(self, account, path: str, offset: int, length: int
+                   ) -> memoryview:
         with self._lock:
             self._read_gate(path)
-            return super().read_view(path, offset, length)
+            return super()._read_view(account, path, offset, length)
 
-    def read_block_view(self, path: str, block_index: int) -> memoryview:
+    def _read_block_view(self, account, path: str, block_index: int
+                         ) -> memoryview:
         with self._lock:
             self._read_gate(path)
-            return super().read_block_view(path, block_index)
+            return super()._read_block_view(account, path, block_index)
 
     # ------------------------------------------------------------- corruption
 

@@ -246,9 +246,7 @@ class PageCache:
         """
         out = []
         append = out.append
-        # file_generation is a single dict read (see its docstring); the
-        # bound .get skips a method call per request on this hot loop.
-        generation_of = self.device._generations.get
+        generation_of = self.device.file_generation
         block_size = self._block_size
         decoded = self._decoded
         decoded_get = decoded.get
@@ -265,7 +263,7 @@ class PageCache:
         hits = decoded_hits = decoded_misses = 0
         with self._lock:
             for path, offset, length, decode, region in requests:
-                gen = generation_of(path, 0)
+                gen = generation_of(path)
                 key = (path, gen, offset, length)
                 obj = decoded_get(key)
                 if obj is not None:

@@ -12,7 +12,12 @@ asserting the recovery path's classification and quarantine behaviour.
 
 import pytest
 
-from repro.common.errors import CorruptionError, SimulatedCrashError
+from repro.common.errors import (
+    CompactionError,
+    CorruptionError,
+    SimulatedCrashError,
+    TransientIOError,
+)
 from repro.common.rng import make_rng
 from repro.lsm.db import LSMTree
 from repro.lsm.recovery import (
@@ -22,6 +27,7 @@ from repro.lsm.recovery import (
 )
 from repro.lsm.torture import (
     OP_PUT_MANY,
+    background_torture_options,
     crash_point_sweep,
     default_torture_options,
     generate_workload,
@@ -53,8 +59,15 @@ class TestCrashPointSweep:
 
     def test_every_crash_point_recovers_exactly(self):
         sweep = crash_point_sweep(seed=0, num_ops=200)
-        assert sweep.total_mutations > 200  # flushes/compactions ran too
+        assert sweep.total_mutations > 400  # flushes/compactions ran too
         assert sweep.ok, sweep.describe()
+        # Both halves of the {sync, background} product, and the
+        # background half sees the compactor's own writes as crash
+        # points: it commits a manifest per merge cycle on top of the
+        # flush's, so it has strictly more of them (and fewer, were the
+        # compactor's view invisible to the fault layer).
+        assert list(sweep.points_run) == ["sync", "background"]
+        assert sweep.points_run["background"] > sweep.points_run["sync"] > 200
 
     def test_second_seed_strided(self):
         # A different seed exercises a different flush/compaction layout;
@@ -287,6 +300,76 @@ class TestTransientRecovery:
         assert all(q.reason == REASON_UNREADABLE
                    for q in report.quarantined)
         assert report.tables_opened == 0
+
+
+class TestFaultsReachTheViews:
+    """The fault model covers the other users of the device: background
+    compaction (a silent view) and snapshots (a reader view)."""
+
+    @pytest.mark.parametrize("surface", ["quiesce", "close"])
+    @pytest.mark.parametrize("into_the_merge", [0, 1, 2, 3])
+    def test_crash_mid_background_merge(self, into_the_merge, surface):
+        clock = SimClock()
+        device = FaultyStorageDevice(clock, rng=make_rng(0, "dev"),
+                                     plan=FaultPlan(seed=0))
+        db = LSMTree(options=background_torture_options(), clock=clock,
+                     device=device)
+        acknowledged = {}
+        # Park the compactor in front of its first merge: while the
+        # compaction lock is ours the mutation count is the foreground's
+        # alone, so the crash can be armed a known distance into the
+        # cycle.  Mutation 0 of it tears the first output table, the
+        # next ones hit further outputs or the manifest swap.
+        with db._compaction_lock:
+            index = 0
+            while not db._bg_compactor.pending():
+                key, value = b"key%04d" % (index % 48), b"value-%05d" % index
+                db.put(key, value)
+                acknowledged[key] = value
+                index += 1
+            device.schedule_crash(after_mutations=into_the_merge)
+        with pytest.raises(CompactionError) as raised:
+            # The trigger-firing put flushed, so close has nothing to
+            # write before it waits for the compactor.
+            db._background.quiesce() if surface == "quiesce" else db.close()
+        assert isinstance(raised.value.__cause__, SimulatedCrashError)
+        assert device.crashed
+        assert device.fault_stats.crash_path.startswith(("sst/", "MANIFEST"))
+
+        # Dead means dead, on either thread: the files are those of the
+        # crash instant whatever the process attempts afterwards.
+        frozen = dict(device._files)
+        with pytest.raises(SimulatedCrashError):
+            db.put(b"key0000", b"never-acknowledged")
+        with pytest.raises(SimulatedCrashError):  # the compactor's commit
+            db._commit_version(manifest=db._silent_manifest,
+                               device=db._silent_device)
+        assert device._files == frozen
+        db._background.stop()
+
+        device.revive()
+        recovered = LSMTree.reopen(device,
+                                   options=background_torture_options())
+        assert not recovered.recovery_report.data_suspect
+        for key, value in acknowledged.items():
+            assert recovered.get(key) == value
+        recovered.close()
+        assert recovered.leaked_pins == 0
+
+    def test_snapshot_reads_hit_injected_transient_faults(self):
+        db, device = make_store()
+        db.flush()
+        expected = db.get(b"key0001")
+        snap = db.snapshot()  # private, cold cache: its reads do I/O
+        device.plan = FaultPlan(seed=0, transient_read_ops=frozenset(
+            {device.fault_stats.reads_attempted}))
+        with pytest.raises(TransientIOError):
+            snap.get(b"key0001")
+        assert snap.get(b"key0001") == expected is not None  # heals on retry
+        assert device.fault_stats.transient_errors == 1
+        snap.close()
+        db.close()
+        assert db.leaked_pins == 0
 
 
 class TestRecoveryReport:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.errors import CorruptionError
 from repro.lsm.manifest import HEADER_TAG, Manifest, ManifestEntry
 from repro.storage.clock import SimClock
 from repro.storage.device import StorageDevice
@@ -25,34 +24,45 @@ ENTRIES = [
 ]
 
 
+def clean_entries(manifest):
+    """What the primary manifest holds, which must have read cleanly."""
+    load = manifest.read_checked()
+    assert load.source == manifest.path
+    assert load.corrupt_entries == 0 and not load.unreadable
+    return load.entries
+
+
 def test_round_trip(manifest):
-    entries = [
-        ManifestEntry(0, "sst/000001.sst", 100, 4096),
-        ManifestEntry(3, "sst/000002.sst", 2000, 65536),
-    ]
-    manifest.write(entries)
-    assert manifest.read() == entries
+    manifest.write(ENTRIES)
+    assert clean_entries(manifest) == ENTRIES
 
 
 def test_missing_manifest_is_empty(manifest):
-    assert manifest.read() == []
+    load = manifest.read_checked()
+    assert load.entries == [] and load.source is None
 
 
 def test_rewrite_replaces(manifest):
     manifest.write([ManifestEntry(0, "a", 1, 1)])
     manifest.write([ManifestEntry(1, "b", 2, 2)])
-    assert manifest.read() == [ManifestEntry(1, "b", 2, 2)]
+    assert clean_entries(manifest) == [ManifestEntry(1, "b", 2, 2)]
 
 
 def test_empty_version(manifest):
     manifest.write([])
-    assert manifest.read() == []
+    assert clean_entries(manifest) == []
 
 
 def test_malformed_line_detected(manifest):
-    manifest.device.create_file(manifest.path, b"0 only-two")
-    with pytest.raises(CorruptionError):
-        manifest.read()
+    for image in (b"0 only-two",                 # no header at all
+                  b"0 sst/000001.sst 100 4096",  # the headerless layout of old
+                  b"",
+                  b"MANIFESTv2",                 # header without its count
+                  b"MANIFESTv2 two"):
+        manifest.device.create_file(manifest.path, image)
+        load = manifest.read_checked()
+        assert load.unreadable, image
+        assert load.entries == [] and load.source is None
 
 
 class TestChecksummedFormat:
@@ -60,14 +70,6 @@ class TestChecksummedFormat:
         manifest.write(ENTRIES)
         first_line = raw(manifest).decode().splitlines()[0]
         assert first_line == f"{HEADER_TAG} {len(ENTRIES)}"
-
-    def test_flipped_line_detected_strict(self, manifest):
-        manifest.write(ENTRIES)
-        data = bytearray(raw(manifest))
-        data[-1] ^= 0x02  # corrupt the last entry's size field
-        manifest.device.create_file(manifest.path, bytes(data))
-        with pytest.raises(CorruptionError):
-            manifest.read()
 
     def test_flipped_line_skipped_and_counted_checked(self, manifest):
         manifest.write(ENTRIES)
@@ -78,7 +80,7 @@ class TestChecksummedFormat:
         assert load.entries == ENTRIES[:1]
         assert load.corrupt_entries == 1
         assert load.source == manifest.path
-        assert not load.legacy and not load.unreadable
+        assert not load.unreadable
 
     def test_truncated_entry_list_counted(self, manifest):
         manifest.write(ENTRIES)
@@ -89,23 +91,14 @@ class TestChecksummedFormat:
         assert load.entries == ENTRIES[:1]
         assert load.corrupt_entries == 1
 
-    def test_legacy_v1_still_decodes(self, manifest):
-        lines = [f"{e.level} {e.path} {e.num_entries} {e.size_bytes}"
-                 for e in ENTRIES]
-        manifest.device.create_file(manifest.path, "\n".join(lines).encode())
-        assert manifest.read() == ENTRIES
-        load = manifest.read_checked()
-        assert load.entries == ENTRIES
-        assert load.legacy
-
 
 class TestAtomicReplacement:
     def test_previous_generation_survives_as_prev(self, manifest):
         manifest.write(ENTRIES[:1])
         manifest.write(ENTRIES)
-        assert manifest.read() == ENTRIES
+        assert clean_entries(manifest) == ENTRIES
         prev = Manifest(manifest.device, manifest.path + ".prev")
-        assert prev.read() == ENTRIES[:1]
+        assert clean_entries(prev) == ENTRIES[:1]
         assert not manifest.device.exists(manifest.path + ".new")
 
     def test_fallback_to_staged_new(self, manifest):

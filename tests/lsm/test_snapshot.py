@@ -176,15 +176,17 @@ class TestRegionLifetimes:
         assert all(region.pins == 0 for region in regions)
         db.close()
 
-    def test_strict_close_raises_while_pinned_then_succeeds(self):
+    def test_doomed_region_unmaps_at_last_unpin_not_before(self):
         db, _ = filled_db()
         snap = db.snapshot()
         region = snap._regions[0]
-        with pytest.raises(StorageError):
-            region.close(strict=True)
+        region.mark_doomed()  # what retiring the table does
+        assert not region.closed and region.pins == 1
+        assert len(region.view(0, 4)) == 4  # still borrowable
         snap.close()
-        region.close(strict=True)  # now legal
         assert region.closed
+        with pytest.raises(StorageError):
+            region.view(0, 4)
         db.close()
 
     def test_db_close_with_open_snapshot_leaves_regions_readable(self):

@@ -26,170 +26,175 @@ def v2_record(op, key, value):
     return struct.pack("<I", zlib.crc32(body)) + body
 
 
+def replay(wal):
+    """(records, report) of one replay."""
+    report = RecoveryReport()
+    return list(wal.replay(report)), report
+
+
 class TestReplay:
     def test_round_trip(self, wal):
-        wal.log_put(b"k1", b"v1")
-        wal.log_delete(b"k2")
-        wal.log_put(b"k1", b"v2")
-        assert list(wal.replay()) == [
-            (b"k1", b"v1"), (b"k2", None), (b"k1", b"v2")]
+        wal.log_batch([(b"k1", b"v1")])
+        wal.log_batch([(b"k2", None)])
+        wal.log_batch([(b"k1", b"v2")])
+        records, report = replay(wal)
+        assert records == [(b"k1", b"v1"), (b"k2", None), (b"k1", b"v2")]
+        assert not report.wal_tail_dropped
 
     def test_empty_log(self, wal):
-        assert list(wal.replay()) == []
+        assert replay(wal)[0] == []
 
     def test_reset_discards(self, wal):
-        wal.log_put(b"k", b"v")
+        wal.log_batch([(b"k", b"v")])
         wal.reset()
-        assert list(wal.replay()) == []
+        assert replay(wal)[0] == []
 
     def test_binary_payloads(self, wal):
         key = bytes(range(256))[:200]
-        value = bytes(reversed(range(256)))[:100] if False else bytes(
-            255 - i for i in range(100))
-        wal.log_put(key, value)
-        assert list(wal.replay()) == [(key, value)]
+        value = bytes(255 - i for i in range(100))
+        wal.log_batch([(key, value)])
+        assert replay(wal)[0] == [(key, value)]
+
+    def test_batch_is_the_concatenation_of_its_single_record_appends(self, wal):
+        records = [(b"k1", b"v1"), (b"k2", None), (b"k3", b"v3")]
+        wal.log_batch(records)
+        batched = read_all(wal)
+        wal.reset()
+        for record in records:
+            wal.log_batch([record])
+        assert read_all(wal) == batched
+        assert replay(wal)[0] == records
 
 
 class TestCorruption:
     def test_truncated_header(self, wal):
-        wal.device.create_file(wal.path, b"\x01\x02")
-        with pytest.raises(CorruptionError):
-            list(wal.replay())
+        wal.device.create_file(wal.path, MAGIC + b"\x01\x02")
+        records, report = replay(wal)
+        assert records == []
+        assert report.wal_tail_reason == TAIL_TORN
+        assert report.wal_tail_dropped_bytes == 2
 
     def test_truncated_record(self, wal):
-        wal.log_put(b"key", b"value")
-        data = wal.device.read(wal.path, 0, wal.device.file_size(wal.path))
-        wal.device.create_file(wal.path, data[:-2])
-        with pytest.raises(CorruptionError):
-            list(wal.replay())
+        wal.log_batch([(b"key", b"value")])
+        wal.device.create_file(wal.path, read_all(wal)[:-2])
+        records, report = replay(wal)
+        assert records == []
+        assert report.wal_tail_reason == TAIL_TORN
 
     def test_unknown_op(self, wal):
-        import struct
-        wal.device.create_file(wal.path, struct.pack("<BHI", 9, 1, 0) + b"k")
+        wal.device.create_file(wal.path, MAGIC + v2_record(9, b"k", b""))
         with pytest.raises(CorruptionError):
-            list(wal.replay())
+            replay(wal)
+
+    def test_torn_magic_classified_torn(self, wal):
+        # The file's first append tore inside the magic itself.
+        for kept in range(1, len(MAGIC)):
+            wal.device.create_file(wal.path, MAGIC[:kept])
+            records, report = replay(wal)
+            assert records == []
+            assert report.wal_tail_reason == TAIL_TORN
+            assert report.wal_tail_dropped_bytes == kept
+
+    def test_foreign_magic_is_untrustworthy_not_replayed(self, wal):
+        # Not this format (a flipped magic, or the unchecksummed layout
+        # nothing writes any more): no record may be believed.
+        wal.log_batch([(b"k1", b"v1")])
+        body = read_all(wal)[len(MAGIC):]
+        for head in (b"WAL3", b"XAL2", b""):
+            wal.device.create_file(wal.path, head + body)
+            records, report = replay(wal)
+            assert records == []
+            assert report.wal_tail_reason == TAIL_CHECKSUM
+            assert report.wal_tail_dropped_bytes == len(head + body)
 
 
 class TestChecksumClassification:
     """v2's CRC separates torn tails from corrupt-but-complete tails."""
 
     def test_torn_tail_classified_torn(self, wal):
-        wal.log_put(b"k1", b"v1")
-        wal.log_put(b"k2", b"v2")
+        wal.log_batch([(b"k1", b"v1")])
+        wal.log_batch([(b"k2", b"v2")])
         wal.device.create_file(wal.path, read_all(wal)[:-3])
-        report = RecoveryReport()
-        assert list(wal.replay(tolerate_torn_tail=True,
-                               report=report)) == [(b"k1", b"v1")]
+        records, report = replay(wal)
+        assert records == [(b"k1", b"v1")]
         assert report.wal_tail_dropped
         assert report.wal_tail_reason == TAIL_TORN
         assert report.wal_tail_dropped_bytes > 0
         assert report.wal_records_replayed == 1
 
     def test_complete_frame_bad_crc_classified_checksum(self, wal):
-        wal.log_put(b"k1", b"v1")
-        wal.log_put(b"k2", b"v2")
+        wal.log_batch([(b"k1", b"v1")])
+        wal.log_batch([(b"k2", b"v2")])
         data = bytearray(read_all(wal))
         data[-1] ^= 0x40  # flip a bit inside the last record's value
         wal.device.create_file(wal.path, bytes(data))
-        report = RecoveryReport()
-        assert list(wal.replay(tolerate_torn_tail=True,
-                               report=report)) == [(b"k1", b"v1")]
+        records, report = replay(wal)
+        assert records == [(b"k1", b"v1")]
         assert report.wal_tail_reason == TAIL_CHECKSUM
 
     def test_flip_in_first_record_drops_everything_after(self, wal):
         # Nothing beyond the first untrustworthy record may be replayed,
         # even records that would individually checksum fine.
-        wal.log_put(b"k1", b"v1")
-        wal.log_put(b"k2", b"v2")
-        wal.log_put(b"k3", b"v3")
+        wal.log_batch([(b"k1", b"v1")])
+        wal.log_batch([(b"k2", b"v2")])
+        wal.log_batch([(b"k3", b"v3")])
         data = bytearray(read_all(wal))
         data[len(MAGIC) + 5] ^= 0x01  # corrupt record 1's body
         wal.device.create_file(wal.path, bytes(data))
-        report = RecoveryReport()
-        assert list(wal.replay(tolerate_torn_tail=True, report=report)) == []
+        records, report = replay(wal)
+        assert records == []
         assert report.wal_tail_reason == TAIL_CHECKSUM
-
-    def test_strict_mode_raises_on_both_classes(self, wal):
-        wal.log_put(b"k1", b"v1")
-        torn = read_all(wal)[:-2]
-        flipped = bytearray(read_all(wal))
-        flipped[-1] ^= 0x01
-        for tail in (torn, bytes(flipped)):
-            wal.device.create_file(wal.path, tail)
-            with pytest.raises(CorruptionError):
-                list(wal.replay())
 
     def test_valid_crc_unknown_opcode_raises_even_tolerant(self, wal):
         # A fully-written, correctly-checksummed record with a garbled
-        # opcode is real corruption, never a crash artifact: the strict-
-        # mode classification bug this format change fixes.
-        wal.log_put(b"k1", b"v1")
+        # opcode is real corruption, never a crash artifact: replay
+        # raises instead of classifying it as a droppable tail.
+        wal.log_batch([(b"k1", b"v1")])
         record = v2_record(9, b"kX", b"vX")
         wal.device.append(wal.path, record)
         with pytest.raises(CorruptionError, match="valid checksum"):
-            list(wal.replay(tolerate_torn_tail=True))
-        with pytest.raises(CorruptionError, match="valid checksum"):
-            list(wal.replay())
+            replay(wal)
 
     def test_report_counts_replayed_records(self, wal):
         for i in range(5):
-            wal.log_put(b"k%d" % i, b"v%d" % i)
-        report = RecoveryReport()
-        assert len(list(wal.replay(report=report))) == 5
+            wal.log_batch([(b"k%d" % i, b"v%d" % i)])
+        records, report = replay(wal)
+        assert len(records) == 5
         assert report.wal_records_replayed == 5
         assert not report.wal_tail_dropped
 
 
 class TestLegacyV1:
-    @staticmethod
-    def v1_record(op, key, value):
-        return struct.pack("<BHI", op, len(key), len(value)) + key + value
-
-    def test_v1_file_still_replays(self, wal):
-        wal.device.create_file(
-            wal.path,
-            self.v1_record(1, b"k1", b"v1") + self.v1_record(2, b"k2", b""))
-        report = RecoveryReport()
-        assert list(wal.replay(report=report)) == [
-            (b"k1", b"v1"), (b"k2", None)]
-        assert report.wal_legacy_format
-
-    def test_v1_torn_tail_tolerated(self, wal):
-        data = self.v1_record(1, b"k1", b"v1")
-        wal.device.create_file(wal.path, data + data[:4])
-        report = RecoveryReport()
-        assert list(wal.replay(tolerate_torn_tail=True,
-                               report=report)) == [(b"k1", b"v1")]
-        assert report.wal_tail_reason == TAIL_TORN
+    """The v1 layout is no longer decoded (``TestCorruption`` pins what a
+    magic-less file gets instead); what stays is the pin on the bytes."""
 
     def test_new_files_are_v2(self, wal):
-        wal.log_put(b"k", b"v")
-        assert read_all(wal)[:len(MAGIC)] == MAGIC
-        report = RecoveryReport()
-        list(wal.replay(report=report))
-        assert not report.wal_legacy_format
+        wal.log_batch([(b"k", b"v")])
+        assert read_all(wal) == MAGIC + v2_record(1, b"k", b"v")
 
 
 class TestTornTailTolerance:
     def test_torn_record_dropped(self, wal):
-        wal.log_put(b"k1", b"v1")
-        wal.log_put(b"k2", b"v2")
-        data = wal.device.read(wal.path, 0, wal.device.file_size(wal.path))
-        wal.device.create_file(wal.path, data[:-3])  # crash mid-append
-        assert list(wal.replay(tolerate_torn_tail=True)) == [(b"k1", b"v1")]
+        wal.log_batch([(b"k1", b"v1")])
+        wal.log_batch([(b"k2", b"v2")])
+        wal.device.create_file(wal.path, read_all(wal)[:-3])  # crash mid-append
+        assert replay(wal)[0] == [(b"k1", b"v1")]
 
     def test_torn_header_dropped(self, wal):
-        wal.log_put(b"k1", b"v1")
-        data = wal.device.read(wal.path, 0, wal.device.file_size(wal.path))
-        wal.device.create_file(wal.path, data + b"\x01\x00")  # partial header
-        assert list(wal.replay(tolerate_torn_tail=True)) == [(b"k1", b"v1")]
+        wal.log_batch([(b"k1", b"v1")])
+        wal.device.create_file(wal.path,
+                               read_all(wal) + b"\x01\x00")  # partial header
+        assert replay(wal)[0] == [(b"k1", b"v1")]
 
     def test_garbled_opcode_still_raises(self, wal):
-        import struct as _struct
-        wal.device.create_file(
-            wal.path, _struct.pack("<BHI", 9, 1, 0) + b"k")
-        with pytest.raises(CorruptionError):
-            list(wal.replay(tolerate_torn_tail=True))
+        # ... also when a torn tail follows it: the vouched-for nonsense
+        # comes first and nothing may be replayed past it.
+        wal.log_batch([(b"k1", b"v1")])
+        wal.device.append(wal.path, v2_record(9, b"kX", b"vX"))
+        wal.log_batch([(b"k2", b"v2")])
+        wal.device.create_file(wal.path, read_all(wal)[:-3])
+        with pytest.raises(CorruptionError, match="valid checksum"):
+            replay(wal)
 
     def test_db_reopen_survives_torn_wal(self):
         from repro.lsm.db import LSMTree
