@@ -3,6 +3,9 @@
 # test dependencies installed, a second pass on the 3.9 floor (pyproject
 # pins requires-python >= 3.9, where int.bit_count does not exist — the
 # popcount fallback must stay exercised).  Each pass reports wall-clock.
+# Only tier-1 runs on both: serve-smoke, results-check, e2e-smoke and
+# torture are functions of seeded simulated time, not of the interpreter,
+# and CI runs each once, on the primary one.
 
 PYTHON ?= python
 PY39 ?= python3.9

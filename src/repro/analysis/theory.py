@@ -242,13 +242,16 @@ class RangeAttackAnalysis:
                 / self.expected_extracted)
 
 
+#: Point probes the descent spends verifying a flagged leaf
+#: (``repro.core.range_attack.VERIFY_PROBES``).
+_RANGE_VERIFY_PROBES = 4
+
+
 def analyze_range_attack(num_keys: int, key_width: int,
-                         variant: SurfVariant = SurfVariant.REAL,
-                         suffix_bits: int = 8,
-                         max_extension_queries: int = 1 << 16,
-                         verify_probes: int = 4
+                         max_extension_queries: int = 1 << 16
                          ) -> RangeAttackAnalysis:
-    """Closed-form expectations for an exhaustive range-descent run.
+    """Closed-form expectations for an exhaustive range-descent run
+    against SuRF-Real with one suffix byte (the descent's target).
 
     Descent cost: each internal node pays one range test per symbol plus a
     singleton leaf-test; each leaf pays verification and an O(width)
@@ -259,14 +262,13 @@ def analyze_range_attack(num_keys: int, key_width: int,
     internal = expected_internal_nodes_by_depth(num_keys, key_width)
     leaves = expected_leaves_by_depth(num_keys, key_width)
     descent = sum(nodes * (256.0 + 1.0) for nodes in internal.values())
-    descent += sum(count * (1.0 + verify_probes + key_width)
+    descent += sum(count * (1.0 + _RANGE_VERIFY_PROBES + key_width)
                    for count in leaves.values())
-    hash_bits = suffix_bits if variant is SurfVariant.HASH else 0
     extension = 0.0
     extracted = 0.0
     for depth, count in leaves.items():
-        known = _identified_prefix_len(variant, suffix_bits, depth, key_width)
-        probes = max(1, (256 ** (key_width - known)) >> hash_bits)
+        known = _identified_prefix_len(SurfVariant.REAL, 8, depth, key_width)
+        probes = 256 ** (key_width - known)
         if probes <= max_extension_queries:
             extension += count * probes / 2.0
             extracted += count

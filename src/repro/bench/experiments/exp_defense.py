@@ -40,6 +40,11 @@ KEY_WIDTH = 5
 DATASET_SEED = 2
 ATTACK_SEED = 0
 WAIT_US = 100_000
+#: Benign traffic: zipf exponent over the stored keys, share of requests
+#: for absent keys, keys per ``get_many``.
+ZIPF_EXPONENT = 1.1
+MISS_FRACTION = 0.05
+BENIGN_BATCH = 32
 DEFENSE_MODES = ("off", "throttle", "noise")
 
 
@@ -52,23 +57,21 @@ def _environment(num_keys: int):
 class _ZipfPicker:
     """Zipf-ranked choice over the stored keys (plus a few misses)."""
 
-    def __init__(self, keys: List[bytes], seed: int,
-                 exponent: float = 1.1, miss_fraction: float = 0.05) -> None:
+    def __init__(self, keys: List[bytes], seed: int) -> None:
         self._keys = keys
         self._rng = make_rng(seed, "benign-zipf")
-        self._miss_fraction = miss_fraction
         self._width = len(keys[0])
         acc = 0.0
         cumulative = []
         for rank in range(1, len(keys) + 1):
-            acc += 1.0 / rank ** exponent
+            acc += 1.0 / rank ** ZIPF_EXPONENT
             cumulative.append(acc)
         self._cumulative = [c / acc for c in cumulative]
 
     def batch(self, size: int) -> List[bytes]:
         out = []
         for _ in range(size):
-            if self._rng.random() < self._miss_fraction:
+            if self._rng.random() < MISS_FRACTION:
                 out.append(self._rng.random_bytes(self._width))
             else:
                 rank = bisect.bisect_left(self._cumulative, self._rng.random())
@@ -77,8 +80,7 @@ class _ZipfPicker:
 
 
 def _benign_load(transport: AsyncLoopbackTransport, keys: List[bytes],
-                 clients: int, total_requests: int,
-                 batch: int = 32) -> dict:
+                 clients: int, total_requests: int) -> dict:
     """Concurrent legitimate traffic: zipf reads as the data owner."""
     per_client = max(1, total_requests // clients)
     ok_counts = [0] * clients
@@ -90,7 +92,7 @@ def _benign_load(transport: AsyncLoopbackTransport, keys: List[bytes],
         try:
             sent = 0
             while sent < per_client:
-                size = min(batch, per_client - sent)
+                size = min(BENIGN_BATCH, per_client - sent)
                 responses = client.get_many(OWNER_USER, picker.batch(size))
                 ok_counts[index] += sum(
                     1 for r in responses if r.status.name == "OK")

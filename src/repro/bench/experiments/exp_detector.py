@@ -31,16 +31,6 @@ SCALE_NOTE = ("10k keys; detector window 512, flag at miss>=0.98 or "
               "miss>=0.90 with clustered failures")
 
 
-def _requests_until_flagged(monitored: MonitoredService, user: int) -> int:
-    detector = monitored.detector
-    window = detector._windows.get(user)
-    if user in detector.flagged_users():
-        # Replay cannot tell exactly when within the run it tripped; the
-        # earliest possible point is one full scoring window.
-        return detector.policy.min_requests
-    return -1
-
-
 def run(num_keys: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Run each traffic source against a monitored service."""
     rows = []

@@ -135,7 +135,7 @@ def _attack_under_churn(num_keys: int) -> Dict[str, float]:
     ))
     snap = env.db.snapshot()
     service = KVService(snap, env.config.distinguish_unauthorized)
-    background = BackgroundLoad(snap.cache, env.config.background_load,
+    background = BackgroundLoad(snap.cache, env.background.model,
                                 make_rng(env.config.seed, "snapshot-load"))
     stop = threading.Event()
 

@@ -71,36 +71,31 @@ def run_idealized_attack(env: Environment, strategy,
     return TimedRun(None, result, time.perf_counter() - started)
 
 
+#: Learning-phase samples of :func:`run_timing_attack`.
+LEARNING_SAMPLES = 20_000
 #: Between-iteration wait, simulated microseconds: the paper waits 20 s for
 #: its 2 GB page cache to churn; our cache is ~1000x smaller, so 2 s keeps
 #: the same wait >> query-time regime without being gratuitous.
-DEFAULT_WAIT_US = 2_000_000.0
+WAIT_US = 2_000_000.0
 
 
 def run_timing_attack(env: Environment, strategy,
-                      num_candidates: int,
-                      learning_samples: int = 20_000,
-                      max_extension_queries: int = 1 << 16,
-                      rounds: int = 4,
-                      wait_us: float = DEFAULT_WAIT_US,
-                      extend: bool = True) -> TimedRun:
+                      num_candidates: int) -> TimedRun:
     """The actual attack: learning phase + timing oracle (sections 5.3, 9)."""
     started = time.perf_counter()
     counter = QueryCounter()
     learning = learn_cutoff(env.service, ATTACKER_USER,
                             key_width=env.config.key_width,
-                            num_samples=learning_samples,
+                            num_samples=LEARNING_SAMPLES,
                             seed=env.config.seed,
                             background=env.background,
                             counter=counter)
     oracle = TimingOracle(env.service, ATTACKER_USER,
-                          cutoff_us=learning.cutoff_us, rounds=rounds,
-                          background=env.background, wait_us=wait_us)
+                          cutoff_us=learning.cutoff_us,
+                          background=env.background, wait_us=WAIT_US)
     oracle.counter = counter
     attack = PrefixSiphoningAttack(oracle, strategy, AttackConfig(
-        key_width=env.config.key_width, num_candidates=num_candidates,
-        max_extension_queries=max_extension_queries, extend=extend,
-    ))
+        key_width=env.config.key_width, num_candidates=num_candidates))
     result = attack.run()
     return TimedRun(learning, result, time.perf_counter() - started)
 

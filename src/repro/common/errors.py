@@ -55,10 +55,6 @@ class FilterError(ReproError):
     """Failure in a filter implementation."""
 
 
-class ImmutableFilterError(FilterError):
-    """Attempt to mutate an immutable (build-once) filter."""
-
-
 class LSMError(ReproError):
     """Failure in the LSM-tree engine."""
 

@@ -92,10 +92,6 @@ class Histogram:
             return [(bucket, 0.0) for bucket in self.buckets()]
         return [(bucket, 100.0 * bucket.count / self._total) for bucket in self.buckets()]
 
-    def overflow_fraction(self) -> float:
-        """Fraction of samples in the overflow bucket."""
-        return self._overflow / self._total if self._total else 0.0
-
     def as_table(self) -> List[Dict[str, object]]:
         """Rows shaped like the paper's Table 1."""
         rows: List[Dict[str, object]] = []

@@ -12,7 +12,7 @@ preserves numeric order, which the LSM-tree and the SuRF trie both rely on.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, List
+from typing import Iterator
 
 from repro.common.errors import ConfigError
 
@@ -68,14 +68,6 @@ def common_prefix_len(a: bytes, b: bytes) -> int:
     return limit
 
 
-def longest_shared_prefix(key: bytes, dataset_neighbors: Iterable[bytes]) -> bytes:
-    """The longest prefix ``key`` shares with any key in ``dataset_neighbors``."""
-    best = 0
-    for other in dataset_neighbors:
-        best = max(best, common_prefix_len(key, other))
-    return key[:best]
-
-
 def replace_byte(key: bytes, index: int, new_value: int) -> bytes:
     """Return ``key`` with the byte at ``index`` replaced by ``new_value``."""
     if not 0 <= index < len(key):
@@ -85,15 +77,6 @@ def replace_byte(key: bytes, index: int, new_value: int) -> bytes:
     mutated = bytearray(key)
     mutated[index] = new_value
     return bytes(mutated)
-
-
-def all_prefixes(key: bytes) -> Iterator[bytes]:
-    """Yield every proper-and-improper prefix of ``key``, shortest first.
-
-    Includes the empty prefix and the full key.
-    """
-    for i in range(len(key) + 1):
-        yield key[:i]
 
 
 def suffix_candidates(prefix: bytes, total_len: int) -> Iterator[bytes]:
@@ -132,13 +115,3 @@ def increment_key(key: bytes) -> bytes:
     if value >= ALPHABET_SIZE ** len(key):
         raise ConfigError("cannot increment the maximum key")
     return int_to_key(value, len(key))
-
-
-def format_key(key: bytes) -> str:
-    """Human-readable hex rendering used in logs and reports."""
-    return key.hex()
-
-
-def sorted_unique(keys: Iterable[bytes]) -> List[bytes]:
-    """Sort keys lexicographically and drop duplicates (builder input shape)."""
-    return sorted(set(keys))

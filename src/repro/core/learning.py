@@ -26,6 +26,8 @@ BUCKET_WIDTH_US = 5.0
 OVERFLOW_AT_US = 25.0
 #: Bucket width for the fine-grained (cached-positive) distribution.
 FINE_BUCKET_WIDTH_US = 0.25
+#: Learning samples between two cache churns under background load.
+CHURN_EVERY = 256
 
 
 @dataclass
@@ -55,13 +57,13 @@ class LearningResult:
 def learn_cutoff(service: KVService, attacker_user: int, key_width: int,
                  num_samples: int = 10_000, seed: int = 0,
                  background: Optional[BackgroundLoad] = None,
-                 churn_every: int = 256,
                  counter: Optional[QueryCounter] = None) -> LearningResult:
     """Run the learning phase and derive the negative/positive cutoff.
 
-    ``churn_every`` injects background-load cache churn periodically so
-    positive keys keep paying I/O during sampling (a fully warmed cache
-    would collapse the distribution's slow mode and hide the signal).
+    With ``background`` load, cache churn is injected every
+    ``CHURN_EVERY`` samples so positive keys keep paying I/O during
+    sampling (a fully warmed cache would collapse the distribution's
+    slow mode and hide the signal).
     """
     if num_samples < 100:
         raise LearningError(
@@ -79,23 +81,18 @@ def learn_cutoff(service: KVService, attacker_user: int, key_width: int,
     # learning RNG stream in the same order as before; the service-side
     # streams (cost jitter, device latency) are independent, so batching
     # does not shift any draw.
-    if background is not None and churn_every < 1:
-        raise LearningError(
-            f"churn_every must be at least 1 with background load, "
-            f"got {churn_every}"
-        )
     position = 0
     while position < num_samples:
         batch_size = num_samples - position
         if background is not None:
-            batch_size = min(churn_every, batch_size)
+            batch_size = min(CHURN_EVERY, batch_size)
         keys = [rng.random_bytes(key_width) for _ in range(batch_size)]
         if counter is not None:
             counter.charge(batch_size)
         timed = service.get_many_timed(attacker_user, keys)
         samples.extend(elapsed for _, elapsed in timed)
         position += batch_size
-        if background is not None and position % churn_every == 0:
+        if background is not None and position % CHURN_EVERY == 0:
             background.run_for(background.eviction_wait_us())
     # A remote attacker's observations are shifted by the network RTT
     # (section 4); when the whole distribution sits past the histogram

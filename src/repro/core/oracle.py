@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import ConfigError
 from repro.core.results import QueryCounter
-from repro.lsm.db import LSMTree
 from repro.storage.background import BackgroundLoad
 from repro.system.responses import Status
 from repro.system.service import KVService
@@ -221,11 +220,6 @@ class FineTimingOracle(QueryOracle):
 class IdealizedOracle(QueryOracle):
     """Classification via engine debug counters (never wrong, no waits)."""
 
-    def __init__(self, service: KVService, attacker_user: int,
-                 db: Optional[LSMTree] = None) -> None:
-        super().__init__(service, attacker_user)
-        self.db = db or service.db
-
     def classify(self, keys: Sequence[bytes]) -> List[bool]:
         """Exact filter decisions, one (accounted) query per key.
 
@@ -235,7 +229,7 @@ class IdealizedOracle(QueryOracle):
         """
         keys = list(keys)
         self.counter.charge(len(keys))
-        return self.db.filters_pass_many(keys)
+        return self.service.db.filters_pass_many(keys)
 
     def wait_for_eviction(self) -> None:
         """No-op: the idealized attack never waits (section 10.2.2)."""

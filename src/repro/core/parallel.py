@@ -40,6 +40,10 @@ from repro.server.client import ConnectionPool, RemoteBackground
 from repro.server.protocol import OrderToken
 from repro.system.responses import Status
 
+#: User id of fleet member 0 (the canonical ``ATTACKER_USER``); member
+#: ``i`` attacks as ``FLEET_BASE_USER + i``.
+FLEET_BASE_USER = 666
+
 
 class ParallelTimingOracle(QueryOracle):
     """Timing classification fanned out across pooled connections.
@@ -285,14 +289,6 @@ class FleetOutcome:
     wall_seconds: float
 
     @property
-    def total_extracted(self) -> int:
-        """Distinct keys extracted across the fleet."""
-        keys = set()
-        for member in self.members:
-            keys.update(e.key for e in member.result.extracted)
-        return len(keys)
-
-    @property
     def total_queries(self) -> int:
         return sum(m.result.total_queries for m in self.members)
 
@@ -302,16 +298,15 @@ def run_attacker_fleet(dial, num_attackers: int, key_width: int,
                        config: Optional[AttackConfig] = None,
                        seed: int = 0, rounds: int = 2,
                        wait_us: Optional[float] = None,
-                       mode: str = "truncate",
-                       chunk_size: int = 64, batch_limit: int = 64,
-                       base_user: int = 666) -> FleetOutcome:
+                       chunk_size: int = 64, batch_limit: int = 64
+                       ) -> FleetOutcome:
     """Concurrent independent attackers, each its own user and connection.
 
     The defense-bench adversary: ``num_attackers`` clients run the full
     three-step attack simultaneously against one served store, each under
-    a distinct user id (``base_user + i``, defaulting to the canonical
-    ATTACKER_USER) so per-client detector verdicts and per-user throttle
-    escalation act on each member independently.  The learned cutoff is
+    a distinct user id (``FLEET_BASE_USER + i``) so per-client detector
+    verdicts and per-user throttle escalation act on each member
+    independently.  The learned cutoff is
     shared (learning is a quiet-server calibration; pass the value from
     :func:`~repro.core.learning.learn_cutoff`), and seeds differ per
     member so the fleet explores different candidate prefixes.
@@ -333,16 +328,16 @@ def run_attacker_fleet(dial, num_attackers: int, key_width: int,
         pool = ConnectionPool(dial, 1)
         try:
             oracle = ParallelTimingOracle(
-                pool, base_user + index, cutoff_us=cutoff_us, rounds=rounds,
-                wait_us=wait_us, batch_limit=batch_limit)
+                pool, FLEET_BASE_USER + index, cutoff_us=cutoff_us,
+                rounds=rounds, wait_us=wait_us, batch_limit=batch_limit)
             strategy = SurfAttackStrategy(key_width, filter_scheme,
-                                          mode=mode, seed=seed + index)
+                                          seed=seed + index)
             attack = ParallelPrefixSiphoningAttack(
                 oracle, strategy, config or AttackConfig(key_width=key_width),
                 chunk_size=chunk_size)
             result = attack.run()
             members[index] = FleetMemberOutcome(
-                user=base_user + index, result=result,
+                user=FLEET_BASE_USER + index, result=result,
                 wall_seconds=time.perf_counter() - member_started)
         except BaseException as exc:  # noqa: BLE001 — re-raised below
             errors.append(exc)
@@ -366,10 +361,8 @@ def run_parallel_surf_attack(pool: ConnectionPool, attacker_user: int,
                              config: Optional[AttackConfig] = None,
                              seed: int = 0, rounds: int = 4,
                              learn_samples: int = 6_000,
-                             wait_us: Optional[float] = None,
-                             mode: str = "truncate",
-                             chunk_size: int = 256,
-                             batch_limit: int = 1024) -> ParallelAttackOutcome:
+                             wait_us: Optional[float] = None
+                             ) -> ParallelAttackOutcome:
     """Full remote SuRF attack over a connection pool.
 
     Learning runs serially on the primary connection (it is a
@@ -388,13 +381,10 @@ def run_parallel_surf_attack(pool: ConnectionPool, attacker_user: int,
                             background=background)
     oracle = ParallelTimingOracle(pool, attacker_user,
                                   cutoff_us=learning.cutoff_us,
-                                  rounds=rounds, wait_us=wait_us,
-                                  batch_limit=batch_limit)
-    strategy = SurfAttackStrategy(key_width, filter_scheme, mode=mode,
-                                  seed=seed)
+                                  rounds=rounds, wait_us=wait_us)
+    strategy = SurfAttackStrategy(key_width, filter_scheme, seed=seed)
     attack = ParallelPrefixSiphoningAttack(
-        oracle, strategy, config or AttackConfig(key_width=key_width),
-        chunk_size=chunk_size)
+        oracle, strategy, config or AttackConfig(key_width=key_width))
     result = attack.run()
     return ParallelAttackOutcome(
         result=result, learning=learning, connections=len(pool),

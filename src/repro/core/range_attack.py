@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.errors import AttackError, ConfigError
 from repro.common.rng import make_rng
-from repro.core.extension import HashConstraint, extend_prefix
+from repro.core.extension import extend_prefix
 from repro.core.oracle import ProbeOracle
 from repro.storage.background import BackgroundLoad
 from repro.system.responses import Status
@@ -54,6 +54,16 @@ from repro.system.service import KVService
 
 #: Alphabet size; symbols are bytes throughout the reproduction.
 _ALPHABET = 256
+#: Queries averaged per timing classification (the paper's section 9).
+ROUNDS = 4
+#: Point probes used to verify a flagged leaf before paying for its
+#: suffix extension.  SuRF-Real verifies in one probe (its stored suffix
+#: byte is deterministic).
+VERIFY_PROBES = 4
+#: How many consecutive flagged-but-rejected siblings may trigger an
+#: extra level of descent before the run is written off as a pruned
+#: leaf's ambiguous shadow (see ``_descend``).
+REJECT_DESCEND_LIMIT = 2
 
 
 class RangeOracle(ProbeOracle):
@@ -100,22 +110,19 @@ class IdealizedRangeOracle(RangeOracle):
 class TimingRangeOracle(RangeOracle):
     """Range membership via response-time measurement.
 
-    Mirrors the point-query oracle of section 9: ``rounds``-query averages
+    Mirrors the point-query oracle of section 9: ``ROUNDS``-query averages
     against a latency cutoff, with background-load cache churn between
     rounds so positive ranges keep paying I/O.
     """
 
     def __init__(self, service: KVService, attacker_user: int,
-                 cutoff_us: float, rounds: int = 4,
+                 cutoff_us: float,
                  background: Optional[BackgroundLoad] = None,
                  wait_us: Optional[float] = None) -> None:
         super().__init__(service, attacker_user)
         if cutoff_us <= 0:
             raise ConfigError(f"cutoff must be positive, got {cutoff_us}")
-        if rounds < 1:
-            raise ConfigError(f"rounds must be at least 1, got {rounds}")
         self.cutoff_us = cutoff_us
-        self.rounds = rounds
         self.background = background
         if wait_us is None and background is not None:
             wait_us = background.eviction_wait_us()
@@ -123,24 +130,24 @@ class TimingRangeOracle(RangeOracle):
 
     def range_may_contain(self, low: bytes, high: bytes) -> bool:
         total = 0.0
-        for round_index in range(self.rounds):
+        for round_index in range(ROUNDS):
             self.range_queries += 1
             _, elapsed = self.service.range_query_timed(
                 self.attacker_user, low, high, limit=1)
             total += elapsed
-            if self.background is not None and round_index + 1 < self.rounds:
+            if self.background is not None and round_index + 1 < ROUNDS:
                 self.background.run_for(self.wait_us)
-        return total / self.rounds >= self.cutoff_us
+        return total / ROUNDS >= self.cutoff_us
 
     def point_may_contain(self, key: bytes) -> bool:
         total = 0.0
-        for round_index in range(self.rounds):
+        for round_index in range(ROUNDS):
             self.point_queries += 1
             _, elapsed = self.service.get_timed(self.attacker_user, key)
             total += elapsed
-            if self.background is not None and round_index + 1 < self.rounds:
+            if self.background is not None and round_index + 1 < ROUNDS:
                 self.background.run_for(self.wait_us)
-        return total / self.rounds >= self.cutoff_us
+        return total / ROUNDS >= self.cutoff_us
 
 
 @dataclass
@@ -156,9 +163,6 @@ class RangeAttackConfig:
     start_prefix: bytes = b""
     #: Per-prefix budget for the step-3 suffix extension.
     max_extension_queries: int = 1 << 16
-    #: Singleton probes per pruned-leaf test; more probes shrink the
-    #: chance of mistaking a true branch for a leaf.
-    leaf_probes: int = 1
     #: How to verify flagged leaves before extending.  "point" (default)
     #: uses point-filter probes + truncation IdPrefix — correct whenever
     #: point and range decisions share the trie (SuRF, Rosetta).  "none"
@@ -167,17 +171,6 @@ class RangeAttackConfig:
     #: tests above the pruned leaves are exact, so candidates are true
     #: prefixes, at the cost of never refining below a leaf's depth.
     verify_mode: str = "point"
-    #: Point probes used to verify a flagged leaf before paying for its
-    #: suffix extension.  SuRF-Real verifies in one probe (its stored
-    #: suffix byte is deterministic); SuRF-Hash needs ~2**hash_bits.
-    verify_probes: int = 4
-    #: SuRF-Hash pruning bits (0 = no pruning); the constraint value is
-    #: recovered from the verification witness, which passed the filter.
-    hash_bits: int = 0
-    #: How many consecutive flagged-but-rejected siblings may trigger an
-    #: extra level of descent before the run is written off as a pruned
-    #: leaf's ambiguous shadow (see ``_descend``).
-    reject_descend_limit: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -185,12 +178,6 @@ class RangeAttackConfig:
             raise ConfigError("key width must be positive")
         if len(self.start_prefix) >= self.key_width:
             raise ConfigError("start prefix must be shorter than the key")
-        if self.leaf_probes < 1:
-            raise ConfigError("leaf_probes must be at least 1")
-        if self.verify_probes < 1:
-            raise ConfigError("verify_probes must be at least 1")
-        if self.reject_descend_limit < 0:
-            raise ConfigError("reject_descend_limit must be non-negative")
         if self.verify_mode not in ("point", "none"):
             raise ConfigError(f"unknown verify mode {self.verify_mode!r}")
 
@@ -268,25 +255,24 @@ class RangeDescentAttack:
                 reject_run = 0
                 continue
             if self.config.verify_mode == "none":
-                self._register(candidate, None, result)
+                self._register(candidate, result)
                 continue
-            resolved = self._resolve_leaf(candidate, result)
-            if resolved is None:
-                result.wasted_queries += self.config.verify_probes
-                if reject_run < self.config.reject_descend_limit:
+            true_prefix = self._resolve_leaf(candidate, result)
+            if true_prefix is None:
+                result.wasted_queries += VERIFY_PROBES
+                if reject_run < REJECT_DESCEND_LIMIT:
                     self._descend(candidate, result)
                 reject_run += 1
                 continue
             reject_run = 0
-            true_prefix, witness = resolved
-            self._register(true_prefix, witness, result)
+            self._register(true_prefix, result)
             if len(true_prefix) <= len(prefix):
                 # The pruned leaf sits at or above this level's parent:
                 # every sibling would resolve to the same prefix.
                 return
 
     def _looks_pruned(self, prefix: bytes, result: RangeAttackResult) -> bool:
-        """Singleton probes: positive for random keys means ambiguity.
+        """Singleton probe: positive for a random key means ambiguity.
 
         A filter that resolves ranges at full depth (Rosetta) answers the
         singleton negatively w.h.p., so the descent keeps refining; a
@@ -294,29 +280,26 @@ class RangeDescentAttack:
         Table key-range metadata can clip singletons into false negatives;
         the downstream point verification absorbs the consequences.
         """
-        suffix_len = self.config.key_width - len(prefix)
-        for _ in range(self.config.leaf_probes):
-            self._check_limits(result)
-            probe = prefix + self._rng.random_bytes(suffix_len)
-            if not self.oracle.range_may_contain(probe, probe):
-                return False
-        return True
+        self._check_limits(result)
+        probe = prefix + self._rng.random_bytes(
+            self.config.key_width - len(prefix))
+        return self.oracle.range_may_contain(probe, probe)
 
     def _resolve_leaf(self, candidate: bytes, result: RangeAttackResult
-                      ) -> Optional[Tuple[bytes, bytes]]:
+                      ) -> Optional[bytes]:
         """Verify a flagged leaf with point queries and pin its prefix.
 
         First find a *witness*: a random full-width key under the
         candidate that passes the point filter (for SuRF-Real this
         succeeds deterministically iff the candidate agrees with the
         stored suffix byte).  Then run the paper's truncation IdPrefix on
-        the witness to identify the true shared prefix.  Returns
-        ``(prefix, witness)`` or None if no witness emerged.
+        the witness to identify the true shared prefix.  Returns the
+        prefix, or None if no witness emerged.
         """
         width = self.config.key_width
         suffix_len = width - len(candidate)
         witness = None
-        for _ in range(self.config.verify_probes):
+        for _ in range(VERIFY_PROBES):
             self._check_limits(result)
             probe = candidate + self._rng.random_bytes(suffix_len)
             if self.oracle.point_may_contain(probe):
@@ -328,40 +311,29 @@ class RangeDescentAttack:
         for length in range(width - 1, 0, -1):
             self._check_limits(result)
             if not self.oracle.point_may_contain(witness[:length]):
-                return witness[:length + 1], witness
-        return witness[:1], witness
+                return witness[:length + 1]
+        return witness[:1]
 
-    def _register(self, prefix: bytes, witness: Optional[bytes],
-                  result: RangeAttackResult) -> None:
+    def _register(self, prefix: bytes, result: RangeAttackResult) -> None:
         if prefix in self._seen_prefixes:
             return
         self._seen_prefixes.add(prefix)
         result.prefixes_found.append(prefix)
-        self._extend(prefix, witness, result)
+        self._extend(prefix, result)
 
-    def _extend(self, prefix: bytes, witness: Optional[bytes],
-                result: RangeAttackResult) -> None:
+    def _extend(self, prefix: bytes, result: RangeAttackResult) -> None:
         """Step-3 suffix extension below an identified pruned prefix.
 
-        Prefixes whose (hash-pruned) suffix space exceeds the per-prefix
-        budget are kept as prefix-only disclosures — the same feasibility
-        rule the point attack's step 3 applies.
+        Prefixes whose suffix space exceeds the per-prefix budget are
+        kept as prefix-only disclosures — the same feasibility rule the
+        point attack's step 3 applies.
         """
         self._check_limits(result)
         space = _ALPHABET ** (self.config.key_width - len(prefix))
-        if (space >> self.config.hash_bits) > self.config.max_extension_queries:
+        if space > self.config.max_extension_queries:
             return
-        constraint = None
-        if self.config.hash_bits and witness is not None:
-            # The witness passed the filter, so its hash bits equal the
-            # stored key's (section 6.2.2).
-            from repro.filters.hashing import suffix_hash_bits
-            constraint = HashConstraint(
-                self.config.hash_bits,
-                suffix_hash_bits(witness, self.config.hash_bits))
         extension = extend_prefix(
             self.oracle, prefix, self.config.key_width,
-            hash_constraint=constraint,
             max_queries=self._remaining_budget(),
         )
         if extension.found:

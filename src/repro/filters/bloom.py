@@ -9,7 +9,7 @@ and Rosetta.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.common.errors import ConfigError
 from repro.filters.base import Filter, FilterBuilder
@@ -62,11 +62,12 @@ def optimal_num_probes(bits_per_key: float) -> int:
     return max(1, round(math.log(2) * bits_per_key))
 
 
-def theoretical_fpr(bits_per_key: float, num_probes: Optional[int] = None) -> float:
-    """Classic Bloom FPR approximation (1 - e^{-k/(m/n)})^k."""
+def theoretical_fpr(bits_per_key: float) -> float:
+    """Classic Bloom FPR approximation (1 - e^{-k/(m/n)})^k at the
+    optimal probe count."""
     if bits_per_key <= 0:
         return 1.0
-    k = num_probes or optimal_num_probes(bits_per_key)
+    k = optimal_num_probes(bits_per_key)
     return (1.0 - math.exp(-k / bits_per_key)) ** k
 
 

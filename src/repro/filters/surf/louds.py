@@ -40,8 +40,8 @@ from repro.filters.surf.trie import TrieNode, build_pruned_trie
 _DENSE_NODE_BITS = 2 * 256 + 1
 #: Bits one sparse label costs: 8-bit label + HasChild + LOUDS bits.
 _SPARSE_LABEL_BITS = 10
-#: Default dense-vs-sparse size ratio cutoff (SuRF's R parameter).
-DEFAULT_DENSE_RATIO = 16
+#: Dense-vs-sparse size ratio cutoff (SuRF's R parameter).
+DENSE_RATIO = 16
 
 # Cursor node-reference kinds.
 _DENSE_NODE = 0
@@ -83,16 +83,13 @@ class _BitWriter:
         return BitVector.from_words(words, self.length)
 
 
-def choose_dense_levels(level_nodes: Sequence[int], level_labels: Sequence[int],
-                        ratio: int = DEFAULT_DENSE_RATIO) -> int:
+def choose_dense_levels(level_nodes: Sequence[int],
+                        level_labels: Sequence[int]) -> int:
     """Pick how many top levels to encode densely.
 
-    Grows the dense region while its cumulative bitmap cost stays within
-    ``ratio`` times cheaper than... precisely: while adding the next level
-    keeps ``dense_bits * ratio <= total_sparse_bits_of_those_levels_saved``
-    in SuRF's spirit — the dense encoding of a level pays off when the
-    level is densely branching.  Concretely we include level ``l`` while
-    the dense cost of levels ``0..l`` is at most ``ratio`` times their
+    In SuRF's spirit — the dense encoding of a level pays off when the
+    level is densely branching — level ``l`` is included while the dense
+    cost of levels ``0..l`` is at most ``DENSE_RATIO`` times their
     sparse cost, which includes the root for any non-degenerate trie and
     stops as soon as branching thins out.
     """
@@ -102,7 +99,7 @@ def choose_dense_levels(level_nodes: Sequence[int], level_labels: Sequence[int],
     for nodes, labels in zip(level_nodes, level_labels):
         dense_bits += nodes * _DENSE_NODE_BITS
         sparse_bits += labels * _SPARSE_LABEL_BITS
-        if dense_bits <= ratio * sparse_bits:
+        if dense_bits <= DENSE_RATIO * sparse_bits:
             chosen += 1
         else:
             break

@@ -81,8 +81,7 @@ class SuRFBuilder(FilterBuilder):
     """Builds one SuRF per SSTable — the paper's RocksDB+SuRF configuration."""
 
     def __init__(self, variant: Union[SurfVariant, str] = SurfVariant.REAL,
-                 suffix_bits: int = 8, backend: str = "trie",
-                 num_dense_levels: Optional[int] = None) -> None:
+                 suffix_bits: int = 8, backend: str = "trie") -> None:
         if isinstance(variant, str):
             variant = SurfVariant(variant)
         # Validate eagerly so a bad configuration fails at setup time.
@@ -90,7 +89,6 @@ class SuRFBuilder(FilterBuilder):
         self.variant = variant
         self.suffix_bits = self._scheme.num_bits
         self.backend = backend
-        self.num_dense_levels = num_dense_levels
         if backend not in ("trie", "louds"):
             raise ConfigError(f"unknown SuRF backend {backend!r}")
 
@@ -100,5 +98,4 @@ class SuRFBuilder(FilterBuilder):
 
     def build(self, sorted_keys: Sequence[bytes]) -> SuRF:
         return SuRF.build(sorted_keys, variant=self.variant,
-                          suffix_bits=self.suffix_bits, backend=self.backend,
-                          num_dense_levels=self.num_dense_levels)
+                          suffix_bits=self.suffix_bits, backend=self.backend)

@@ -6,7 +6,7 @@ from repro.lsm.db import DBStats, LSMTree
 from repro.lsm.iterator import merge_entries
 from repro.lsm.manifest import Manifest, ManifestEntry, ManifestLoad
 from repro.lsm.memtable import TOMBSTONE, Entry, MemTable
-from repro.lsm.options import CostModel, LSMOptions
+from repro.lsm.options import LSMOptions
 from repro.lsm.recovery import QuarantinedFile, RecoveryReport
 from repro.lsm.sstable import SSTable, SSTableReader
 from repro.lsm.torture import (
@@ -23,7 +23,6 @@ __all__ = [
     "Block",
     "BlockBuilder",
     "Compactor",
-    "CostModel",
     "CrashPointResult",
     "DBStats",
     "Entry",

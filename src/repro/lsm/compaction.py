@@ -38,7 +38,7 @@ from bisect import bisect_left
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import CompactionError
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import MAX_LEVELS, TIER_SIZE_RATIO, LSMOptions
 from repro.lsm.table_build import (
     build_table_artifact,
     install_artifact,
@@ -179,7 +179,6 @@ class Compactor:
     def _find_tier_window(self, groups: List[List[SSTable]]
                           ) -> Optional[Tuple[int, int]]:
         trigger = max(self.options.l0_compaction_trigger, 2)
-        ratio = self.options.tier_size_ratio
         if len(groups) < trigger:
             return None
         sizes = [sum(t.size_bytes for t in group) for group in groups]
@@ -189,7 +188,7 @@ class Compactor:
             smallest = largest = sizes[start]
             while end < len(groups):
                 size = sizes[end]
-                if max(largest, size) > ratio * min(smallest, size):
+                if max(largest, size) > TIER_SIZE_RATIO * min(smallest, size):
                     break
                 smallest = min(smallest, size)
                 largest = max(largest, size)
@@ -205,7 +204,7 @@ class Compactor:
 
     def _oversized_level(self, current: Version):
         # The last level has nowhere to push data; never select it.
-        for level in range(1, self.options.max_levels - 1):
+        for level in range(1, MAX_LEVELS - 1):
             if current.level_bytes(level) > self.level_target_bytes(level):
                 return level
         return None
@@ -316,7 +315,7 @@ class Compactor:
     def _is_bottom(self, target_level: int) -> bool:
         current = self.versions.current
         return all(not current.levels[lvl]
-                   for lvl in range(target_level + 1, self.options.max_levels))
+                   for lvl in range(target_level + 1, MAX_LEVELS))
 
 
 class BackgroundCompactor:

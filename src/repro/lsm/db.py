@@ -28,7 +28,15 @@ from repro.lsm.compaction import BackgroundCompactor, Compactor
 from repro.lsm.iterator import DBIterator
 from repro.lsm.manifest import Manifest, ManifestEntry
 from repro.lsm.memtable import MemTable
-from repro.lsm.options import LSMOptions
+from repro.lsm.options import (
+    COST_JITTER,
+    MAX_LEVELS,
+    MEMTABLE_INSERT_COST_US,
+    PUT_BASE_COST_US,
+    RANGE_NEXT_COST_US,
+    RANGE_SEEK_COST_US,
+    LSMOptions,
+)
 from repro.lsm.recovery import RecoveryReport, recover
 from repro.lsm.sorted_view import UNBUILDABLE
 from repro.lsm.sstable import SSTable
@@ -88,10 +96,9 @@ class LSMTree:
         # the caller churning an orphan while reads bypass it entirely.
         self.cache = cache if cache is not None else PageCache(
             self.device, self.options.page_cache_bytes)
-        self._rng = rng
-        self._memtable = MemTable(rng.spawn("memtable"))
+        self._memtable = MemTable()
         self._wal = WriteAheadLog(self.device, "wal/current.wal")
-        self.versions = VersionSet(Version(self.options.max_levels))
+        self.versions = VersionSet(Version(MAX_LEVELS))
         self._manifest = Manifest(self.device)
         self._next_file = 0
         self._file_lock = threading.Lock()
@@ -229,8 +236,7 @@ class LSMTree:
             self.stats.deletes += len(records)
         else:
             self.stats.puts += len(records)
-        cost = (self.options.costs.put_base_cost_us
-                + self.options.costs.memtable_insert_cost_us)
+        cost = PUT_BASE_COST_US + MEMTABLE_INSERT_COST_US
         for _ in records:
             self.charge_cost(cost)
         self._wal.log_batch(records)
@@ -260,7 +266,7 @@ class LSMTree:
             self.options.block_size_bytes, self.options.filter_builder)
         table = install_artifact(self.device, self._allocate_path(), artifact)
         self.versions.install(VersionEdit(0, [table], []))
-        self._memtable = MemTable(self._rng.spawn(f"memtable-{self._next_file}"))
+        self._memtable = MemTable()
         self.stats.flushes += 1
         if self._background is None:
             with self._compaction_lock:
@@ -300,7 +306,7 @@ class LSMTree:
                 while True:
                     current = self.versions.current
                     populated = [lvl
-                                 for lvl in range(1, self.options.max_levels)
+                                 for lvl in range(1, MAX_LEVELS)
                                  if current.levels[lvl]]
                     if len(populated) <= 1:
                         break
@@ -340,10 +346,10 @@ class LSMTree:
         self._commit_version()
 
     def _deepest_fitting_level(self, total_bytes: int) -> int:
-        for level in range(self.options.max_levels - 1, 0, -1):
+        for level in range(MAX_LEVELS - 1, 0, -1):
             if self._compactor.level_target_bytes(level) >= total_bytes:
                 return level
-        return self.options.max_levels - 1
+        return MAX_LEVELS - 1
 
     # ------------------------------------------------------------------ reads
 
@@ -416,34 +422,26 @@ class LSMTree:
         finally:
             self.versions.unpin(version)
 
-    def scan(self, low: bytes, high: Optional[bytes] = None,
-             limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
-        """Prefix-anchored scan: everything from ``low`` through its prefix.
+    def scan(self, prefix: bytes, limit: Optional[int] = None
+             ) -> List[Tuple[bytes, bytes]]:
+        """Prefix scan: every pair whose key extends ``prefix``, in order.
 
-        ``high=None`` does **not** mean "skip filter pruning": a sound
-        range filter can never prune a truly open-ended scan (any
-        overlapping table's ``max_key`` is a stored key >= ``low``, so
-        the filter must pass), but it *can* prune the prefix range the
-        caller almost always means.  So an omitted bound derives the
-        inclusive bound ``low + 0xff * 64`` — every key extending ``low``
-        — and the filters are consulted as usual.  For a genuinely
-        unbounded cursor use :meth:`iterator`.
+        The range ``[prefix, prefix + 0xff * 64]``, so range filters
+        prune it like any other bounded read.  For an unbounded cursor
+        use :meth:`iterator`.
         """
-        if high is None:
-            high = low + b"\xff" * 64
-        return self.range_query(low, high, limit=limit)
+        return self.range_query(prefix, prefix + b"\xff" * 64, limit=limit)
 
     def iterator(self, low: bytes = b"", high: Optional[bytes] = None):
         """Forward cursor over ``[low, high]`` (RocksDB-iterator analogue).
 
         Uses range filters to skip tables whose filters prove the bound
         range empty (only when ``high`` is given — an open-ended cursor
-        has no range to test; see :meth:`scan` for the prefix-bounded
+        has no range to test; :meth:`scan` is the prefix-bounded
         alternative).  Each step charges the range-iteration cost.
         """
         self._check_open()
-        costs = self.options.costs
-        self.charge_cost(costs.range_seek_cost_us)
+        self.charge_cost(RANGE_SEEK_COST_US)
         effective_high = high if high is not None else b"\xff" * 64
         version = self.versions.pin()
         try:
@@ -457,7 +455,7 @@ class LSMTree:
             raise
         return DBIterator(
             merged, high=high,
-            on_step=lambda: self.charge_cost(costs.range_next_cost_us),
+            on_step=lambda: self.charge_cost(RANGE_NEXT_COST_US),
             on_close=lambda: self.versions.unpin(version))
 
     # ------------------------------------------------------- attack-side APIs
@@ -510,14 +508,21 @@ class LSMTree:
         course kept, their mappings retired via the doomed-unmap path so
         a still-pinned region unmaps at its last unpin instead of
         tearing views out from under a straggling reader.
+
+        If the final flush fails (a crashed device) the error
+        propagates, but the tree still ends closed with its compactor
+        thread stopped: a retry could only fail again, with the thread
+        out of reach.  A second call is a no-op.
         """
         if self._closed:
             return
-        self.flush()
-        if self._background is not None:
-            try:
+        try:
+            self.flush()
+            if self._background is not None:
                 self._background.quiesce()
-            finally:
+        finally:
+            self._closed = True
+            if self._background is not None:
                 self._background.stop()
         #: Readers that never unpinned (leaked plans/iterators) are
         #: reclaimed here so their versions' tables can retire.
@@ -526,18 +531,15 @@ class LSMTree:
         self.versions.close()
         for table in self.versions.drain_retired():
             table.reader.unmap()
-        self._closed = True
 
     def charge_cost(self, base_us: float) -> None:
         """Charge an in-memory cost with the cost model's relative jitter.
 
         Used for every charge on the query path so the fast (memory-only)
-        response mode has realistic spread (see ``CostModel.jitter``).
+        response mode has realistic spread (see ``COST_JITTER``).
         """
-        jitter = self.options.costs.jitter
-        if jitter:
-            base_us *= max(0.1, self._cost_rng.gauss(1.0, jitter))
-        self.clock.charge(base_us)
+        self.clock.charge(
+            base_us * max(0.1, self._cost_rng.gauss(1.0, COST_JITTER)))
 
     def _check_open(self) -> None:
         if self._closed:

@@ -1,24 +1,23 @@
-"""Skip-list memtable — the LSM-tree's only mutable storage object.
+"""Memtable — the LSM-tree's only mutable storage object.
 
 Keys map to :class:`Entry` records that distinguish values from delete
 tombstones; both must flow to the SSTables so compaction can eventually
 drop shadowed history (paper section 2.2).
 
-A skip list gives O(log n) point access plus in-order iteration for flush,
-matching what RocksDB's default memtable provides.  Tower heights come from
-a seeded RNG so experiments stay deterministic.
+A dict gives the point lookup and a sorted key list the in-order walk
+for flush and range reads.  What a probe or an insert costs in simulated
+time is the cost constants of :mod:`repro.lsm.options`, never this
+structure.  The same class serves live (the tree's write buffer) and
+frozen (:meth:`MemTable.copy`, what a snapshot reads).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.rng import SeededRng, make_rng
-
-_MAX_HEIGHT = 12
-_BRANCHING = 4
 
 
 @dataclass(frozen=True)
@@ -36,32 +35,37 @@ class Entry:
 TOMBSTONE = Entry(None)
 
 
-class _Node:
-    __slots__ = ("key", "entry", "next")
-
-    def __init__(self, key: bytes, entry: Optional[Entry], height: int) -> None:
-        self.key = key
-        self.entry = entry
-        self.next: List[Optional["_Node"]] = [None] * height
-
-
 class MemTable:
-    """Sorted in-memory write buffer with approximate size accounting."""
+    """Sorted in-memory write buffer with approximate size accounting.
 
-    def __init__(self, rng: Optional[SeededRng] = None) -> None:
-        self._head = _Node(b"", None, _MAX_HEIGHT)
-        self._height = 1
-        self._rng = rng or make_rng(None, "memtable")
-        self._count = 0
+    Readers run against the one writer without a lock, so a new key's
+    entry is published in the dict *before* the key joins the sorted
+    list (every listed key resolves), and iteration walks a copy of the
+    list taken in one step (an insert lands wholly before or after it).
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[bytes, Entry] = {}
+        self._keys: List[bytes] = []
         self._bytes = 0
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._keys)
 
     @property
     def approximate_bytes(self) -> int:
         """Rough payload size, used for the flush threshold."""
         return self._bytes
+
+    def copy(self) -> "MemTable":
+        """A memtable holding this one's current entries; later writes
+        to either do not show in the other."""
+        clone = MemTable()
+        clone._keys = self._keys[:]
+        entries = self._entries
+        clone._entries = {key: entries[key] for key in clone._keys}
+        clone._bytes = self._bytes
+        return clone
 
     # ----------------------------------------------------------------- writes
 
@@ -79,9 +83,8 @@ class MemTable:
         """Batch upsert of ``(key, value_or_None)`` pairs, in order.
 
         ``None`` values record tombstones.  Equivalent to the per-record
-        calls (same skip-list heights drawn in the same order); the batch
-        entry point exists so group-committed writes land through one
-        call, mirroring ``LSMTree.put_many``.
+        calls; the batch entry point exists so group-committed writes
+        land through one call, mirroring ``LSMTree.put_many``.
         """
         upsert = self._upsert
         for key, value in pairs:
@@ -90,72 +93,31 @@ class MemTable:
     def _upsert(self, key: bytes, entry: Entry) -> None:
         if not key:
             raise ConfigError("empty keys are not supported")
-        update: List[_Node] = [self._head] * _MAX_HEIGHT
-        node = self._head
-        for level in range(self._height - 1, -1, -1):
-            nxt = node.next[level]
-            while nxt is not None and nxt.key < key:
-                node = nxt
-                nxt = node.next[level]
-            update[level] = node
-        candidate = node.next[0]
-        if candidate is not None and candidate.key == key:
-            old = candidate.entry
+        old = self._entries.get(key)
+        self._entries[key] = entry
+        if old is None:
+            insort(self._keys, key)
+            self._bytes += len(key) + self._entry_bytes(entry) + 16
+        else:
             self._bytes += self._entry_bytes(entry) - self._entry_bytes(old)
-            candidate.entry = entry
-            return
-        height = self._random_height()
-        if height > self._height:
-            self._height = height
-        new_node = _Node(key, entry, height)
-        for level in range(height):
-            new_node.next[level] = update[level].next[level]
-            update[level].next[level] = new_node
-        self._count += 1
-        self._bytes += len(key) + self._entry_bytes(entry) + 16
 
     # ------------------------------------------------------------------ reads
 
     def get(self, key: bytes) -> Optional[Entry]:
         """The entry for ``key`` (value or tombstone), or None if absent."""
-        node = self._head
-        for level in range(self._height - 1, -1, -1):
-            nxt = node.next[level]
-            while nxt is not None and nxt.key < key:
-                node = nxt
-                nxt = node.next[level]
-        candidate = node.next[0]
-        if candidate is not None and candidate.key == key:
-            return candidate.entry
-        return None
+        return self._entries.get(key)
 
     def items(self) -> Iterator[Tuple[bytes, Entry]]:
         """All entries in key order (flush path)."""
-        node = self._head.next[0]
-        while node is not None:
-            yield node.key, node.entry
-            node = node.next[0]
+        return self.items_from(b"")
 
     def items_from(self, low: bytes) -> Iterator[Tuple[bytes, Entry]]:
         """Entries with key >= ``low`` in key order (range queries)."""
-        node = self._head
-        for level in range(self._height - 1, -1, -1):
-            nxt = node.next[level]
-            while nxt is not None and nxt.key < low:
-                node = nxt
-                nxt = node.next[level]
-        node = node.next[0]
-        while node is not None:
-            yield node.key, node.entry
-            node = node.next[0]
-
-    # ---------------------------------------------------------------- helpers
-
-    def _random_height(self) -> int:
-        height = 1
-        while height < _MAX_HEIGHT and self._rng.randrange(_BRANCHING) == 0:
-            height += 1
-        return height
+        keys = self._keys[:]
+        entries = self._entries
+        for index in range(bisect_left(keys, low), len(keys)):
+            key = keys[index]
+            yield key, entries[key]
 
     @staticmethod
     def _entry_bytes(entry: Entry) -> int:

@@ -1,45 +1,45 @@
-"""LSM-tree configuration.
+"""LSM-tree configuration and the in-memory cost model.
 
-One options object wires the whole engine: sizes, the filter policy, and
-the in-memory cost model that the simulated clock charges for work not
-covered by the storage device (request dispatch, memtable probe, filter
-probes).  Costs are explicit and centralized so the timing side channel the
-attack exploits is auditable: a negative-key ``get`` pays
-``get_base_cost + memtable_lookup_cost + filters_checked * filter_query_cost``
-and nothing else, landing in the paper's 5-10 us bucket, while a
+One options object wires the engine: sizes and the filter policy.  The
+cost model — what the simulated clock charges for work not covered by
+the storage device (request dispatch, memtable probe, filter probes) —
+is a set of constants, not options: it is part of the simulated world
+every experiment shares, like the paper's one fixed victim.  Costs are
+explicit and centralized so the timing side channel the attack exploits
+is auditable: a negative-key ``get`` pays ``GET_BASE_COST_US +
+MEMTABLE_LOOKUP_COST_US + filters_checked * FILTER_QUERY_COST_US`` and
+nothing else, landing in the paper's 5-10 us bucket, while a
 false-positive ``get`` additionally pays for real block I/O.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.filters.base import FilterBuilder
 
-
-@dataclass(frozen=True)
-class CostModel:
-    """Microsecond charges for in-memory work on the query path.
-
-    ``jitter`` is the relative standard deviation applied to each charge
-    (CPU scheduling, cache effects, allocator noise).  Without it the
-    fast mode of the response-time distribution would be a clean delta
-    function, unlike the paper's Table 1, and the attack's 4-query
-    averaging would be pointless.
-    """
-
-    get_base_cost_us: float = 4.0
-    put_base_cost_us: float = 1.0
-    memtable_lookup_cost_us: float = 1.5
-    memtable_insert_cost_us: float = 1.2
-    filter_query_cost_us: float = 0.4
-    index_lookup_cost_us: float = 0.5
-    block_search_cost_us: float = 0.7
-    range_seek_cost_us: float = 2.0
-    range_next_cost_us: float = 0.2
-    jitter: float = 0.20
+# Microsecond charges for in-memory work on the query path.
+GET_BASE_COST_US = 4.0
+PUT_BASE_COST_US = 1.0
+MEMTABLE_LOOKUP_COST_US = 1.5
+MEMTABLE_INSERT_COST_US = 1.2
+FILTER_QUERY_COST_US = 0.4
+INDEX_LOOKUP_COST_US = 0.5
+BLOCK_SEARCH_COST_US = 0.7
+RANGE_SEEK_COST_US = 2.0
+RANGE_NEXT_COST_US = 0.2
+#: Relative standard deviation applied to each jittered charge (CPU
+#: scheduling, cache effects, allocator noise).  Without it the fast mode
+#: of the response-time distribution would be a clean delta function,
+#: unlike the paper's Table 1, and the attack's 4-query averaging would
+#: be pointless.
+COST_JITTER = 0.20
+#: Levels a tree has, L0 included (RocksDB's default).
+MAX_LEVELS = 7
+#: Tiered compaction: runs within this size factor form one tier.
+TIER_SIZE_RATIO = 2.0
 
 
 @dataclass
@@ -61,10 +61,7 @@ class LSMOptions:
     #: runs — and therefore more filters — on the read path).
     compaction_style: str = "leveled"
     l0_compaction_trigger: int = 4
-    #: Tiered only: runs within this size factor form one tier.
-    tier_size_ratio: float = 2.0
     level_size_multiplier: int = 10
-    max_levels: int = 7
     base_level_size_bytes: int = 1 * 1024 * 1024
     filter_builder: Optional[FilterBuilder] = None
     page_cache_bytes: int = 4 * 1024 * 1024
@@ -75,7 +72,6 @@ class LSMOptions:
     #: Background I/O charges a throwaway clock — by design it is
     #: invisible in simulated time.
     background_compaction: bool = False
-    costs: CostModel = field(default_factory=CostModel)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,9 +86,5 @@ class LSMOptions:
         if self.compaction_style not in ("leveled", "tiered"):
             raise ConfigError(
                 f"unknown compaction style {self.compaction_style!r}")
-        if self.tier_size_ratio < 1.0:
-            raise ConfigError("tier size ratio must be at least 1.0")
         if self.level_size_multiplier < 2:
             raise ConfigError("level size multiplier must be at least 2")
-        if not 1 <= self.max_levels <= 16:
-            raise ConfigError("max_levels must be in [1, 16]")

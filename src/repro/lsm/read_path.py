@@ -6,15 +6,15 @@ pins, clock, RNG streams, cache — and delegate every read here, so the
 side channel (filter verdicts, charges, stats) cannot depend on which of
 them serves a query.
 
-The **read context** ``ctx`` is duck-typed: ``options``, ``stats`` (a
-``DBStats``), ``clock``, ``cache``, ``_cost_rng``, ``charge_cost``,
-``versions`` (the :class:`~repro.lsm.version.VersionSet` reads pin) and
-``_memtable`` (anything with ``.get(key)``: the live skip list, which a
-flush swaps out — so it is re-read off ``ctx`` per key, never hoisted —
-or a snapshot's frozen dict).  The owner supplies the rest per call:
-``mem_items_from`` for range reads, and ``version`` when it already
-holds a pin (a snapshot, a range read); with ``version=None`` point
-reads pin ``ctx.versions`` themselves.
+The **read context** ``ctx`` is duck-typed: ``stats`` (a ``DBStats``),
+``clock``, ``cache``, ``_cost_rng``, ``charge_cost``, ``versions`` (the
+:class:`~repro.lsm.version.VersionSet` reads pin) and
+``_memtable`` (a :class:`~repro.lsm.memtable.MemTable`: the live one,
+which a flush swaps out — so it is re-read off ``ctx`` per key, never
+hoisted — or a snapshot's frozen copy).  The owner supplies the rest per
+call: ``mem_items_from`` for range reads, and ``version`` when it
+already holds a pin (a snapshot, a range read); with ``version=None``
+point reads pin ``ctx.versions`` themselves.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.lsm.iterator import merge_entries
 from repro.lsm.memtable import Entry
+from repro.lsm.options import (
+    COST_JITTER,
+    FILTER_QUERY_COST_US,
+    GET_BASE_COST_US,
+    MEMTABLE_LOOKUP_COST_US,
+    RANGE_NEXT_COST_US,
+    RANGE_SEEK_COST_US,
+)
 from repro.lsm.sorted_view import ensure_view
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import Version, VersionSet
@@ -164,14 +172,11 @@ def getter(ctx, version: Optional[Version] = None,
     tables immediately, so an unpinned walk could race one; the pin is
     charge-free.
     """
-    costs = ctx.options.costs
     stats = ctx.stats
     cache = ctx.cache
     versions = ctx.versions
     fixed_version = plan.version if plan is not None else version
-    base_cost = costs.get_base_cost_us + costs.memtable_lookup_cost_us
-    filter_cost = costs.filter_query_cost_us
-    jitter = costs.jitter
+    base_cost = GET_BASE_COST_US + MEMTABLE_LOOKUP_COST_US
     gauss = ctx._cost_rng.gauss
     clock_charge = ctx.clock.charge
     plan_lookup = plan.lookup if plan is not None else None
@@ -180,10 +185,7 @@ def getter(ctx, version: Optional[Version] = None,
 
     def get_one(key: bytes) -> Optional[bytes]:
         stats.gets += 1
-        if jitter:
-            clock_charge(base_cost * max(0.1, gauss(1.0, jitter)))
-        else:
-            clock_charge(base_cost)
+        clock_charge(base_cost * max(0.1, gauss(1.0, COST_JITTER)))
         entry = ctx._memtable.get(key)
         if entry is not None:
             stats.memtable_hits += 1
@@ -200,11 +202,8 @@ def getter(ctx, version: Optional[Version] = None,
                 filt = table.filter
                 if filt is not None:
                     stats.filter_checks += 1
-                    if jitter:
-                        clock_charge(
-                            filter_cost * max(0.1, gauss(1.0, jitter)))
-                    else:
-                        clock_charge(filter_cost)
+                    clock_charge(FILTER_QUERY_COST_US
+                                 * max(0.1, gauss(1.0, COST_JITTER)))
                     passed = (plan_lookup(filt, key)
                               if plan_lookup is not None else None)
                     if passed is None:
@@ -215,7 +214,7 @@ def getter(ctx, version: Optional[Version] = None,
                         stats.filter_negatives += 1
                         continue
                 stats.table_reads += 1
-                entry = table.reader.get(key, cache, costs)
+                entry = table.reader.get(key, cache)
                 if entry is not None:
                     return entry.value
             return None
@@ -334,7 +333,6 @@ def plan_range_sources(ctx, version: Version, low: bytes,
     cannot depend on which one runs.  ``high=None`` (open-ended cursor)
     skips the probes and selects tables by ``bound`` instead.
     """
-    costs = ctx.options.costs
     stats = ctx.stats
     if bound is None:
         bound = high
@@ -343,7 +341,7 @@ def plan_range_sources(ctx, version: Version, low: bytes,
     append = active.append
     table_reads = 0
     overlapping = version.overlapping
-    for level in range(ctx.options.max_levels):
+    for level in range(version.max_levels):
         for table in overlapping(level, low, bound):
             if probe:
                 # Point-only filters (plain Bloom) have no range_filter
@@ -351,7 +349,7 @@ def plan_range_sources(ctx, version: Version, low: bytes,
                 filt = table.range_filter
                 if filt is not None:
                     stats.filter_checks += 1
-                    ctx.charge_cost(costs.filter_query_cost_us)
+                    ctx.charge_cost(FILTER_QUERY_COST_US)
                     if not filt.may_contain_range(low, high):
                         stats.filter_negatives += 1
                         continue
@@ -407,23 +405,17 @@ def range_query(ctx, version: Version, mem_items_from, low: bytes,
     """
     if low > high:
         return []
-    costs = ctx.options.costs
     ctx.stats.range_queries += 1
-    ctx.charge_cost(costs.range_seek_cost_us)
+    ctx.charge_cost(RANGE_SEEK_COST_US)
     active = plan_range_sources(ctx, version, low, high)
     merged = merged_entries(ctx, version, active, mem_items_from(low),
                             low, high)
-    next_cost = costs.range_next_cost_us
-    jitter = costs.jitter
     gauss = ctx._cost_rng.gauss
     clock_charge = ctx.clock.charge
     out: List[Tuple[bytes, bytes]] = []
     append = out.append
     for key, entry in merged:
-        if jitter:
-            clock_charge(next_cost * max(0.1, gauss(1.0, jitter)))
-        else:
-            clock_charge(next_cost)
+        clock_charge(RANGE_NEXT_COST_US * max(0.1, gauss(1.0, COST_JITTER)))
         if entry.is_tombstone:
             continue
         append((key, entry.value))

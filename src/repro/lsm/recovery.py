@@ -21,6 +21,7 @@ from repro.common.errors import (
     TransientIOError,
 )
 from repro.lsm.manifest import ManifestEntry, ManifestLoad
+from repro.lsm.options import MAX_LEVELS
 from repro.lsm.sstable import SSTable, SSTableReader
 from repro.lsm.version import Version
 
@@ -160,7 +161,7 @@ def recover(db) -> RecoveryReport:
     report.manifest_corrupt_entries = load.corrupt_entries
 
     referenced = set()
-    levels: List[List[SSTable]] = [[] for _ in range(db.options.max_levels)]
+    levels: List[List[SSTable]] = [[] for _ in range(MAX_LEVELS)]
     for entry in load.entries:
         referenced.add(entry.path)
         _bump_file_counter(db, entry.path)
@@ -171,7 +172,7 @@ def recover(db) -> RecoveryReport:
         # deeper levels are re-sorted and overlap-checked on build.
         levels[entry.level].append(table)
         report.tables_opened += 1
-    db.versions.reset(Version.from_levels(db.options.max_levels, levels))
+    db.versions.reset(Version.from_levels(MAX_LEVELS, levels))
 
     # Table files no manifest generation references are the half-born
     # outputs of a flush or compaction that crashed before its manifest

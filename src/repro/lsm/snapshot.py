@@ -29,13 +29,12 @@ share the pinned version's sorted view for free.  Writes and the
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.common.errors import DBClosedError
 from repro.common.rng import make_rng
 from repro.lsm import read_path
-from repro.lsm.memtable import Entry
+from repro.lsm.options import COST_JITTER
 from repro.storage.clock import SimClock
 from repro.storage.page_cache import PageCache
 
@@ -52,8 +51,7 @@ class SnapshotView:
         self.version = db.versions.pin()
         #: The memtable frozen at snapshot time (includes tombstones,
         #: exactly like the live memtable's shadowing behaviour).
-        self._memtable: Dict[bytes, Entry] = dict(db._memtable.items())
-        self._memtable_sorted: Optional[List[Tuple[bytes, Entry]]] = None
+        self._memtable = db._memtable.copy()
         self.clock = SimClock()
         self.clock.advance_to(db.clock.now_us)
         rng = make_rng(db.options.seed, f"snapshot-{snapshot_id}")
@@ -100,10 +98,8 @@ class SnapshotView:
 
     def charge_cost(self, base_us: float) -> None:
         """Jittered in-memory charge against the snapshot's own clock."""
-        jitter = self.options.costs.jitter
-        if jitter:
-            base_us *= max(0.1, self._cost_rng.gauss(1.0, jitter))
-        self.clock.charge(base_us)
+        self.clock.charge(
+            base_us * max(0.1, self._cost_rng.gauss(1.0, COST_JITTER)))
 
     # ------------------------------------------------------------------ reads
     # Every read delegates to repro.lsm.read_path with the frozen
@@ -146,32 +142,20 @@ class SnapshotView:
         self._check_open()
         return read_path.get_many(self, keys, self.version, timed=True)
 
-    def _memtable_from(self, low: bytes) -> Iterator[Tuple[bytes, Entry]]:
-        """Frozen-memtable analogue of ``MemTable.items_from``.
-
-        Sorted lazily on first range read; ``(low,)`` compares below
-        ``(low, entry)`` so ``bisect_left`` lands on the first key >= low.
-        """
-        items = self._memtable_sorted
-        if items is None:
-            items = self._memtable_sorted = sorted(self._memtable.items())
-        return iter(items[bisect_left(items, (low,)):])
-
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
         """Bounded range read against the frozen state, charged against
         the snapshot's own clock and RNG streams (the pinned version's
         sorted view is shared with the live tree at no cost)."""
         self._check_open()
-        return read_path.range_query(self, self.version, self._memtable_from,
+        return read_path.range_query(self, self.version,
+                                     self._memtable.items_from,
                                      low, high, limit)
 
-    def scan(self, low: bytes, high: Optional[bytes] = None,
-             limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
-        """Prefix-anchored scan (see ``LSMTree.scan`` for the bound rule)."""
-        if high is None:
-            high = low + b"\xff" * 64
-        return self.range_query(low, high, limit=limit)
+    def scan(self, prefix: bytes, limit: Optional[int] = None
+             ) -> List[Tuple[bytes, bytes]]:
+        """Prefix scan (see ``LSMTree.scan``)."""
+        return self.range_query(prefix, prefix + b"\xff" * 64, limit=limit)
 
     # ------------------------------------------------------- attack-side APIs
 

@@ -27,7 +27,7 @@ from repro.common.errors import CorruptionError, StorageError
 from repro.filters.base import Filter, RangeFilter
 from repro.lsm.block import Block
 from repro.lsm.memtable import Entry
-from repro.lsm.options import CostModel
+from repro.lsm.options import BLOCK_SEARCH_COST_US, INDEX_LOOKUP_COST_US
 from repro.storage.device import MappedRegion, StorageDevice
 from repro.storage.page_cache import PageCache
 
@@ -134,8 +134,7 @@ class SSTableReader:
                 hi = mid
         return lo if lo < len(self._index) else None
 
-    def get(self, key: bytes, cache: PageCache, costs: CostModel
-            ) -> Optional[Entry]:
+    def get(self, key: bytes, cache: PageCache) -> Optional[Entry]:
         """Point lookup through the page cache.
 
         Returns the entry (value or tombstone) or None.  This is the I/O
@@ -148,14 +147,14 @@ class SSTableReader:
         ``self.device.clock``.
         """
         clock = cache.device.clock
-        clock.charge(costs.index_lookup_cost_us)
+        clock.charge(INDEX_LOOKUP_COST_US)
         block_index = self._block_index_for(key)
         if block_index is None:
             return None
         handle = self._index[block_index][1]
         block = cache.read_decoded(self.path, handle.offset, handle.length,
                                    Block, region=self.region)
-        clock.charge(costs.block_search_cost_us)
+        clock.charge(BLOCK_SEARCH_COST_US)
         return block.get(key)
 
     def iterate_from(self, low: bytes, cache: PageCache

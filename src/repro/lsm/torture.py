@@ -33,6 +33,7 @@ reaches the harness as the ``CompactionError`` that quiesce re-raises.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -49,6 +50,9 @@ from repro.lsm.wal import _HEADER_V2, MAGIC as _WAL_MAGIC
 from repro.storage.clock import SimClock
 from repro.storage.faults import FaultPlan, FaultyStorageDevice
 
+#: Distinct keys a workload draws from: few enough that overwrites and
+#: deletes of live keys are common.
+KEY_SPACE = 48
 #: Workload op kinds.
 OP_PUT = "put"
 OP_DELETE = "delete"
@@ -81,8 +85,7 @@ def background_torture_options() -> LSMOptions:
     return replace(default_torture_options(), background_compaction=True)
 
 
-def generate_workload(seed: int, num_ops: int,
-                      key_space: int = 48) -> List[WorkloadOp]:
+def generate_workload(seed: int, num_ops: int) -> List[WorkloadOp]:
     """Seeded op script: ~60% puts, ~12% group-committed batches, ~13%
     deletes, plus explicit flushes and full compactions so crash points
     land inside every mechanism (including mid-batch WAL appends).
@@ -94,7 +97,7 @@ def generate_workload(seed: int, num_ops: int,
     ops: List[WorkloadOp] = []
     for index in range(num_ops):
         draw = rng.random()
-        pick = rng.randrange(key_space)
+        pick = rng.randrange(KEY_SPACE)
         key = b"key%04d" % pick
         if draw < 0.60:
             ops.append(WorkloadOp(OP_PUT, key,
@@ -103,7 +106,7 @@ def generate_workload(seed: int, num_ops: int,
             count = rng.randint(2, 5)
             items = []
             for item_index in range(count):
-                item_pick = rng.randrange(key_space)
+                item_pick = rng.randrange(KEY_SPACE)
                 items.append((b"key%04d" % item_pick,
                               b"value-%04d-op%05d-i%d"
                               % (item_pick, index, item_index)))
@@ -263,7 +266,10 @@ def run_crash_point(seed: int, ops: List[WorkloadOp],
             result.ops_acknowledged += 1
 
     result.mutations = device.fault_stats.mutations
-    _stop_background(db)
+    # On a crashed device close() cannot flush, but it still ends the
+    # abandoned tree's compactor thread.
+    with suppress(SimulatedCrashError):
+        db.close()
     device.revive()
     recovered = LSMTree.reopen(device, options=options_factory())
     result.report = recovered.recovery_report
@@ -276,15 +282,8 @@ def run_crash_point(seed: int, ops: List[WorkloadOp],
         observed = recovered.get(key)
         if expected != observed:
             result.mismatches.append((key, expected, observed))
-    _stop_background(recovered)
+    recovered.close()
     return result
-
-
-def _stop_background(db: LSMTree) -> None:
-    """End an abandoned tree's compactor thread (nothing is in flight:
-    every op was quiesced)."""
-    if db._background is not None:
-        db._background.stop()
 
 
 @dataclass

@@ -39,7 +39,6 @@ from repro.common.errors import (
 )
 from repro.server import protocol
 from repro.server.client import (
-    DEFAULT_TIMEOUT_S,
     ConnectionPool,
     RemoteKV,
     WireConnection,
@@ -52,6 +51,11 @@ from repro.server.tcp import (
     map_dispatch_error,
 )
 from repro.storage.background import BackgroundLoad
+
+#: Seconds an ordered frame may wait for its turn before erroring.
+ORDER_TIMEOUT_S = 10.0
+#: Seconds ``stop(graceful=True)`` waits for in-flight requests.
+DRAIN_TIMEOUT_S = 10.0
 
 
 class AsyncOrderedGate:
@@ -140,7 +144,7 @@ class AsyncKVWireServer:
         self.config = config or ServerConfig()
         self.background = background
         self._executor = RequestExecutor(service, background)
-        self._gate = AsyncOrderedGate(self.config.order_timeout_s)
+        self._gate = AsyncOrderedGate(ORDER_TIMEOUT_S)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._listener: Optional[asyncio.AbstractServer] = None
@@ -237,7 +241,7 @@ class AsyncKVWireServer:
         self._address = None
         with contextlib.suppress(TransportError):
             self._call(self._shutdown(graceful),
-                       timeout_s=self.config.drain_timeout_s + 5.0)
+                       timeout_s=DRAIN_TIMEOUT_S + 5.0)
         self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -246,8 +250,7 @@ class AsyncKVWireServer:
         if self._listener is not None:
             self._listener.close()
         if graceful:
-            deadline = (asyncio.get_event_loop().time()
-                        + self.config.drain_timeout_s)
+            deadline = asyncio.get_event_loop().time() + DRAIN_TIMEOUT_S
             while (self._inflight > 0
                    and asyncio.get_event_loop().time() < deadline):
                 await asyncio.sleep(0.005)
@@ -379,10 +382,9 @@ class AsyncLoopbackTransport:
     byte the same protocol, and :meth:`pool` can be any size.
     """
 
-    def __init__(self, service, background: Optional[BackgroundLoad] = None,
-                 config: Optional[ServerConfig] = None) -> None:
-        self.server = AsyncKVWireServer(service, config or ServerConfig(),
-                                        background=background)
+    def __init__(self, service,
+                 background: Optional[BackgroundLoad] = None) -> None:
+        self.server = AsyncKVWireServer(service, background=background)
         self.server.start(listen=False)
 
     def dial(self) -> socket.socket:
@@ -395,14 +397,13 @@ class AsyncLoopbackTransport:
             raise
         return client_end
 
-    def connect(self, timeout_s: float = DEFAULT_TIMEOUT_S) -> RemoteKV:
+    def connect(self) -> RemoteKV:
         """One client over a fresh loopback connection."""
-        return RemoteKV(WireConnection(self.dial(), timeout_s=timeout_s))
+        return RemoteKV(WireConnection(self.dial()))
 
-    def pool(self, size: int,
-             timeout_s: float = DEFAULT_TIMEOUT_S) -> ConnectionPool:
+    def pool(self, size: int) -> ConnectionPool:
         """A connection pool over fresh loopback connections (any size)."""
-        return ConnectionPool(self.dial, size, timeout_s=timeout_s)
+        return ConnectionPool(self.dial, size)
 
     def close(self) -> None:
         self.server.stop()

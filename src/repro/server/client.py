@@ -59,11 +59,10 @@ class WireConnection:
     """One protocol connection: sequential request/response over a socket."""
 
     def __init__(self, sock: socket.socket,
-                 timeout_s: float = DEFAULT_TIMEOUT_S,
                  wall_rtt_s: float = 0.0) -> None:
         if wall_rtt_s < 0:
             raise ConfigError("wall RTT must be non-negative")
-        sock.settimeout(timeout_s)
+        sock.settimeout(DEFAULT_TIMEOUT_S)
         self._sock = sock
         self._lock = threading.Lock()
         self._next_request_id = 0
@@ -299,29 +298,35 @@ class ConnectionPool:
     """
 
     def __init__(self, dial: Callable[[], socket.socket], size: int,
-                 timeout_s: float = DEFAULT_TIMEOUT_S,
                  wall_rtt_s: float = 0.0) -> None:
         if size < 1:
             raise ConfigError("connection pool needs at least one connection")
+        # Checked before the first dial: a socket handed to a
+        # WireConnection that then refuses it has no owner to close it.
+        if wall_rtt_s < 0:
+            raise ConfigError("wall RTT must be non-negative")
         self._clients: List[RemoteKV] = []
         try:
             for _ in range(size):
                 self._clients.append(RemoteKV(WireConnection(
-                    dial(), timeout_s=timeout_s, wall_rtt_s=wall_rtt_s)))
+                    dial(), wall_rtt_s=wall_rtt_s)))
         except OSError as exc:
-            self.close()
             raise TransportError(f"dial failed: {exc}") from exc
+        finally:
+            # Whatever stopped construction, what was dialed is closed.
+            if len(self._clients) < size:
+                self.close()
 
     @classmethod
     def tcp(cls, host: str, port: int, size: int,
-            timeout_s: float = DEFAULT_TIMEOUT_S,
             wall_rtt_s: float = 0.0) -> "ConnectionPool":
         """Pool of TCP connections to ``host:port``."""
         def dial() -> socket.socket:
-            sock = socket.create_connection((host, port), timeout=timeout_s)
+            sock = socket.create_connection((host, port),
+                                            timeout=DEFAULT_TIMEOUT_S)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock
-        return cls(dial, size, timeout_s=timeout_s, wall_rtt_s=wall_rtt_s)
+        return cls(dial, size, wall_rtt_s=wall_rtt_s)
 
     def __len__(self) -> int:
         return len(self._clients)
@@ -355,7 +360,6 @@ class ConnectionPool:
         self.close()
 
 
-def connect(host: str, port: int,
-            timeout_s: float = DEFAULT_TIMEOUT_S) -> RemoteKV:
+def connect(host: str, port: int) -> RemoteKV:
     """One-connection convenience constructor."""
-    return ConnectionPool.tcp(host, port, size=1, timeout_s=timeout_s).primary
+    return ConnectionPool.tcp(host, port, size=1).primary

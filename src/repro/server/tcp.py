@@ -9,7 +9,7 @@ Two jobs live here (DESIGN.md section 7):
   its response frame against the service stack, :func:`collect_stats`
   asks the stack for its STATS counters, and
   :func:`map_dispatch_error` maps typed library errors to ERROR frames.
-  :class:`ServerConfig` holds the server's knobs.
+  :class:`ServerConfig` says where the server listens.
 
 The server itself — event loop, ordered gate, loopback transport — is
 :mod:`repro.server.aio`; these names stay in this module because the e2e
@@ -41,22 +41,16 @@ from repro.storage.background import BackgroundLoad
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Server knobs."""
+    """Where the server listens (deployment settings)."""
 
     host: str = "127.0.0.1"
     port: int = 0
     #: Listen backlog handed to the kernel.
     backlog: int = 16
-    #: Seconds an ordered frame may wait for its turn before erroring.
-    order_timeout_s: float = 10.0
-    #: Seconds ``stop(graceful=True)`` waits for in-flight requests.
-    drain_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.backlog < 1:
             raise ConfigError("backlog must be at least 1")
-        if self.order_timeout_s <= 0 or self.drain_timeout_s <= 0:
-            raise ConfigError("timeouts must be positive")
 
 
 def collect_stats(service, background: Optional[BackgroundLoad] = None

@@ -38,7 +38,7 @@ from repro.common.errors import (
     TransientIOError,
 )
 from repro.common.rng import make_rng
-from repro.storage.device import DeviceModel, StorageDevice
+from repro.storage.device import StorageDevice
 
 
 @dataclass
@@ -107,9 +107,9 @@ class FaultyStorageDevice(StorageDevice):
     dead) raises :class:`SimulatedCrashError` until :meth:`revive`.
     """
 
-    def __init__(self, clock, model: Optional[DeviceModel] = None,
-                 rng=None, plan: Optional[FaultPlan] = None) -> None:
-        super().__init__(clock, model=model, rng=rng)
+    def __init__(self, clock, rng=None,
+                 plan: Optional[FaultPlan] = None) -> None:
+        super().__init__(clock, rng=rng)
         self.plan = plan or FaultPlan()
         self.fault_stats = FaultStats()
         self._fault_rng = make_rng(self.plan.seed, "faults")
@@ -134,14 +134,11 @@ class FaultyStorageDevice(StorageDevice):
                 and self.plan.crash_at_op <= self.fault_stats.mutations:
             self.plan.crash_at_op = None
 
-    def schedule_crash(self, after_mutations: int = 0,
-                       torn: Optional[bool] = None) -> None:
+    def schedule_crash(self, after_mutations: int = 0) -> None:
         """Arm a crash ``after_mutations`` mutations from now."""
         if after_mutations < 0:
             raise ConfigError("after_mutations must be non-negative")
         self.plan.crash_at_op = self.fault_stats.mutations + after_mutations
-        if torn is not None:
-            self.plan.torn_writes = torn
 
     def _check_alive(self) -> None:
         if self._crashed:

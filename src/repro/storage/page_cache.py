@@ -98,7 +98,6 @@ class PageCache:
     """
 
     def __init__(self, device: StorageDevice, capacity_bytes: int,
-                 hit_cost_us: float = CACHE_HIT_COST_US,
                  decoded_capacity: Optional[int] = None) -> None:
         if capacity_bytes < device.model.block_size:
             raise ConfigError(
@@ -113,7 +112,6 @@ class PageCache:
             )
         self.device = device
         self.capacity_bytes = capacity_bytes
-        self.hit_cost_us = hit_cost_us
         self.decoded_capacity = decoded_capacity
         self._pages: "OrderedDict[PageKey, memoryview]" = OrderedDict()
         self._bytes = 0
@@ -163,7 +161,7 @@ class PageCache:
             if cached is not None:
                 self._pages.move_to_end(key)
                 self.stats.hits += 1
-                self.device.clock.charge(self.hit_cost_us)
+                self.device.clock.charge(CACHE_HIT_COST_US)
                 return cached
             self.stats.misses += 1
             block = self.device.read_block_view(path, block_index)
@@ -205,12 +203,11 @@ class PageCache:
                         break
                 if resident:
                     charge = self.device.clock.charge
-                    hit_cost = self.hit_cost_us
                     stats = self.stats
                     for page_key in page_keys:
                         pages.move_to_end(page_key)
                         stats.hits += 1
-                        charge(hit_cost)
+                        charge(CACHE_HIT_COST_US)
                     self._decoded.move_to_end(key)
                     stats.decoded_hits += 1
                     return obj
@@ -255,7 +252,6 @@ class PageCache:
         pages_move = pages.move_to_end
         stats = self.stats
         charge = self.device.clock.charge
-        hit_cost = self.hit_cost_us
         # Counter deltas accumulate locally and flush once before the
         # lock drops: nothing can observe the stats mid-batch (every
         # reader takes the lock), and attribute stores are the single
@@ -275,7 +271,7 @@ class PageCache:
                         if page_key in pages:
                             pages_move(page_key)
                             hits += 1
-                            charge(hit_cost)
+                            charge(CACHE_HIT_COST_US)
                             decoded_move(key)
                             decoded_hits += 1
                             append(obj)
@@ -288,9 +284,9 @@ class PageCache:
                         if page_key in pages and page_key2 in pages:
                             pages_move(page_key)
                             hits += 2
-                            charge(hit_cost)
+                            charge(CACHE_HIT_COST_US)
                             pages_move(page_key2)
-                            charge(hit_cost)
+                            charge(CACHE_HIT_COST_US)
                             decoded_move(key)
                             decoded_hits += 1
                             append(obj)
@@ -302,7 +298,7 @@ class PageCache:
                             for page_key in page_keys:
                                 pages_move(page_key)
                                 hits += 1
-                                charge(hit_cost)
+                                charge(CACHE_HIT_COST_US)
                             decoded_move(key)
                             decoded_hits += 1
                             append(obj)

@@ -35,13 +35,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ConfigError
 from repro.lsm.read_path import ProbePlan
-from repro.system.detector import DetectorPolicy, SiphoningDetector
+from repro.system.detector import SiphoningDetector
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
 from repro.system.responses import Response, Status
 from repro.system.service import ServiceLayer
 
 #: Escalation modes, in order of aggressiveness.
 DEFENSE_MODES = ("observe", "throttle", "noise")
+#: Seed of the noise RNG — simulated time stays reproducible.
+NOISE_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,6 @@ class DefensePolicy:
     #: users' negative lookups in ``noise`` mode (simulated µs).  Sized
     #: to dwarf the filter-negative/positive timing gap (tens of µs).
     noise_max_us: float = 400.0
-    #: Seed for the noise RNG — simulated time stays reproducible.
-    seed: int = 0x5EED
 
     def __post_init__(self) -> None:
         if self.mode not in DEFENSE_MODES:
@@ -99,16 +99,16 @@ class DefendedService(ServiceLayer):
     response time would look like to the attacker.
     """
 
-    def __init__(self, service, policy: DefensePolicy = DefensePolicy(),
-                 detector: Optional[SiphoningDetector] = None) -> None:
+    def __init__(self, service,
+                 policy: DefensePolicy = DefensePolicy()) -> None:
         super().__init__(service)
         self.policy = policy
-        self.detector = detector or SiphoningDetector()
+        self.detector = SiphoningDetector()
         if policy.mode == "throttle" and self.limiter is None:
             raise ConfigError(
                 "throttle mode needs a RateLimitedService in the stack "
                 "(see build_defended_service)")
-        self._rng = random.Random(policy.seed)
+        self._rng = random.Random(NOISE_SEED)
         self._lock = threading.Lock()
         self._since_check: Dict[int, int] = {}
         self._flagged: Set[int] = set()
@@ -300,26 +300,20 @@ class DefendedService(ServiceLayer):
 
 #: Permissive base limit inserted under throttle mode when the stack has
 #: no limiter of its own: effectively unthrottled until escalation.
-DEFAULT_BASE_LIMIT = RateLimitPolicy(requests_per_second=1e6, burst=4096)
+BASE_LIMIT = RateLimitPolicy(requests_per_second=1e6, burst=4096)
 
 
 def build_defended_service(service, mode: str = "observe",
-                           policy: Optional[DefensePolicy] = None,
-                           detector: Optional[SiphoningDetector] = None,
-                           detector_policy: Optional[DetectorPolicy] = None,
-                           base_limit: Optional[RateLimitPolicy] = None,
+                           policy: Optional[DefensePolicy] = None
                            ) -> DefendedService:
     """Wrap ``service`` for online defense, completing the stack.
 
     ``throttle`` mode needs a per-user escalation lever; if the stack has
-    no :class:`RateLimitedService`, one is inserted with ``base_limit``
-    (default: permissive enough to be invisible to benign traffic).
+    no :class:`RateLimitedService`, one is inserted with ``BASE_LIMIT``
+    (permissive enough to be invisible to benign traffic).
     ``policy`` overrides ``mode`` when given.
     """
     policy = policy or DefensePolicy(mode=mode)
-    if detector is None and detector_policy is not None:
-        detector = SiphoningDetector(detector_policy)
     if policy.mode == "throttle" and service.limiter is None:
-        service = RateLimitedService(service,
-                                     base_limit or DEFAULT_BASE_LIMIT)
-    return DefendedService(service, policy=policy, detector=detector)
+        service = RateLimitedService(service, BASE_LIMIT)
+    return DefendedService(service, policy=policy)

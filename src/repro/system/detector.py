@@ -38,6 +38,14 @@ from repro.system.responses import Response, Status
 from repro.system.service import KVService, ServiceLayer
 
 
+#: Miss ratio at which no clustering evidence is needed: essentially
+#: every request failing is the FindFPK guessing phase's signature.
+EXTREME_MISS_RATIO = 0.98
+#: How many bytes of adjacent-LCP *excess* over the uniform baseline the
+#: failed-key window must show (jointly with the miss ratio).
+LCP_EXCESS_THRESHOLD = 0.75
+
+
 @dataclass(frozen=True)
 class DetectorPolicy:
     """Sliding-window thresholds."""
@@ -47,12 +55,6 @@ class DetectorPolicy:
     min_requests: int = 256
     #: Miss-ratio threshold; benign mixes sit well below it.
     miss_ratio_threshold: float = 0.90
-    #: Miss ratio at which no clustering evidence is needed: essentially
-    #: every request failing is the FindFPK guessing phase's signature.
-    extreme_miss_ratio: float = 0.98
-    #: How many bytes of adjacent-LCP *excess* over the uniform baseline
-    #: the failed-key window must show (jointly with the miss ratio).
-    lcp_excess_threshold: float = 0.75
 
     def __post_init__(self) -> None:
         if self.window < 16:
@@ -61,8 +63,6 @@ class DetectorPolicy:
             raise ConfigError("min_requests must be in [16, window]")
         if not 0.0 < self.miss_ratio_threshold <= 1.0:
             raise ConfigError("miss ratio threshold must be in (0, 1]")
-        if self.lcp_excess_threshold < 0:
-            raise ConfigError("LCP excess threshold must be non-negative")
 
 
 @dataclass
@@ -115,14 +115,14 @@ class SiphoningDetector:
             window_len = len(window)
         miss_ratio = len(misses) / window_len
         lcp_excess = self._lcp_excess(misses)
-        if miss_ratio >= self.policy.extreme_miss_ratio:
+        if miss_ratio >= EXTREME_MISS_RATIO:
             return UserVerdict(
                 seen, miss_ratio, lcp_excess, True,
                 f"extreme miss ratio {miss_ratio:.2f} (guessing phase)")
         if miss_ratio < self.policy.miss_ratio_threshold:
             return UserVerdict(seen, miss_ratio, lcp_excess, False,
                                "healthy miss ratio")
-        if lcp_excess < self.policy.lcp_excess_threshold:
+        if lcp_excess < LCP_EXCESS_THRESHOLD:
             return UserVerdict(seen, miss_ratio, lcp_excess, False,
                                "misses look unfocused")
         return UserVerdict(
@@ -164,10 +164,9 @@ class MonitoredService(ServiceLayer):
     detect-then-throttle response of section 11.
     """
 
-    def __init__(self, service: KVService,
-                 detector: Optional[SiphoningDetector] = None) -> None:
+    def __init__(self, service: KVService) -> None:
         super().__init__(service)
-        self.detector = detector or SiphoningDetector()
+        self.detector = SiphoningDetector()
 
     # ------------------------------------------------------------------ reads
 

@@ -9,8 +9,6 @@ from repro.workloads.datasets import (
 )
 from repro.workloads.keygen import (
     StringKeyGenerator,
-    UniformKeyGenerator,
-    ZipfKeyGenerator,
     cluster_prefixes,
     clustered_dataset,
     sha1_dataset,
@@ -22,8 +20,6 @@ __all__ = [
     "Environment",
     "OWNER_USER",
     "StringKeyGenerator",
-    "UniformKeyGenerator",
-    "ZipfKeyGenerator",
     "build_environment",
     "cluster_prefixes",
     "clustered_dataset",

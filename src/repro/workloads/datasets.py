@@ -10,7 +10,7 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import ConfigError
@@ -30,6 +30,8 @@ from repro.workloads.keygen import sha1_dataset
 OWNER_USER = 1
 #: The attacker's user id (not authorized for any object).
 ATTACKER_USER = 666
+#: Payload bytes per stored object (before the ACL header).
+VALUE_SIZE = 64
 
 
 @dataclass
@@ -38,15 +40,12 @@ class DatasetConfig:
 
     num_keys: int = 50_000
     key_width: int = 5
-    value_size: int = 64
     seed: int = 0
     filter_builder: Optional[FilterBuilder] = None
     distinguish_unauthorized: bool = True
     #: Page cache as a fraction of on-device dataset bytes; the paper's
     #: setup is ~2 GB DRAM for ~50 GB of data, i.e. ~4%.
     cache_fraction: float = 0.05
-    sstable_target_bytes: int = 128 * 1024
-    background_load: LoadModel = field(default_factory=LoadModel)
     #: Run compaction on the background thread (MVCC read path
     #: pins version snapshots; background merges are free in simulated
     #: time — see DESIGN.md section 12).
@@ -57,8 +56,6 @@ class DatasetConfig:
             raise ConfigError("num_keys must be positive")
         if self.key_width <= 0:
             raise ConfigError("key_width must be positive")
-        if self.value_size < 0:
-            raise ConfigError("value_size must be non-negative")
         if not 0.0 < self.cache_fraction <= 1.0:
             raise ConfigError("cache_fraction must be in (0, 1]")
 
@@ -92,7 +89,7 @@ def build_environment(config: DatasetConfig) -> Environment:
     value_rng = rng.spawn("values")
     acl = Acl(owner=OWNER_USER)
     items = [
-        (key, pack_value(acl, value_rng.random_bytes(config.value_size)))
+        (key, pack_value(acl, value_rng.random_bytes(VALUE_SIZE)))
         for key in keys
     ]
     dataset_bytes = sum(len(k) + len(v) for k, v in items)
@@ -102,7 +99,6 @@ def build_environment(config: DatasetConfig) -> Environment:
 
     options = LSMOptions(
         filter_builder=config.filter_builder,
-        sstable_target_bytes=config.sstable_target_bytes,
         page_cache_bytes=cache_bytes,
         seed=config.seed,
         background_compaction=config.background_compaction,
@@ -111,7 +107,6 @@ def build_environment(config: DatasetConfig) -> Environment:
     db.bulk_load(items)
 
     service = KVService(db, config.distinguish_unauthorized)
-    background = BackgroundLoad(cache, config.background_load,
-                                rng.spawn("background"))
+    background = BackgroundLoad(cache, LoadModel(), rng.spawn("background"))
     return Environment(config=config, clock=clock, device=device, cache=cache,
                        db=db, service=service, background=background, keys=keys)

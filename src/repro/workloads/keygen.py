@@ -2,37 +2,18 @@
 
 The paper's datasets are uniformly random fixed-width keys derived with
 SHA1 (section 10.1) — the *worst case* for the attack (section 8), since
-skewed distributions only help the attacker.  Generators for skewed and
-variable-length string keys are provided for the extension experiments.
+skewed distributions only help the attacker.  Generators for clustered
+and variable-length string keys are provided for the extension
+experiments.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, List
+from typing import List
 
 from repro.common.errors import ConfigError
 from repro.common.keys import sha1_key
 from repro.common.rng import make_rng
-
-
-class UniformKeyGenerator:
-    """Uniformly random fixed-width keys (attack candidate stream)."""
-
-    def __init__(self, width: int, seed: int = 0, name: str = "uniform") -> None:
-        if width <= 0:
-            raise ConfigError(f"key width must be positive, got {width}")
-        self.width = width
-        self._rng = make_rng(seed, name)
-
-    def next_key(self) -> bytes:
-        """One fresh random key."""
-        return self._rng.random_bytes(self.width)
-
-    def keys(self, count: int) -> Iterator[bytes]:
-        """A stream of ``count`` random keys (duplicates possible)."""
-        for _ in range(count):
-            yield self.next_key()
 
 
 def sha1_dataset(num_keys: int, width: int, seed: int = 0) -> List[bytes]:
@@ -92,47 +73,6 @@ def cluster_prefixes(num_clusters: int, cluster_prefix_len: int = 2,
         if prefix not in seen:
             seen.append(prefix)
     return sorted(seen)
-
-
-class ZipfKeyGenerator:
-    """Zipf-skewed keys over a fixed universe (skewed-workload extension).
-
-    Rank ``r`` (1-based) is drawn with probability proportional to
-    ``1/r**exponent``; the key for rank ``r`` is SHA1-derived, so the hot
-    keys are scattered uniformly across the key space, as in real caches.
-    """
-
-    def __init__(self, universe: int, width: int, exponent: float = 1.1,
-                 seed: int = 0) -> None:
-        if universe <= 0:
-            raise ConfigError("universe size must be positive")
-        if exponent <= 0:
-            raise ConfigError("zipf exponent must be positive")
-        self.universe = universe
-        self.width = width
-        self.exponent = exponent
-        self._rng = make_rng(seed, "zipf")
-        # Inverse-CDF sampling over precomputed cumulative weights.
-        weights = [1.0 / (r ** exponent) for r in range(1, universe + 1)]
-        total = math.fsum(weights)
-        cumulative = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cumulative.append(acc)
-        self._cumulative = cumulative
-
-    def next_key(self) -> bytes:
-        """One Zipf-distributed key."""
-        u = self._rng.random()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return sha1_key(lo, self.width, b"zipf")
 
 
 class StringKeyGenerator:

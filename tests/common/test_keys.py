@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigError
 from repro.common.keys import (
     ALPHABET_SIZE,
-    all_prefixes,
     common_prefix_len,
     increment_key,
     int_to_key,
     key_to_int,
-    longest_shared_prefix,
     replace_byte,
     sha1_key,
-    sorted_unique,
     suffix_candidates,
     suffix_space_size,
 )
@@ -71,13 +68,6 @@ class TestPrefixes:
         assert common_prefix_len(b"abc", b"abcd") == 3
         assert common_prefix_len(b"", b"abc") == 0
 
-    def test_longest_shared_prefix(self):
-        assert longest_shared_prefix(b"abcd", [b"abxx", b"abcz"]) == b"abc"
-        assert longest_shared_prefix(b"abcd", []) == b""
-
-    def test_all_prefixes(self):
-        assert list(all_prefixes(b"ab")) == [b"", b"a", b"ab"]
-
     @given(st.binary(min_size=0, max_size=8), st.binary(min_size=0, max_size=8))
     def test_common_prefix_is_prefix_of_both(self, a, b):
         n = common_prefix_len(a, b)
@@ -129,7 +119,3 @@ class TestIncrementKey:
     def test_max_rejected(self):
         with pytest.raises(ConfigError):
             increment_key(b"\xff\xff")
-
-
-def test_sorted_unique():
-    assert sorted_unique([b"b", b"a", b"b"]) == [b"a", b"b"]

@@ -131,7 +131,3 @@ class TestConfig:
             RangeAttackConfig(key_width=0)
         with pytest.raises(ConfigError):
             RangeAttackConfig(key_width=3, start_prefix=b"abc")
-        with pytest.raises(ConfigError):
-            RangeAttackConfig(leaf_probes=0)
-        with pytest.raises(ConfigError):
-            RangeAttackConfig(verify_probes=0)

@@ -44,7 +44,7 @@ def build_env():
 def attack_snapshot(env, snap):
     """Run the full pipeline against a KVService over ``snap``."""
     service = KVService(snap, env.config.distinguish_unauthorized)
-    background = BackgroundLoad(snap.cache, env.config.background_load,
+    background = BackgroundLoad(snap.cache, env.background.model,
                                 make_rng(env.config.seed, "snapshot-load"))
     learning = learn_cutoff(service, ATTACKER_USER, WIDTH,
                             num_samples=1200, background=background)

@@ -42,14 +42,14 @@ class TestTriggers:
         db = LSMTree(small_options())
         populate(db, 6000)
         compactor = db._compactor
-        for level in range(1, db.options.max_levels - 1):
+        for level in range(1, db.version.max_levels - 1):
             assert (db.version.level_bytes(level)
                     <= compactor.level_target_bytes(level))
 
     def test_deep_levels_never_overlap(self):
         db = LSMTree(small_options())
         populate(db, 5000)
-        for level in range(1, db.options.max_levels):
+        for level in range(1, db.version.max_levels):
             tables = db.version.levels[level]
             for a, b in zip(tables, tables[1:]):
                 assert a.max_key < b.min_key

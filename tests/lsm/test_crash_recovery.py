@@ -10,11 +10,14 @@ manifest / SSTable, missing and orphaned tables, transient read storms)
 asserting the recovery path's classification and quarantine behaviour.
 """
 
+import threading
+
 import pytest
 
 from repro.common.errors import (
     CompactionError,
     CorruptionError,
+    DBClosedError,
     SimulatedCrashError,
     TransientIOError,
 )
@@ -339,7 +342,9 @@ class TestFaultsReachTheViews:
         # Dead means dead, on either thread: the files are those of the
         # crash instant whatever the process attempts afterwards.
         frozen = dict(device._files)
-        with pytest.raises(SimulatedCrashError):
+        # (A close that failed still closed: the tree refuses the put.)
+        with pytest.raises(DBClosedError if surface == "close"
+                           else SimulatedCrashError):
             db.put(b"key0000", b"never-acknowledged")
         with pytest.raises(SimulatedCrashError):  # the compactor's commit
             db._commit_version(manifest=db._silent_manifest,
@@ -370,6 +375,39 @@ class TestFaultsReachTheViews:
         snap.close()
         db.close()
         assert db.leaked_pins == 0
+
+
+class TestCloseAlwaysCloses:
+    def test_failed_final_flush_still_closes_and_stops_the_compactor(self):
+        before = set(threading.enumerate())
+        clock = SimClock()
+        device = FaultyStorageDevice(clock, rng=make_rng(0, "dev"),
+                                     plan=FaultPlan(seed=0))
+        db = LSMTree(options=background_torture_options(), clock=clock,
+                     device=device)
+        acknowledged = {}
+        for index in range(5):  # stays in the memtable: close must flush
+            key, value = b"key%04d" % index, b"value-%05d" % index
+            db.put(key, value)
+            acknowledged[key] = value
+        device.schedule_crash()
+        with pytest.raises(SimulatedCrashError):
+            db.put(b"key9999", b"never-acknowledged")
+        with pytest.raises(SimulatedCrashError):
+            db.close()
+        assert db._closed
+        db.close()  # already closed: no second error
+        assert not [thread for thread in set(threading.enumerate()) - before
+                    if thread.name == "lsm-background-compaction"]
+
+        device.revive()
+        recovered = LSMTree.reopen(device,
+                                   options=background_torture_options())
+        for key, value in acknowledged.items():
+            assert recovered.get(key) == value
+        assert recovered.get(b"key9999") is None
+        recovered.close()
+        assert recovered.leaked_pins == 0
 
 
 class TestRecoveryReport:

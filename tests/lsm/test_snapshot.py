@@ -151,7 +151,7 @@ class TestSnapshotLifetimes:
         db, _ = filled_db()
         snap = db.snapshot()
         with pytest.raises(LSMError):
-            db.versions.reset(Version(db.options.max_levels))
+            db.versions.reset(Version(db.version.max_levels))
         snap.close()
         db.close()
 

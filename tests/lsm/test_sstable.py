@@ -15,7 +15,6 @@ from repro.common.errors import ConfigError, CorruptionError
 from repro.common.rng import make_rng
 from repro.filters.bloom import BloomFilterBuilder
 from repro.lsm.memtable import TOMBSTONE, Entry
-from repro.lsm.options import CostModel
 from repro.lsm.table_build import (
     build_table_artifact,
     install_artifact,
@@ -25,8 +24,6 @@ from repro.lsm.sstable import SSTableReader
 from repro.storage.clock import SimClock
 from repro.storage.device import StorageDevice
 from repro.storage.page_cache import PageCache
-
-COSTS = CostModel()
 
 
 @pytest.fixture()
@@ -55,13 +52,13 @@ class TestBuildAndGet:
         items = sample_items()
         table = build_table(device, items)
         for key, entry in items[::37]:
-            assert table.reader.get(key, cache, COSTS).value == entry.value
-        assert table.reader.get(b"\x00" * 5, cache, COSTS) is None
+            assert table.reader.get(key, cache).value == entry.value
+        assert table.reader.get(b"\x00" * 5, cache) is None
 
     def test_tombstones_survive(self, env):
         _, device, cache = env
         table = build_table(device, [(b"aa", TOMBSTONE), (b"bb", Entry(b"v"))])
-        assert table.reader.get(b"aa", cache, COSTS).is_tombstone
+        assert table.reader.get(b"aa", cache).is_tombstone
 
     def test_metadata(self, env):
         _, device, _ = env
@@ -139,7 +136,7 @@ class TestReopen:
         min_key, max_key = reader.properties()
         assert (min_key, max_key) == (items[0][0], items[-1][0])
         for key, entry in items[::53]:
-            assert reader.get(key, cache, COSTS).value == entry.value
+            assert reader.get(key, cache).value == entry.value
 
     def test_corrupt_magic_detected(self, env):
         _, device, _ = env
@@ -161,10 +158,10 @@ class TestTimingBehaviour:
         table = build_table(device, items)
         key = items[50][0]
         t0 = clock.now_us
-        table.reader.get(key, cache, COSTS)
+        table.reader.get(key, cache)
         cold = clock.now_us - t0
         t1 = clock.now_us
-        table.reader.get(key, cache, COSTS)
+        table.reader.get(key, cache)
         warm = clock.now_us - t1
         assert cold > 3 * warm
 

@@ -38,7 +38,7 @@ class TestTieredPolicy:
         populate(db, 4000)
         assert db.version.levels[0]
         assert all(not db.version.levels[lvl]
-                   for lvl in range(1, db.options.max_levels))
+                   for lvl in range(1, db.version.max_levels))
 
     def test_similar_size_runs_merge(self):
         db = LSMTree(tiered_options())
@@ -175,5 +175,3 @@ class TestTieredBackground:
 def test_invalid_style_rejected():
     with pytest.raises(ConfigError):
         LSMOptions(compaction_style="cosmic")
-    with pytest.raises(ConfigError):
-        LSMOptions(tier_size_ratio=0.5)

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.lsm.options import (
+    FILTER_QUERY_COST_US,
+    GET_BASE_COST_US,
+    MEMTABLE_LOOKUP_COST_US,
+)
+
 
 def scalar_get(db, key: bytes) -> Optional[bytes]:
     """``db.get(key)``, spelled out (``db``: an open ``LSMTree``)."""
-    costs = db.options.costs
     db.stats.gets += 1
-    db.charge_cost(costs.get_base_cost_us + costs.memtable_lookup_cost_us)
+    db.charge_cost(GET_BASE_COST_US + MEMTABLE_LOOKUP_COST_US)
     entry = db._memtable.get(key)
     if entry is not None:
         db.stats.memtable_hits += 1
@@ -26,12 +31,12 @@ def scalar_get(db, key: bytes) -> Optional[bytes]:
         for table in version.candidates_for_key(key):
             if table.filter is not None:
                 db.stats.filter_checks += 1
-                db.charge_cost(costs.filter_query_cost_us)
+                db.charge_cost(FILTER_QUERY_COST_US)
                 if not table.filter.may_contain(key):
                     db.stats.filter_negatives += 1
                     continue
             db.stats.table_reads += 1
-            entry = table.reader.get(key, db.cache, costs)
+            entry = table.reader.get(key, db.cache)
             if entry is not None:
                 return entry.value
         return None

@@ -7,11 +7,12 @@ server — only the sockets are socketpairs instead of TCP.
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 
-from repro.common.errors import RemoteError
-from repro.server import AsyncLoopbackTransport, protocol
+from repro.common.errors import ConfigError, RemoteError, TransportError
+from repro.server import AsyncLoopbackTransport, ConnectionPool, protocol
 from repro.server.protocol import ErrorCode, Frame, Opcode, OrderToken
 from repro.server.tcp import read_frame
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
@@ -280,3 +281,40 @@ class TestRateLimitedComposition:
             assert stats.total_stall_us > 0
             # Underlying service counters still flow through STATS.
             assert stats.requests >= 6
+
+
+class TestPoolConstructionFailure:
+    """A pool that cannot be built closes every socket it dialed."""
+
+    @staticmethod
+    def _assert_nothing_leaked(loopback, dialed):
+        assert all(sock.fileno() == -1 for sock in dialed)
+        deadline = time.monotonic() + 5.0
+        while loopback.server._active and time.monotonic() < deadline:
+            time.sleep(0.01)  # the loop notices each hang-up on its own time
+        assert loopback.server._active == 0
+
+    def test_bad_wall_rtt_leaks_no_connection(self, loopback):
+        dialed = []
+
+        def dial():
+            dialed.append(loopback.dial())
+            return dialed[-1]
+
+        with pytest.raises(ConfigError):
+            ConnectionPool(dial, 3, wall_rtt_s=-1.0)
+        self._assert_nothing_leaked(loopback, dialed)
+
+    def test_failing_dial_closes_the_earlier_connections(self, loopback):
+        dialed = []
+
+        def dial():
+            if len(dialed) == 2:
+                raise TransportError("third dial refused")
+            dialed.append(loopback.dial())
+            return dialed[-1]
+
+        with pytest.raises(TransportError):
+            ConnectionPool(dial, 3)
+        assert len(dialed) == 2
+        self._assert_nothing_leaked(loopback, dialed)

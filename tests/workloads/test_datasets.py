@@ -20,8 +20,6 @@ class TestConfigValidation:
             DatasetConfig(key_width=0)
         with pytest.raises(ConfigError):
             DatasetConfig(cache_fraction=0.0)
-        with pytest.raises(ConfigError):
-            DatasetConfig(value_size=-1)
 
 
 class TestEnvironment:

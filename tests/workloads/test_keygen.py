@@ -1,31 +1,9 @@
 """Key generator tests."""
 
-import pytest
-
-from repro.common.errors import ConfigError
 from repro.workloads.keygen import (
     StringKeyGenerator,
-    UniformKeyGenerator,
-    ZipfKeyGenerator,
     sha1_dataset,
 )
-
-
-class TestUniform:
-    def test_width_and_determinism(self):
-        gen1 = UniformKeyGenerator(5, seed=1)
-        gen2 = UniformKeyGenerator(5, seed=1)
-        keys1 = list(gen1.keys(50))
-        assert all(len(k) == 5 for k in keys1)
-        assert keys1 == list(gen2.keys(50))
-
-    def test_seeds_differ(self):
-        assert (list(UniformKeyGenerator(5, seed=1).keys(10))
-                != list(UniformKeyGenerator(5, seed=2).keys(10)))
-
-    def test_invalid_width(self):
-        with pytest.raises(ConfigError):
-            UniformKeyGenerator(0)
 
 
 class TestSha1Dataset:
@@ -45,27 +23,6 @@ class TestSha1Dataset:
         # are fine, but counts must scale exactly.
         assert len(sha1_dataset(0, 5)) == 0
         assert len(sha1_dataset(1, 5)) == 1
-
-
-class TestZipf:
-    def test_skew(self):
-        gen = ZipfKeyGenerator(universe=100, width=5, exponent=1.3, seed=5)
-        counts = {}
-        for _ in range(3000):
-            key = gen.next_key()
-            counts[key] = counts.get(key, 0) + 1
-        top = max(counts.values())
-        assert top > 3000 / 100 * 5  # hottest key far above uniform share
-
-    def test_width(self):
-        gen = ZipfKeyGenerator(universe=10, width=6, seed=5)
-        assert len(gen.next_key()) == 6
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            ZipfKeyGenerator(universe=0, width=5)
-        with pytest.raises(ConfigError):
-            ZipfKeyGenerator(universe=10, width=5, exponent=0)
 
 
 class TestStringKeys:
