@@ -3,14 +3,14 @@
 # test dependencies installed, a second pass on the 3.9 floor (pyproject
 # pins requires-python >= 3.9, where int.bit_count does not exist — the
 # popcount fallback must stay exercised).  Each pass reports wall-clock.
-# Only tier-1 runs on both: serve-smoke, results-check, e2e-smoke and
-# torture are functions of seeded simulated time, not of the interpreter,
-# and CI runs each once, on the primary one.
+# Only tier-1 runs on both: serve-smoke, results-check, e2e-smoke,
+# e2e-trace and torture are functions of seeded simulated time, not of the
+# interpreter, and CI runs each once, on the primary one.
 
 PYTHON ?= python
 PY39 ?= python3.9
 
-.PHONY: check test test39 bench results-check serve-smoke e2e-smoke e2e-ab torture clean
+.PHONY: check test test39 bench results-check serve-smoke e2e-smoke e2e-trace e2e-ab torture clean
 
 check: test test39
 
@@ -50,6 +50,14 @@ results-check: bench
 e2e-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/test_e2e.py -q
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+# One full-size traced pass of one workload (~13 s for surf_point).  The
+# smoke skips the silent-span check (at smoke sizes an attack may find no
+# prefix to extend); this is where a span that stops recording — a layer
+# whose calls moved out from under its patched name — fails the run.
+#   make e2e-trace WORKLOAD=surf_point
+e2e-trace:
+	$(PYTHON) benchmarks/e2e/run.py --workload $(WORKLOAD) --seed 0 --trace 1
 
 # The measurement a performance claim needs (benchmarks/ab_pairs.py):
 # ten alternating parent/change runs of the registered e2e command per

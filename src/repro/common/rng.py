@@ -11,7 +11,28 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
+from math import cos, log, sin, sqrt, tau
+from typing import Callable, Optional, Tuple
+
+
+def gauss_pair(uniform: Callable[[], float]) -> Tuple[float, float]:
+    """Two standard normal deviates, exactly as ``random.Random.gauss``
+    makes them.
+
+    ``gauss`` draws two uniforms per *pair* of deviates (Box-Muller),
+    returns the first and parks the second in the generator's
+    ``gauss_next`` for the next call; this is that computation, operation
+    for operation (the same in CPython 3.6 through 3.13).  A caller that
+    keeps ``gauss_next`` in a local — the batch point-read kernel of
+    :mod:`repro.lsm.read_path` — calls this once per two draws instead of
+    two method frames per draw, and writes ``gauss_next`` back before
+    anything else may draw from the same generator, so its draws
+    interleave with plain ``gauss`` calls exactly.  A deviate becomes a
+    ``gauss(mu, sigma)`` sample as ``mu + z * sigma``.
+    """
+    x2pi = uniform() * tau
+    g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+    return cos(x2pi) * g2rad, sin(x2pi) * g2rad
 
 
 class SeededRng:
@@ -28,6 +49,12 @@ class SeededRng:
         self.name = name
         digest = hashlib.sha256(f"{seed}/{name}".encode()).digest()
         self._random = random.Random(int.from_bytes(digest[:8], "big"))
+
+    @property
+    def generator(self) -> random.Random:
+        """The underlying ``random.Random`` (for :func:`gauss_pair` users,
+        which share its ``gauss_next``)."""
+        return self._random
 
     def spawn(self, name: str) -> "SeededRng":
         """Derive an independent child stream keyed by ``name``."""

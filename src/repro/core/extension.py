@@ -21,7 +21,7 @@ from repro.common.errors import AttackError
 from repro.common.keys import suffix_space_size
 from repro.core.oracle import ProbeOracle
 from repro.filters.hashing import SUFFIX_HASH_SEED, fnv1a_64_init, fnv1a_64_update
-from repro.system.responses import Status
+from repro.system.responses import DISCLOSING
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def extend_prefix_variable(oracle: ProbeOracle, prefix: bytes,
                                            exhausted=False)
         queries += 1
         status = probe(candidate)
-        if status in (Status.UNAUTHORIZED, Status.OK):
+        if status in DISCLOSING:
             found.append(candidate)
             if not find_all:
                 return VariableExtensionResult(found, queries, considered,
@@ -140,17 +140,17 @@ def extend_prefix(oracle: ProbeOracle, prefix: bytes, key_width: int,
     Stops at the first UNAUTHORIZED/OK response.  ``max_queries`` bounds
     the probes actually issued (pruned candidates are free).
 
-    One scan enumerates the candidates, ``chunk_size`` at a time; what
-    varies is how a chunk is issued.  By default the chunk goes to
-    ``oracle.prober_for``, which may precompute its filter verdicts in one
-    pure batched pass, and is then probed serially with early exit — so
-    queries issued, responses and simulated time are exactly the
-    one-at-a-time scan's.  ``probe_many`` (a ``keys -> [Status]`` batch
-    prober) issues whole chunks instead.  Remote attackers use this — a
-    per-key wire round trip would dominate the suffix search — and it
-    discloses the *same key* as the serial scan (candidates are enumerated
-    in the same order and statuses are pure functions of the key), at the
-    cost of up to ``chunk_size - 1`` extra probes past the hit.
+    One scan enumerates the candidates, ``chunk_size`` at a time, and
+    issues each chunk to one batch prober: ``keys -> [Status]`` of the
+    keys it issued, in order.  By default that is ``oracle.probe_many``,
+    which stops at the first disclosing status — so queries issued,
+    responses and simulated time are exactly the one-at-a-time scan's.
+    Remote attackers pass their own ``probe_many`` that issues whole
+    chunks (a per-key wire round trip would dominate the suffix search);
+    it discloses the *same key* as the serial scan (candidates are
+    enumerated in the same order and statuses are pure functions of the
+    key), at the cost of up to ``chunk_size - 1`` extra probes past the
+    hit.
     """
     if len(prefix) > key_width:
         raise AttackError(
@@ -170,21 +170,15 @@ def extend_prefix(oracle: ProbeOracle, prefix: bytes, key_width: int,
 
     queries = 0
     considered = 0
-    positive = (Status.UNAUTHORIZED, Status.OK)
+    issue_chunk = probe_many or oracle.probe_many
 
     def issue(chunk: list) -> Optional[bytes]:
         """Probe ``chunk``; the first stored key in it, if any."""
         nonlocal queries
-        if probe_many is not None:
-            queries += len(chunk)
-            for candidate, status in zip(chunk, probe_many(chunk)):
-                if status in positive:
-                    return candidate
-            return None
-        probe = oracle.prober_for(chunk)
-        for candidate in chunk:
-            queries += 1
-            if probe(candidate) in positive:
+        statuses = issue_chunk(chunk)
+        queries += len(statuses)
+        for candidate, status in zip(chunk, statuses):
+            if status in DISCLOSING:
                 return candidate
         return None
 

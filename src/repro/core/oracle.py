@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.common.errors import ConfigError
 from repro.core.results import QueryCounter
 from repro.storage.background import BackgroundLoad
-from repro.system.responses import Status
+from repro.system.responses import DISCLOSING, Status
 from repro.system.service import KVService
 
 
@@ -38,9 +38,18 @@ class ProbeOracle(abc.ABC):
         """A ``key -> Status`` callable equivalent to :meth:`probe`."""
         return self.probe
 
-    def prober_for(self, keys: Sequence[bytes]) -> Callable[[bytes], Status]:
-        """:meth:`prober` for an upcoming candidate batch, probed in order."""
-        return self.prober()
+    def probe_many(self, keys: Sequence[bytes]) -> List[Status]:
+        """:meth:`probe` over ``keys`` in order, up to and including the
+        first status that discloses a stored key; later keys are never
+        probed."""
+        probe = self.prober()
+        statuses: List[Status] = []
+        for key in keys:
+            status = probe(key)
+            statuses.append(status)
+            if status in DISCLOSING:
+                break
+        return statuses
 
 
 class QueryOracle(ProbeOracle):
@@ -50,17 +59,6 @@ class QueryOracle(ProbeOracle):
         self.service = service
         self.attacker_user = attacker_user
         self.counter = QueryCounter()
-        #: The probe plan backing the most recent :meth:`prober_for`
-        #: closure.  A plan pins an MVCC version; holding at most one at
-        #: a time (released on the next prepass or :meth:`release_plan`)
-        #: keeps a long attack from accumulating pinned versions.
-        self._active_plan = None
-
-    def release_plan(self) -> None:
-        """Unpin the version behind the last primed prober (idempotent)."""
-        plan, self._active_plan = self._active_plan, None
-        if plan is not None:
-            plan.release()
 
     @abc.abstractmethod
     def classify(self, keys: Sequence[bytes]) -> List[bool]:
@@ -75,9 +73,12 @@ class QueryOracle(ProbeOracle):
         self.counter.charge(1)
         return self.service.get(self.attacker_user, key).status
 
-    def _counting(self, get_one) -> Callable[[bytes], Status]:
-        """``get_one`` as a prober: one counted query per call."""
+    def prober(self) -> Callable[[bytes], Status]:
+        """``key -> Status`` callable equivalent to :meth:`probe`, built on
+        the service's per-request closure (accounting and simulated
+        charges are :meth:`probe`'s)."""
         counter = self.counter
+        get_one = self.service.getter(self.attacker_user)
 
         def probe_one(key: bytes) -> Status:
             counter.charge(1)
@@ -85,39 +86,27 @@ class QueryOracle(ProbeOracle):
 
         return probe_one
 
-    def prober(self) -> Callable[[bytes], Status]:
-        """Fast ``key -> Status`` callable equivalent to :meth:`probe`.
-
-        Built on the service's batch-get closure, hoisting per-request
-        overhead out of the extension loops (which issue up to
-        ``max_extension_queries`` probes per prefix).  Accounting and
-        simulated charges are :meth:`probe`'s.
-        """
-        return self._counting(self.service.getter(self.attacker_user))
-
     def probe_many(self, keys: Sequence[bytes]) -> List[Status]:
-        """Batch of :meth:`probe` calls (same accounting, amortized)."""
-        probe_one = self.prober()
-        return [probe_one(key) for key in keys]
+        """:meth:`probe` over ``keys`` until one discloses a stored key.
+
+        One call of the service's ``get_until_found``: in process, the
+        store's search loop runs the whole chunk (its filter verdicts
+        precomputed in one pure batched pass) and stops at the first hit,
+        so the queries issued, their responses and the simulated time are
+        exactly a :meth:`probe` loop's.  One counted query per key issued.
+        """
+        responses = self.service.get_until_found(self.attacker_user, keys)
+        self.counter.charge(len(responses))
+        return [response.status for response in responses]
 
     def prober_for(self, keys: Sequence[bytes]) -> Callable[[bytes], Status]:
-        """:meth:`prober`, primed for an upcoming candidate batch.
+        """:meth:`prober`; ``keys`` is the batch the caller will probe.
 
-        When the service has a local store, the batch's filter verdicts
-        are precomputed in one pure pass (vectorized Bloom hashing,
-        shared-prefix trie traversal) and the returned per-key prober
-        replays against the memo.  The prepass touches no stats, clock,
-        or RNG and the replay consumes verdicts in call order, so probing
-        any prefix of ``keys`` — the extension loops stop at the first
-        hit — is bit-identical to :meth:`prober`, including the
-        accounting of the probes never issued.
+        The attack issues its batches through :meth:`probe_many`; this
+        name stays in this class body because the e2e tracer
+        (``benchmarks/e2e/trace.py``) spans it here.
         """
-        plan = self.service.probe_plan(list(keys))
-        self.release_plan()
-        if plan is None:  # no local store, or nothing reaches a filter
-            return self.prober()
-        self._active_plan = plan
-        return self._counting(self.service.getter(self.attacker_user, plan))
+        return self.prober()
 
 
 class TimingOracle(QueryOracle):

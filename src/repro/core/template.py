@@ -109,7 +109,6 @@ class PrefixSiphoningAttack:
         result.queries_by_stage = dict(counter.by_stage)
         result.progress.append((counter.total, len(result.extracted)))
         result.sim_duration_us = stage_ended - start_us
-        self.oracle.release_plan()  # drop the last primed prober's pin
         return result
 
     # ------------------------------------------------------------------ steps

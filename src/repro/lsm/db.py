@@ -360,7 +360,7 @@ class LSMTree:
         time (via ``clock.measure()``) the attacker-visible signal.
         """
         self._check_open()
-        return read_path.getter(self)(key)
+        return read_path.read_points(self, (key,))[0][0]
 
     def get_timed(self, key: bytes) -> Tuple[Optional[bytes], float]:
         """``get`` plus its simulated response time in microseconds."""
@@ -376,33 +376,46 @@ class LSMTree:
         reach a filter.  The returned plan pins the current version;
         callers :meth:`~read_path.ProbePlan.release` it after the batch.
         """
+        self._check_open()
         return read_path.probe_plan(self, keys)
 
     def getter(self, plan: Optional[read_path.ProbePlan] = None):
-        """Fast-path point-read closure for batch callers.
+        """Point-read closure for per-key callers.
 
         Returns a ``key -> Optional[bytes]`` callable observationally
-        equivalent to :meth:`get` (it *is* the same search loop,
+        equivalent to :meth:`get` (the same search loop over one key,
         :func:`read_path.getter`), optionally replaying the filter
         verdicts of a :meth:`probe_plan` prepass.
         """
         self._check_open()
         return read_path.getter(self, plan=plan)
 
-    def get_many(self, keys: Iterable[bytes]) -> List[Optional[bytes]]:
-        """Batch point query: ``[self.get(k) for k in keys]``, amortized.
+    def get_many(self, keys: Iterable[bytes],
+                 request_us: Optional[float] = None, on_found=None,
+                 until=None) -> List[object]:
+        """Batch point query: ``[self.get(k) for k in keys]``, one pass of
+        the search loop (:func:`read_path.read_points`).
 
-        Identical simulated-time behaviour to the equivalent ``get`` loop
-        (the batch API only removes real-world Python overhead).
+        A service issuing the batch passes its per-request envelope:
+        ``request_us`` is charged (jittered) before each key,
+        ``on_found(value)`` runs on each found value and its result is
+        returned in the value's place, and ``until(result)`` ends the
+        batch at the first found key it accepts.  Identical
+        simulated-time behaviour to the equivalent per-key loop.
         """
         self._check_open()
-        return read_path.get_many(self, keys)
+        return read_path.get_many(self, keys, None, request_us, on_found,
+                                  until)[0]
 
-    def get_many_timed(self, keys: Iterable[bytes]
-                       ) -> List[Tuple[Optional[bytes], float]]:
-        """Batch ``get_timed``: per-key (value, simulated elapsed us)."""
+    def get_many_timed(self, keys: Iterable[bytes],
+                       request_us: Optional[float] = None, on_found=None,
+                       until=None) -> List[Tuple[object, float]]:
+        """Batch ``get_timed``: per-key (value, simulated elapsed us), with
+        :meth:`get_many`'s envelope inside each key's time."""
         self._check_open()
-        return read_path.get_many(self, keys, timed=True)
+        values, elapsed = read_path.get_many(self, keys, None, request_us,
+                                             on_found, until)
+        return list(zip(values, elapsed))
 
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:

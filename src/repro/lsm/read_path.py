@@ -15,12 +15,26 @@ hoisted — or a snapshot's frozen copy).  The owner supplies the rest per
 call: ``mem_items_from`` for range reads, and ``version`` when it
 already holds a pin (a snapshot, a range read); with ``version=None``
 point reads pin ``ctx.versions`` themselves.
+
+Every point read — ``get``, a batch, a replay of a probe plan — is one
+search loop, :func:`read_points`, over a batch of keys.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.common.rng import gauss_pair
+from repro.filters.base import Filter
 from repro.lsm.iterator import merge_entries
 from repro.lsm.memtable import Entry
 from repro.lsm.options import (
@@ -35,17 +49,21 @@ from repro.lsm.sorted_view import ensure_view
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import Version, VersionSet
 
+#: What a batch with nothing memoized looks up (never written).
+_NOTHING: Dict = {}
+
+
 class ProbePlan:
     """Memoized pure filter verdicts for one batch of point queries.
 
     Built by the :func:`probe_plan` prepass, which batches the probes
     per filter (vectorized Bloom hashing, shared-prefix LOUDS traversal)
-    *without* touching stats, clock, or RNG.  The replay — the ordinary
-    per-key search loop of :func:`getter` — then substitutes a dictionary
-    lookup for each scalar ``may_contain`` call and records stats only
-    for verdicts it actually consumes, so simulated time, verdicts and
-    every counter are bit-identical with or without a plan.  A missing
-    entry (``None``) means "compute scalar", never "False".
+    *without* touching stats, clock, or RNG.  The replay —
+    :func:`read_points` — then substitutes a dictionary lookup for each
+    scalar ``may_contain`` call and records stats only for verdicts it
+    actually consumes, so simulated time, verdicts and every counter are
+    bit-identical with or without a plan.  A missing entry means
+    "compute scalar", never "False".
 
     The plan **pins** the version it was computed against: concurrent
     flushes and background compactions install new versions without
@@ -55,17 +73,23 @@ class ProbePlan:
     counted as leaks.
     """
 
-    __slots__ = ("_verdicts", "candidates", "version", "_versions")
+    __slots__ = ("verdicts", "candidates", "version", "memtable",
+                 "_versions")
 
-    def __init__(self, version: Version,
+    def __init__(self, version: Version, memtable,
                  versions: Optional[VersionSet] = None) -> None:
-        self._verdicts: Dict[int, Dict[bytes, bool]] = {}
+        #: filter -> {key: verdict}, for every (filter, key) pair on the
+        #: batch's search paths.
+        self.verdicts: Dict[Filter, Dict[bytes, bool]] = {}
         #: key -> tuple of candidate SSTables, memoized by the prepass so
         #: the replay need not repeat the version walk.  Valid for the
         #: batch only: the pinned version cannot change under the batch.
-        self.candidates: Dict[bytes, tuple] = {}
+        self.candidates: Dict[bytes, Tuple[SSTable, ...]] = {}
         #: the pinned version the prepass walked.
         self.version = version
+        #: the memtable read *before* the pin: while the owner still
+        #: holds it, ``version`` has every record the memtable lacks.
+        self.memtable = memtable
         #: where :meth:`release` returns the pin; None when the plan's
         #: owner (a snapshot) holds the pin itself.
         self._versions = versions
@@ -76,19 +100,6 @@ class ProbePlan:
         if versions is not None:
             versions.unpin(self.version)
 
-    def add(self, filt, keys: List[bytes], verdicts: List[bool]) -> None:
-        """Memoize ``filt``'s pure verdicts for ``keys``."""
-        table = self._verdicts.setdefault(id(filt), {})
-        for key, verdict in zip(keys, verdicts):
-            table[key] = verdict
-
-    def lookup(self, filt, key: bytes) -> Optional[bool]:
-        """Memoized verdict, or None when the prepass did not cover it."""
-        table = self._verdicts.get(id(filt))
-        if table is None:
-            return None
-        return table.get(key)
-
 
 # ------------------------------------------------------------- point reads
 
@@ -96,8 +107,9 @@ def probe_plan(ctx, keys: Iterable[bytes], version: Optional[Version] = None,
                include_memtable_hits: bool = False) -> Optional[ProbePlan]:
     """Pure batched-probe prepass for a batch of point queries.
 
-    Collects, per filter on the batch's search paths, the unique keys
-    the search loop could probe it with, and computes their verdicts
+    Walks the batch's candidate tables in one pass
+    (:meth:`Version.candidates_for_keys`), collects per filter the unique
+    keys the search loop could probe it with, and computes their verdicts
     through each filter's batch probe (:meth:`Filter.probe_many`).
     Touches no stats, clock, or RNG: the verdicts are memoized for the
     replay to consume in the scalar loop's own order.  Keys currently in
@@ -112,34 +124,31 @@ def probe_plan(ctx, keys: Iterable[bytes], version: Optional[Version] = None,
 
     Returns None when nothing needs probing.
     """
+    memtable = ctx._memtable  # before the pin: see ProbePlan.memtable
     versions = ctx.versions if version is None else None
     if versions is not None:
         version = versions.pin()
-    plan = ProbePlan(version, versions)
-    groups: Dict[int, Tuple[object, List[bytes]]] = {}
+    plan = ProbePlan(version, memtable, versions)
+    groups: Dict[Filter, List[bytes]] = {}
     try:
-        # One prepass is short enough to hoist the memtable lookup.
-        memtable_get = (None if include_memtable_hits
-                        else ctx._memtable.get)
-        candidates_for_key = version.candidates_for_key
-        key_candidates = plan.candidates
-        for key in keys:
-            if key in key_candidates:
-                continue
-            if memtable_get is not None and memtable_get(key) is not None:
-                continue
-            tables = tuple(candidates_for_key(key))
-            key_candidates[key] = tables
+        todo = list(dict.fromkeys(keys))
+        if not include_memtable_hits and len(memtable):
+            in_memtable = memtable.get
+            todo = [key for key in todo if in_memtable(key) is None]
+        tables_of = version.candidates_for_keys(todo)
+        plan.candidates = dict(zip(todo, tables_of))
+        for key, tables in zip(todo, tables_of):
             for table in tables:
                 filt = table.filter
-                if filt is None:
-                    continue
-                entry = groups.get(id(filt))
-                if entry is None:
-                    groups[id(filt)] = entry = (filt, [])
-                entry[1].append(key)
-        for filt, filt_keys in groups.values():
-            plan.add(filt, filt_keys, filt.probe_many(filt_keys))
+                if filt is not None:
+                    group = groups.get(filt)
+                    if group is None:
+                        groups[filt] = [key]
+                    else:
+                        group.append(key)
+        for filt, filt_keys in groups.items():
+            plan.verdicts[filt] = dict(zip(filt_keys,
+                                           filt.probe_many(filt_keys)))
     except BaseException:
         plan.release()
         raise
@@ -149,104 +158,183 @@ def probe_plan(ctx, keys: Iterable[bytes], version: Optional[Version] = None,
     return plan
 
 
+def read_points(ctx, keys: Sequence[bytes],
+                version: Optional[Version] = None,
+                plan: Optional[ProbePlan] = None,
+                request_us: Optional[float] = None,
+                on_found: Optional[Callable[[bytes], object]] = None,
+                until: Optional[Callable[[object], bool]] = None
+                ) -> Tuple[List[object], List[float]]:
+    """The point-search loop, over a batch of keys in order.
+
+    Per key: the caller's request charge (``request_us``, when a service
+    issues the batch), the get charge, the memtable, then the candidate
+    tables top-down — L0 newest-first, one table per deeper level — each
+    table's filter consulted (and charged) before its data block is
+    read.  The response time is the attacker-visible signal, so every
+    charge is applied to ``ctx.clock`` in the scalar order, jittered by
+    a draw from ``ctx._cost_rng`` exactly as ``ctx.charge_cost`` would
+    draw it: the draws are :func:`~repro.common.rng.gauss_pair`, with
+    the generator's ``gauss_next`` held in a local and written back
+    before anything else can draw (``on_found``, the end of the batch).
+    Counters accumulate in locals and reach ``ctx.stats`` and the
+    filters' stats in ``finally``.
+
+    ``on_found`` runs on each found value (a service's ACL check; it may
+    charge through ``ctx.charge_cost``) and its result replaces the
+    value.  With ``until``, the batch ends after the first found key
+    whose result satisfies it: later keys are never issued.
+
+    Tables come from the plan (verdicts replayed, consumed ones counted
+    as ``may_contain`` would count them), else from the owner-pinned
+    ``version``, else from ``ctx.versions`` pinned at the batch's first
+    memtable miss — after reading the memtable, and again whenever a
+    flush has swapped the memtable since, so a record leaving the
+    memtable is always in the version searched.
+
+    Returns ``(results, elapsed_us)`` for the keys issued: each key's
+    value (or ``on_found``'s result), None when absent, and the
+    simulated µs from before its first charge to after ``on_found``.
+    """
+    stats = ctx.stats
+    clock = ctx.clock
+    cache = ctx.cache
+    versions = ctx.versions
+    rng = ctx._cost_rng.generator
+    uniform = rng.random
+    base_cost = GET_BASE_COST_US + MEMTABLE_LOOKUP_COST_US
+    if plan is not None:
+        search, searched = plan.version, plan.memtable
+        known, verdicts = plan.candidates, plan.verdicts
+    else:
+        search, known, verdicts = version, _NOTHING, _NOTHING
+        searched = ctx._memtable if version is not None else None
+    pinned = None
+    results: List[object] = []
+    elapsed: List[float] = []
+    gets = memtable_hits = filter_checks = filter_negatives = 0
+    table_reads = 0
+    #: filter -> [queries, positives] of the plan verdicts consumed.
+    tallies: Dict[Filter, List[int]] = {}
+    last_filter = memo = tally = None
+    spare = rng.gauss_next
+    try:
+        for key in keys:
+            start = clock.now_us
+            if request_us is not None:
+                if spare is None:
+                    z, spare = gauss_pair(uniform)
+                else:
+                    z, spare = spare, None
+                clock.now_us += request_us * max(0.1, 1.0 + z * COST_JITTER)
+            gets += 1
+            if spare is None:
+                z, spare = gauss_pair(uniform)
+            else:
+                z, spare = spare, None
+            clock.now_us += base_cost * max(0.1, 1.0 + z * COST_JITTER)
+            memtable = ctx._memtable
+            entry = memtable.get(key)
+            if entry is not None:
+                memtable_hits += 1
+                value = entry.value
+            else:
+                if memtable is not searched:
+                    if pinned is not None:
+                        versions.unpin(pinned)
+                        pinned = None
+                    search = pinned = versions.pin()
+                    searched, known = memtable, _NOTHING
+                tables = known.get(key)
+                if tables is None:
+                    tables = search.candidates_for_key(key)
+                value = None
+                for table in tables:
+                    filt = table.filter
+                    if filt is not None:
+                        filter_checks += 1
+                        if spare is None:
+                            z, spare = gauss_pair(uniform)
+                        else:
+                            z, spare = spare, None
+                        clock.now_us += (FILTER_QUERY_COST_US
+                                         * max(0.1, 1.0 + z * COST_JITTER))
+                        if filt is not last_filter:
+                            last_filter = filt
+                            memo = verdicts.get(filt, _NOTHING)
+                            tally = tallies.get(filt)
+                            if tally is None:
+                                tally = tallies[filt] = [0, 0]
+                        passed = memo.get(key)
+                        if passed is None:
+                            passed = filt.may_contain(key)
+                        else:
+                            tally[0] += 1
+                            if passed:
+                                tally[1] += 1
+                        if not passed:
+                            filter_negatives += 1
+                            continue
+                    table_reads += 1
+                    entry = table.reader.get(key, cache)
+                    if entry is not None:
+                        value = entry.value
+                        break
+            if value is not None and on_found is not None:
+                rng.gauss_next = spare
+                try:
+                    value = on_found(value)
+                finally:
+                    spare = rng.gauss_next
+            results.append(value)
+            elapsed.append(clock.now_us - start)
+            if value is not None and until is not None and until(value):
+                break
+    finally:
+        rng.gauss_next = spare
+        if pinned is not None:
+            versions.unpin(pinned)
+        stats.gets += gets
+        stats.memtable_hits += memtable_hits
+        stats.filter_checks += filter_checks
+        stats.filter_negatives += filter_negatives
+        stats.table_reads += table_reads
+        for filt, (queries, positives) in tallies.items():
+            filt.stats.point_queries += queries
+            filt.stats.positives += positives
+    return results, elapsed
+
+
 def getter(ctx, version: Optional[Version] = None,
            plan: Optional[ProbePlan] = None
            ) -> Callable[[bytes], Optional[bytes]]:
-    """The per-key point-search loop, as a ``key -> value`` closure.
+    """:func:`read_points` over one key, as a ``key -> value`` closure.
 
-    Searches top-down — memtable, L0 newest-first, then one table per
-    deeper level — consulting each table's filter before reading any
-    data block, and charges the simulated clock for every step: the
-    response time is the attacker-visible signal.  Everything constant
-    across keys is hoisted into the closure (the attack loops issue
-    10^5-10^6 gets per experiment); the jittered charges are computed
-    exactly as ``ctx.charge_cost`` computes them, from the same RNG
-    stream.
-
-    With a :class:`ProbePlan`, filter verdicts come from the prepass's
-    memo (falling back to the scalar probe for uncovered keys) and the
-    consumed verdicts are recorded into the filter's stats exactly as
-    ``may_contain`` would have.  The table walk runs against the plan's
-    pinned version, else the owner-pinned ``version``, else a version
-    pinned from ``ctx.versions`` per call — installs retire replaced
-    tables immediately, so an unpinned walk could race one; the pin is
-    charge-free.
+    Replays ``plan``'s verdicts when given (falling back to scalar
+    probes for keys it does not cover).
     """
-    stats = ctx.stats
-    cache = ctx.cache
-    versions = ctx.versions
-    fixed_version = plan.version if plan is not None else version
-    base_cost = GET_BASE_COST_US + MEMTABLE_LOOKUP_COST_US
-    gauss = ctx._cost_rng.gauss
-    clock_charge = ctx.clock.charge
-    plan_lookup = plan.lookup if plan is not None else None
-    plan_candidates = (plan.candidates.get if plan is not None
-                       else lambda _key: None)
-
     def get_one(key: bytes) -> Optional[bytes]:
-        stats.gets += 1
-        clock_charge(base_cost * max(0.1, gauss(1.0, COST_JITTER)))
-        entry = ctx._memtable.get(key)
-        if entry is not None:
-            stats.memtable_hits += 1
-            return entry.value
-        pinned = None
-        tables = plan_candidates(key)
-        if tables is None:
-            search = fixed_version
-            if search is None:
-                search = pinned = versions.pin()
-            tables = search.candidates_for_key(key)
-        try:
-            for table in tables:
-                filt = table.filter
-                if filt is not None:
-                    stats.filter_checks += 1
-                    clock_charge(FILTER_QUERY_COST_US
-                                 * max(0.1, gauss(1.0, COST_JITTER)))
-                    passed = (plan_lookup(filt, key)
-                              if plan_lookup is not None else None)
-                    if passed is None:
-                        passed = filt.may_contain(key)
-                    else:
-                        filt.stats.record_point(passed)
-                    if not passed:
-                        stats.filter_negatives += 1
-                        continue
-                stats.table_reads += 1
-                entry = table.reader.get(key, cache)
-                if entry is not None:
-                    return entry.value
-            return None
-        finally:
-            if pinned is not None:
-                versions.unpin(pinned)
+        return read_points(ctx, (key,), version, plan)[0][0]
 
     return get_one
 
 
 def get_many(ctx, keys: Iterable[bytes], version: Optional[Version] = None,
-             timed: bool = False) -> List:
-    """Batch point query: prepass, then the search loop replays per key.
+             request_us: Optional[float] = None,
+             on_found: Optional[Callable[[bytes], object]] = None,
+             until: Optional[Callable[[object], bool]] = None
+             ) -> Tuple[List[object], List[float]]:
+    """Batch point query: the prepass, then :func:`read_points` replays it.
 
     Identical simulated-time behaviour to the equivalent ``get`` loop —
     the prepass is pure and the replay preserves every charge, draw and
-    counter.  ``timed`` pairs each value with its simulated elapsed us.
+    counter.  The plan's pin is released however the batch ends.
     """
     keys = list(keys)
     plan = probe_plan(ctx, keys, version)
     try:
-        get_one = getter(ctx, version, plan)
-        if not timed:
-            return [get_one(key) for key in keys]
-        clock = ctx.clock
-        out: List[Tuple[Optional[bytes], float]] = []
-        append = out.append
-        for key in keys:
-            start = clock.now_us
-            value = get_one(key)
-            append((value, clock.now_us - start))
-        return out
+        return read_points(ctx, keys, version, plan, request_us, on_found,
+                           until)
     finally:
         if plan is not None:
             plan.release()
@@ -282,7 +370,7 @@ def filters_pass_many(ctx, keys: Iterable[bytes],
         search = version if version is not None else ctx.versions.current
         return [filters_pass(search, key) for key in keys]
     try:
-        plan_lookup = plan.lookup
+        verdicts = plan.verdicts
         out: List[bool] = []
         for key in keys:
             passed_any = False
@@ -291,7 +379,7 @@ def filters_pass_many(ctx, keys: Iterable[bytes],
                 if filt is None:
                     passed_any = True
                     break
-                passed = plan_lookup(filt, key)
+                passed = verdicts[filt][key]
                 filt.stats.record_point(passed)
                 if passed:
                     passed_any = True

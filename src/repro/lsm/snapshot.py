@@ -109,7 +109,7 @@ class SnapshotView:
     def get(self, key: bytes) -> Optional[bytes]:
         """Point query against the frozen state."""
         self._check_open()
-        return read_path.getter(self, self.version)(key)
+        return read_path.read_points(self, (key,), self.version)[0][0]
 
     def get_timed(self, key: bytes) -> Tuple[Optional[bytes], float]:
         """``get`` plus its simulated response time in microseconds."""
@@ -124,23 +124,30 @@ class SnapshotView:
         The snapshot already holds the version pin, so the returned
         plan's :meth:`~read_path.ProbePlan.release` is a no-op.
         """
+        self._check_open()
         return read_path.probe_plan(self, keys, self.version)
 
     def getter(self, plan: Optional[read_path.ProbePlan] = None):
-        """Fast-path point-read closure for batch callers."""
+        """Point-read closure for per-key callers."""
         self._check_open()
         return read_path.getter(self, self.version, plan)
 
-    def get_many(self, keys: Iterable[bytes]) -> List[Optional[bytes]]:
-        """Batch point query."""
+    def get_many(self, keys: Iterable[bytes],
+                 request_us: Optional[float] = None, on_found=None,
+                 until=None) -> List[object]:
+        """Batch point query, with an optional request envelope."""
         self._check_open()
-        return read_path.get_many(self, keys, self.version)
+        return read_path.get_many(self, keys, self.version, request_us,
+                                  on_found, until)[0]
 
-    def get_many_timed(self, keys: Iterable[bytes]
-                       ) -> List[Tuple[Optional[bytes], float]]:
+    def get_many_timed(self, keys: Iterable[bytes],
+                       request_us: Optional[float] = None, on_found=None,
+                       until=None) -> List[Tuple[object, float]]:
         """Batch ``get_timed``: per-key (value, simulated elapsed us)."""
         self._check_open()
-        return read_path.get_many(self, keys, self.version, timed=True)
+        values, elapsed = read_path.get_many(self, keys, self.version,
+                                             request_us, on_found, until)
+        return list(zip(values, elapsed))
 
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:

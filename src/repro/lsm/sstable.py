@@ -20,6 +20,7 @@ no key re-scan needed.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, List, Optional, Tuple
 
@@ -65,6 +66,9 @@ class SSTableReader:
         if index_entries is None:
             index_entries, num_entries = self._load_metadata()
         self._index = index_entries
+        #: Each data block's last key, in block order: the block that may
+        #: hold a key is the first whose last key is >= it.
+        self._last_keys = [key for key, _ in index_entries]
         self.num_entries = num_entries or 0
         #: Wall-clock cache of the table's decoded keys, built on first
         #: use by :func:`repro.lsm.sorted_view.key_map_for`.
@@ -123,17 +127,6 @@ class SSTableReader:
             raise CorruptionError(f"{self.path!r} missing key-range properties")
         return min_entry.value, max_entry.value
 
-    def _block_index_for(self, key: bytes) -> Optional[int]:
-        # First block whose last key >= key holds the key if any does.
-        lo, hi = 0, len(self._index)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._index[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo < len(self._index) else None
-
     def get(self, key: bytes, cache: PageCache) -> Optional[Entry]:
         """Point lookup through the page cache.
 
@@ -147,22 +140,20 @@ class SSTableReader:
         ``self.device.clock``.
         """
         clock = cache.device.clock
-        clock.charge(INDEX_LOOKUP_COST_US)
-        block_index = self._block_index_for(key)
-        if block_index is None:
+        clock.now_us += INDEX_LOOKUP_COST_US
+        block_index = bisect_left(self._last_keys, key)
+        if block_index == len(self._last_keys):
             return None
         handle = self._index[block_index][1]
         block = cache.read_decoded(self.path, handle.offset, handle.length,
-                                   Block, region=self.region)
-        clock.charge(BLOCK_SEARCH_COST_US)
+                                   Block, self.region)
+        clock.now_us += BLOCK_SEARCH_COST_US
         return block.get(key)
 
     def iterate_from(self, low: bytes, cache: PageCache
                      ) -> Iterator[Tuple[bytes, Entry]]:
         """Records with key >= ``low`` in order, reading blocks lazily."""
-        start = self._block_index_for(low)
-        if start is None:
-            return
+        start = bisect_left(self._last_keys, low)
         for bi in range(start, len(self._index)):
             handle = self._index[bi][1]
             block = cache.read_decoded(self.path, handle.offset,

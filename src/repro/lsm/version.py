@@ -159,14 +159,49 @@ class Version:
             if table is not None:
                 yield table
 
+    def candidates_for_keys(self, keys: Sequence[bytes]
+                            ) -> List[Tuple[SSTable, ...]]:
+        """``tuple(self.candidates_for_key(key))`` for every key, in one walk.
+
+        Each deep level's last table is reused while it still covers the
+        next key, so a sorted batch (an extension chunk: one prefix's
+        consecutive suffixes) bisects a level only where it crosses a
+        table edge; other keys bisect as one lookup would.  Empty levels
+        are skipped once per batch, not once per key.
+        """
+        level0 = self.levels[0]
+        deep = [(self.levels[level], self._level_max_keys(level))
+                for level in range(1, self.max_levels) if self.levels[level]]
+        last: List[Optional[SSTable]] = [None] * len(deep)
+        out: List[Tuple[SSTable, ...]] = []
+        append = out.append
+        for key in keys:
+            found = ([table for table in level0
+                      if table.min_key <= key <= table.max_key]
+                     if level0 else [])
+            for depth, (tables, max_keys) in enumerate(deep):
+                table = last[depth]
+                if table is None or not table.min_key <= key <= table.max_key:
+                    index = bisect_left(max_keys, key)
+                    if index == len(tables) or tables[index].min_key > key:
+                        continue
+                    table = last[depth] = tables[index]
+                found.append(table)
+            append(tuple(found))
+        return out
+
+    def _level_max_keys(self, level: int) -> List[bytes]:
+        max_keys = self._max_keys[level]
+        if max_keys is None:
+            max_keys = [t.max_key for t in self.levels[level]]
+            self._max_keys[level] = max_keys
+        return max_keys
+
     def _find_in_level(self, level: int, key: bytes) -> Optional[SSTable]:
         tables = self.levels[level]
         if not tables:
             return None
-        max_keys = self._max_keys[level]
-        if max_keys is None:
-            max_keys = [t.max_key for t in tables]
-            self._max_keys[level] = max_keys
+        max_keys = self._level_max_keys(level)
         index = bisect_left(max_keys, key)
         if index < len(tables) and tables[index].covers(key):
             return tables[index]
@@ -185,10 +220,7 @@ class Version:
         tables = self.levels[level]
         if level == 0 or not tables:
             return [t for t in tables if t.overlaps(low, high)]
-        max_keys = self._max_keys[level]
-        if max_keys is None:
-            max_keys = [t.max_key for t in tables]
-            self._max_keys[level] = max_keys
+        max_keys = self._level_max_keys(level)
         min_keys = self._min_keys[level]
         if min_keys is None:
             min_keys = [t.min_key for t in tables]

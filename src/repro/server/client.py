@@ -30,7 +30,7 @@ from repro.common.errors import (
 from repro.server import protocol
 from repro.server.protocol import Frame, Opcode, OrderToken
 from repro.server.tcp import read_frame
-from repro.system.responses import Response
+from repro.system.responses import Response, until_found
 
 #: Wall-clock seconds a request may wait for its response.
 DEFAULT_TIMEOUT_S = 30.0
@@ -193,6 +193,13 @@ class RemoteKV:
             Opcode.GET_MANY, protocol.encode_get_many_request(user, keys),
             order=order)
         return protocol.decode_get_many_response(frame.payload)
+
+    def get_until_found(self, user: int, keys: Sequence[bytes]
+                        ) -> List[Response]:
+        """One GET per key, in order, until a response discloses a stored
+        key: the protocol has no early-exit batch, and a GET_MANY would
+        issue keys past the hit."""
+        return until_found(self.getter(user), keys)
 
     # ----------------------------------------------------------------- writes
 

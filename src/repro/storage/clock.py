@@ -27,28 +27,32 @@ class SimClock:
     :meth:`advance_to`); there is no background tick.  This makes every
     experiment deterministic and lets the attack's "wait for page-cache
     eviction" step advance simulated hours in zero wall-clock time.
+
+    ``now_us`` is a plain attribute, read by everyone.  The per-key hot
+    paths (the point-read kernel, the page cache's hit path) charge costs
+    they know to be positive as ``clock.now_us += cost`` — the one float
+    addition :meth:`charge` performs, without its frame; everything else
+    charges through :meth:`charge`.
     """
+
+    __slots__ = ("now_us",)
 
     def __init__(self, start_us: float = 0.0) -> None:
         if start_us < 0:
             raise ConfigError(f"clock cannot start at negative time {start_us}")
-        self._now_us = float(start_us)
-
-    @property
-    def now_us(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now_us
+        #: Current simulated time in microseconds.
+        self.now_us = float(start_us)
 
     def charge(self, duration_us: float) -> None:
         """Advance the clock by ``duration_us`` of modelled work."""
         if duration_us < 0:
             raise ConfigError(f"cannot charge negative time {duration_us}")
-        self._now_us += duration_us
+        self.now_us += duration_us
 
     def advance_to(self, deadline_us: float) -> None:
         """Jump forward to an absolute time (no-op if already past it)."""
-        if deadline_us > self._now_us:
-            self._now_us = deadline_us
+        if deadline_us > self.now_us:
+            self.now_us = deadline_us
 
     @contextmanager
     def measure(self) -> Iterator["StopwatchHandle"]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.common.errors import (
     ConfigError,
@@ -204,6 +204,15 @@ class StorageDevice:
         this once per block read, so the lock would be pure overhead.
         """
         return self._generations.get(path, 0)
+
+    def generation_map(self) -> Mapping[str, int]:
+        """The live ``path -> generation`` map behind :meth:`file_generation`
+        (read-only use; a never-written path is absent, i.e. generation 0).
+
+        The page cache's hit path reads it with the dict's own ``get``
+        rather than a method call per read.
+        """
+        return self._generations
 
     def create_file(self, path: str, data: bytes) -> None:
         """Write a complete immutable file (SSTables are write-once)."""
@@ -447,6 +456,9 @@ class DeviceView:
 
     def file_generation(self, path: str) -> int:
         return self._parent.file_generation(path)
+
+    def generation_map(self) -> Mapping[str, int]:
+        return self._parent.generation_map()
 
     def exists(self, path: str) -> bool:
         return self._parent.exists(path)

@@ -125,9 +125,12 @@ class PageCache:
         self._next_foreign = 0
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        #: The device block size is immutable; bound here to keep the
-        #: per-read hot paths free of attribute-chain lookups.
+        #: The device block size, clock and generation map are fixed for
+        #: the device's life; bound here to keep the per-read hot paths
+        #: free of attribute chains and method frames.
         self._block_size = device.model.block_size
+        self._clock = device.clock
+        self._generation_of = device.generation_map().get
 
     # ----------------------------------------------------------------- access
 
@@ -184,8 +187,13 @@ class PageCache:
         from the joined page bytes.  The simulated-time trace is
         identical whether this layer is enabled, disabled, or thrashing,
         and whether or not a region is used.
+
+        The hit path is the point-read kernel's per-key I/O (a cached
+        data block per filter-passing probe), so it calls no method but
+        the LRU's own: per page, in page order, one ``move_to_end``, one
+        hit and one ``CACHE_HIT_COST_US`` added to the clock.
         """
-        gen = self.device.file_generation(path)
+        gen = self._generation_of(path, 0)
         key = (path, gen, offset, length)
         block_size = self._block_size
         first = offset // block_size
@@ -194,20 +202,18 @@ class PageCache:
             obj = self._decoded.get(key)
             if obj is not None:
                 pages = self._pages
-                page_keys = [(path, gen, block_index)
-                             for block_index in range(first, last + 1)]
-                resident = True
-                for page_key in page_keys:
-                    if page_key not in pages:
-                        resident = False
+                stop = last + 1
+                for block_index in range(first, stop):
+                    if (path, gen, block_index) not in pages:
                         break
-                if resident:
-                    charge = self.device.clock.charge
+                else:
+                    move = pages.move_to_end
+                    clock = self._clock
+                    for block_index in range(first, stop):
+                        move((path, gen, block_index))
+                        clock.now_us += CACHE_HIT_COST_US
                     stats = self.stats
-                    for page_key in page_keys:
-                        pages.move_to_end(page_key)
-                        stats.hits += 1
-                        charge(CACHE_HIT_COST_US)
+                    stats.hits += stop - first
                     self._decoded.move_to_end(key)
                     stats.decoded_hits += 1
                     return obj

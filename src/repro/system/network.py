@@ -106,6 +106,11 @@ class RemoteClient:
         """Batch of plain requests."""
         return self.transport.get_many(user, keys)
 
+    def get_until_found(self, user: int, keys: Sequence[bytes]
+                        ) -> List[Response]:
+        """The transport's early-exit batch (no timing observed)."""
+        return self.transport.get_until_found(user, keys)
+
     def get_many_timed(self, user: int, keys: Sequence[bytes]
                        ) -> List[Tuple[Response, float]]:
         """Batch of timed requests; noise draws match a ``get_timed`` loop.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, List, Optional
 
 
 class Status(enum.Enum):
@@ -36,3 +36,27 @@ class Response:
     def ok(self) -> bool:
         """Whether the request succeeded."""
         return self.status is Status.OK
+
+
+#: Statuses that disclose a stored key: the attack's step 3 stops at the
+#: first one.  (A hidden failure, ``FAILED``, discloses nothing.)  A
+#: tuple: membership tests identity first, a set would hash the enum.
+DISCLOSING = (Status.UNAUTHORIZED, Status.OK)
+
+
+def discloses(response: Response) -> bool:
+    """Whether ``response`` reveals that its key is stored."""
+    return response.status in DISCLOSING
+
+
+def until_found(get_one: Callable[[bytes], Response],
+                keys: Iterable[bytes]) -> List[Response]:
+    """``get_one`` over ``keys`` in order, up to and including the first
+    response that :func:`discloses`; later keys are never issued."""
+    out: List[Response] = []
+    for key in keys:
+        response = get_one(key)
+        out.append(response)
+        if response.status in DISCLOSING:
+            break
+    return out

@@ -20,13 +20,14 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ServiceError
 from repro.lsm.db import LSMTree
 from repro.lsm.read_path import ProbePlan
 from repro.system.acl import Acl, pack_value, unpack_value
-from repro.system.responses import Response, Status
+from repro.system.responses import Response, Status, discloses, until_found
 
 #: Simulated cost of request parsing/dispatch in the service layer.
 REQUEST_OVERHEAD_US = 1.0
@@ -55,6 +56,15 @@ class ServiceStats:
         with self._lock:
             self.requests += 1
             setattr(self, outcome, getattr(self, outcome) + 1)
+
+    def record_batch(self, requests: int, ok: int, not_found: int) -> None:
+        """Atomically count a batch of reads; those neither ``ok`` nor
+        ``not_found`` were unauthorized."""
+        with self._lock:
+            self.requests += requests
+            self.ok += ok
+            self.not_found += not_found
+            self.unauthorized += requests - ok - not_found
 
 
 class KVService:
@@ -184,13 +194,10 @@ class KVService:
         if stored is None:
             self.stats.record("not_found")
             return Response(self._failure(Status.NOT_FOUND))
-        self.db.charge_cost(ACL_CHECK_US)
-        acl, payload = unpack_value(stored)
-        if not acl.allows_read(user):
-            self.stats.record("unauthorized")
-            return Response(self._failure(Status.UNAUTHORIZED))
-        self.stats.record("ok")
-        return Response(Status.OK, payload)
+        response = self._check(user, stored)
+        self.stats.record("ok" if response.status is Status.OK
+                          else "unauthorized")
+        return response
 
     def get_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
         """``get`` plus the simulated response time the client observes."""
@@ -200,22 +207,19 @@ class KVService:
 
     def getter(self, user: int, plan: Optional[ProbePlan] = None
                ) -> Callable[[bytes], Response]:
-        """Fast-path request closure for batch callers.
+        """Per-request closure for per-key callers (the facades' getters).
 
         Returns a ``key -> Response`` callable observationally equivalent
-        to :meth:`get` (same charges, same stats, same RNG draws) with the
-        per-request attribute lookups hoisted.  This is the single point
-        the batch APIs (:meth:`get_many`, :meth:`get_many_timed`) and the
-        attack oracles' probe fast path build on.  ``plan`` is an optional
-        :class:`~repro.lsm.read_path.ProbePlan` from the store's batched-probe
-        prepass; it changes wall-clock only, never the simulated trace.
+        to :meth:`get` (same charges, same stats, same RNG draws).
+        ``plan`` is an optional :class:`~repro.lsm.read_path.ProbePlan`
+        from the store's batched-probe prepass; it changes wall-clock
+        only, never the simulated trace.
         """
-        db = self.db
-        db_get = db.getter(plan)
+        db_get = self.db.getter(plan)
         record = self.stats.record
-        charge = db.charge_cost
+        charge = self.db.charge_cost
+        check = self._check
         not_found_status = self._failure(Status.NOT_FOUND)
-        unauthorized_status = self._failure(Status.UNAUTHORIZED)
 
         def get_one(key: bytes) -> Response:
             charge(REQUEST_OVERHEAD_US)
@@ -223,26 +227,23 @@ class KVService:
             if stored is None:
                 record("not_found")
                 return Response(not_found_status)
-            charge(ACL_CHECK_US)
-            acl, payload = unpack_value(stored)
-            if not acl.allows_read(user):
-                record("unauthorized")
-                return Response(unauthorized_status)
-            record("ok")
-            return Response(Status.OK, payload)
+            response = check(user, stored)
+            record("ok" if response.status is Status.OK else "unauthorized")
+            return response
 
         return get_one
 
+    # The batch reads hand the store's search loop (``db.get_many*``) the
+    # whole batch plus this service's per-request envelope: the request
+    # overhead is charged before each key and ``_check`` runs on each
+    # found value, so every charge and draw lands where :meth:`get`'s
+    # would; the batch's outcomes are counted once.
+
     def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
-        """Batch read: ``[self.get(user, k) for k in keys]``, amortized."""
-        keys = list(keys)
-        plan = self.db.probe_plan(keys)
-        try:
-            get_one = self.getter(user, plan)
-            return [get_one(key) for key in keys]
-        finally:
-            if plan is not None:
-                plan.release()
+        """Batch read: ``[self.get(user, k) for k in keys]``, one pass."""
+        return self._responses(self.db.get_many(
+            keys, request_us=REQUEST_OVERHEAD_US,
+            on_found=partial(self._check, user)))
 
     def get_many_timed(self, user: int, keys: Sequence[bytes]
                        ) -> List[Tuple[Response, float]]:
@@ -250,25 +251,50 @@ class KVService:
 
         The per-key times are identical to what a loop of
         :meth:`get_timed` calls would observe; only the wall-clock cost of
-        issuing 10^5-10^6 attack queries drops.  The batched filter-probe
-        prepass runs before the first request is dispatched — it is pure,
-        so the per-key charges and RNG draws are untouched.
+        issuing 10^5-10^6 attack queries drops.  The store's batched
+        filter-probe prepass runs before the first request is dispatched
+        — it is pure, so the per-key charges and RNG draws are untouched.
         """
-        keys = list(keys)
-        plan = self.db.probe_plan(keys)
-        try:
-            get_one = self.getter(user, plan)
-            clock = self.db.clock
-            out: List[Tuple[Response, float]] = []
-            append = out.append
-            for key in keys:
-                start = clock.now_us
-                response = get_one(key)
-                append((response, clock.now_us - start))
-            return out
-        finally:
-            if plan is not None:
-                plan.release()
+        timed = self.db.get_many_timed(
+            keys, request_us=REQUEST_OVERHEAD_US,
+            on_found=partial(self._check, user))
+        responses = self._responses([result for result, _ in timed])
+        return [(response, elapsed)
+                for response, (_, elapsed) in zip(responses, timed)]
+
+    def get_until_found(self, user: int, keys: Sequence[bytes]
+                        ) -> List[Response]:
+        """:meth:`get` over ``keys`` in order, up to and including the first
+        response that discloses a stored key (OK, or UNAUTHORIZED when
+        the system distinguishes it); later keys are never issued."""
+        return self._responses(self.db.get_many(
+            keys, request_us=REQUEST_OVERHEAD_US,
+            on_found=partial(self._check, user), until=discloses))
+
+    def _check(self, user: int, stored: bytes) -> Response:
+        """The ACL check of a found value, charged through ``db.charge_cost``."""
+        self.db.charge_cost(ACL_CHECK_US)
+        acl, payload = unpack_value(stored)
+        if not acl.allows_read(user):
+            return Response(self._failure(Status.UNAUTHORIZED))
+        return Response(Status.OK, payload)
+
+    def _responses(self, results: List[Optional[Response]]
+                   ) -> List[Response]:
+        """A batch's per-key results (None: not found) as responses, its
+        outcomes counted once."""
+        not_found = Response(self._failure(Status.NOT_FOUND))
+        responses: List[Response] = []
+        missing = ok = 0
+        for result in results:
+            if result is None:
+                missing += 1
+                result = not_found
+            elif result.status is Status.OK:
+                ok += 1
+            responses.append(result)
+        self.stats.record_batch(len(responses), ok, missing)
+        return responses
 
     def range_query(self, user: int, low: bytes, high: bytes,
                     limit: Optional[int] = None):
@@ -318,6 +344,19 @@ class ServiceLayer:
     def probe_plan(self, keys: Sequence[bytes]) -> Optional[ProbePlan]:
         """The wrapped stack's probe-plan prepass (pure: nothing to add)."""
         return self.service.probe_plan(keys)
+
+    def get_until_found(self, user: int, keys: Sequence[bytes]
+                        ) -> List[Response]:
+        """This layer's own ``getter`` over ``keys``, cut after the first
+        disclosing response — so the layer admits and observes exactly
+        the keys issued."""
+        keys = list(keys)
+        plan = self.probe_plan(keys)
+        try:
+            return until_found(self.getter(user, plan), keys)
+        finally:
+            if plan is not None:
+                plan.release()
 
     def sim_now_us(self) -> float:
         """The wrapped stack's simulated clock."""

@@ -1,6 +1,6 @@
 """Seeded RNG stream tests."""
 
-from repro.common.rng import SeededRng, make_rng
+from repro.common.rng import SeededRng, gauss_pair, make_rng
 
 
 class TestDeterminism:
@@ -55,3 +55,40 @@ class TestHelpers:
         rng.shuffle(items)
         assert sorted(items) == list(range(10))
         assert len(rng.sample(range(10), 3)) == 3
+
+
+class TestGaussPair:
+    """The point-read kernel's jitter draw (``gauss_pair``, with the
+    generator's ``gauss_next`` held in a local) against ``random.gauss``.
+
+    Stdlib only, so it also runs on interpreters without pytest::
+
+        PYTHONPATH=src:tests/common python3.X -c \\
+            "import test_rng; test_rng.TestGaussPair().test_interleaved_draws_equal_gauss()"
+    """
+
+    DRAWS = 100_000
+
+    def test_interleaved_draws_equal_gauss(self):
+        jitter = 0.2
+        kernel = SeededRng(11, "costs").generator
+        reference = SeededRng(11, "costs").generator
+        # Which side takes the next draw: the kernel's inline draw, or a
+        # ``charge_cost`` call (plain ``gauss``) between two of them.
+        schedule = SeededRng(12, "schedule")
+        spare = kernel.gauss_next
+        for _ in range(self.DRAWS):
+            if schedule.random() < 0.3:
+                kernel.gauss_next = spare
+                drawn = kernel.gauss(1.0, jitter)
+                spare = kernel.gauss_next
+            else:
+                if spare is None:
+                    z, spare = gauss_pair(kernel.random)
+                else:
+                    z, spare = spare, None
+                drawn = 1.0 + z * jitter
+            expected = reference.gauss(1.0, jitter)
+            assert drawn.hex() == expected.hex()
+        kernel.gauss_next = spare
+        assert kernel.getstate() == reference.getstate()

@@ -92,3 +92,32 @@ class TestConfigValidation:
             AttackConfig(num_candidates=0)
         with pytest.raises(ConfigError):
             AttackConfig(max_extension_queries=0)
+
+
+class TestFailedAttackReleasesPins:
+    def test_service_failure_mid_extension_leaks_no_version_pin(self):
+        # Step 3's batches pin a version for their filter prepass; one that
+        # raises half-way must still unpin it, or db.close() counts a leak.
+        from repro.filters import SuRFBuilder
+        from repro.workloads import DatasetConfig, build_environment
+
+        env = build_environment(DatasetConfig(
+            num_keys=4000, key_width=5, seed=2,
+            filter_builder=SuRFBuilder(variant="real", suffix_bits=8)))
+        reads = []
+        read_decoded = env.db.cache.read_decoded
+
+        def failing_read(*args, **kwargs):
+            # Idealized classification reads no block: every block read
+            # is an extension probe that passed its filter.
+            reads.append(args[0])
+            if len(reads) == 50:
+                raise RuntimeError("device went away mid-extension")
+            return read_decoded(*args, **kwargs)
+
+        env.db.cache.read_decoded = failing_read
+        with pytest.raises(RuntimeError, match="mid-extension"):
+            make_attack(env).run()
+        assert len(reads) == 50
+        env.db.close()
+        assert env.db.leaked_pins == 0

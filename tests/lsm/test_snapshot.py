@@ -287,3 +287,24 @@ class TestProbePlanPinRelease:
         assert db.versions.pinned_count() == 0
         db.close()
         assert db.leaked_pins == 0
+
+
+class TestProbePlanOnClosedReaders:
+    """``probe_plan`` is a read like any other: closed means DBClosedError,
+    not a plan pinning a closed version set."""
+
+    def test_closed_tree_refuses_a_plan(self):
+        db, items = filled_db()
+        db.close()
+        with pytest.raises(DBClosedError):
+            db.probe_plan(sorted(items)[:20])
+        assert db.versions.force_release() == 0
+
+    def test_closed_snapshot_refuses_a_plan(self):
+        db, items = filled_db()
+        snap = db.snapshot()
+        snap.close()
+        with pytest.raises(DBClosedError):
+            snap.probe_plan(sorted(items)[:20])
+        db.close()
+        assert db.leaked_pins == 0

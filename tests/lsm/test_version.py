@@ -1,6 +1,8 @@
 """Immutable Version / VersionEdit / VersionSet tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import CompactionError, LSMError
 from repro.lsm.version import Version, VersionEdit, VersionSet
@@ -269,3 +271,58 @@ class TestL0Splice:
         assert isinstance(edit.added, tuple) and edit.removed == ()
         with pytest.raises(AttributeError):
             edit.level = 1
+
+
+# ------------------------------------------------------ batch candidate walk
+
+_KEY = st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def versions_and_probes(draw):
+    """A version with overlapping L0 runs and sorted deep levels, plus
+    probe keys: arbitrary, in gaps, and at (or one step off) table edges,
+    in an arbitrary order."""
+    version = Version(4)
+    for run in range(draw(st.integers(0, 3))):
+        low, high = sorted(draw(st.lists(_KEY, min_size=2, max_size=2)))
+        version = add_l0(version, fake_table(f"l0-{run}", low, high))
+    edges = []
+    for level in (1, 2, 3):
+        bounds = sorted(set(draw(st.lists(_KEY, max_size=12))))
+        pairs = list(zip(bounds[::2], bounds[1::2]))  # disjoint, gaps between
+        if pairs:
+            version = install(version, level, [
+                fake_table(f"{level}-{i}", low, high)
+                for i, (low, high) in enumerate(pairs)])
+        edges += bounds
+    edge_probes = [edge + suffix for edge in edges
+                   for suffix in (b"", b"\x00", b"\xff")]
+    edge_probes += [edge[:-1] for edge in edges if len(edge) > 1]
+    probes = draw(st.lists(_KEY, max_size=20)) + edge_probes
+    return version, draw(st.permutations(probes))
+
+
+class TestBatchCandidateWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(versions_and_probes())
+    def test_equals_the_per_key_walk(self, case):
+        version, keys = case
+        assert version.candidates_for_keys(keys) == [
+            tuple(version.candidates_for_key(key)) for key in keys]
+
+    @settings(max_examples=50, deadline=None)
+    @given(versions_and_probes())
+    def test_sorted_batch_equals_the_per_key_walk(self, case):
+        version, keys = case
+        keys = sorted(keys)
+        assert version.candidates_for_keys(keys) == [
+            tuple(version.candidates_for_key(key)) for key in keys]
+
+    def test_reused_table_stops_at_its_edge(self):
+        v = install(Version(4), 1, [fake_table("a", b"b", b"d"),
+                                    fake_table("b", b"f", b"h")])
+        walked = v.candidates_for_keys([b"b", b"d", b"e", b"f", b"h", b"i",
+                                        b"c", b"a"])
+        assert [[t.path for t in found] for found in walked] == [
+            ["a"], ["a"], [], ["b"], ["b"], [], ["a"], []]

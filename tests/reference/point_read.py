@@ -18,17 +18,18 @@ from repro.lsm.options import (
 )
 
 
-def scalar_get(db, key: bytes) -> Optional[bytes]:
-    """``db.get(key)``, spelled out (``db``: an open ``LSMTree``)."""
+def scalar_get(db, key: bytes, version=None) -> Optional[bytes]:
+    """``db.get(key)``, spelled out (``db``: an open ``LSMTree``, or a
+    ``SnapshotView`` with its pinned ``version``)."""
     db.stats.gets += 1
     db.charge_cost(GET_BASE_COST_US + MEMTABLE_LOOKUP_COST_US)
     entry = db._memtable.get(key)
     if entry is not None:
         db.stats.memtable_hits += 1
         return entry.value
-    version = db.versions.pin()
+    search = version if version is not None else db.versions.pin()
     try:
-        for table in version.candidates_for_key(key):
+        for table in search.candidates_for_key(key):
             if table.filter is not None:
                 db.stats.filter_checks += 1
                 db.charge_cost(FILTER_QUERY_COST_US)
@@ -41,7 +42,27 @@ def scalar_get(db, key: bytes) -> Optional[bytes]:
                 return entry.value
         return None
     finally:
-        db.versions.unpin(version)
+        if version is None:
+            db.versions.unpin(search)
+
+
+def scalar_get_many_timed(db, keys, version=None, request_us=None,
+                          on_found=None, until=None):
+    """``db.get_many_timed(keys, ...)`` as the per-key loop it abbreviates:
+    the request envelope charged through ``db.charge_cost`` before each
+    key, ``on_found`` on each found value, the loop cut by ``until``."""
+    out = []
+    for key in keys:
+        start = db.clock.now_us
+        if request_us is not None:
+            db.charge_cost(request_us)
+        value = scalar_get(db, key, version)
+        if value is not None and on_found is not None:
+            value = on_found(value)
+        out.append((value, db.clock.now_us - start))
+        if value is not None and until is not None and until(value):
+            break
+    return out
 
 
 def use_scalar_reads(db) -> None:
@@ -54,17 +75,13 @@ def use_scalar_reads(db) -> None:
     def get(key):
         return scalar_get(db, key)
 
-    def get_many_timed(keys):
-        out = []
-        for key in keys:
-            start = db.clock.now_us
-            value = get(key)
-            out.append((value, db.clock.now_us - start))
-        return out
+    def get_many_timed(keys, **envelope):
+        return scalar_get_many_timed(db, keys, **envelope)
 
     db.get = get
     db.probe_plan = lambda keys: None
     db.getter = lambda plan=None: get
-    db.get_many = lambda keys: [get(key) for key in keys]
+    db.get_many = lambda keys, **envelope: [
+        value for value, _ in get_many_timed(keys, **envelope)]
     db.get_many_timed = get_many_timed
     db.filters_pass_many = lambda keys: [db.filters_pass(key) for key in keys]

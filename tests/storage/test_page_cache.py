@@ -169,6 +169,28 @@ class TestDecodedLayer:
         assert cache_a.stats.hits == cache_b.stats.hits
         assert cache_a.stats.misses == cache_b.stats.misses
 
+    def test_multi_page_decoded_hit_replays_a_plain_read(self):
+        # Ranges over one, two and three pages, revisited in an order that
+        # mixes hits, misses and evictions: after every step the page LRU
+        # order, the counters and the clock equal a plain read()'s.
+        clock_a, device_a, cache_a = make_cache(capacity_blocks=4)
+        clock_b, device_b, cache_b = make_cache(capacity_blocks=4)
+        block = device_a.model.block_size
+        payload = bytes(range(256)) * (6 * block // 256)
+        device_a.create_file("a", payload)
+        device_b.create_file("a", payload)
+        ranges = [(8, 200), (block - 50, 100), (block // 2, 2 * block),
+                  (4 * block + 1, 10), (3 * block - 8, 16)]
+        for offset, length in ranges * 2 + ranges[::-1] * 2:
+            decoded = cache_a.read_decoded("a", offset, length, bytes)
+            assert bytes(decoded) == cache_b.read("a", offset, length)
+            assert list(cache_a._pages) == list(cache_b._pages)
+            assert clock_a.now_us == clock_b.now_us
+        assert cache_a.stats.decoded_hits > 0
+        assert (cache_a.stats.hits, cache_a.stats.misses,
+                cache_a.stats.evictions) == (
+            cache_b.stats.hits, cache_b.stats.misses, cache_b.stats.evictions)
+
     def test_page_eviction_invalidates_decoded_entry(self):
         _, device, cache = make_cache(capacity_blocks=2)
         block = device.model.block_size

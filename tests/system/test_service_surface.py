@@ -6,6 +6,7 @@ asking first, so a signature that drifts is a crash in step 3 (as
 ``RemoteClient.getter`` was).  DESIGN.md, "Service surface".
 """
 
+import contextlib
 import inspect
 
 import pytest
@@ -20,12 +21,13 @@ from repro.system import (
     RateLimitPolicy,
     RemoteClient,
 )
+from repro.system.responses import DISCLOSING, Status
 from repro.workloads import ATTACKER_USER
 
 SERVICE_SHAPED = (KVService, RateLimitedService, MonitoredService,
                   DefendedService, RemoteKV, RemoteClient)
 READ_SURFACE = ("get", "get_timed", "getter", "get_many", "get_many_timed",
-                "probe_plan", "sim_now_us")
+                "get_until_found", "probe_plan", "sim_now_us")
 
 
 def _parameters(cls, method):
@@ -44,26 +46,42 @@ def test_read_method_signatures_agree_with_kvservice(cls, method):
     assert all(p.default is not p.empty for p in extra)
 
 
-@pytest.fixture(scope="module")
-def stacks(surf_env):
-    limited = RateLimitedService(surf_env.service,
+@contextlib.contextmanager
+def every_surface(service):
+    """Each service-shaped class over ``service`` (RemoteKV over the wire)."""
+    limited = RateLimitedService(service,
                                  RateLimitPolicy(requests_per_second=1e6))
-    with AsyncLoopbackTransport(surf_env.service) as transport:
+    with AsyncLoopbackTransport(service) as transport:
         wire = transport.connect()
         yield {
-            "KVService": surf_env.service,
+            "KVService": service,
             "RateLimitedService": limited,
             "MonitoredService": MonitoredService(limited),
             "DefendedService": DefendedService(limited),
             "RemoteKV": wire,
-            "RemoteClient": RemoteClient(surf_env.service, LAN),
+            "RemoteClient": RemoteClient(service, LAN),
             "RemoteClient(RemoteKV)": RemoteClient(wire, LAN),
         }
         wire.close()
 
 
-@pytest.mark.parametrize("name", [cls.__name__ for cls in SERVICE_SHAPED]
-                         + ["RemoteClient(RemoteKV)"])
+@pytest.fixture(scope="module")
+def stacks(surf_env):
+    with every_surface(surf_env.service) as found:
+        yield found
+
+
+@pytest.fixture(scope="module")
+def hidden_stacks(surf_env_hidden):
+    with every_surface(surf_env_hidden.service) as found:
+        yield found
+
+
+STACK_NAMES = [cls.__name__ for cls in SERVICE_SHAPED] + [
+    "RemoteClient(RemoteKV)"]
+
+
+@pytest.mark.parametrize("name", STACK_NAMES)
 def test_surface_answers_with_and_without_a_local_store(stacks, surf_env, name):
     service = stacks[name]
     local = "RemoteKV" not in name
@@ -80,3 +98,69 @@ def test_surface_answers_with_and_without_a_local_store(stacks, surf_env, name):
     finally:
         if plan is not None:
             plan.release()
+
+
+# ---------------------------------------------------------- get_until_found
+
+def get_loop_until_found(service, keys):
+    """The reference: ``get`` per key, cut after the first disclosure."""
+    out = []
+    for key in keys:
+        out.append(service.get(ATTACKER_USER, key))
+        if out[-1].status in DISCLOSING:
+            break
+    return out
+
+
+def probe_keys(env):
+    """Two misses, a stored key (unreadable by the attacker), a miss."""
+    misses = [b"\x00\x00\x00\x00" + bytes([i]) for i in range(3)]
+    assert not set(misses) & env.key_set
+    return misses[:2] + [env.keys[5]] + misses[2:], misses
+
+
+@pytest.mark.parametrize("name", STACK_NAMES)
+def test_get_until_found_is_the_get_loop_cut_at_the_first_disclosure(
+        stacks, surf_env, name):
+    service = stacks[name]
+    keys, misses = probe_keys(surf_env)
+    found = service.get_until_found(ATTACKER_USER, keys)
+    assert [r.status for r in found] == [
+        Status.NOT_FOUND, Status.NOT_FOUND, Status.UNAUTHORIZED]
+    assert found == get_loop_until_found(service, keys)
+    assert (service.get_until_found(ATTACKER_USER, misses)
+            == get_loop_until_found(service, misses))
+    assert service.get_until_found(ATTACKER_USER, []) == []
+
+
+@pytest.mark.parametrize("name", STACK_NAMES)
+def test_get_until_found_scans_past_a_hidden_failure(
+        hidden_stacks, surf_env_hidden, name):
+    # Without the distinction a stored-but-unreadable key answers FAILED,
+    # which discloses nothing: every key is issued.
+    service = hidden_stacks[name]
+    keys, _ = probe_keys(surf_env_hidden)
+    found = service.get_until_found(ATTACKER_USER, keys)
+    assert [r.status for r in found] == [Status.FAILED] * len(keys)
+    assert found == get_loop_until_found(service, keys)
+
+
+def test_get_until_found_counts_only_the_issued_keys(surf_env):
+    keys, _ = probe_keys(surf_env)
+    issued = keys[:3]
+    limited = RateLimitedService(surf_env.service,
+                                 RateLimitPolicy(requests_per_second=1e6))
+    admitted = []
+    admit = limited._admit
+    limited._admit = lambda user: (admitted.append(user), admit(user))
+    for facade in (MonitoredService(limited), DefendedService(limited)):
+        observed = []
+        observe = facade.detector.observe
+        facade.detector.observe = lambda user, key, status: (
+            observed.append(key), observe(user, key, status))
+        admitted.clear()
+        requests = surf_env.service.stats.requests
+        assert len(facade.get_until_found(ATTACKER_USER, keys)) == 3
+        assert observed == issued
+        assert admitted == [ATTACKER_USER] * 3
+        assert surf_env.service.stats.requests == requests + 3
