@@ -44,7 +44,7 @@ class DefendedService(ServiceLayer):
     def get_timed(self, user, key):
         return self._route(user).get_timed(user, key)
 
-    def getter(self, user, plan=None):
+    def getter(self, user):
         # Routed per request, not per closure: a user flagged mid-batch
         # is throttled from the next probe on.
         return lambda key: self.get(user, key)

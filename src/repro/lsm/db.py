@@ -374,21 +374,21 @@ class LSMTree:
 
         Keys currently in the memtable are skipped: their gets never
         reach a filter.  The returned plan pins the current version;
-        callers :meth:`~read_path.ProbePlan.release` it after the batch.
+        callers :meth:`~read_path.ProbePlan.release` it.  No read takes
+        a plan: the batch reads make and release their own.
         """
         self._check_open()
         return read_path.probe_plan(self, keys)
 
-    def getter(self, plan: Optional[read_path.ProbePlan] = None):
+    def getter(self):
         """Point-read closure for per-key callers.
 
         Returns a ``key -> Optional[bytes]`` callable observationally
         equivalent to :meth:`get` (the same search loop over one key,
-        :func:`read_path.getter`), optionally replaying the filter
-        verdicts of a :meth:`probe_plan` prepass.
+        :func:`read_path.getter`).
         """
         self._check_open()
-        return read_path.getter(self, plan=plan)
+        return read_path.getter(self)
 
     def get_many(self, keys: Iterable[bytes],
                  request_us: Optional[float] = None, on_found=None,

@@ -305,16 +305,11 @@ def read_points(ctx, keys: Sequence[bytes],
     return results, elapsed
 
 
-def getter(ctx, version: Optional[Version] = None,
-           plan: Optional[ProbePlan] = None
+def getter(ctx, version: Optional[Version] = None
            ) -> Callable[[bytes], Optional[bytes]]:
-    """:func:`read_points` over one key, as a ``key -> value`` closure.
-
-    Replays ``plan``'s verdicts when given (falling back to scalar
-    probes for keys it does not cover).
-    """
+    """:func:`read_points` over one key, as a ``key -> value`` closure."""
     def get_one(key: bytes) -> Optional[bytes]:
-        return read_points(ctx, (key,), version, plan)[0][0]
+        return read_points(ctx, (key,), version)[0][0]
 
     return get_one
 

@@ -127,10 +127,10 @@ class SnapshotView:
         self._check_open()
         return read_path.probe_plan(self, keys, self.version)
 
-    def getter(self, plan: Optional[read_path.ProbePlan] = None):
+    def getter(self):
         """Point-read closure for per-key callers."""
         self._check_open()
-        return read_path.getter(self, self.version, plan)
+        return read_path.getter(self, self.version)
 
     def get_many(self, keys: Iterable[bytes],
                  request_us: Optional[float] = None, on_found=None,

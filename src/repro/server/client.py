@@ -124,8 +124,7 @@ class WireConnection:
 class RemoteKV:
     """The :class:`KVService` surface, spoken over one wire connection."""
 
-    #: No store on this side of the wire: idealized oracles cannot run
-    #: here, and :meth:`probe_plan` has nothing to prime.
+    #: No store on this side of the wire: idealized oracles cannot run here.
     db = None
     #: The protocol carries whatever statuses the server's stack sends;
     #: the attack assumes the distinguishing system of the threat model.
@@ -134,10 +133,6 @@ class RemoteKV:
     def __init__(self, connection: WireConnection) -> None:
         self.connection = connection
         self.wall = connection.wall
-
-    def probe_plan(self, keys: Sequence[bytes]) -> None:
-        """No local store, so no plan: probes are plain round trips."""
-        return None
 
     # ------------------------------------------------------------------ reads
 
@@ -155,13 +150,8 @@ class RemoteKV:
         response, sim_us, _ = protocol.decode_result(frame.payload)
         return response, sim_us
 
-    def getter(self, user: int, plan: None = None
-               ) -> Callable[[bytes], Response]:
-        """Per-key closure; each call is one GET round trip.
-
-        ``plan`` is the surface's probe-plan slot; :meth:`probe_plan`
-        only ever hands out None here.
-        """
+    def getter(self, user: int) -> Callable[[bytes], Response]:
+        """Per-key closure; each call is one GET round trip."""
         request = self.connection.request
         encode = protocol.encode_get_request
         decode = protocol.decode_result

@@ -9,7 +9,6 @@ from repro.system.defense import (
     build_defended_service,
 )
 from repro.system.detector import (
-    DetectorPolicy,
     MonitoredService,
     SiphoningDetector,
     UserVerdict,
@@ -41,7 +40,6 @@ __all__ = [
     "DefendedService",
     "DefensePolicy",
     "DefenseSnapshot",
-    "DetectorPolicy",
     "build_defended_service",
     "MonitoredService",
     "SiphoningDetector",

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import ConfigError
-from repro.lsm.read_path import ProbePlan
 from repro.system.detector import SiphoningDetector
 from repro.system.ratelimit import RateLimitedService, RateLimitPolicy
 from repro.system.responses import Response, Status
@@ -190,14 +189,13 @@ class DefendedService(ServiceLayer):
         elapsed += self._noise_for(user, response.status)
         return response, elapsed
 
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
+    def getter(self, user: int) -> Callable[[bytes], Response]:
         """Fast-path closure: observation + noise per call.
 
         Noise charges the clock inside the call, so callers that time
         around the closure (``get_many_timed``, the oracles) see it.
         """
-        get_one = self.service.getter(user, plan)
+        get_one = self.service.getter(user)
         observe = self._observe
         noise = self._noise_for
 

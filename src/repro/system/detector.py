@@ -31,38 +31,23 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigError
 from repro.common.keys import common_prefix_len
-from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response, Status
 from repro.system.service import KVService, ServiceLayer
 
 
+#: Requests per user in the sliding window.
+WINDOW = 512
+#: Minimum observations before the detector may fire.
+MIN_REQUESTS = 256
+#: Miss-ratio threshold; benign mixes sit well below it.
+MISS_RATIO_THRESHOLD = 0.90
 #: Miss ratio at which no clustering evidence is needed: essentially
 #: every request failing is the FindFPK guessing phase's signature.
 EXTREME_MISS_RATIO = 0.98
 #: How many bytes of adjacent-LCP *excess* over the uniform baseline the
 #: failed-key window must show (jointly with the miss ratio).
 LCP_EXCESS_THRESHOLD = 0.75
-
-
-@dataclass(frozen=True)
-class DetectorPolicy:
-    """Sliding-window thresholds."""
-
-    window: int = 512
-    #: Minimum observations before the detector may fire.
-    min_requests: int = 256
-    #: Miss-ratio threshold; benign mixes sit well below it.
-    miss_ratio_threshold: float = 0.90
-
-    def __post_init__(self) -> None:
-        if self.window < 16:
-            raise ConfigError("window must be at least 16 requests")
-        if not 16 <= self.min_requests <= self.window:
-            raise ConfigError("min_requests must be in [16, window]")
-        if not 0.0 < self.miss_ratio_threshold <= 1.0:
-            raise ConfigError("miss ratio threshold must be in (0, 1]")
 
 
 @dataclass
@@ -86,8 +71,7 @@ class SiphoningDetector:
     anything slow.
     """
 
-    def __init__(self, policy: DetectorPolicy = DetectorPolicy()) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._windows: Dict[int, Deque[Tuple[bytes, bool]]] = {}
         self._totals: Dict[int, int] = {}
         self._lock = threading.Lock()
@@ -98,7 +82,7 @@ class SiphoningDetector:
         """Record one request outcome (OK vs any failure)."""
         with self._lock:
             window = self._windows.setdefault(
-                user, deque(maxlen=self.policy.window))
+                user, deque(maxlen=WINDOW))
             window.append((key, status is Status.OK))
             self._totals[user] = self._totals.get(user, 0) + 1
 
@@ -109,7 +93,7 @@ class SiphoningDetector:
         with self._lock:
             window = self._windows.get(user)
             seen = self._totals.get(user, 0)
-            if not window or seen < self.policy.min_requests:
+            if not window or seen < MIN_REQUESTS:
                 return UserVerdict(seen, 0.0, 0.0, False, "insufficient data")
             misses = [key for key, ok in window if not ok]
             window_len = len(window)
@@ -119,7 +103,7 @@ class SiphoningDetector:
             return UserVerdict(
                 seen, miss_ratio, lcp_excess, True,
                 f"extreme miss ratio {miss_ratio:.2f} (guessing phase)")
-        if miss_ratio < self.policy.miss_ratio_threshold:
+        if miss_ratio < MISS_RATIO_THRESHOLD:
             return UserVerdict(seen, miss_ratio, lcp_excess, False,
                                "healthy miss ratio")
         if lcp_excess < LCP_EXCESS_THRESHOLD:
@@ -182,15 +166,14 @@ class MonitoredService(ServiceLayer):
         self.detector.observe(user, key, response.status)
         return response, elapsed
 
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
+    def getter(self, user: int) -> Callable[[bytes], Response]:
         """Fast-path closure with per-key observation.
 
         This is the single point the batch APIs and the attack oracles'
         probe fast path build on — observing here closes the blind spot
         where probe-engine queries bypassed the detector entirely.
         """
-        get_one = self.service.getter(user, plan)
+        get_one = self.service.getter(user)
         observe = self.detector.observe
 
         def monitored_get(key: bytes) -> Response:

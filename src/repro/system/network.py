@@ -15,11 +15,10 @@ Presets correspond to the paper's cited scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.rng import SeededRng, make_rng
-from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response
 from repro.system.service import KVService
 
@@ -80,10 +79,6 @@ class RemoteClient:
         self.distinguish_unauthorized = transport.distinguish_unauthorized
         self._rng = rng or make_rng(None, f"network/{model.name}")
 
-    def probe_plan(self, keys: Sequence[bytes]) -> Optional[ProbePlan]:
-        """The transport's probe-plan prepass (pure: the network adds nothing)."""
-        return self.transport.probe_plan(keys)
-
     def sim_now_us(self) -> float:
         """The server's simulated clock (the attacker's wall time is not modelled)."""
         return self.transport.sim_now_us()
@@ -97,10 +92,9 @@ class RemoteClient:
         response, server_us = self.transport.get_timed(user, key)
         return response, self._observe(server_us)
 
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
+    def getter(self, user: int) -> Callable[[bytes], Response]:
         """Fast-path closure (plain requests carry no network timing)."""
-        return self.transport.getter(user, plan)
+        return self.transport.getter(user)
 
     def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
         """Batch of plain requests."""

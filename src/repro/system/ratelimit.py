@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.lsm.read_path import ProbePlan
 from repro.system.responses import Response
 from repro.system.service import KVService, ServiceLayer
 
@@ -181,15 +180,14 @@ class RateLimitedService(ServiceLayer):
         self._admit(user)
         return self.service.get_timed(user, key)
 
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
+    def getter(self, user: int) -> Callable[[bytes], Response]:
         """Fast-path closure that still pays admission per request.
 
         Every call goes through the token bucket first — the batch API
         must not become a rate-limit bypass.
         """
         admit = self._admit
-        get_one = self.service.getter(user, plan)
+        get_one = self.service.getter(user)
 
         def get_admitted(key: bytes) -> Response:
             admit(user)
@@ -199,35 +197,23 @@ class RateLimitedService(ServiceLayer):
 
     def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
         """Throttled batch read (admission charged per key)."""
-        keys = list(keys)
-        plan = self.db.probe_plan(keys)
-        try:
-            get_one = self.getter(user, plan)
-            return [get_one(key) for key in keys]
-        finally:
-            if plan is not None:
-                plan.release()
+        get_one = self.getter(user)
+        return [get_one(key) for key in keys]
 
     def get_many_timed(self, user: int, keys: Sequence[bytes]
                        ) -> List[Tuple[Response, float]]:
         """Throttled batch ``get_timed`` (stalls excluded, as in get_timed)."""
-        keys = list(keys)
         admit = self._admit
-        plan = self.db.probe_plan(keys)
-        try:
-            get_one = self.service.getter(user, plan)
-            clock = self.db.clock
-            out: List[Tuple[Response, float]] = []
-            append = out.append
-            for key in keys:
-                admit(user)
-                start = clock.now_us
-                response = get_one(key)
-                append((response, clock.now_us - start))
-            return out
-        finally:
-            if plan is not None:
-                plan.release()
+        get_one = self.service.getter(user)
+        clock = self.db.clock
+        out: List[Tuple[Response, float]] = []
+        append = out.append
+        for key in keys:
+            admit(user)
+            start = clock.now_us
+            response = get_one(key)
+            append((response, clock.now_us - start))
+        return out
 
     def range_query(self, user: int, low: bytes, high: bytes,
                     limit: Optional[int] = None):

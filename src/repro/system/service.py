@@ -25,7 +25,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ServiceError
 from repro.lsm.db import LSMTree
-from repro.lsm.read_path import ProbePlan
 from repro.system.acl import Acl, pack_value, unpack_value
 from repro.system.responses import Response, Status, discloses, until_found
 
@@ -51,14 +50,8 @@ class ServiceStats:
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
-    def record(self, outcome: str) -> None:
-        """Atomically count one request with the given outcome field."""
-        with self._lock:
-            self.requests += 1
-            setattr(self, outcome, getattr(self, outcome) + 1)
-
-    def record_batch(self, requests: int, ok: int, not_found: int) -> None:
-        """Atomically count a batch of reads; those neither ``ok`` nor
+    def record(self, requests: int, ok: int, not_found: int) -> None:
+        """Atomically count requests; those neither ``ok`` nor
         ``not_found`` were unauthorized."""
         with self._lock:
             self.requests += requests
@@ -84,10 +77,6 @@ class KVService:
         self.stats = ServiceStats()
 
     # ---------------------------------------------------------- introspection
-
-    def probe_plan(self, keys: Sequence[bytes]) -> Optional[ProbePlan]:
-        """The store's batched filter-probe prepass for an upcoming batch."""
-        return self.db.probe_plan(keys)
 
     def sim_now_us(self) -> float:
         """The simulated clock every request of this stack is charged to."""
@@ -163,15 +152,15 @@ class KVService:
         self.db.charge_cost(REQUEST_OVERHEAD_US)
         stored = self.db.get(key)
         if stored is None:
-            self.stats.record("not_found")
+            self.stats.record(1, 0, 1)
             return Response(self._failure(Status.NOT_FOUND))
         self.db.charge_cost(ACL_CHECK_US)
         acl, _ = unpack_value(stored)
         if acl.owner != user:
-            self.stats.record("unauthorized")
+            self.stats.record(1, 0, 0)
             return Response(self._failure(Status.UNAUTHORIZED))
         self.db.delete(key)
-        self.stats.record("ok")
+        self.stats.record(1, 1, 0)
         return Response(Status.OK)
 
     def delete_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
@@ -192,11 +181,10 @@ class KVService:
         self.db.charge_cost(REQUEST_OVERHEAD_US)
         stored = self.db.get(key)
         if stored is None:
-            self.stats.record("not_found")
+            self.stats.record(1, 0, 1)
             return Response(self._failure(Status.NOT_FOUND))
         response = self._check(user, stored)
-        self.stats.record("ok" if response.status is Status.OK
-                          else "unauthorized")
+        self.stats.record(1, response.status is Status.OK, 0)
         return response
 
     def get_timed(self, user: int, key: bytes) -> Tuple[Response, float]:
@@ -205,17 +193,13 @@ class KVService:
             response = self.get(user, key)
         return response, stopwatch.elapsed_us
 
-    def getter(self, user: int, plan: Optional[ProbePlan] = None
-               ) -> Callable[[bytes], Response]:
+    def getter(self, user: int) -> Callable[[bytes], Response]:
         """Per-request closure for per-key callers (the facades' getters).
 
         Returns a ``key -> Response`` callable observationally equivalent
         to :meth:`get` (same charges, same stats, same RNG draws).
-        ``plan`` is an optional :class:`~repro.lsm.read_path.ProbePlan`
-        from the store's batched-probe prepass; it changes wall-clock
-        only, never the simulated trace.
         """
-        db_get = self.db.getter(plan)
+        db_get = self.db.getter()
         record = self.stats.record
         charge = self.db.charge_cost
         check = self._check
@@ -225,10 +209,10 @@ class KVService:
             charge(REQUEST_OVERHEAD_US)
             stored = db_get(key)
             if stored is None:
-                record("not_found")
+                record(1, 0, 1)
                 return Response(not_found_status)
             response = check(user, stored)
-            record("ok" if response.status is Status.OK else "unauthorized")
+            record(1, response.status is Status.OK, 0)
             return response
 
         return get_one
@@ -293,7 +277,7 @@ class KVService:
             elif result.status is Status.OK:
                 ok += 1
             responses.append(result)
-        self.stats.record_batch(len(responses), ok, missing)
+        self.stats.record(len(responses), ok, missing)
         return responses
 
     def range_query(self, user: int, low: bytes, high: bytes,
@@ -341,22 +325,12 @@ class ServiceLayer:
         #: The nearest layer that can escalate per user, or None.
         self.limiter = service.limiter
 
-    def probe_plan(self, keys: Sequence[bytes]) -> Optional[ProbePlan]:
-        """The wrapped stack's probe-plan prepass (pure: nothing to add)."""
-        return self.service.probe_plan(keys)
-
     def get_until_found(self, user: int, keys: Sequence[bytes]
                         ) -> List[Response]:
         """This layer's own ``getter`` over ``keys``, cut after the first
         disclosing response — so the layer admits and observes exactly
         the keys issued."""
-        keys = list(keys)
-        plan = self.probe_plan(keys)
-        try:
-            return until_found(self.getter(user, plan), keys)
-        finally:
-            if plan is not None:
-                plan.release()
+        return until_found(self.getter(user), keys)
 
     def sim_now_us(self) -> float:
         """The wrapped stack's simulated clock."""

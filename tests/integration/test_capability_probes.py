@@ -13,9 +13,6 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: (file under src/repro, attribute probed) -> why it stays.
 ALLOWED = {
-    ("system/service.py", "<outcome>"):
-        "ServiceStats.record bumps the counter field named by its "
-        "argument; not a capability probe",
     ("core/template.py", "prefix_len"):
         "strategies share no base class; only the PBF strategy attacks "
         "a prefix shorter than its key width",

@@ -289,6 +289,51 @@ class TestProbePlanPinRelease:
         assert db.leaked_pins == 0
 
 
+class TestGetterTakesNoPlan:
+    """A getter reads what its owner reads: a live plan once made a
+    snapshot's getter answer with later writes, and a getter outlive its
+    plan's release into retired tables."""
+
+    KEYS = [b"k%04d" % i for i in range(200)]
+
+    def _bloom_db(self):
+        from repro.filters import BloomFilterBuilder
+        return LSMTree(LSMOptions(filter_builder=BloomFilterBuilder()))
+
+    def test_snapshot_getter_sees_only_the_snapshot(self):
+        db = self._bloom_db()
+        for key in self.KEYS:
+            db.put(key, b"old")
+        db.flush()
+        snap = db.snapshot()
+        db.put(b"k0007", b"new")
+        db.put(b"zz", b"late")
+        db.flush()
+        plan = db.probe_plan([b"k0007", b"zz"])
+        try:
+            with pytest.raises(TypeError):
+                snap.getter(plan)
+        finally:
+            plan.release()
+        get_one = snap.getter()
+        assert [get_one(b"k0007"), get_one(b"zz")] == [b"old", None]
+        snap.close()
+        db.close()
+        assert db.leaked_pins == 0
+
+    def test_getter_survives_compaction(self):
+        db = self._bloom_db()
+        for round_ in range(2):
+            for key in self.KEYS:
+                db.put(key, b"v%d" % round_)
+            db.flush()
+        get_one = db.getter()
+        db.compact_all()
+        assert get_one(b"k0007") == b"v1"
+        db.close()
+        assert db.leaked_pins == 0
+
+
 class TestProbePlanOnClosedReaders:
     """``probe_plan`` is a read like any other: closed means DBClosedError,
     not a plan pinning a closed version set."""

@@ -68,9 +68,9 @@ def scalar_get_many_timed(db, keys, version=None, request_us=None,
 def use_scalar_reads(db) -> None:
     """Serve every point-read entry of ``db`` from :func:`scalar_get`.
 
-    Instance-level overrides: no prepass (``probe_plan`` yields no plan),
-    and each batch API becomes the per-key loop it abbreviates — the
-    shape the whole attack stack ran on before the batched engine.
+    Instance-level overrides: each batch API becomes the per-key loop it
+    abbreviates — the shape the whole attack stack ran on before the
+    batched engine.
     """
     def get(key):
         return scalar_get(db, key)
@@ -79,8 +79,7 @@ def use_scalar_reads(db) -> None:
         return scalar_get_many_timed(db, keys, **envelope)
 
     db.get = get
-    db.probe_plan = lambda keys: None
-    db.getter = lambda plan=None: get
+    db.getter = lambda: get
     db.get_many = lambda keys, **envelope: [
         value for value, _ in get_many_timed(keys, **envelope)]
     db.get_many_timed = get_many_timed

@@ -11,6 +11,8 @@ import inspect
 
 import pytest
 
+from repro.lsm.db import LSMTree
+from repro.lsm.snapshot import SnapshotView
 from repro.server import AsyncLoopbackTransport, RemoteKV
 from repro.system import (
     LAN,
@@ -27,7 +29,7 @@ from repro.workloads import ATTACKER_USER
 SERVICE_SHAPED = (KVService, RateLimitedService, MonitoredService,
                   DefendedService, RemoteKV, RemoteClient)
 READ_SURFACE = ("get", "get_timed", "getter", "get_many", "get_many_timed",
-                "get_until_found", "probe_plan", "sim_now_us")
+                "get_until_found", "sim_now_us")
 
 
 def _parameters(cls, method):
@@ -44,6 +46,21 @@ def test_read_method_signatures_agree_with_kvservice(cls, method):
             == [(p.name, p.kind, p.default is p.empty) for p in reference])
     # Anything beyond the shared prefix (RemoteKV's ``order=``) is optional.
     assert all(p.default is not p.empty for p in extra)
+
+
+@pytest.mark.parametrize("cls", SERVICE_SHAPED + (LSMTree, SnapshotView),
+                         ids=lambda c: c.__name__)
+def test_no_read_takes_a_probe_plan(cls):
+    # A plan is a pinned version: one handed to a getter answered a
+    # snapshot read with later writes, and outlived its own release.
+    # The batch reads make and release theirs inside repro.lsm.
+    for name, member in inspect.getmembers(cls, inspect.isfunction):
+        if not name.startswith("_"):
+            assert "plan" not in inspect.signature(member).parameters, name
+    assert list(inspect.signature(cls.getter).parameters) == (
+        ["self"] if cls in (LSMTree, SnapshotView) else ["self", "user"])
+    if cls in SERVICE_SHAPED:
+        assert not hasattr(cls, "probe_plan")
 
 
 @contextlib.contextmanager
@@ -89,15 +106,9 @@ def test_surface_answers_with_and_without_a_local_store(stacks, surf_env, name):
     assert service.distinguish_unauthorized is True
     assert service.sim_now_us() == surf_env.clock.now_us
     keys = [surf_env.keys[0], b"\x00" * 5]
-    plan = service.probe_plan(keys)
-    try:
-        assert (plan is not None) == local  # None: no store to prime from
-        get_one = service.getter(ATTACKER_USER, plan)
-        assert ([get_one(key).status for key in keys]
-                == [r.status for r in service.get_many(ATTACKER_USER, keys)])
-    finally:
-        if plan is not None:
-            plan.release()
+    get_one = service.getter(ATTACKER_USER)
+    assert ([get_one(key).status for key in keys]
+            == [r.status for r in service.get_many(ATTACKER_USER, keys)])
 
 
 # ---------------------------------------------------------- get_until_found
