@@ -62,10 +62,10 @@ def sha1_key(index: int, width: int, namespace: bytes = b"") -> bytes:
 def common_prefix_len(a: bytes, b: bytes) -> int:
     """Length in bytes of the longest common prefix of ``a`` and ``b``."""
     limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return i
-    return limit
+    length = 0
+    while length < limit and a[length] == b[length]:
+        length += 1
+    return length
 
 
 def replace_byte(key: bytes, index: int, new_value: int) -> bytes:

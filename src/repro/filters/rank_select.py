@@ -10,6 +10,8 @@ popcounts per 64-bit word for rank, and a position sample every
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterable, List
 
 from repro.common.errors import ConfigError
@@ -75,25 +77,29 @@ class BitVector:
         self._words = words
         self._length = length
         # Cumulative set-bit count *before* each word.
-        self._rank_dir: List[int] = [0] * (len(words) + 1)
-        for i, word in enumerate(words):
-            self._rank_dir[i + 1] = self._rank_dir[i] + _popcount(word)
+        self._rank_dir: List[int] = list(accumulate(map(_popcount, words),
+                                                    initial=0))
         self._ones = self._rank_dir[-1]
-        # Sampled select: position of the (SELECT_SAMPLE*j + 1)-th one.
-        self._select_samples: List[int] = []
-        seen = 0
-        for pos in self._iter_ones():
-            if seen % SELECT_SAMPLE == 0:
-                self._select_samples.append(pos)
-            seen += 1
+        # Sampled select: position of the (SELECT_SAMPLE*j + 1)-th one,
+        # found by a directory search for its word and a popcount halving
+        # search inside it; no loop over the set bits.
+        self._select_samples: List[int] = [
+            self._select_sample(target)
+            for target in range(0, self._ones, SELECT_SAMPLE)]
 
-    def _iter_ones(self):
-        for wi, word in enumerate(self._words):
-            base = wi * _WORD_BITS
-            while word:
-                low = word & -word
-                yield base + low.bit_length() - 1
-                word ^= low
+    def _select_sample(self, target: int) -> int:
+        """Position of the one with 0-based index ``target``."""
+        word_index = bisect_right(self._rank_dir, target) - 1
+        word = self._words[word_index]
+        skip = target - self._rank_dir[word_index]
+        pos = word_index << 6
+        for width in (32, 16, 8, 4, 2, 1):
+            below = _popcount(word & ((1 << width) - 1))
+            if below <= skip:
+                skip -= below
+                word >>= width
+                pos += width
+        return pos
 
     def __len__(self) -> int:
         return self._length

@@ -9,10 +9,12 @@ tag-dispatched::
 
 * **Bloom** — probe count, bit count, entry count, raw bit array.
 * **Prefix Bloom** — prefix length + mode, then the nested Bloom payload.
-* **SuRF** — variant, suffix bits, backend choice, then the pruned trie's
-  *terminals* (prefix, payload) in sorted order; the trie (and, when
-  requested, its LOUDS encoding) is rebuilt on load.  Only pruned data is
-  stored — the serialized form is exactly as approximate as the filter.
+* **SuRF** — variant, suffix bits, backend choice, then the terminal list
+  (prefix, payload) in strictly increasing prefix order: the same list
+  both backends build from (:func:`repro.filters.surf.trie.pruned_terminals`),
+  so writing is ``backend.terminals()`` and loading is
+  ``from_terminals``.  Only pruned data is stored — the serialized form is
+  exactly as approximate as the filter.
 * **Rosetta** — key width plus each level's Bloom payload.
 
 Deserialized filters answer every query identically to the originals
@@ -22,20 +24,19 @@ Deserialized filters answer every query identically to the originals
 from __future__ import annotations
 
 import struct
+from operator import lt
 from typing import List, Tuple
 
-from repro.common.errors import CorruptionError, FilterError
+from repro.common.errors import ConfigError, CorruptionError, FilterError
 from repro.filters.base import Filter
 from repro.filters.bitarray import BitArray
 from repro.filters.bloom import BloomFilter
 from repro.filters.prefix_bloom import PrefixBloomFilter
 from repro.filters.rosetta import RosettaFilter
-from repro.filters.surf.cursor import TerminalKind
 from repro.filters.surf.louds import LoudsBackend
 from repro.filters.surf.suffix import SuffixScheme, SurfVariant
 from repro.filters.surf.surf import SuRF
-from repro.filters.surf.trie import TrieBackend, TrieNode
-from repro.filters.surf.cursor import Terminal
+from repro.filters.surf.trie import TrieBackend
 
 _TAG_BLOOM = 1
 _TAG_PBF = 2
@@ -52,6 +53,8 @@ _U32 = struct.Struct("<I")
 
 _VARIANT_CODES = {SurfVariant.BASE: 0, SurfVariant.HASH: 1, SurfVariant.REAL: 2}
 _VARIANT_BY_CODE = {code: variant for variant, code in _VARIANT_CODES.items()}
+#: SuRF backends by their filter-block code.
+_SURF_BACKENDS = (TrieBackend, LoudsBackend)
 
 
 def serialize_filter(filt: Filter) -> bytes:
@@ -140,14 +143,15 @@ def _decode_pbf(data: bytes) -> Tuple[PrefixBloomFilter, bytes]:
 # -------------------------------------------------------------------- surf
 
 def _encode_surf(filt: SuRF) -> bytes:
-    terminals = _collect_terminals(filt.backend)
-    backend_code = 1 if isinstance(filt.backend, LoudsBackend) else 0
+    prefixes, payloads = filt.backend.terminals()
+    backend_code = _SURF_BACKENDS.index(type(filt.backend))
     out = [_SURF_HEADER.pack(_VARIANT_CODES[filt.scheme.variant],
                              filt.scheme.num_bits, backend_code,
-                             len(terminals))]
-    out.append(_U32.pack(filt.num_keys))
-    for prefix, terminal in terminals:
-        out.append(_SURF_TERMINAL.pack(len(prefix), terminal.payload))
+                             len(prefixes)),
+           _U32.pack(filt.num_keys)]
+    pack = _SURF_TERMINAL.pack
+    for prefix, payload in zip(prefixes, payloads):
+        out.append(pack(len(prefix), payload))
         out.append(prefix)
     return b"".join(out)
 
@@ -159,11 +163,17 @@ def _decode_surf(data: bytes) -> Tuple[SuRF, bytes]:
         data)
     if variant_code not in _VARIANT_BY_CODE:
         raise CorruptionError(f"unknown SuRF variant code {variant_code}")
+    if backend_code >= len(_SURF_BACKENDS):
+        raise CorruptionError(f"unknown SuRF backend code {backend_code}")
+    try:
+        scheme = SuffixScheme(_VARIANT_BY_CODE[variant_code], suffix_bits)
+    except ConfigError as exc:
+        raise CorruptionError(f"bad SuRF suffix scheme: {exc}") from exc
     offset = _SURF_HEADER.size
     (num_keys,) = _U32.unpack_from(data, offset)
     offset += _U32.size
-    scheme = SuffixScheme(_VARIANT_BY_CODE[variant_code], suffix_bits)
-    root = TrieNode()
+    prefixes: List[bytes] = []
+    payloads: List[int] = []
     for _ in range(count):
         if len(data) < offset + _SURF_TERMINAL.size:
             raise CorruptionError("truncated SuRF terminal record")
@@ -173,46 +183,12 @@ def _decode_surf(data: bytes) -> Tuple[SuRF, bytes]:
         if len(prefix) != prefix_len:
             raise CorruptionError("truncated SuRF terminal prefix")
         offset += prefix_len
-        _insert_terminal(root, prefix, payload)
-    _refinalize(root)
-    root.freeze()
-    backend = (LoudsBackend(root) if backend_code
-               else TrieBackend(root))
+        prefixes.append(prefix)
+        payloads.append(payload)
+    if not all(map(lt, prefixes, prefixes[1:])):
+        raise CorruptionError("SuRF terminal records not strictly increasing")
+    backend = _SURF_BACKENDS[backend_code].from_terminals(prefixes, payloads)
     return SuRF(backend, scheme, num_keys), data[offset:]
-
-
-def _collect_terminals(backend) -> List[Tuple[bytes, Terminal]]:
-    """DFS over the cursor protocol: terminals in lexicographic order."""
-    out: List[Tuple[bytes, Terminal]] = []
-
-    def visit(node, path: bytes) -> None:
-        term = backend.terminal(node)
-        if term is not None:
-            out.append((path, term))
-        if backend.has_children(node):
-            for label, child in backend.children_sorted(node):
-                visit(child, path + bytes([label]))
-
-    visit(backend.root(), b"")
-    return out
-
-
-def _insert_terminal(root: TrieNode, prefix: bytes, payload: int) -> None:
-    node = root
-    for byte in prefix:
-        child = node.children.get(byte)
-        if child is None:
-            child = TrieNode()
-            node.children[byte] = child
-        node = child
-    node.terminal = Terminal(TerminalKind.LEAF, payload)
-
-
-def _refinalize(node: TrieNode) -> None:
-    if node.terminal is not None and node.children:
-        node.terminal = Terminal(TerminalKind.PREFIX_KEY, node.terminal.payload)
-    for child in node.children.values():
-        _refinalize(child)
 
 
 # -------------------------------------------------------------------- split

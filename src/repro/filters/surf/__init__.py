@@ -4,7 +4,7 @@ from repro.filters.surf.cursor import Terminal, TerminalKind, lookup, may_contai
 from repro.filters.surf.louds import LoudsBackend, choose_dense_levels
 from repro.filters.surf.suffix import SuffixScheme, SurfVariant, real_suffix_bits
 from repro.filters.surf.surf import SuRF, SuRFBuilder
-from repro.filters.surf.trie import TrieBackend, build_pruned_trie, pruned_depths
+from repro.filters.surf.trie import TrieBackend, pruned_depths, pruned_terminals
 
 __all__ = [
     "LoudsBackend",
@@ -15,10 +15,10 @@ __all__ = [
     "Terminal",
     "TerminalKind",
     "TrieBackend",
-    "build_pruned_trie",
     "choose_dense_levels",
     "lookup",
     "may_contain_range",
     "pruned_depths",
+    "pruned_terminals",
     "real_suffix_bits",
 ]

@@ -2,9 +2,10 @@
 
 Both SuRF backends (the dict-based reference trie and the succinct LOUDS
 encoding) expose the same navigation primitives — root, child-by-label,
-sorted children, terminal record — and the point-query and range-seek
-algorithms below run over either.  Property tests exploit this: the two
-backends must agree on every query for every key set.
+first child at or above a label, terminal record — and the point-query and
+range-seek algorithms below run over either (whole-trie walks use each
+backend's ``terminals()``).  Property tests exploit this: the two backends
+must agree on every query for every key set.
 
 Terminal semantics (see paper Figure 1): a LEAF terminal sits at the end of
 a pruned path and represents "some stored key starts with this path"; a

@@ -25,16 +25,19 @@ reference dict-trie backend on every query.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
+from repro.common.keys import common_prefix_len
 from repro.filters.bitarray import popcount as _popcount
 from repro.filters.rank_select import BitVector
 from repro.filters.surf import cursor as _cursor
 from repro.filters.surf.cursor import Terminal, TerminalKind
 from repro.filters.surf.suffix import SuffixScheme
-from repro.filters.surf.trie import TrieNode, build_pruned_trie
+from repro.filters.surf.trie import pruned_terminals
 
 #: Bits one dense node costs: two 256-bit bitmaps + the prefix-key bit.
 _DENSE_NODE_BITS = 2 * 256 + 1
@@ -50,37 +53,21 @@ _DENSE_LEAF = 2
 _SPARSE_LEAF = 3
 _ROOT_ONLY = 4
 
-_WORD_MASK = (1 << 64) - 1
+_LABEL_BYTES = [bytes((label,)) for label in range(256)]
 
 
-class _BitWriter:
-    """Accumulates bits into 64-bit words for :meth:`BitVector.from_words`.
+#: Maps a 0/1 byte per bit to the ASCII digits ``int(..., 2)`` parses.
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
-    Construction-time counterpart of the bitvector's packed layout: the
-    builder appends bits here and finishes into a :class:`BitVector`
-    without materializing a Python-bool list per bit.
-    """
 
-    __slots__ = ("words", "length", "_current")
-
-    def __init__(self) -> None:
-        self.words: List[int] = []
-        self.length = 0
-        self._current = 0
-
-    def append(self, bit: bool) -> None:
-        if bit:
-            self._current |= 1 << (self.length & 63)
-        self.length += 1
-        if not self.length & 63:
-            self.words.append(self._current)
-            self._current = 0
-
-    def finish(self) -> BitVector:
-        words = self.words
-        if self.length & 63:
-            words = words + [self._current]
-        return BitVector.from_words(words, self.length)
+def _bitvector(bits: bytearray) -> BitVector:
+    """Pack one 0/1 byte per bit into words, with no Python step per bit:
+    the bytes, reversed, are one binary literal cut into 64-bit words."""
+    length = len(bits)
+    count = (length + 63) >> 6
+    value = int(bits.translate(_ASCII_BITS)[::-1], 2) if length else 0
+    words = struct.unpack(f"<{count}Q", value.to_bytes(8 * count, "little"))
+    return BitVector.from_words(words, length)
 
 
 def choose_dense_levels(level_nodes: Sequence[int],
@@ -106,153 +93,214 @@ def choose_dense_levels(level_nodes: Sequence[int],
     return chosen
 
 
+def _levels(prefixes: Sequence[bytes], payloads: Sequence[int]):
+    """Per-level LOUDS arrays, straight off a strictly increasing list.
+
+    As in the published SuRF builder: prefix ``i`` adds one label per
+    level from its common prefix with prefix ``i - 1`` to its own length,
+    and sorted order visits each level's nodes in level order, so every
+    level's arrays are only ever appended to.  Whether a prefix's last
+    label leads to a leaf or to a prefix-key node is settled by the next
+    prefix.  Returns, one list entry per level: the labels, their
+    HasChild bits, each node's first-label index, each node's IsPrefixKey
+    bit, the leaf payloads and the prefix-key payloads.
+    """
+    num_levels = max(map(len, prefixes), default=0)
+    labels, haschild, isprefix = (
+        [bytearray() for _ in range(num_levels)] for _ in range(3))
+    node_starts, leaf_payloads, prefix_payloads = (
+        [[] for _ in range(num_levels)] for _ in range(3))
+    levels = (labels, haschild, node_starts, isprefix, leaf_payloads,
+              prefix_payloads)
+    if not num_levels:
+        return levels
+    prev = prefixes[0]
+    prev_size = len(prev)
+    prev_payload = payloads[0]
+    # The first prefix opens one node per level along its path.
+    for level in range(prev_size):
+        if level:
+            haschild[level - 1].append(1)
+        node_starts[level].append(0)
+        isprefix[level].append(0)
+        labels[level].append(prev[level])
+    for i in range(1, len(prefixes)):
+        prefix = prefixes[i]
+        size = len(prefix)
+        lcp = common_prefix_len(prev, prefix)
+        if lcp == prev_size:
+            # The previous prefix is a prefix key: its node opens here.
+            if lcp:
+                haschild[lcp - 1].append(1)
+            node_starts[lcp].append(len(labels[lcp]))
+            isprefix[lcp].append(1)
+            prefix_payloads[lcp].append(prev_payload)
+        else:
+            # A sibling label in the node the two prefixes share.
+            haschild[prev_size - 1].append(0)
+            leaf_payloads[prev_size - 1].append(prev_payload)
+        labels[lcp].append(prefix[lcp])
+        for level in range(lcp + 1, size):
+            haschild[level - 1].append(1)
+            node_starts[level].append(len(labels[level]))
+            isprefix[level].append(0)
+            labels[level].append(prefix[level])
+        prev = prefix
+        prev_size = size
+        prev_payload = payloads[i]
+    haschild[prev_size - 1].append(0)
+    leaf_payloads[prev_size - 1].append(prev_payload)
+    return levels
+
+
 class LoudsBackend:
     """Succinct SuRF backend (cursor protocol)."""
 
     backend_name = "louds"
 
-    def __init__(self, trie_root: TrieNode,
-                 num_dense_levels: Optional[int] = None) -> None:
-        self._build(trie_root, num_dense_levels)
-
     @classmethod
     def build(cls, sorted_keys: Sequence[bytes], scheme: SuffixScheme,
               num_dense_levels: Optional[int] = None) -> "LoudsBackend":
         """Build directly from sorted unique keys."""
-        return cls(build_pruned_trie(sorted_keys, scheme),
-                   num_dense_levels=num_dense_levels)
+        return cls.from_terminals(*pruned_terminals(sorted_keys, scheme),
+                                  num_dense_levels)
 
     # ------------------------------------------------------------------ build
 
-    def _build(self, root: TrieNode,
-               num_dense_levels: Optional[int]) -> None:
-        self._root_terminal: Optional[Terminal] = None
-        if not root.children:
-            # Degenerate tries (empty, or a lone empty-key terminal) have no
-            # internal nodes to encode; serve them from a sentinel root.
-            self._root_terminal = root.terminal
-            self._num_dense = 0
-            self._empty = True
-            self._init_empty_structures()
-            return
-        self._empty = False
+    @classmethod
+    def from_terminals(cls, prefixes: Sequence[bytes],
+                       payloads: Sequence[int],
+                       num_dense_levels: Optional[int] = None
+                       ) -> "LoudsBackend":
+        """Encode a strictly increasing terminal list, level by level.
 
-        # BFS over internal nodes, tracking levels.
-        levels: List[List[TrieNode]] = []
-        frontier = [root]
-        while frontier:
-            levels.append(frontier)
-            nxt: List[TrieNode] = []
-            for node in frontier:
-                for label in node.sorted_labels:
-                    child = node.children[label]
-                    if child.children:
-                        nxt.append(child)
-            frontier = nxt
-        level_nodes = [len(level) for level in levels]
-        level_labels = [sum(len(n.children) for n in level) for level in levels]
+        The levels come from one pass over the prefixes (:func:`_levels`);
+        the top ``num_dense_levels`` (by default
+        :func:`choose_dense_levels`) are then laid out densely and the
+        rest sparsely, with the sparse node starts taken from the level
+        pass: no pointer trie, no select.
+        """
+        self = cls.__new__(cls)
+        (labels, haschild, node_starts, isprefix, leaf_payloads,
+         prefix_payloads) = _levels(prefixes, payloads)
+        # Degenerate tries (empty, or a lone empty-key terminal) have no
+        # internal nodes to encode; serve them from a sentinel root.
+        self._empty = not labels
+        self._root_terminal = (Terminal(TerminalKind.LEAF, payloads[0])
+                               if prefixes and self._empty else None)
+        num_levels = len(labels)
+        level_nodes = [len(starts) for starts in node_starts]
         if num_dense_levels is None:
-            num_dense_levels = choose_dense_levels(level_nodes, level_labels)
-        num_dense_levels = max(0, min(num_dense_levels, len(levels)))
-        self._num_dense = sum(level_nodes[:num_dense_levels])
+            num_dense_levels = choose_dense_levels(
+                level_nodes, [len(level) for level in labels])
+        dense = max(0, min(num_dense_levels, num_levels))
+        self._num_dense = sum(level_nodes[:dense])
 
-        # Dense rows are 256 bits per node, word-aligned by construction:
-        # accumulate each row as an int bitmap and emit its four 64-bit
-        # words directly.  The irregular bit streams go through a word
-        # accumulator.  Either way the resulting BitVector is identical
-        # to one built bool-at-a-time; only construction cost changes.
-        d_labels_words: List[int] = []
-        d_haschild_words: List[int] = []
-        num_dense_rows = 0
-        d_isprefix = _BitWriter()
-        d_leaf_payloads: List[int] = []
-        d_prefix_payloads: List[int] = []
-        s_labels = bytearray()
-        s_haschild = _BitWriter()
-        s_louds = _BitWriter()
-        s_isprefix = _BitWriter()
-        s_leaf_payloads: List[int] = []
-        s_prefix_payloads: List[int] = []
+        # Dense node ``j`` owns bits ``256 * j`` to ``256 * j + 255``.
+        d_labels = bytearray(256 * self._num_dense)
+        d_haschild = bytearray(256 * self._num_dense)
+        row = 0
+        for level in range(dense):
+            level_labels = labels[level]
+            level_haschild = haschild[level]
+            start = 0
+            for end in node_starts[level][1:] + [len(level_labels)]:
+                for pos in range(start, end):
+                    bit = row | level_labels[pos]
+                    d_labels[bit] = 1
+                    d_haschild[bit] = level_haschild[pos]
+                row += 256
+                start = end
+        self._d_labels = _bitvector(d_labels)
+        self._d_haschild = _bitvector(d_haschild)
+        self._d_isprefix = _bitvector(bytearray().join(isprefix[:dense]))
+        self._d_leaf_payloads = list(chain.from_iterable(leaf_payloads[:dense]))
+        self._d_prefix_payloads = list(
+            chain.from_iterable(prefix_payloads[:dense]))
 
-        for level_index, level in enumerate(levels):
-            dense = level_index < num_dense_levels
-            for node in level:
-                term = node.terminal
-                is_prefix = term is not None and term.kind is TerminalKind.PREFIX_KEY
-                if dense:
-                    d_isprefix.append(is_prefix)
-                    if is_prefix:
-                        d_prefix_payloads.append(term.payload)
-                    row_labels = 0
-                    row_haschild = 0
-                    for label in node.sorted_labels:
-                        child = node.children[label]
-                        row_labels |= 1 << label
-                        if child.children:
-                            row_haschild |= 1 << label
-                        else:
-                            d_leaf_payloads.append(child.terminal.payload)
-                    for shift in (0, 64, 128, 192):
-                        d_labels_words.append((row_labels >> shift) & _WORD_MASK)
-                        d_haschild_words.append((row_haschild >> shift) & _WORD_MASK)
-                    num_dense_rows += 1
-                else:
-                    s_isprefix.append(is_prefix)
-                    if is_prefix:
-                        s_prefix_payloads.append(term.payload)
-                    first = True
-                    for label in node.sorted_labels:
-                        child = node.children[label]
-                        s_labels.append(label)
-                        s_louds.append(first)
-                        first = False
-                        has_child = bool(child.children)
-                        s_haschild.append(has_child)
-                        if not has_child:
-                            s_leaf_payloads.append(child.terminal.payload)
-
-        self._d_labels = BitVector.from_words(d_labels_words, 256 * num_dense_rows)
-        self._d_haschild = BitVector.from_words(d_haschild_words,
-                                                256 * num_dense_rows)
-        self._d_isprefix = d_isprefix.finish()
-        self._d_leaf_payloads = d_leaf_payloads
-        self._d_prefix_payloads = d_prefix_payloads
-        self._s_labels = bytes(s_labels)
-        self._s_haschild = s_haschild.finish()
-        self._s_louds = s_louds.finish()
-        self._s_isprefix = s_isprefix.finish()
-        self._s_leaf_payloads = s_leaf_payloads
-        self._s_prefix_payloads = s_prefix_payloads
-        self._num_sparse = s_isprefix.length
-        dense_internal_edges = self._d_haschild.ones
+        self._s_labels = b"".join(labels[dense:])
+        self._s_haschild = _bitvector(bytearray().join(haschild[dense:]))
+        self._s_isprefix = _bitvector(bytearray().join(isprefix[dense:]))
+        self._s_leaf_payloads = list(chain.from_iterable(leaf_payloads[dense:]))
+        self._s_prefix_payloads = list(
+            chain.from_iterable(prefix_payloads[dense:]))
+        s_node_start: List[int] = []
+        offset = 0
+        for level in range(dense, num_levels):
+            s_node_start.extend([offset + start for start in node_starts[level]])
+            offset += len(labels[level])
+        s_louds = bytearray(offset)
+        for start in s_node_start:
+            s_louds[start] = 1
+        self._s_louds = _bitvector(s_louds)
+        self._num_sparse = len(s_node_start)
+        s_node_start.append(offset)
+        self._s_node_start = s_node_start
         if self._num_dense == 0:
             # Root itself is sparse node 0; sparse-edge children start at 1.
             self._first_sparse_child = 1
         else:
-            self._first_sparse_child = dense_internal_edges - (self._num_dense - 1)
-        # Precompute sparse node boundaries for fast label search.
-        self._s_node_start = [0] * self._num_sparse
-        for s in range(self._num_sparse):
-            self._s_node_start[s] = (
-                self._s_louds.select1(s + 1) if self._num_sparse else 0
-            )
-        self._s_node_start.append(len(self._s_labels))
+            self._first_sparse_child = (self._d_haschild.ones
+                                        - (self._num_dense - 1))
+        return self
 
-    def _init_empty_structures(self) -> None:
-        self._d_labels = BitVector([])
-        self._d_haschild = BitVector([])
-        self._d_isprefix = BitVector([])
-        self._d_leaf_payloads: List[int] = []
-        self._d_prefix_payloads: List[int] = []
-        self._s_labels = b""
-        self._s_haschild = BitVector([])
-        self._s_louds = BitVector([])
-        self._s_isprefix = BitVector([])
-        self._s_leaf_payloads: List[int] = []
-        self._s_prefix_payloads: List[int] = []
-        self._num_sparse = 0
-        self._first_sparse_child = 1
-        self._s_node_start = [0]
+    def terminals(self) -> Tuple[List[bytes], List[int]]:
+        """The terminal list ``(prefixes, payloads)``, in sorted order.
+
+        One level-order scan: internal node ``i`` (``i >= 1``) is the
+        target of the ``i``-th internal edge, so each node's path is known
+        before its labels are read, and the payload arrays are consumed in
+        the order they were written.  Prefixes are unique, so one sort
+        puts the terminals in depth-first order.
+        """
+        if self._empty:
+            term = self._root_terminal
+            return ([b""], [term.payload]) if term is not None else ([], [])
+        prefixes: List[bytes] = []
+        payloads: List[int] = []
+        paths = [b""]
+        label_words = self._d_labels.words
+        haschild_words = self._d_haschild.words
+        isprefix_words = self._d_isprefix.words
+        leaf_payloads = iter(self._d_leaf_payloads)
+        prefix_payloads = iter(self._d_prefix_payloads)
+        for node in range(self._num_dense):
+            path = paths[node]
+            if (isprefix_words[node >> 6] >> (node & 63)) & 1:
+                prefixes.append(path)
+                payloads.append(next(prefix_payloads))
+            for w in range(node << 2, (node + 1) << 2):
+                word = label_words[w]
+                while word:
+                    low = word & -word
+                    word ^= low
+                    child = path + _LABEL_BYTES[(w & 3) << 6
+                                                | low.bit_length() - 1]
+                    if haschild_words[w] & low:
+                        paths.append(child)
+                    else:
+                        prefixes.append(child)
+                        payloads.append(next(leaf_payloads))
+        s_labels = self._s_labels
+        s_node_start = self._s_node_start
+        haschild_words = self._s_haschild.words
+        isprefix_words = self._s_isprefix.words
+        leaf_payloads = iter(self._s_leaf_payloads)
+        prefix_payloads = iter(self._s_prefix_payloads)
+        for node in range(self._num_sparse):
+            path = paths[self._num_dense + node]
+            if (isprefix_words[node >> 6] >> (node & 63)) & 1:
+                prefixes.append(path)
+                payloads.append(next(prefix_payloads))
+            for pos in range(s_node_start[node], s_node_start[node + 1]):
+                child = path + s_labels[pos:pos + 1]
+                if (haschild_words[pos >> 6] >> (pos & 63)) & 1:
+                    paths.append(child)
+                else:
+                    prefixes.append(child)
+                    payloads.append(next(leaf_payloads))
+        order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
+        return ([prefixes[i] for i in order], [payloads[i] for i in order])
 
     # ------------------------------------------------------------- cursor API
 
@@ -317,15 +365,6 @@ class LoudsBackend:
     def has_children(self, ref: Tuple[int, int]) -> bool:
         """Whether the reference denotes an internal node."""
         return ref[0] in (_DENSE_NODE, _SPARSE_NODE)
-
-    def children_sorted(self, ref: Tuple[int, int]
-                        ) -> Iterator[Tuple[int, Tuple[int, int]]]:
-        """Children in ascending label order."""
-        nxt = self.first_child_geq(ref, 0)
-        while nxt is not None:
-            label, child_ref = nxt
-            yield label, child_ref
-            nxt = self.first_child_geq(ref, label + 1)
 
     def first_child_geq(self, ref: Tuple[int, int], label: int
                         ) -> Optional[Tuple[int, Tuple[int, int]]]:

@@ -1,12 +1,13 @@
-"""Pruned-trie construction and the reference SuRF backend.
+"""Pruned terminals and the reference SuRF backend.
 
 SuRF's core structure (paper section 6.1) is a trie pruned to the minimum
 length prefixes that uniquely identify each key: the shared prefix plus one
-distinguishing byte.  This module builds that pruned trie from a sorted key
-list and exposes it through the *cursor* protocol
-(:mod:`repro.filters.surf.cursor`), which both this dict-based reference
-backend and the succinct LOUDS backend implement; the shared lookup and
-range-seek algorithms run identically over either.
+distinguishing byte.  :func:`pruned_terminals` maps a sorted key list to
+those prefixes and their suffix payloads, in sorted order; that terminal
+list is the one form both backends build from, write to the filter block
+(:mod:`repro.filters.serialize`) and load back from.  Both expose the
+*cursor* protocol (:mod:`repro.filters.surf.cursor`), so the shared lookup
+and range-seek algorithms run identically over either.
 
 The reference backend stores only what a real SuRF stores — pruned paths
 and per-terminal suffix payloads — so its query answers (including false
@@ -16,7 +17,8 @@ Python dicts for speed and debuggability.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import lt
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.keys import common_prefix_len
@@ -53,53 +55,32 @@ def pruned_depths(sorted_keys: Sequence[bytes]) -> List[int]:
 
     A key's pruned depth is one byte past its longest common prefix with
     either neighbor, capped at the key's own length (keys that are prefixes
-    of other keys terminate at internal nodes).
+    of other keys terminate at internal nodes).  Each adjacent common
+    prefix is measured once and serves both keys it separates.
     """
-    n = len(sorted_keys)
-    depths: List[int] = []
-    for i, key in enumerate(sorted_keys):
-        lcp = 0
-        if i > 0:
-            lcp = max(lcp, common_prefix_len(key, sorted_keys[i - 1]))
-        if i + 1 < n:
-            lcp = max(lcp, common_prefix_len(key, sorted_keys[i + 1]))
-        depths.append(min(len(key), lcp + 1))
-    return depths
+    # lcps[i]: common prefix of keys i - 1 and i; 0 past both ends.
+    lcps = [0, *map(common_prefix_len, sorted_keys, sorted_keys[1:]), 0]
+    return [min(len(key), max(left, right) + 1)
+            for key, left, right in zip(sorted_keys, lcps, lcps[1:])]
 
 
-def build_pruned_trie(sorted_keys: Sequence[bytes], scheme: SuffixScheme) -> TrieNode:
-    """Build the pruned trie with per-terminal suffix payloads.
+def pruned_terminals(sorted_keys: Sequence[bytes], scheme: SuffixScheme
+                     ) -> Tuple[List[bytes], List[int]]:
+    """The pruned trie as its terminal list: ``(prefixes, payloads)``.
 
-    ``sorted_keys`` must be sorted and duplicate-free (the SSTable builder
-    guarantees this); violations raise :class:`ConfigError` because a
-    mis-sorted input would silently corrupt the pruning.
+    Key ``i`` cut to its pruned depth, and its suffix payload there; the
+    prefixes come out strictly increasing, as both backends'
+    ``from_terminals`` require.  ``sorted_keys`` must be sorted and
+    duplicate-free (the SSTable builder guarantees this); violations raise
+    :class:`ConfigError` because a mis-sorted input would silently corrupt
+    the pruning.
     """
-    for i in range(1, len(sorted_keys)):
-        if sorted_keys[i - 1] >= sorted_keys[i]:
-            raise ConfigError("keys must be sorted and unique for trie construction")
-    root = TrieNode()
-    for key, depth in zip(sorted_keys, pruned_depths(sorted_keys)):
-        node = root
-        for byte in key[:depth]:
-            child = node.children.get(byte)
-            if child is None:
-                child = TrieNode()
-                node.children[byte] = child
-            node = child
-        kind = TerminalKind.LEAF
-        # The terminal may gain children from longer keys inserted later;
-        # the kind is finalized in a second pass below.
-        node.terminal = Terminal(kind, scheme.payload(key, depth))
-    _finalize_kinds(root)
-    root.freeze()
-    return root
-
-
-def _finalize_kinds(node: TrieNode) -> None:
-    if node.terminal is not None and node.children:
-        node.terminal = Terminal(TerminalKind.PREFIX_KEY, node.terminal.payload)
-    for child in node.children.values():
-        _finalize_kinds(child)
+    if not all(map(lt, sorted_keys, sorted_keys[1:])):
+        raise ConfigError("keys must be sorted and unique for trie construction")
+    depths = pruned_depths(sorted_keys)
+    payload = scheme.payload
+    return ([key[:depth] for key, depth in zip(sorted_keys, depths)],
+            [payload(key, depth) for key, depth in zip(sorted_keys, depths)])
 
 
 class TrieBackend:
@@ -114,7 +95,50 @@ class TrieBackend:
     @classmethod
     def build(cls, sorted_keys: Sequence[bytes], scheme: SuffixScheme) -> "TrieBackend":
         """Build from sorted unique keys."""
-        return cls(build_pruned_trie(sorted_keys, scheme))
+        return cls.from_terminals(*pruned_terminals(sorted_keys, scheme))
+
+    @classmethod
+    def from_terminals(cls, prefixes: Sequence[bytes],
+                       payloads: Sequence[int]) -> "TrieBackend":
+        """Insert a strictly increasing terminal list into a dict trie.
+
+        A terminal is a prefix key exactly when the next prefix extends
+        it: in sorted order every extension of a path follows it directly.
+        """
+        root = TrieNode()
+        last = len(prefixes) - 1
+        for i, prefix in enumerate(prefixes):
+            node = root
+            for byte in prefix:
+                child = node.children.get(byte)
+                if child is None:
+                    child = node.children[byte] = TrieNode()
+                node = child
+            kind = (TerminalKind.PREFIX_KEY
+                    if i < last and prefixes[i + 1].startswith(prefix)
+                    else TerminalKind.LEAF)
+            node.terminal = Terminal(kind, payloads[i])
+        root.freeze()
+        return cls(root)
+
+    def terminals(self) -> Tuple[List[bytes], List[int]]:
+        """The terminal list ``(prefixes, payloads)``, in sorted order.
+
+        A depth-first walk over sorted labels: a node's own terminal
+        precedes every terminal below it.
+        """
+        prefixes: List[bytes] = []
+        payloads: List[int] = []
+        stack = [(self._root, b"")]
+        while stack:
+            node, path = stack.pop()
+            if node.terminal is not None:
+                prefixes.append(path)
+                payloads.append(node.terminal.payload)
+            children = node.children
+            for label in reversed(node.sorted_labels):
+                stack.append((children[label], path + bytes((label,))))
+        return prefixes, payloads
 
     # -------------------------------------------------------------- cursor API
 
@@ -133,11 +157,6 @@ class TrieBackend:
     def has_children(self, node: TrieNode) -> bool:
         """Whether ``node`` is internal."""
         return bool(node.children)
-
-    def children_sorted(self, node: TrieNode) -> Iterator[Tuple[int, TrieNode]]:
-        """Children in ascending label order."""
-        for label in node.sorted_labels:
-            yield label, node.children[label]
 
     def first_child_geq(self, node: TrieNode, label: int
                         ) -> Optional[Tuple[int, TrieNode]]:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
-from repro.filters.rank_select import BitVector
+from repro.filters.rank_select import SELECT_SAMPLE, BitVector
 
 
 class TestBasics:
@@ -141,3 +141,31 @@ def test_select_rank_round_trip(length, seed):
         pos = bv.select1(rank)
         assert bv.get(pos)
         assert bv.rank1(pos + 1) == rank
+
+
+def _iter_ones(words):
+    """Every set bit's position, one at a time (the per-one definition)."""
+    for wi, word in enumerate(words):
+        while word:
+            low = word & -word
+            yield wi * 64 + low.bit_length() - 1
+            word ^= low
+
+
+_WORDS = st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1),
+                   st.integers(0, 63).map(lambda bit: 1 << bit))
+
+
+@given(st.lists(_WORDS, max_size=40), st.integers(0, 63))
+def test_select_samples_match_per_one_definition(words, tail_bits):
+    # All-zero, all-ones, single-bit and random words; a partial last word
+    # when ``tail_bits`` is non-zero.
+    length = 64 * len(words)
+    if words and tail_bits:
+        words[-1] &= (1 << tail_bits) - 1
+        length -= 64 - tail_bits
+    bv = BitVector.from_words(words, length)
+    expected = list(_iter_ones(words))[::SELECT_SAMPLE]
+    assert bv._select_samples == expected
+    for rank, pos in enumerate(expected):
+        assert bv.select1(rank * SELECT_SAMPLE + 1) == pos

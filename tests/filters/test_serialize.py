@@ -1,5 +1,7 @@
 """Filter-block serialization tests: exact behavioural round trips."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,35 @@ class TestErrors:
         filt = BloomFilter.for_entries(len(keys), 10)
         with pytest.raises(CorruptionError):
             deserialize_filter(serialize_filter(filt) + b"extra")
+
+    @pytest.mark.parametrize("offset,value", [(2, 200), (3, 7)])
+    def test_bad_surf_header_is_corruption(self, keys, offset, value):
+        # Suffix bits out of range (was ConfigError) and an unknown backend
+        # code (was silently decoded as LOUDS) are both corrupt blocks.
+        data = bytearray(serialize_filter(
+            SuRF.build(keys, variant="real", backend="louds")))
+        assert bytes(data[:4]) == b"\x03\x02\x08\x01"
+        data[offset] = value
+        with pytest.raises(CorruptionError):
+            deserialize_filter(bytes(data))
+
+    @pytest.mark.parametrize("backend", ["trie", "louds"])
+    @pytest.mark.parametrize("records", [
+        [b"b", b"a"],      # out of order
+        [b"a", b"a"],      # duplicate
+        [b"ab", b"a"],     # a prefix after its extension
+    ])
+    def test_unsorted_surf_terminals_are_corruption(self, backend, records):
+        filt = SuRF.build(sorted(set(records)), variant="real",
+                          backend=backend)
+        data = serialize_filter(filt)
+        # tag, variant, bits, backend | u32 count | u32 num_keys | records
+        body = b"".join(struct.pack("<HQ", len(prefix), 0) + prefix
+                        for prefix in records)
+        forged = (data[:4] + struct.pack("<I", len(records)) + data[8:12]
+                  + body)
+        with pytest.raises(CorruptionError):
+            deserialize_filter(forged)
 
     def test_unsupported_filter(self):
         class Strange:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.common.rng import make_rng
-from repro.filters.surf import SuRF, SurfVariant, choose_dense_levels
+from repro.filters.surf import (
+    SuRF,
+    SurfVariant,
+    choose_dense_levels,
+    pruned_terminals,
+)
 from repro.filters.surf.louds import LoudsBackend
 from repro.filters.surf.suffix import SuffixScheme
 from repro.filters.surf.trie import TrieBackend
@@ -63,13 +68,14 @@ class TestStructure:
 
 
 class TestNavigation:
-    def test_children_sorted_matches_trie(self, keys):
-        scheme = SuffixScheme(SurfVariant.BASE, 0)
-        louds = LoudsBackend.build(keys, scheme)
-        trie = TrieBackend.build(keys, scheme)
-        louds_labels = [lbl for lbl, _ in louds.children_sorted(louds.root())]
-        trie_labels = [lbl for lbl, _ in trie.children_sorted(trie.root())]
-        assert louds_labels == trie_labels
+    def test_terminals_match_trie(self, keys):
+        # Both backends give back the terminal list they were built from.
+        for scheme in (SuffixScheme(SurfVariant.BASE, 0),
+                       SuffixScheme(SurfVariant.REAL, 8)):
+            louds = LoudsBackend.build(keys, scheme)
+            trie = TrieBackend.build(keys, scheme)
+            expected = pruned_terminals(keys, scheme)
+            assert louds.terminals() == trie.terminals() == expected
 
     def test_first_child_geq_boundaries(self, keys):
         scheme = SuffixScheme(SurfVariant.BASE, 0)

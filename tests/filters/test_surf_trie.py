@@ -3,10 +3,10 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.filters.surf import SuRF, SurfVariant, pruned_depths
+from repro.filters.surf import SuRF, SurfVariant, pruned_depths, pruned_terminals
 from repro.filters.surf.cursor import TerminalKind
 from repro.filters.surf.suffix import SuffixScheme
-from repro.filters.surf.trie import TrieBackend, build_pruned_trie
+from repro.filters.surf.trie import TrieBackend
 
 
 class TestPrunedDepths:
@@ -34,9 +34,9 @@ class TestConstruction:
     def test_unsorted_rejected(self):
         scheme = SuffixScheme(SurfVariant.BASE, 0)
         with pytest.raises(ConfigError):
-            build_pruned_trie([b"b", b"a"], scheme)
+            pruned_terminals([b"b", b"a"], scheme)
         with pytest.raises(ConfigError):
-            build_pruned_trie([b"a", b"a"], scheme)
+            pruned_terminals([b"a", b"a"], scheme)
 
     def test_prefix_key_marked(self):
         scheme = SuffixScheme(SurfVariant.BASE, 0)

@@ -22,7 +22,9 @@ from repro.common.errors import (
     TransientIOError,
 )
 from repro.common.rng import make_rng
+from repro.filters.surf import SuRFBuilder
 from repro.lsm.db import LSMTree
+from repro.lsm.options import LSMOptions
 from repro.lsm.recovery import (
     REASON_CORRUPT,
     REASON_MISSING,
@@ -36,6 +38,7 @@ from repro.lsm.torture import (
     generate_workload,
     run_crash_point,
 )
+from repro.lsm.sstable import _FOOTER
 from repro.lsm.wal import TAIL_CHECKSUM
 from repro.storage.clock import SimClock
 from repro.storage.faults import FaultPlan, FaultyStorageDevice
@@ -196,6 +199,29 @@ class TestSSTableFaults:
         assert item.moved_to.startswith("quarantine/")
         assert device.exists(item.moved_to)  # preserved, not deleted
         assert not device.exists(path)
+
+    @pytest.mark.parametrize("offset,value", [(2, 200), (3, 7)])
+    def test_bad_surf_filter_header_quarantines_table(self, offset, value):
+        # Regression: suffix bits out of range raised ConfigError out of
+        # reopen, and an unknown backend code decoded as LOUDS.
+        options = LSMOptions(
+            filter_builder=SuRFBuilder("real", 8, backend="louds"))
+        db = LSMTree(options)
+        for index in range(300):
+            db.put(b"k%04d" % index, b"v%04d" % index)
+        db.flush()
+        db.close()
+        device = db.device
+        path = self.newest_table(device)
+        image = bytearray(device.read(path, 0, device.file_size(path)))
+        filter_off = _FOOTER.unpack_from(image, len(image) - _FOOTER.size)[4]
+        assert bytes(image[filter_off:filter_off + 4]) == b"\x03\x02\x08\x01"
+        image[filter_off + offset] = value
+        device.delete_file(path)
+        device.create_file(path, bytes(image))
+        report = LSMTree.reopen(device, options).recovery_report
+        assert {q.path: q.reason for q in report.quarantined} == {
+            path: REASON_CORRUPT}
 
     def test_missing_table_quarantined_without_move(self):
         db, device = make_store()

@@ -5,6 +5,7 @@ twin it replaced lives here, called directly by the tests that hold the
 two together.  Each module's docstring says what its oracle proves:
 :mod:`reference.point_read` (clock), :mod:`reference.streaming_build`
 (bytes, logical content), :mod:`reference.unmappable` (clock, range
-side), :mod:`reference.churn` (cache state after an eviction wait).
+side), :mod:`reference.churn` (cache state after an eviction wait),
+:mod:`reference.surf_build` (SuRF structure and filter-block bytes).
 Imported as ``reference``: pytest puts ``tests/`` on ``sys.path``.
 """
