@@ -19,12 +19,9 @@ from repro.common.histogram import Bucket, Histogram, derive_cutoff
 from repro.common.keys import (
     ALPHABET_SIZE,
     common_prefix_len,
-    increment_key,
     int_to_key,
     key_to_int,
-    replace_byte,
     sha1_key,
-    suffix_candidates,
     suffix_space_size,
 )
 from repro.common.rng import SeededRng, make_rng
@@ -49,12 +46,9 @@ __all__ = [
     "StorageError",
     "common_prefix_len",
     "derive_cutoff",
-    "increment_key",
     "int_to_key",
     "key_to_int",
     "make_rng",
-    "replace_byte",
     "sha1_key",
-    "suffix_candidates",
     "suffix_space_size",
 ]

@@ -12,8 +12,6 @@ preserves numeric order, which the LSM-tree and the SuRF trie both rely on.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
-
 from repro.common.errors import ConfigError
 
 #: Number of distinct byte symbols; the alphabet size |Sigma| of the paper.
@@ -68,50 +66,8 @@ def common_prefix_len(a: bytes, b: bytes) -> int:
     return length
 
 
-def replace_byte(key: bytes, index: int, new_value: int) -> bytes:
-    """Return ``key`` with the byte at ``index`` replaced by ``new_value``."""
-    if not 0 <= index < len(key):
-        raise ConfigError(f"byte index {index} out of range for key of length {len(key)}")
-    if not 0 <= new_value < ALPHABET_SIZE:
-        raise ConfigError(f"byte value must be in [0,255], got {new_value}")
-    mutated = bytearray(key)
-    mutated[index] = new_value
-    return bytes(mutated)
-
-
-def suffix_candidates(prefix: bytes, total_len: int) -> Iterator[bytes]:
-    """Enumerate all keys of length ``total_len`` that start with ``prefix``.
-
-    This is the step-3 ("extend prefix to full key") search space of the
-    attack; callers are expected to check its size with
-    :func:`suffix_space_size` before iterating.
-    """
-    remaining = total_len - len(prefix)
-    if remaining < 0:
-        raise ConfigError(
-            f"prefix of length {len(prefix)} longer than total key length {total_len}"
-        )
-    if remaining == 0:
-        yield prefix
-        return
-    for value in range(ALPHABET_SIZE**remaining):
-        yield prefix + value.to_bytes(remaining, "big")
-
-
 def suffix_space_size(prefix_len: int, total_len: int) -> int:
     """Number of keys of length ``total_len`` sharing a ``prefix_len`` prefix."""
     if prefix_len > total_len:
         raise ConfigError(f"prefix length {prefix_len} exceeds key length {total_len}")
     return ALPHABET_SIZE ** (total_len - prefix_len)
-
-
-def increment_key(key: bytes) -> bytes:
-    """Smallest key of the same length strictly greater than ``key``.
-
-    Raises :class:`ConfigError` when ``key`` is already the maximum key of its
-    length (all ``0xFF`` bytes).
-    """
-    value = key_to_int(key) + 1
-    if value >= ALPHABET_SIZE ** len(key):
-        raise ConfigError("cannot increment the maximum key")
-    return int_to_key(value, len(key))

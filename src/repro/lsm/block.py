@@ -144,20 +144,6 @@ class Block:
             self._data[key_start + key_len : key_start + key_len + value_len])
         return key, Entry(value)
 
-    def entry_at(self, index: int) -> Entry:
-        """Decode only the entry at ``index``, skipping the key bytes.
-
-        The sorted-view walk already carries every key in its anchor
-        arrays, so materializing the key again (as :meth:`record_at`
-        does) would be a dead copy per element on the hottest scan loop.
-        """
-        off = self._offset(index)
-        key_len, flags, value_len = _RECORD_HEADER.unpack_from(self._data, off)
-        if flags & _FLAG_TOMBSTONE:
-            return TOMBSTONE
-        value_start = off + _RECORD_HEADER.size + key_len
-        return Entry(bytes(self._data[value_start : value_start + value_len]))
-
     def key_at(self, index: int) -> bytes:
         """Decode only the key at ``index`` (binary-search probe)."""
         off = self._offset(index)

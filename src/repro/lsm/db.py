@@ -38,7 +38,6 @@ from repro.lsm.options import (
     LSMOptions,
 )
 from repro.lsm.recovery import RecoveryReport, recover
-from repro.lsm.sorted_view import UNBUILDABLE
 from repro.lsm.sstable import SSTable
 from repro.lsm.table_build import (
     build_table_artifact,
@@ -65,11 +64,9 @@ class DBStats:
     filter_negatives: int = 0
     table_reads: int = 0
     flushes: int = 0
-    #: Range reads served through the sorted view (wall-clock routing
-    #: counters — never part of the simulated-time contract).
+    #: Always 0: the counters of a range engine that is gone, kept
+    #: until the e2e workloads stop reading them (ROADMAP item 2(c)).
     sorted_view_seeks: int = 0
-    #: Sorted-view segments (re)constructed, eagerly at install time or
-    #: lazily by a range read.
     view_rebuild_segments: int = 0
 
     @property
@@ -107,7 +104,6 @@ class LSMTree:
         self._compactor = Compactor(self.device, self.cache, self.options,
                                     self.versions, self._allocate_path)
         self.stats = DBStats()
-        self.versions.on_install = self._on_version_install
         self._cost_rng = rng.spawn("costs")
         self._closed = False
         #: Reader pins still outstanding when :meth:`close` reclaimed them.
@@ -134,26 +130,6 @@ class LSMTree:
             self._background = BackgroundCompactor(self._background_work)
         #: Filled by :meth:`reopen`; None for a freshly created tree.
         self.recovery_report: Optional[RecoveryReport] = None
-
-    def _on_version_install(self, base: Version, successor: Version,
-                            edit: VersionEdit) -> None:
-        """Carry the sorted view across an install, incrementally.
-
-        Runs on whichever thread installed (foreground flush/compaction
-        or the background compactor), outside the version-set lock.
-        Only segments whose key span intersects an added or removed
-        table's range are rebuilt; when too little survives (a
-        whole-keyspace memtable flush) the successor stays viewless and
-        the next range read rebuilds in full, lazily.  Pure wall-clock
-        bookkeeping — no charges, no RNG draws.
-        """
-        base_view = base._view
-        if base_view is None or base_view is UNBUILDABLE:
-            return
-        view = base_view.evolve(successor, edit)
-        if view is not None:
-            successor._view = view
-            self.stats.view_rebuild_segments += view.rebuilt_segments
 
     def _background_work(self) -> None:
         """One background cycle: drain triggers, then durably commit."""
@@ -426,11 +402,12 @@ class LSMTree:
         """
         self._check_open()
         # Scans read blocks lazily across the merge loop, so the version
-        # stays pinned for the whole query.
+        # stays pinned for the whole query.  The memtable is read before
+        # the pin: a flush in between leaves its records in the version.
+        memtable = self._memtable
         version = self.versions.pin()
         try:
-            return read_path.range_query(self, version,
-                                         self._memtable.items_from,
+            return read_path.range_query(self, version, memtable.items_from,
                                          low, high, limit)
         finally:
             self.versions.unpin(version)
@@ -439,11 +416,17 @@ class LSMTree:
              ) -> List[Tuple[bytes, bytes]]:
         """Prefix scan: every pair whose key extends ``prefix``, in order.
 
-        The range ``[prefix, prefix + 0xff * 64]``, so range filters
-        prune it like any other bounded read.  For an unbounded cursor
-        use :meth:`iterator`.
+        A bounded range read (:func:`read_path.scan`), so range filters
+        prune it like any other.  For an unbounded cursor use
+        :meth:`iterator`.
         """
-        return self.range_query(prefix, prefix + b"\xff" * 64, limit=limit)
+        self._check_open()
+        memtable = self._memtable
+        version = self.versions.pin()
+        try:
+            return read_path.scan(self, version, memtable, prefix, limit)
+        finally:
+            self.versions.unpin(version)
 
     def iterator(self, low: bytes = b"", high: Optional[bytes] = None):
         """Forward cursor over ``[low, high]`` (RocksDB-iterator analogue).
@@ -455,14 +438,12 @@ class LSMTree:
         """
         self._check_open()
         self.charge_cost(RANGE_SEEK_COST_US)
-        effective_high = high if high is not None else b"\xff" * 64
+        memtable = self._memtable
         version = self.versions.pin()
         try:
-            active = read_path.plan_range_sources(self, version, low, high,
-                                                  bound=effective_high)
+            active = read_path.plan_range_sources(self, version, low, high)
             merged = read_path.merged_entries(
-                self, version, active, self._memtable.items_from(low),
-                low, None)
+                self, active, memtable.items_from(low), low, None)
         except BaseException:
             self.versions.unpin(version)
             raise

@@ -75,8 +75,8 @@ class DBIterator:
     def __init__(self, merged: Iterable[Tuple[bytes, Entry]],
                  high: Optional[bytes] = None,
                  on_step=None, on_close=None) -> None:
-        #: The newest-wins (key, entry) stream, tombstones included (a
-        #: sorted-view walk or :func:`merge_entries`).
+        #: The newest-wins (key, entry) stream, tombstones included
+        #: (:func:`merge_entries`).
         self._merged = iter(merged)
         self._high = high
         self._on_step = on_step

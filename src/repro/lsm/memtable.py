@@ -107,6 +107,11 @@ class MemTable:
         """The entry for ``key`` (value or tombstone), or None if absent."""
         return self._entries.get(key)
 
+    def max_key(self) -> Optional[bytes]:
+        """The largest key held (tombstones included), None when empty."""
+        keys = self._keys
+        return keys[-1] if keys else None
+
     def items(self) -> Iterator[Tuple[bytes, Entry]]:
         """All entries in key order (flush path)."""
         return self.items_from(b"")

@@ -12,9 +12,10 @@ The **read context** ``ctx`` is duck-typed: ``stats`` (a ``DBStats``),
 ``_memtable`` (a :class:`~repro.lsm.memtable.MemTable`: the live one,
 which a flush swaps out — so it is re-read off ``ctx`` per key, never
 hoisted — or a snapshot's frozen copy).  The owner supplies the rest per
-call: ``mem_items_from`` for range reads, and ``version`` when it
-already holds a pin (a snapshot, a range read); with ``version=None``
-point reads pin ``ctx.versions`` themselves.
+call: the memtable (or its ``items_from``) for range reads, read before
+the pin, and ``version`` when it already holds a pin (a snapshot, a
+range read); with ``version=None`` point reads pin ``ctx.versions``
+themselves.
 
 Every point read — ``get``, a batch, a replay of a probe plan — is one
 search loop, :func:`read_points`, over a batch of keys.
@@ -45,7 +46,6 @@ from repro.lsm.options import (
     RANGE_NEXT_COST_US,
     RANGE_SEEK_COST_US,
 )
-from repro.lsm.sorted_view import ensure_view
 from repro.lsm.sstable import SSTable
 from repro.lsm.version import Version, VersionSet
 
@@ -405,21 +405,19 @@ def range_filters_pass(version: Version, low: bytes, high: bytes) -> bool:
 
 
 def plan_range_sources(ctx, version: Version, low: bytes,
-                       high: Optional[bytes],
-                       bound: Optional[bytes] = None) -> List[SSTable]:
+                       high: Optional[bytes]) -> List[SSTable]:
     """Charged filter-probe prepass of a range read, in merge order.
 
     Walks ``version``'s overlapping tables level by level, consults each
     range-capable filter (charging the probe cost and counting stats),
-    and returns the tables the read must actually merge.  Shared by the
-    sorted-view walk and the fallback merge, so the probe side channel
-    cannot depend on which one runs.  ``high=None`` (open-ended cursor)
-    skips the probes and selects tables by ``bound`` instead.
+    and returns the tables the read must actually merge.  ``high=None``
+    (open-ended cursor) skips the probes and selects every table holding
+    a key at or above ``low``.
     """
     stats = ctx.stats
-    if bound is None:
-        bound = high
     probe = high is not None
+    bound = high if probe else max(
+        (table.max_key for table in version.all_tables()), default=low)
     active: List[SSTable] = []
     append = active.append
     table_reads = 0
@@ -450,29 +448,44 @@ def _bounded(iterator, high: bytes):
         yield key, entry
 
 
-def merged_entries(ctx, version: Version, active: List[SSTable],
-                   mem_items, low: bytes, high: Optional[bytes]
-                   ) -> Iterator[Tuple[bytes, Entry]]:
+def merged_entries(ctx, active: List[SSTable], mem_items, low: bytes,
+                   high: Optional[bytes]) -> Iterator[Tuple[bytes, Entry]]:
     """Newest-wins (key, entry) stream over the memtable and ``active``.
 
-    Walks the version's sorted view (:mod:`repro.lsm.sorted_view`),
-    built lazily on first use — charge-free, key maps decode straight
-    off the tables' mapped regions.  A version that cannot be mapped has
-    no view, permanently, and gets the classic per-query heap merge; the
-    walk replays that merge's exact read/charge script, so results,
-    stats and simulated time do not depend on which one ran.
+    The k-way heap merge (:func:`~repro.lsm.iterator.merge_entries`)
+    over the memtable and one lazy block-reading source per table, in
+    merge order.  Its pull schedule fixes the range read's I/O: one
+    block read per source up front, then one refill per element popped.
     ``high=None`` leaves the stream unbounded (the cursor bounds it).
     """
-    view = ensure_view(version, ctx.stats)
-    if view is not None:
-        ctx.stats.sorted_view_seeks += 1
-        return view.walk(active, mem_items, low, high, ctx.cache)
     sources = [mem_items]
     sources.extend(table.reader.iterate_from(low, ctx.cache)
                    for table in active)
     if high is not None:
         sources = [_bounded(source, high) for source in sources]
     return merge_entries(sources)
+
+
+def scan(ctx, version: Version, memtable, prefix: bytes,
+         limit: Optional[int]) -> List[Tuple[bytes, bytes]]:
+    """Prefix scan: every pair whose key extends ``prefix``, in order.
+
+    A bounded :func:`range_query`, so range filters prune it like any
+    other.  The bound is the prefix's successor, the least key above
+    every extension (``b"ab\\xff"`` -> ``b"ac"``), and dropped from the
+    answer if present.  A prefix without one (empty, or all ``0xff``)
+    reads up to the largest key ``version`` or ``memtable`` holds.
+    """
+    stem = prefix.rstrip(b"\xff")
+    if stem:
+        high = stem[:-1] + bytes((stem[-1] + 1,))
+    else:
+        high = max([table.max_key for table in version.all_tables()]
+                   + [memtable.max_key() or prefix])
+    out = range_query(ctx, version, memtable.items_from, prefix, high, limit)
+    if out and not out[-1][0].startswith(prefix):
+        out.pop()
+    return out
 
 
 def range_query(ctx, version: Version, mem_items_from, low: bytes,
@@ -491,8 +504,7 @@ def range_query(ctx, version: Version, mem_items_from, low: bytes,
     ctx.stats.range_queries += 1
     ctx.charge_cost(RANGE_SEEK_COST_US)
     active = plan_range_sources(ctx, version, low, high)
-    merged = merged_entries(ctx, version, active, mem_items_from(low),
-                            low, high)
+    merged = merged_entries(ctx, active, mem_items_from(low), low, high)
     gauss = ctx._cost_rng.gauss
     clock_charge = ctx.clock.charge
     out: List[Tuple[bytes, bytes]] = []

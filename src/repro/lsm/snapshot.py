@@ -22,8 +22,7 @@ range, and the ground-truth ``*filters_pass`` oracles — a parity test
 holds the two surfaces together), all delegating to
 :mod:`repro.lsm.read_path` exactly as the tree does, so
 ``KVService(db=tree.snapshot())`` runs the full attack machinery, point
-and range, against a frozen store with no further changes.  Range reads
-share the pinned version's sorted view for free.  Writes and the
+and range, against a frozen store with no further changes.  Writes and the
 ``iterator`` cursor still require the live tree.
 """
 
@@ -152,8 +151,7 @@ class SnapshotView:
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
         """Bounded range read against the frozen state, charged against
-        the snapshot's own clock and RNG streams (the pinned version's
-        sorted view is shared with the live tree at no cost)."""
+        the snapshot's own clock, RNG streams and page cache."""
         self._check_open()
         return read_path.range_query(self, self.version,
                                      self._memtable.items_from,
@@ -162,7 +160,9 @@ class SnapshotView:
     def scan(self, prefix: bytes, limit: Optional[int] = None
              ) -> List[Tuple[bytes, bytes]]:
         """Prefix scan (see ``LSMTree.scan``)."""
-        return self.range_query(prefix, prefix + b"\xff" * 64, limit=limit)
+        self._check_open()
+        return read_path.scan(self, self.version, self._memtable, prefix,
+                              limit)
 
     # ------------------------------------------------------- attack-side APIs
 

@@ -70,9 +70,6 @@ class SSTableReader:
         #: hold a key is the first whose last key is >= it.
         self._last_keys = [key for key, _ in index_entries]
         self.num_entries = num_entries or 0
-        #: Wall-clock cache of the table's decoded keys, built on first
-        #: use by :func:`repro.lsm.sorted_view.key_map_for`.
-        self._key_map = None
         try:
             self.region: Optional[MappedRegion] = device.map_file(path)
         except StorageError:

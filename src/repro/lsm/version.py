@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import CompactionError, LSMError
 from repro.lsm.sstable import SSTable
@@ -81,7 +81,7 @@ class Version:
     :meth:`apply`, which returns a new version.
     """
 
-    __slots__ = ("max_levels", "levels", "_max_keys", "_min_keys", "_view")
+    __slots__ = ("max_levels", "levels", "_max_keys", "_min_keys")
 
     def __init__(self, max_levels: int,
                  levels: Optional[Sequence[Sequence[SSTable]]] = None) -> None:
@@ -96,10 +96,6 @@ class Version:
         # identical no matter which thread builds it first.
         self._max_keys: List[Optional[List[bytes]]] = [None] * max_levels
         self._min_keys: List[Optional[List[bytes]]] = [None] * max_levels
-        #: The version's sorted view (:mod:`repro.lsm.sorted_view`),
-        #: filled eagerly at install time or lazily by the first range
-        #: read; None = not built, the UNBUILDABLE sentinel = gave up.
-        self._view = None
 
     @classmethod
     def from_levels(cls, max_levels: int,
@@ -280,11 +276,6 @@ class VersionSet:
 
     def __init__(self, initial: Version) -> None:
         self.current = initial
-        #: Optional install hook ``(base, successor, edit) -> None``,
-        #: invoked *outside* the lock after every successful install —
-        #: the sorted-view maintainer hangs off this.  Exceptions
-        #: propagate to the installer; hooks must be pure bookkeeping.
-        self.on_install: Optional[Callable] = None
         self._lock = threading.Lock()
         #: version -> outstanding reader pins.
         self._pins: Dict[Version, int] = {}
@@ -360,9 +351,6 @@ class VersionSet:
             self.current = successor
             if base not in self._pins:
                 self._release_tables(base)
-        on_install = self.on_install
-        if on_install is not None:
-            on_install(base, successor, edit)
         return successor
 
     def _release_tables(self, version: Version) -> None:

@@ -469,9 +469,10 @@ class StatsSnapshot:
     #: background-compaction thread cycles; zeros in sync-only stores.
     compactions_run: int = 0
     background_cycles: int = 0
-    #: Range-read engine counters (DESIGN.md §13): bounded range reads
-    #: served, how many of them went through the per-version sorted view,
-    #: and segments rebuilt by incremental view maintenance.
+    #: Bounded range reads served (DESIGN.md §13).  The two counters
+    #: after it belonged to a range engine that is gone and read 0; they
+    #: keep the v3 layout until the e2e workloads stop reading them
+    #: (ROADMAP item 2(c)).
     range_queries: int = 0
     sorted_view_seeks: int = 0
     view_rebuild_segments: int = 0

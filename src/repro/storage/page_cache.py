@@ -242,10 +242,10 @@ class PageCache:
         identical to a :meth:`read_decoded` call — the same charges,
         stats updates and LRU movement, in the same order — so the
         simulated-time trace cannot tell the two apart.  A caller that
-        knows all its reads upfront (the sorted-view seek touches one
-        block per active table) saves the per-call lock round trips and
-        method dispatch; the classic pull-driven merge cannot batch,
-        which is part of why the view wins wall-clock.
+        knows all its reads upfront saves the per-call lock round trips
+        and method dispatch.  No read path calls it today (range reads
+        pull one block at a time through the heap merge); it stays until
+        the e2e tracer stops pinning it (ROADMAP item 2(c)).
         """
         out = []
         append = out.append

@@ -8,12 +8,9 @@ from repro.common.errors import ConfigError
 from repro.common.keys import (
     ALPHABET_SIZE,
     common_prefix_len,
-    increment_key,
     int_to_key,
     key_to_int,
-    replace_byte,
     sha1_key,
-    suffix_candidates,
     suffix_space_size,
 )
 
@@ -76,19 +73,6 @@ class TestPrefixes:
             assert a[n] != b[n]
 
 
-class TestReplaceByte:
-    def test_replaces(self):
-        assert replace_byte(b"\x01\x02\x03", 1, 0xFF) == b"\x01\xff\x03"
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ConfigError):
-            replace_byte(b"ab", 2, 0)
-
-    def test_out_of_range_value(self):
-        with pytest.raises(ConfigError):
-            replace_byte(b"ab", 0, 256)
-
-
 class TestSuffixEnumeration:
     def test_space_size(self):
         assert suffix_space_size(3, 5) == ALPHABET_SIZE**2
@@ -97,25 +81,3 @@ class TestSuffixEnumeration:
     def test_prefix_longer_than_key_rejected(self):
         with pytest.raises(ConfigError):
             suffix_space_size(6, 5)
-
-    def test_candidates_enumerate_in_order(self):
-        out = list(suffix_candidates(b"\x07", 2))
-        assert len(out) == 256
-        assert out[0] == b"\x07\x00"
-        assert out[-1] == b"\x07\xff"
-        assert out == sorted(out)
-
-    def test_zero_length_suffix(self):
-        assert list(suffix_candidates(b"ab", 2)) == [b"ab"]
-
-
-class TestIncrementKey:
-    def test_simple(self):
-        assert increment_key(b"\x00\x01") == b"\x00\x02"
-
-    def test_carry(self):
-        assert increment_key(b"\x00\xff") == b"\x01\x00"
-
-    def test_max_rejected(self):
-        with pytest.raises(ConfigError):
-            increment_key(b"\xff\xff")

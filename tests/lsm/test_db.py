@@ -107,6 +107,30 @@ class TestRangeQueries:
             assert db.range_query(lo, hi) == want
 
 
+    @pytest.mark.parametrize("read", [
+        lambda db: db.range_query(b"a", b"z"),
+        lambda db: db.scan(b"k"),
+        lambda db: list(db.iterator(b"a")),
+    ], ids=["range_query", "scan", "iterator"])
+    def test_flush_between_pin_and_memtable_read(self, db, read):
+        # A flush landing right after the read pins its version moves the
+        # memtable's records into a version the read does not see: the
+        # read must take the memtable it searches before the pin.
+        db.put(b"k", b"v")
+        pin = db.versions.pin
+
+        def pin_then_flush():
+            version = pin()
+            db.versions.pin = pin
+            db.flush()
+            return version
+
+        db.versions.pin = pin_then_flush
+        assert read(db) == [(b"k", b"v")]
+        db.close()
+        assert db.leaked_pins == 0
+
+
 class TestBulkLoad:
     def test_bulk_load_round_trip(self):
         db = LSMTree(surf_options())
@@ -291,6 +315,78 @@ class TestIteratorApi:
             db.put(k, k[::-1])
         lo, hi = sorted((rng.random_bytes(4), rng.random_bytes(4)))
         assert list(db.iterator(lo, hi)) == db.range_query(lo, hi)
+
+
+class TestLongKeys:
+    """Keys have no length cap in process (the wire allows 65 535 bytes):
+    cursors and prefix scans must not stop at any fixed key length."""
+
+    LONG = b"a" + b"\xff" * 64 + b"z"
+
+    @pytest.mark.parametrize("options", [LSMOptions, surf_options],
+                             ids=["plain", "surf"])
+    def test_open_cursor_reaches_tables_of_long_keys(self, options):
+        db = LSMTree(options())
+        db.put(b"a", b"1")
+        db.flush()
+        db.put(b"\xff" * 65, b"2")
+        db.flush()
+        assert [k for k, _ in db.iterator()] == [b"a", b"\xff" * 65]
+        assert [k for k, _ in db.iterator(b"b")] == [b"\xff" * 65]
+        db.close()
+        assert db.leaked_pins == 0
+
+    @pytest.mark.parametrize("flushed", [False, True],
+                             ids=["memtable", "tables"])
+    def test_scan_returns_every_extension(self, db, flushed):
+        db.put(b"a", b"1")
+        db.put(self.LONG, b"2")
+        db.put(b"b", b"3")
+        if flushed:
+            db.flush()
+        assert db.scan(b"a") == [(b"a", b"1"), (self.LONG, b"2")]
+        assert db.scan(b"a" + b"\xff" * 64) == [(self.LONG, b"2")]
+
+    def test_snapshot_scan_returns_every_extension(self, db):
+        db.put(b"a", b"1")
+        db.flush()
+        db.put(self.LONG, b"2")
+        with db.snapshot() as snap:
+            db.put(b"a" + b"\xff" * 70, b"later")
+            assert snap.scan(b"a") == [(b"a", b"1"), (self.LONG, b"2")]
+
+    def test_scan_excludes_the_prefix_successor(self, db):
+        for key in (b"ab", b"ab\xff\xff", b"ac", b"ac\x00"):
+            db.put(key, key)
+        assert [k for k, _ in db.scan(b"ab")] == [b"ab", b"ab\xff\xff"]
+        assert [k for k, _ in db.scan(b"ab\xff")] == [b"ab\xff\xff"]
+        assert [k for k, _ in db.scan(b"ab", limit=1)] == [b"ab"]
+        assert [k for k, _ in db.scan(b"ab", limit=3)] == [b"ab",
+                                                           b"ab\xff\xff"]
+
+    def test_scan_of_prefixes_without_a_successor(self, db):
+        keys = [b"\x01", b"\xfe" * 3, b"\xff", b"\xff" * 80 + b"\x01"]
+        for key in keys:
+            db.put(key, b"v")
+        db.flush()
+        assert [k for k, _ in db.scan(b"")] == keys
+        assert [k for k, _ in db.scan(b"\xff")] == keys[2:]
+        assert [k for k, _ in db.scan(b"\xff\xff")] == keys[3:]
+        assert LSMTree(surf_options()).scan(b"") == []
+
+    def test_scan_matches_model(self, db):
+        rng = make_rng(23, "scan")
+        model = {}
+        for _ in range(1500):
+            key = rng.random_bytes(1 + rng.randrange(3)) + (
+                b"\xff" * rng.choice([0, 0, 1, 70]))
+            db.put(key, key[::-1])
+            model[key] = key[::-1]
+        for prefix in (b"\x10", b"\xff", b"\x80\xff", b"\x00",
+                       rng.random_bytes(1), rng.random_bytes(2)):
+            want = [(k, model[k]) for k in sorted(model)
+                    if k.startswith(prefix)]
+            assert db.scan(prefix) == want
 
 
 class TestInjectedCache:

@@ -95,8 +95,8 @@ def test_matches_dict_oracle_with_deletes(runs):
 def test_pull_schedule_contract(runs):
     """One pull per source up front, then one refill per popped element.
 
-    The sorted-view walk replays this exact schedule against the page
-    cache, so the merge must never pull ahead or lag behind it.
+    A range read's block reads, page-cache traffic and clock charges
+    are this schedule, so the merge must never pull ahead or lag behind.
     """
     sources = [sorted((k, TOMBSTONE if v is None else Entry(v))
                       for k, v in run.items()) for run in runs]

@@ -1,15 +1,13 @@
-"""Sorted-view equivalence suite (DESIGN.md section 13).
+"""Range-read twin suite (DESIGN.md section 13).
 
-The contract: served through the sorted view, every range surface
-(``range_query``/``scan``/``iterator``) returns identical results, drives
-identical per-filter stats, and reads a **bit-identical** simulated clock
-compared to the classic per-query heap merge — across fresh bulk-loaded
-trees, write/delete/flush churn (the incremental ``evolve`` path), lazy
-full rebuilds, snapshots, and the process-pool build transport.
-
-The classic twin is not a flag: it is the same store on a device whose
-files cannot be mapped (``reference.unmappable``), where the read path
-falls back to the heap merge by itself.
+Every range surface (``range_query``/``scan``/``iterator``, live and on a
+snapshot) runs the one heap merge over lazily read table blocks.  The
+suite holds it to the same store on a device whose files cannot be
+mapped (``reference.unmappable``): there every block decodes from a
+device read instead of the mapped region, and results, ``DBStats``,
+per-filter stats and the simulated clock must stay **bit-identical** —
+across bulk loads, write/delete/flush churn with its compaction
+installs, memtable overlays, partial cursors and snapshots.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from reference.unmappable import UnmappableDevice
 from repro.filters import SuRFBuilder
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
-from repro.lsm.sorted_view import UNBUILDABLE, SortedView, ensure_view
 from repro.storage.clock import SimClock
 from repro.storage.device import StorageDevice
 
@@ -37,7 +34,7 @@ def _options(**overrides) -> LSMOptions:
 
 
 def _tree(mappable: bool = True, **overrides) -> LSMTree:
-    """A store on a mappable (sorted view) or unmappable (classic) device."""
+    """A store on a mappable or an unmappable device."""
     clock = SimClock()
     device_cls = StorageDevice if mappable else UnmappableDevice
     return LSMTree(_options(**overrides), clock=clock,
@@ -60,34 +57,24 @@ def _filter_stats(db):
     return out
 
 
-def _db_stats(db):
-    counters = dataclasses.asdict(db.stats)
-    # The only permitted divergence: wall-clock routing counters.
-    counters.pop("sorted_view_seeks")
-    counters.pop("view_rebuild_segments")
-    return counters
-
-
 def _run_script(mappable: bool, script, **options):
     db = _tree(mappable, **options)
     try:
         trace = script(db)
-        return (trace, db.clock.now_us, _db_stats(db), _filter_stats(db),
-                db.stats.sorted_view_seeks)
+        return (trace, db.clock.now_us, dataclasses.asdict(db.stats),
+                _filter_stats(db))
     finally:
         db.close()
         assert db.leaked_pins == 0
 
 
 def _assert_equivalent(script, **options):
-    with_view = _run_script(True, script, **options)
-    without = _run_script(False, script, **options)
-    assert with_view[0] == without[0], "results diverged"
-    assert with_view[1] == without[1], "simulated clocks diverged"
-    assert with_view[2] == without[2], "DBStats diverged"
-    assert with_view[3] == without[3], "per-filter stats diverged"
-    # The unmappable twin really served every read from the heap merge.
-    assert without[4] == 0
+    mapped = _run_script(True, script, **options)
+    unmapped = _run_script(False, script, **options)
+    assert mapped[0] == unmapped[0], "results diverged"
+    assert mapped[1] == unmapped[1], "simulated clocks diverged"
+    assert mapped[2] == unmapped[2], "DBStats diverged"
+    assert mapped[3] == unmapped[3], "per-filter stats diverged"
 
 
 def _load(db, keys, start=0):
@@ -116,7 +103,7 @@ def test_bounded_range_queries_equivalent():
     _assert_equivalent(script)
 
 
-def test_churn_exercises_incremental_evolve():
+def test_churn_ranges_equivalent():
     keys = _keys(3000, seed=23)
 
     def script(db):
@@ -131,17 +118,10 @@ def test_churn_exercises_incremental_evolve():
                 trace.append(db.range_query(low, low + b"\xff\xff",
                                             limit=rng.choice([None, 3])))
         trace.append(db.range_query(b"\x00", b"\xff" * 8))
+        # The range reads really spanned several flush/compaction installs.
+        assert db.stats.flushes > 3
         return trace
 
-    # The view-on run must actually maintain views across several
-    # flush/compaction installs, not just build once.
-    db = _tree()
-    try:
-        script(db)
-        assert db.stats.flushes > 3
-        assert db.stats.view_rebuild_segments >= db.stats.flushes
-    finally:
-        db.close()
     _assert_equivalent(script)
 
 
@@ -155,8 +135,8 @@ def test_scan_derives_prefix_bound_and_prunes():
         before = db.stats.filter_negatives
         trace = [db.scan(b"aa-00"), db.scan(b"zz-03", limit=7),
                  db.scan(b"qq-")]
-        # high=None still consults the filters via the derived prefix
-        # bound: tables on the far side of the keyspace get pruned.
+        # A scan consults the filters via the derived prefix bound:
+        # tables on the far side of the keyspace get pruned.
         assert db.stats.filter_negatives > before
         return trace
 
@@ -193,7 +173,7 @@ def test_memtable_overlay_and_tombstones():
         _load(db, keys[:1000])
         db.flush()
         # Unflushed overlay: fresh keys, overwrites and deletes that must
-        # shadow the sorted-view stream exactly like the classic merge.
+        # shadow the tables' entries in the merge.
         for i, key in enumerate(keys[1000:]):
             db.put(key, b"mem%04d" % i)
         for key in keys[0:600:17]:
@@ -261,92 +241,43 @@ def test_snapshot_isolated_from_later_writes():
         assert db.leaked_pins == 0
 
 
-# ------------------------------------------------------------- unit level
-
-
-def test_view_built_lazily_and_carried_on_version():
+def test_clock_pinned_to_the_sorted_view_era():
+    """The merge replays what the deleted sorted view charged: these
+    values were read at 90df9bd, where every range read on a mappable
+    device walked the view (live tree, cursors and a snapshot)."""
+    keys = _keys(3000, seed=23)
     db = _tree()
+    rng = random.Random(77)
+    returned = 0
     try:
-        _load(db, _keys(600, seed=4))
-        db.flush()
-        version = db.versions.current
-        assert version._view is None  # no range read yet
-        db.range_query(b"\x00", b"\xff" * 8)
-        view = db.versions.current._view
-        assert isinstance(view, SortedView)
-        # Same version, second query: reused, not rebuilt.
-        assert db.versions.current._view is view
-    finally:
-        db.close()
-
-
-def test_view_segments_cover_all_live_keys():
-    db = _tree()
-    keys = sorted(set(_keys(900, seed=8)))
-    try:
-        _load(db, keys)
-        db.flush()
-        view = ensure_view(db.versions.current)
-        flat = [key for segment in view.seg_keys for key in segment]
-        live = {k for k, _ in db.range_query(b"\x00", b"\xff" * 8)}
-        assert live <= set(flat)
-        assert flat == sorted(flat)
-        for segment, lo, hi in zip(view.seg_keys, view.seg_los, view.seg_his):
-            assert segment[0] == lo and segment[-1] == hi
-    finally:
-        db.close()
-
-
-def test_incremental_evolve_reuses_unchanged_segments():
-    # Enough keys for several SEGMENT_TARGET-sized segments, so a
-    # key-clustered flush demonstrably rebuilds a strict subset.
-    db = _tree(memtable_size_bytes=2 * 1024 * 1024,
-               sstable_target_bytes=256 * 1024)
-    try:
-        keys = sorted(set(_keys(14000, seed=29)))
-        _load(db, keys)
-        db.flush()
-        db.range_query(b"\x00", b"\xff" * 8)
-        base_view = db.versions.current._view
-        total_segments = len(base_view.seg_keys)
-        assert total_segments >= 3
-        # A flush clustered at the top of the keyspace intersects only
-        # the final segment's span.
-        for i in range(40):
-            db.put(b"\xfe" + b"hot-%04d" % i, b"x")
-        db.flush()
-        evolved = db.versions.current._view
-        assert evolved is not None and evolved is not base_view
-        assert 0 < evolved.rebuilt_segments < total_segments
-        with_view = db.range_query(b"\x00", b"\xff" * 8)
-        assert [k for k, _ in with_view] == sorted(
-            set(keys) | {b"\xfe" + b"hot-%04d" % i for i in range(40)})
-    finally:
-        db.close()
-
-
-def test_unmappable_device_never_builds_a_view():
-    db = _tree(mappable=False)
-    try:
-        _load(db, _keys(500, seed=6))
-        db.flush()
-        db.range_query(b"\x00", b"\xff" * 8)
-        assert db.versions.current._view is UNBUILDABLE
-        assert db.stats.sorted_view_seeks == 0
-        assert db.stats.view_rebuild_segments == 0
-    finally:
-        db.close()
-
-
-def test_counters_route_through_view():
-    db = _tree()
-    try:
-        _load(db, _keys(500, seed=16))
-        db.flush()
-        db.range_query(b"\x00", b"\xff" * 8)
-        db.scan(b"\x10")
-        assert db.stats.range_queries == 2
-        assert db.stats.sorted_view_seeks == 2
-        assert db.stats.view_rebuild_segments > 0
+        for i, key in enumerate(keys):
+            db.put(key, b"v%06d" % i)
+            if i % 6 == 0:
+                db.delete(keys[rng.randrange(len(keys))])
+            if i % 40 == 13:
+                low = keys[rng.randrange(len(keys))]
+                returned += len(db.range_query(
+                    low, low + b"\xff\xff", limit=rng.choice([None, 3])))
+        for start in (keys[10][:2], keys[500][:1]):
+            cursor = db.iterator(start)
+            for _ in range(20):
+                if not cursor.valid:
+                    break
+                cursor.next()
+            cursor.close()
+        with db.snapshot() as snap:
+            for _ in range(30):
+                low = keys[rng.randrange(len(keys))]
+                returned += len(snap.range_query(low, low + b"\xff"))
+            assert snap.clock.now_us == 116227.14150954496
+        assert len(db.range_query(b"\x00", b"\xff" * 8)) == 2765
+        assert returned == 59
+        assert db.clock.now_us == 116401.68949893366
+        stats = db.stats
+        assert (stats.range_queries, stats.filter_checks,
+                stats.filter_negatives, stats.table_reads) == (76, 167, 83, 95)
+        cache = db.cache.stats
+        assert (cache.hits, cache.misses, cache.decoded_hits,
+                cache.decoded_misses) == (161, 49, 82, 43)
     finally:
         db.close()

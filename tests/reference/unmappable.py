@@ -1,10 +1,11 @@
 """A storage device whose files cannot be memory-mapped.
 
-Sorted views are built from mapped regions, so a store on this device
-has none and serves every range read through the classic per-query heap
-merge — the fallback the code selects by itself, which makes it the
-range-side oracle: the view's walk must reproduce its results, stats and
-simulated **clock** bit for bit.
+A store on this device has no mapped regions, so every block a read
+decodes comes from a device read instead of a zero-copy slice of the
+table's mapping.  That makes it the range-side oracle: range reads on
+it must return the same results, stats and simulated **clock**, bit for
+bit, as on a mappable device — region-less decoded reads charge exactly
+like mapped ones.
 """
 
 from __future__ import annotations
