@@ -56,9 +56,12 @@ class BackgroundLoad:
         Returns the number of foreign pages faulted into the cache.  The
         count is capped at twice the cache's page capacity: more cannot
         change the cache contents.  The cap stays at 2x although
-        :meth:`PageCache.displace` never builds the surplus pages — each
-        one counts as an eviction, and the experiments' and the e2e
-        benchmark's golden values include that counter.
+        :meth:`PageCache.displace` never builds the surplus pages, nor,
+        when the count overflows the cache, the pages it keeps (they are
+        a count at the LRU front) — each surplus page counts as an
+        eviction, and the experiments' and the e2e benchmark's golden
+        values include that counter.  The wait therefore costs the pages
+        read since the previous one, not the cache's capacity.
         """
         if not 0 <= duration_us < math.inf:
             raise ConfigError(

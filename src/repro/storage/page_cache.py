@@ -86,6 +86,13 @@ class PageCache:
     ``0`` disables the layer entirely (every :meth:`read_decoded` then
     decodes afresh, byte-for-byte what a plain :meth:`read` caller did).
 
+    Background churn (:meth:`displace`) adds foreign pages that nothing
+    ever reads.  The survivors of a wait that overflows the cache are a
+    count at the LRU front (older than every entry, so evicted first and
+    in one arithmetic step), not entries: :meth:`__len__` and
+    :attr:`used_bytes` include them, the page LRU holds only what was
+    read or churned since.
+
     Threading: a reentrant lock serializes every structural operation
     (LRU order, insert, eviction, invalidation).  Two threads reach the
     cache: the one that serves requests (the wire server's event loop,
@@ -123,6 +130,11 @@ class PageCache:
         # For displace(): one zero page per size, the next foreign number.
         self._zero_pages: Dict[int, memoryview] = {}
         self._next_foreign = 0
+        # The foreign pages a full churn left, as one run of ``_front``
+        # pages of ``_front_size`` bytes ahead of every entry in _pages
+        # (they are older than anything read since).
+        self._front = 0
+        self._front_size = 0
         self.stats = CacheStats()
         self._lock = threading.RLock()
         #: The device block size, clock and generation map are fixed for
@@ -192,12 +204,17 @@ class PageCache:
         data block per filter-passing probe), so it calls no method but
         the LRU's own: per page, in page order, one ``move_to_end``, one
         hit and one ``CACHE_HIT_COST_US`` added to the clock.
+
+        A zero-length read decodes ``b""`` and, like :meth:`read`,
+        touches no page, charges nothing and records no stats.
         """
+        if length == 0:
+            return decode(b"")
         gen = self._generation_of(path, 0)
         key = (path, gen, offset, length)
         block_size = self._block_size
         first = offset // block_size
-        last = (offset + length - 1) // block_size if length else first
+        last = (offset + length - 1) // block_size
         with self._lock:
             obj = self._decoded.get(key)
             if obj is not None:
@@ -265,13 +282,15 @@ class PageCache:
         hits = decoded_hits = decoded_misses = 0
         with self._lock:
             for path, offset, length, decode, region in requests:
+                if length == 0:
+                    append(decode(b""))
+                    continue
                 gen = generation_of(path)
                 key = (path, gen, offset, length)
                 obj = decoded_get(key)
                 if obj is not None:
                     first = offset // block_size
-                    last = (offset + length - 1) // block_size \
-                        if length else first
+                    last = (offset + length - 1) // block_size
                     if first == last:
                         page_key = (path, gen, first)
                         if page_key in pages:
@@ -316,8 +335,7 @@ class PageCache:
                 if region is not None and not region.closed \
                         and region.generation == gen:
                     first = offset // block_size
-                    last = (offset + length - 1) // block_size \
-                        if length else first
+                    last = (offset + length - 1) // block_size
                     for block_index in range(first, last + 1):
                         self.read_block(path, block_index)
                     obj = decode(region.view(offset, length))
@@ -350,33 +368,42 @@ class PageCache:
         blocks out of the cache; the payload is irrelevant, only the
         displacement matters.  The end state is exactly that of inserting
         the pages one at a time (the loop in ``tests/reference/churn.py``)
-        but follows from ``used_bytes``, ``count`` and ``size``: the LRU
-        front is popped only until the newcomers fit, newcomers that would
-        themselves be pushed out count as evictions without being built,
-        and the rest share one zero page under keys no device file has
+        but follows from ``used_bytes``, ``count`` and ``size``, so no
+        foreign page that would be pushed out again is ever built.  When
+        the newcomers overflow the cache (every wait the attacks issue),
+        nothing resident survives: the pages read since the last wait are
+        dropped and the ``capacity // size`` survivors are kept as a
+        count at the LRU front, not as entries, so the wait costs the
+        pages read since the last one, not the capacity.  When they fit,
+        the LRU front is popped only until they do and they are appended
+        as entries sharing one zero page under keys no device file has
         (path ``!bg``, numbered by the cache so no two waits collide).
         """
+        if count < 0 or size <= 0:
+            raise ConfigError(
+                f"cannot displace {count} pages of {size} bytes: the count "
+                "must be non-negative and the size positive")
         with self._lock:
             pages = self._pages
-            kept = count
+            end = self._next_foreign = self._next_foreign + count
             if count * size > self.capacity_bytes:
-                # Nothing resident survives: no need to pop page by page.
                 kept = self.capacity_bytes // size
-                self.stats.evictions += len(pages) + count - kept
+                self.stats.evictions += self._front + len(pages) + count - kept
                 for key in pages.keys() & self._decoded_by_page.keys():
                     self._invalidate_decoded_for_page(key)
                 pages.clear()
-                self._bytes = 0
-            else:
-                self._shrink_to(self.capacity_bytes - count * size)
+                self._front = kept
+                self._front_size = size
+                self._bytes = kept * size
+                return
+            self._shrink_to(self.capacity_bytes - count * size)
             page = self._zero_pages.get(size)
             if page is None:
                 page = self._zero_pages[size] = memoryview(bytes(size))
-            end = self._next_foreign = self._next_foreign + count
             pages.update(zip(
-                zip(repeat("!bg"), repeat(0), range(end - kept, end)),
+                zip(repeat("!bg"), repeat(0), range(end - count, end)),
                 repeat(page)))
-            self._bytes += kept * size
+            self._bytes += count * size
 
     def invalidate_file(self, path: str) -> None:
         """Drop every cached block of ``path``, across all generations.
@@ -402,6 +429,7 @@ class PageCache:
         """Drop all cached pages and decoded entries."""
         with self._lock:
             self._pages.clear()
+            self._front = 0
             self._bytes = 0
             self._decoded.clear()
             self._decoded_by_page.clear()
@@ -417,7 +445,7 @@ class PageCache:
         return len(self._decoded)
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return self._front + len(self._pages)
 
     # ---------------------------------------------------------------- helpers
 
@@ -429,6 +457,14 @@ class PageCache:
         self._shrink_to(self.capacity_bytes)
 
     def _shrink_to(self, limit: int) -> None:
+        if self._front and self._bytes > limit:
+            # The front run goes first, in one step: as many of its pages
+            # as popping them one by one would take.
+            size = self._front_size
+            evicted = min(self._front, -((limit - self._bytes) // size))
+            self._front -= evicted
+            self._bytes -= evicted * size
+            self.stats.evictions += evicted
         while self._bytes > limit and self._pages:
             evicted_key, evicted = self._pages.popitem(last=False)
             self._bytes -= len(evicted)
@@ -442,7 +478,7 @@ class PageCache:
         path, gen, offset, length = key
         block_size = self.device.model.block_size
         first = offset // block_size
-        last = (offset + length - 1) // block_size if length else first
+        last = (offset + length - 1) // block_size
         for block_index in range(first, last + 1):
             self._decoded_by_page.setdefault(
                 (path, gen, block_index), set()).add(key)
@@ -455,7 +491,7 @@ class PageCache:
         path, gen, offset, length = key
         block_size = self.device.model.block_size
         first = offset // block_size
-        last = (offset + length - 1) // block_size if length else first
+        last = (offset + length - 1) // block_size
         for block_index in range(first, last + 1):
             dependents = self._decoded_by_page.get((path, gen, block_index))
             if dependents is not None:

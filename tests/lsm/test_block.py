@@ -96,6 +96,24 @@ def test_round_trip_property(model):
         assert got.value == entry.value
 
 
+@given(st.dictionaries(st.binary(min_size=1, max_size=300),
+                       st.one_of(st.none(), st.binary(max_size=20)),
+                       max_size=60),
+       st.booleans())
+@settings(max_examples=60)
+def test_one_pass_key_memo_equals_key_at(model, as_view):
+    builder = BlockBuilder(1 << 20)
+    for key, value in sorted(model.items()):
+        builder.add(key, TOMBSTONE if value is None else Entry(value))
+    data = builder.finish()
+    block = Block(memoryview(data) if as_view else data)
+    expected = [block.key_at(index) for index in range(len(block))]
+    block._materialize_keys()
+    assert block._keys == expected
+    assert all(type(key) is bytes for key in block._keys)
+    assert block._key_index == {key: i for i, key in enumerate(expected)}
+
+
 class TestChecksums:
     def test_bit_flip_detected(self):
         builder = BlockBuilder(1024)

@@ -100,6 +100,7 @@ def observables(db, ctx, filters_of):
                     for t in filters_of],
         "cache": dict(vars(ctx.cache.stats)),
         "pages": list(ctx.cache._pages),
+        "front": (ctx.cache._front, ctx.cache._front_size),
         "decoded": list(ctx.cache._decoded),
         "cost_rng": ctx._cost_rng.generator.getstate(),
         "clock": ctx.clock.now_us,

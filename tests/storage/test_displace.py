@@ -8,6 +8,7 @@ number), page lengths, ``used_bytes``, ``CacheStats``, decoded entries,
 the decoded-by-page index and the simulated clock.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from reference.churn import use_sequential_churn
 
@@ -39,8 +40,11 @@ def state(clock, cache):
     def plain(key):
         return "foreign" if key[0].startswith("!bg") else key
 
+    # A full churn's survivors are a run at the LRU front, not entries.
+    front = [("foreign", cache._front_size)] * cache._front
     return dict(
-        pages=[(plain(key), len(page)) for key, page in cache._pages.items()],
+        pages=front + [(plain(key), len(page))
+                       for key, page in cache._pages.items()],
         used_bytes=cache.used_bytes,
         stats=cache.stats,
         decoded=list(cache._decoded.items()),
@@ -102,14 +106,47 @@ def test_bulk_churn_leaves_the_state_of_the_per_page_loop(script):
     for step in script_steps:
         assert apply(cache, step) == apply(ref_cache, step)
         assert state(clock, cache) == state(ref_clock, ref_cache), step
-    assert cache.used_bytes == sum(len(p) for p in cache._pages.values())
+    assert cache.used_bytes == cache._front * cache._front_size + sum(
+        len(p) for p in cache._pages.values())
+    assert len(cache) == len(ref_cache)
 
 
 def test_foreign_pages_are_numbered_by_the_cache_and_share_one_buffer():
     _, cache = make_world(4 * BLOCK, None, False)
     cache.displace(3, BLOCK)
     cache.displace(2, BLOCK)          # evicts foreign page 0
-    cache.displace(9, BLOCK)          # 5 of the 9 are never materialised
-    assert [key[2] for key in cache._pages] == [10, 11, 12, 13]
-    assert cache.stats.evictions == 1 + 4 + 5
+    assert [key[2] for key in cache._pages] == [1, 2, 3, 4]
     assert len({id(page.obj) for page in cache._pages.values()}) == 1
+    cache.displace(9, BLOCK)          # 5 of the 9 never exist, 4 are a run
+    assert (cache._front, cache._front_size, len(cache)) == (4, BLOCK, 4)
+    assert cache.used_bytes == 4 * BLOCK
+    assert cache.stats.evictions == 1 + 4 + 5
+    cache.displace(2, BLOCK)          # evicts two pages of the run
+    assert [key[2] for key in cache._pages] == [14, 15]
+    assert (cache._front, cache.used_bytes) == (2, 4 * BLOCK)
+    assert cache.stats.evictions == 1 + 4 + 5 + 2
+
+
+def test_a_front_run_of_small_pages_is_evicted_a_ceiling_at_a_time():
+    # Evicting 100 bytes from a run of 85-byte pages takes two of them.
+    _, cache = make_world(4 * BLOCK, None, False)
+    small = BLOCK // 3
+    cache.displace(4 * BLOCK // small + 1, small)
+    assert cache._front == 4 * BLOCK // small
+    free = cache.capacity_bytes - cache.used_bytes
+    cache.displace(1, free + 100)
+    assert cache._front == 4 * BLOCK // small - 2
+    assert len(cache._pages) == 1
+
+
+@pytest.mark.parametrize("capacity_pages", [10, 10_000])
+def test_a_full_churn_builds_no_page_entry(capacity_pages):
+    _, cache = make_world(capacity_pages * BLOCK, None, False)
+    for path, size in FILES.items():
+        cache.read_decoded(path, 0, size, bytes)
+    assert cache._pages and cache.decoded_entries
+    cache.displace(2 * capacity_pages, BLOCK)
+    assert (len(cache._pages), cache.decoded_entries) == (0, 0)
+    assert not cache._decoded_by_page
+    assert (cache._front, len(cache)) == (capacity_pages, capacity_pages)
+    assert cache.used_bytes == capacity_pages * BLOCK

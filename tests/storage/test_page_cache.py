@@ -98,6 +98,32 @@ class TestEviction:
         cache.clear()
         assert len(cache) == 0
 
+    def test_clear_drops_a_full_churns_foreign_run(self):
+        _, device, cache = make_cache()
+        cache.displace(9, device.model.block_size)
+        assert len(cache) == 4
+        cache.clear()
+        assert (len(cache), cache.used_bytes) == (0, 0)
+
+    @pytest.mark.parametrize("count, size", [(-3, 4096), (-1, 1), (5, 0),
+                                             (0, 0), (1, -4096)])
+    def test_displace_rejects_a_negative_count_or_a_non_positive_size(
+            self, count, size):
+        # A negative count once drove used_bytes below zero, after which
+        # real pages piled up past the capacity unevicted; a zero size
+        # added entries that weigh nothing against it.
+        clock, device, cache = make_cache()
+        device.create_file("a", b"x" * device.model.block_size)
+        cache.read_block("a", 0)
+        def state():
+            return (list(cache._pages), len(cache), cache.used_bytes,
+                    dict(vars(cache.stats)), clock.now_us)
+
+        before = state()
+        with pytest.raises(ConfigError):
+            cache.displace(count, size)
+        assert state() == before
+
     def test_tiny_capacity_rejected(self):
         clock = SimClock()
         device = StorageDevice(clock)
@@ -131,6 +157,24 @@ class TestZeroLengthRead:
         t0 = clock.now_us
         assert cache.read("a", device.model.block_size + 7, 0) == b""
         assert clock.now_us == t0
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_zero_length_decoded_read_touches_nothing(self, mapped):
+        # Like read(): no page faulted, no charge, no stats, whether or not
+        # a region is passed (a mapped zero-length read once faulted the
+        # page under its offset).
+        clock, device, cache = make_cache()
+        device.create_file("f", b"x" * 300)
+        region = device.map_file("f") if mapped else None
+        t0 = clock.now_us
+        for _ in range(2):
+            assert bytes(cache.read_decoded("f", 100, 0, bytes,
+                                            region=region)) == b""
+        assert cache.read_decoded_many(
+            [("f", 100, 0, bytes, region)]) == [b""]
+        assert clock.now_us == t0
+        assert (len(cache), cache.decoded_entries) == (0, 0)
+        assert vars(cache.stats) == vars(type(cache.stats)())
 
 
 class TestDecodedLayer:
@@ -185,6 +229,7 @@ class TestDecodedLayer:
             decoded = cache_a.read_decoded("a", offset, length, bytes)
             assert bytes(decoded) == cache_b.read("a", offset, length)
             assert list(cache_a._pages) == list(cache_b._pages)
+            assert cache_a._front == cache_b._front
             assert clock_a.now_us == clock_b.now_us
         assert cache_a.stats.decoded_hits > 0
         assert (cache_a.stats.hits, cache_a.stats.misses,
