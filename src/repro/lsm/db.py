@@ -10,20 +10,21 @@ L0 newest-first, then one table per deeper level) and consults each
 table's in-memory filter before reading any data block, so a key rejected
 by every filter is answered without I/O — the timing signal prefix
 siphoning exploits.  That search, and every other read, lives in
-:mod:`repro.lsm.read_path`; the tree owns state (memtable, versions,
-clock, RNG streams, cache) and passes itself as the read context, exactly
-as :class:`~repro.lsm.snapshot.SnapshotView` does.
+:mod:`repro.lsm.read_path`: the tree owns state (memtable, versions,
+clock, RNG streams, cache) and serves each read through a short-lived
+:class:`~repro.lsm.read_path.ReadView` of it; a
+:class:`~repro.lsm.snapshot.SnapshotView` is a long-lived one.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, DBClosedError
 from repro.common.rng import make_rng
-from repro.lsm import read_path
 from repro.lsm.compaction import BackgroundCompactor, Compactor
 from repro.lsm.iterator import DBIterator
 from repro.lsm.manifest import Manifest, ManifestEntry
@@ -33,10 +34,9 @@ from repro.lsm.options import (
     MAX_LEVELS,
     MEMTABLE_INSERT_COST_US,
     PUT_BASE_COST_US,
-    RANGE_NEXT_COST_US,
-    RANGE_SEEK_COST_US,
     LSMOptions,
 )
+from repro.lsm.read_path import ProbePlan, ReadView
 from repro.lsm.recovery import RecoveryReport, recover
 from repro.lsm.sstable import SSTable
 from repro.lsm.table_build import (
@@ -328,148 +328,115 @@ class LSMTree:
         return MAX_LEVELS - 1
 
     # ------------------------------------------------------------------ reads
+    # Every read opens a short-lived view of the live tree, delegates to
+    # it and closes it: read_path.ReadView holds the contract of each.
+    # They stay spelled out here, where the e2e tracer spans them.
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Point query; returns the value or None.
+    def _read_view(self) -> ReadView:
+        """Open a view of the live tree; the caller closes it.
 
-        Charges the simulated clock for every step, making the response
-        time (via ``clock.measure()``) the attacker-visible signal.
+        The memtable is taken before the pin: a flush landing in between
+        installs a version holding this memtable's records, then swaps in
+        a new memtable without emptying this one, so the pair misses
+        nothing.  The only place a read pins a version (snapshots open
+        theirs here too).
         """
         self._check_open()
-        return read_path.read_points(self, (key,))[0][0]
+        memtable = self._memtable
+        return ReadView(self, memtable, self.versions.pin(), self.clock,
+                        self.cache, self.stats, self._cost_rng)
+
+    def _read(self, read: Callable, *args):
+        """``read(view, *args)`` on a view opened for it, closed after."""
+        view = self._read_view()
+        try:
+            return read(view, *args)
+        finally:
+            view.close()
+
+    def get(self, key: bytes) -> Optional[bytes]:
+        """Point query; returns the value or None."""
+        return self._read(ReadView.get, key)
 
     def get_timed(self, key: bytes) -> Tuple[Optional[bytes], float]:
         """``get`` plus its simulated response time in microseconds."""
-        with self.clock.measure() as stopwatch:
-            value = self.get(key)
-        return value, stopwatch.elapsed_us
+        return self._read(ReadView.get_timed, key)
 
-    def probe_plan(self, keys: Iterable[bytes]
-                   ) -> Optional[read_path.ProbePlan]:
+    def probe_plan(self, keys: Iterable[bytes]) -> Optional[ProbePlan]:
         """Pure batched-probe prepass (:func:`read_path.probe_plan`).
 
-        Keys currently in the memtable are skipped: their gets never
-        reach a filter.  The returned plan pins the current version;
-        callers :meth:`~read_path.ProbePlan.release` it.  No read takes
-        a plan: the batch reads make and release their own.
+        The returned plan holds the view it was computed over, pinned;
+        callers :meth:`~ProbePlan.release` it.  No read takes a plan: the
+        batch reads make their own.
         """
-        self._check_open()
-        return read_path.probe_plan(self, keys)
+        view = self._read_view()
+        try:
+            plan = view.probe_plan(keys)
+        except BaseException:
+            view.close()
+            raise
+        if plan is None:
+            view.close()
+        else:
+            plan.view = view
+        return plan
 
-    def getter(self):
-        """Point-read closure for per-key callers.
-
-        Returns a ``key -> Optional[bytes]`` callable observationally
-        equivalent to :meth:`get` (the same search loop over one key,
-        :func:`read_path.getter`).
-        """
+    def getter(self) -> Callable[[bytes], Optional[bytes]]:
+        """Point-read closure for per-key callers: each call is a
+        :meth:`get`, and raises once the tree is closed."""
         self._check_open()
-        return read_path.getter(self)
+        return partial(self._read, ReadView.get)
 
     def get_many(self, keys: Iterable[bytes],
                  request_us: Optional[float] = None, on_found=None,
                  until=None) -> List[object]:
-        """Batch point query: ``[self.get(k) for k in keys]``, one pass of
-        the search loop (:func:`read_path.read_points`).
-
-        A service issuing the batch passes its per-request envelope:
-        ``request_us`` is charged (jittered) before each key,
-        ``on_found(value)`` runs on each found value and its result is
-        returned in the value's place, and ``until(result)`` ends the
-        batch at the first found key it accepts.  Identical
-        simulated-time behaviour to the equivalent per-key loop.
-        """
-        self._check_open()
-        return read_path.get_many(self, keys, None, request_us, on_found,
-                                  until)[0]
+        """Batch point query, with an optional request envelope; the batch
+        reads the one (memtable, version) pair taken at its start."""
+        return self._read(ReadView.get_many, keys, request_us, on_found,
+                          until)
 
     def get_many_timed(self, keys: Iterable[bytes],
                        request_us: Optional[float] = None, on_found=None,
                        until=None) -> List[Tuple[object, float]]:
-        """Batch ``get_timed``: per-key (value, simulated elapsed us), with
-        :meth:`get_many`'s envelope inside each key's time."""
-        self._check_open()
-        values, elapsed = read_path.get_many(self, keys, None, request_us,
-                                             on_found, until)
-        return list(zip(values, elapsed))
+        """Batch ``get_timed``: per-key (value, simulated elapsed us)."""
+        return self._read(ReadView.get_many_timed, keys, request_us,
+                          on_found, until)
 
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
-        """All pairs with ``low <= key <= high`` (inclusive), in key order.
-
-        Range filters prune tables whose filter proves the intersection
-        empty (:func:`read_path.range_query`).
-        """
-        self._check_open()
-        # Scans read blocks lazily across the merge loop, so the version
-        # stays pinned for the whole query.  The memtable is read before
-        # the pin: a flush in between leaves its records in the version.
-        memtable = self._memtable
-        version = self.versions.pin()
-        try:
-            return read_path.range_query(self, version, memtable.items_from,
-                                         low, high, limit)
-        finally:
-            self.versions.unpin(version)
+        """All pairs with ``low <= key <= high`` (inclusive), in key order."""
+        return self._read(ReadView.range_query, low, high, limit)
 
     def scan(self, prefix: bytes, limit: Optional[int] = None
              ) -> List[Tuple[bytes, bytes]]:
-        """Prefix scan: every pair whose key extends ``prefix``, in order.
+        """Prefix scan: every pair whose key extends ``prefix``, in order."""
+        return self._read(ReadView.scan, prefix, limit)
 
-        A bounded range read (:func:`read_path.scan`), so range filters
-        prune it like any other.  For an unbounded cursor use
-        :meth:`iterator`.
-        """
-        self._check_open()
-        memtable = self._memtable
-        version = self.versions.pin()
+    def iterator(self, low: bytes = b"", high: Optional[bytes] = None
+                 ) -> DBIterator:
+        """Forward cursor over ``[low, high]``; it holds a view of its own
+        until it exhausts or closes."""
+        view = self._read_view()
         try:
-            return read_path.scan(self, version, memtable, prefix, limit)
-        finally:
-            self.versions.unpin(version)
-
-    def iterator(self, low: bytes = b"", high: Optional[bytes] = None):
-        """Forward cursor over ``[low, high]`` (RocksDB-iterator analogue).
-
-        Uses range filters to skip tables whose filters prove the bound
-        range empty (only when ``high`` is given — an open-ended cursor
-        has no range to test; :meth:`scan` is the prefix-bounded
-        alternative).  Each step charges the range-iteration cost.
-        """
-        self._check_open()
-        self.charge_cost(RANGE_SEEK_COST_US)
-        memtable = self._memtable
-        version = self.versions.pin()
-        try:
-            active = read_path.plan_range_sources(self, version, low, high)
-            merged = read_path.merged_entries(
-                self, active, memtable.items_from(low), low, None)
+            return view._cursor(low, high, view.close)
         except BaseException:
-            self.versions.unpin(version)
+            view.close()
             raise
-        return DBIterator(
-            merged, high=high,
-            on_step=lambda: self.charge_cost(RANGE_NEXT_COST_US),
-            on_close=lambda: self.versions.unpin(version))
 
     # ------------------------------------------------------- attack-side APIs
 
     def filters_pass(self, key: bytes) -> bool:
-        """Ground-truth filter decision for ``key`` across the search path
-        (:func:`read_path.filters_pass`): no simulated time, no I/O."""
-        self._check_open()
-        return read_path.filters_pass(self.versions.current, key)
+        """Ground-truth filter decision for ``key`` across the search path:
+        no simulated time, no I/O."""
+        return self._read(ReadView.filters_pass, key)
 
     def filters_pass_many(self, keys: Iterable[bytes]) -> List[bool]:
         """Batch :meth:`filters_pass`: one batched probe per filter."""
-        self._check_open()
-        return read_path.filters_pass_many(self, keys)
+        return self._read(ReadView.filters_pass_many, keys)
 
     def range_filters_pass(self, low: bytes, high: bytes) -> bool:
-        """Ground-truth range-filter decision for ``[low, high]``
-        (:func:`read_path.range_filters_pass`)."""
-        self._check_open()
-        return read_path.range_filters_pass(self.versions.current, low, high)
+        """Ground-truth range-filter decision for ``[low, high]``."""
+        return self._read(ReadView.range_filters_pass, low, high)
 
     @property
     def version(self) -> Version:
@@ -482,7 +449,7 @@ class LSMTree:
         """Consistent point-in-time read view of the whole store.
 
         Pins the current version and freezes the memtable; the returned
-        :class:`~repro.lsm.snapshot.SnapshotView` exposes the point-read
+        :class:`~repro.lsm.snapshot.SnapshotView` exposes the read
         surface of the tree over its own simulated clock and RNG streams,
         so concurrent writes and compactions cannot perturb — or be
         observed by — queries against it.  Close it to release the pin.

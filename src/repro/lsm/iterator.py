@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import LSMError
 from repro.lsm.memtable import Entry
+from repro.lsm.options import RANGE_NEXT_COST_US
 
 
 def merge_entries(sources: List[Iterable[Tuple[bytes, Entry]]]
@@ -65,35 +66,40 @@ class DBIterator:
     """Forward cursor over a merged, tombstone-free view of the tree.
 
     Positions on the first live key >= ``low`` and advances with
-    :meth:`next`.  The cursor **pins** the version it was built from
-    (RocksDB iterators pinned to a superseded version): flushes and
-    compactions after construction install new versions without moving
-    or retiring the cursor's tables.  The pin is released when the
-    cursor exhausts, or by :meth:`close` for a cursor abandoned early.
+    :meth:`next`.  The cursor reads one
+    :class:`~repro.lsm.read_path.ReadView` and charges each step to it;
+    its pinned version cannot move or retire its tables under it
+    (RocksDB iterators pinned to a superseded version).  The step after
+    that view closes — or after the tree under it closes — raises
+    ``DBClosedError``.  :meth:`close` ends the cursor; ``on_close`` runs
+    once, when the cursor exhausts or closes: the live tree's cursor
+    closes the view it opened for it, a snapshot's leaves the snapshot
+    open.
     """
 
-    def __init__(self, merged: Iterable[Tuple[bytes, Entry]],
-                 high: Optional[bytes] = None,
-                 on_step=None, on_close=None) -> None:
+    def __init__(self, merged: Iterable[Tuple[bytes, Entry]], view,
+                 high: Optional[bytes] = None, on_close=None) -> None:
         #: The newest-wins (key, entry) stream, tombstones included
         #: (:func:`merge_entries`).
         self._merged = iter(merged)
+        self._view = view
         self._high = high
-        self._on_step = on_step
         self._on_close = on_close
         self._current: Optional[Tuple[bytes, bytes]] = None
         self._advance()
 
     def close(self) -> None:
-        """Release the cursor's version pin (idempotent)."""
+        """End the cursor and run ``on_close`` (idempotent)."""
+        self._current = None
         on_close, self._on_close = self._on_close, None
         if on_close is not None:
             on_close()
 
     def _advance(self) -> None:
+        view = self._view
+        view._check_open()
         for key, entry in self._merged:
-            if self._on_step is not None:
-                self._on_step()
+            view.charge_cost(RANGE_NEXT_COST_US)
             if self._high is not None and key > self._high:
                 break
             if entry.is_tombstone:

@@ -1,24 +1,23 @@
-"""The one read path: point and range reads against a read context.
+"""The one read path: every read is a :class:`ReadView`.
 
-:class:`~repro.lsm.db.LSMTree` and
-:class:`~repro.lsm.snapshot.SnapshotView` own state — memtable, version
-pins, clock, RNG streams, cache — and delegate every read here, so the
-side channel (filter verdicts, charges, stats) cannot depend on which of
-them serves a query.
+A view is one (memtable, version) pair plus what its reads charge: the
+simulated clock, the cost RNG stream, the page cache and the stats.  It
+defines the whole read surface once — point, batch, range, cursor and
+the ground-truth ``*filters_pass`` oracles — so the side channel (filter
+verdicts, charges, stats) cannot depend on who serves a query.  Two
+kinds of reader hold one:
 
-The **read context** ``ctx`` is duck-typed: ``stats`` (a ``DBStats``),
-``clock``, ``cache``, ``_cost_rng``, ``charge_cost``, ``versions`` (the
-:class:`~repro.lsm.version.VersionSet` reads pin) and
-``_memtable`` (a :class:`~repro.lsm.memtable.MemTable`: the live one,
-which a flush swaps out — so it is re-read off ``ctx`` per key, never
-hoisted — or a snapshot's frozen copy).  The owner supplies the rest per
-call: the memtable (or its ``items_from``) for range reads, read before
-the pin, and ``version`` when it already holds a pin (a snapshot, a
-range read); with ``version=None`` point reads pin ``ctx.versions``
-themselves.
+* :class:`~repro.lsm.db.LSMTree` opens a short-lived view per read, in
+  one place (``LSMTree._read_view``): the memtable first, then the
+  version pin.  A flush swaps in a new memtable and never empties the
+  old one, so a flush landing between the two leaves its records in both
+  halves of the pair, and the pair is complete for the whole read.
+* :class:`~repro.lsm.snapshot.SnapshotView` *is* a long-lived view over
+  a frozen copy of the memtable, on its own clock, RNG streams and cache.
 
-Every point read — ``get``, a batch, a replay of a probe plan — is one
-search loop, :func:`read_points`, over a batch of keys.
+Every point read — ``get``, a batch, a getter call — is one search loop,
+:func:`read_points`, over a batch of keys; every range read is one heap
+merge, :func:`merged_entries`.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ from typing import (
     Tuple,
 )
 
+from repro.common.errors import ConfigError, DBClosedError
 from repro.common.rng import gauss_pair
 from repro.filters.base import Filter
-from repro.lsm.iterator import merge_entries
+from repro.lsm.iterator import DBIterator, merge_entries
 from repro.lsm.memtable import Entry
 from repro.lsm.options import (
     COST_JITTER,
@@ -47,7 +47,6 @@ from repro.lsm.options import (
     RANGE_SEEK_COST_US,
 )
 from repro.lsm.sstable import SSTable
-from repro.lsm.version import Version, VersionSet
 
 #: What a batch with nothing memoized looks up (never written).
 _NOTHING: Dict = {}
@@ -65,45 +64,283 @@ class ProbePlan:
     bit-identical with or without a plan.  A missing entry means
     "compute scalar", never "False".
 
-    The plan **pins** the version it was computed against: concurrent
-    flushes and background compactions install new versions without
-    disturbing the batch, and the pinned version's tables cannot retire
-    under it.  Batch drivers call :meth:`release` (idempotent) when the
-    batch is done; un-released plans are reclaimed at ``db.close()`` and
-    counted as leaks.
+    A plan holds no pin: the view it was computed over does, for the
+    whole batch.  Only ``LSMTree.probe_plan`` hands a plan out of its
+    view; that plan holds the live view it opened until :meth:`release`
+    (idempotent), and one never released is reclaimed at ``db.close()``
+    and counted as a leak.
     """
 
-    __slots__ = ("verdicts", "candidates", "version", "memtable",
-                 "_versions")
+    __slots__ = ("verdicts", "candidates", "view")
 
-    def __init__(self, version: Version, memtable,
-                 versions: Optional[VersionSet] = None) -> None:
+    def __init__(self) -> None:
         #: filter -> {key: verdict}, for every (filter, key) pair on the
         #: batch's search paths.
         self.verdicts: Dict[Filter, Dict[bytes, bool]] = {}
         #: key -> tuple of candidate SSTables, memoized by the prepass so
-        #: the replay need not repeat the version walk.  Valid for the
-        #: batch only: the pinned version cannot change under the batch.
+        #: the replay need not repeat the version walk.
         self.candidates: Dict[bytes, Tuple[SSTable, ...]] = {}
-        #: the pinned version the prepass walked.
-        self.version = version
-        #: the memtable read *before* the pin: while the owner still
-        #: holds it, ``version`` has every record the memtable lacks.
-        self.memtable = memtable
-        #: where :meth:`release` returns the pin; None when the plan's
-        #: owner (a snapshot) holds the pin itself.
-        self._versions = versions
+        #: The view :meth:`release` closes; None when the caller owns it.
+        self.view: Optional[ReadView] = None
 
     def release(self) -> None:
-        """Unpin the plan's version (idempotent)."""
-        versions, self._versions = self._versions, None
-        if versions is not None:
-            versions.unpin(self.version)
+        """Close the view the plan holds, if any (idempotent)."""
+        view, self.view = self.view, None
+        if view is not None:
+            view.close()
+
+
+class ReadView:
+    """Reads over one (memtable, version) pair, charged to one context.
+
+    ``db`` is the tree the version is pinned in: :meth:`close` returns
+    the pin there, and a view outliving the tree refuses to read.
+    """
+
+    __slots__ = ("_db", "_memtable", "version", "clock", "cache", "stats",
+                 "_cost_rng", "_closed")
+
+    def __init__(self, db, memtable, version, clock, cache, stats,
+                 cost_rng) -> None:
+        self._db = db
+        self._memtable = memtable
+        self.version = version
+        self.clock = clock
+        self.cache = cache
+        self.stats = stats
+        self._cost_rng = cost_rng
+        self._closed = False
+
+    # -------------------------------------------------------------- lifecycle
+
+    def close(self) -> None:
+        """Release the version pin (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        # A view left open across db.close() was already counted as a
+        # leak and force-released there; only unpin while the db lives.
+        if not self._db._closed:
+            self._db.versions.unpin(self.version)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise DBClosedError(f"operation on closed {type(self).__name__}")
+        if self._db._closed:
+            raise DBClosedError(
+                f"{type(self).__name__} outlived its closed LSMTree")
+
+    def charge_cost(self, base_us: float) -> None:
+        """Charge an in-memory cost with the cost model's relative jitter."""
+        self.clock.charge(
+            base_us * max(0.1, self._cost_rng.gauss(1.0, COST_JITTER)))
+
+    # ------------------------------------------------------------ point reads
+
+    def get(self, key: bytes) -> Optional[bytes]:
+        """Point query; returns the value or None.
+
+        Charges the simulated clock for every step, making the response
+        time (via ``clock.measure()``) the attacker-visible signal.
+        """
+        self._check_open()
+        return read_points(self, (key,))[0][0]
+
+    def get_timed(self, key: bytes) -> Tuple[Optional[bytes], float]:
+        """``get`` plus its simulated response time in microseconds."""
+        with self.clock.measure() as stopwatch:
+            value = self.get(key)
+        return value, stopwatch.elapsed_us
+
+    def probe_plan(self, keys: Iterable[bytes]) -> Optional[ProbePlan]:
+        """Pure batched-probe prepass (:func:`probe_plan`) over this view."""
+        self._check_open()
+        return probe_plan(self, keys)
+
+    def getter(self) -> Callable[[bytes], Optional[bytes]]:
+        """Point-read closure for per-key callers: :meth:`get`, which
+        reads this view and raises once it is closed."""
+        self._check_open()
+        return self.get
+
+    def get_many(self, keys: Iterable[bytes],
+                 request_us: Optional[float] = None, on_found=None,
+                 until=None) -> List[object]:
+        """Batch point query: ``[self.get(k) for k in keys]``, one pass of
+        the search loop (:func:`read_points`) replaying the prepass.
+
+        A service issuing the batch passes its per-request envelope:
+        ``request_us`` is charged (jittered) before each key,
+        ``on_found(value)`` runs on each found value and its result is
+        returned in the value's place, and ``until(result)`` ends the
+        batch at the first found key it accepts.  Identical
+        simulated-time behaviour to the equivalent per-key loop.
+        """
+        return self._read_many(keys, request_us, on_found, until)[0]
+
+    def get_many_timed(self, keys: Iterable[bytes],
+                       request_us: Optional[float] = None, on_found=None,
+                       until=None) -> List[Tuple[object, float]]:
+        """Batch ``get_timed``: per-key (value, simulated elapsed us), with
+        :meth:`get_many`'s envelope inside each key's time."""
+        return list(zip(*self._read_many(keys, request_us, on_found, until)))
+
+    def _read_many(self, keys, request_us, on_found, until
+                   ) -> Tuple[List[object], List[float]]:
+        self._check_open()
+        keys = list(keys)
+        return read_points(self, keys, probe_plan(self, keys), request_us,
+                           on_found, until)
+
+    # ------------------------------------------------------- attack-side APIs
+
+    def filters_pass(self, key: bytes) -> bool:
+        """Whether a ``get`` for ``key`` would read at least one table.
+
+        The "internal debugging counter" oracle of paper section 10.2.2:
+        some filter on the search path passes, or some candidate table has
+        no filter.  Charges no simulated time and performs no I/O.
+        """
+        self._check_open()
+        for table in self.version.candidates_for_key(key):
+            if table.filter is None or table.filter.may_contain(key):
+                return True
+        return False
+
+    def filters_pass_many(self, keys: Iterable[bytes]) -> List[bool]:
+        """Batch :meth:`filters_pass`: one batched probe per filter.
+
+        Exactly ``[self.filters_pass(k) for k in keys]`` — same verdicts,
+        same short-circuit filter-stats accounting (a key's later filters
+        are not probed, and not recorded, once one passes).  Unlike the
+        get path this ignores the memtable, so the prepass covers every
+        key.
+        """
+        self._check_open()
+        keys = list(keys)
+        plan = probe_plan(self, keys, include_memtable_hits=True)
+        if plan is None:
+            # No candidate table carries a filter: any candidate passes.
+            return [self.filters_pass(key) for key in keys]
+        verdicts = plan.verdicts
+        out: List[bool] = []
+        for key in keys:
+            passed_any = False
+            for table in plan.candidates[key]:
+                filt = table.filter
+                if filt is None:
+                    passed_any = True
+                    break
+                passed = verdicts[filt][key]
+                filt.stats.record_point(passed)
+                if passed:
+                    passed_any = True
+                    break
+            out.append(passed_any)
+        return out
+
+    def range_filters_pass(self, low: bytes, high: bytes) -> bool:
+        """Whether a ``range_query(low, high)`` would read at least one table.
+
+        The range-query analogue of :meth:`filters_pass`, used by the
+        idealized range-descent attack (the range-query attack the paper's
+        section 11 anticipates).
+        """
+        self._check_open()
+        if low > high:
+            return False
+        version = self.version
+        for level in range(version.max_levels):
+            for table in version.overlapping(level, low, high):
+                filt = table.range_filter
+                if filt is None or filt.may_contain_range(low, high):
+                    return True
+        return False
+
+    # ------------------------------------------------------------ range reads
+
+    def range_query(self, low: bytes, high: bytes,
+                    limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:
+        """All pairs with ``low <= key <= high`` (inclusive), in key order.
+
+        Each table's range filter (when available) skips tables whose
+        filter proves the intersection empty — the optimization that
+        motivated range filters (paper section 2.2).  ``limit`` caps the
+        pairs returned; ``limit=0``, like ``low > high``, reads, charges
+        and counts nothing, and a negative ``limit`` raises
+        ``ConfigError``.  The consumption loop hoists the per-step charge
+        exactly as :meth:`charge_cost` computes it.
+        """
+        self._check_open()
+        if limit is not None and limit < 0:
+            raise ConfigError(f"range limit must be >= 0, got {limit}")
+        if low > high or limit == 0:
+            return []
+        self.stats.range_queries += 1
+        self.charge_cost(RANGE_SEEK_COST_US)
+        merged = merged_entries(self, plan_range_sources(self, low, high),
+                                low, high)
+        gauss = self._cost_rng.gauss
+        clock_charge = self.clock.charge
+        out: List[Tuple[bytes, bytes]] = []
+        append = out.append
+        for key, entry in merged:
+            clock_charge(RANGE_NEXT_COST_US
+                         * max(0.1, gauss(1.0, COST_JITTER)))
+            if entry.is_tombstone:
+                continue
+            append((key, entry.value))
+            if limit is not None and len(out) >= limit:
+                break
+        return out
+
+    def scan(self, prefix: bytes, limit: Optional[int] = None
+             ) -> List[Tuple[bytes, bytes]]:
+        """Prefix scan: every pair whose key extends ``prefix``, in order.
+
+        A bounded :meth:`range_query`, so range filters prune it like any
+        other.  The bound is the prefix's successor, the least key above
+        every extension (``b"ab\\xff"`` -> ``b"ac"``), and dropped from the
+        answer if present.  A prefix without one (empty, or all ``0xff``)
+        reads up to the largest key the view holds.  For an unbounded
+        cursor use :meth:`iterator`.
+        """
+        stem = prefix.rstrip(b"\xff")
+        if stem:
+            high = stem[:-1] + bytes((stem[-1] + 1,))
+        else:
+            high = max([table.max_key for table in self.version.all_tables()]
+                       + [self._memtable.max_key() or prefix])
+        out = self.range_query(prefix, high, limit)
+        if out and not out[-1][0].startswith(prefix):
+            out.pop()
+        return out
+
+    def iterator(self, low: bytes = b"", high: Optional[bytes] = None
+                 ) -> DBIterator:
+        """Forward cursor over ``[low, high]`` (RocksDB-iterator analogue).
+
+        Uses range filters to skip tables whose filters prove the bound
+        range empty (only when ``high`` is given — an open-ended cursor
+        has no range to test; :meth:`scan` is the prefix-bounded
+        alternative).  Each step charges the range-iteration cost, and
+        the step after this view closes raises ``DBClosedError``.
+        """
+        return self._cursor(low, high, None)
+
+    def _cursor(self, low: bytes, high: Optional[bytes],
+                on_close: Optional[Callable[[], None]]) -> DBIterator:
+        """:meth:`iterator`, with what the cursor's ``close`` runs."""
+        self._check_open()
+        self.charge_cost(RANGE_SEEK_COST_US)
+        active = plan_range_sources(self, low, high)
+        return DBIterator(merged_entries(self, active, low, None), self,
+                          high, on_close)
 
 
 # ------------------------------------------------------------- point reads
 
-def probe_plan(ctx, keys: Iterable[bytes], version: Optional[Version] = None,
+def probe_plan(view: ReadView, keys: Iterable[bytes],
                include_memtable_hits: bool = False) -> Optional[ProbePlan]:
     """Pure batched-probe prepass for a batch of point queries.
 
@@ -112,54 +349,39 @@ def probe_plan(ctx, keys: Iterable[bytes], version: Optional[Version] = None,
     keys the search loop could probe it with, and computes their verdicts
     through each filter's batch probe (:meth:`Filter.probe_many`).
     Touches no stats, clock, or RNG: the verdicts are memoized for the
-    replay to consume in the scalar loop's own order.  Keys currently in
-    the memtable are skipped (their gets never reach a filter) unless
-    ``include_memtable_hits`` — :func:`filters_pass_many` probes filters
-    regardless of the memtable.
-
-    With ``version=None`` the prepass pins ``ctx.versions`` and the plan
-    owns that pin (released here when no plan is returned, including on
-    any exception — a raising filter must not leak it); an owner-pinned
-    ``version`` yields a plan whose :meth:`ProbePlan.release` is a no-op.
+    replay to consume in the scalar loop's own order.  Keys in the view's
+    memtable are skipped (their gets never reach a filter) unless
+    ``include_memtable_hits`` — :meth:`ReadView.filters_pass_many`
+    probes filters regardless of the memtable.
 
     Returns None when nothing needs probing.
     """
-    memtable = ctx._memtable  # before the pin: see ProbePlan.memtable
-    versions = ctx.versions if version is None else None
-    if versions is not None:
-        version = versions.pin()
-    plan = ProbePlan(version, memtable, versions)
+    todo = list(dict.fromkeys(keys))
+    memtable = view._memtable
+    if not include_memtable_hits and len(memtable):
+        in_memtable = memtable.get
+        todo = [key for key in todo if in_memtable(key) is None]
+    tables_of = view.version.candidates_for_keys(todo)
     groups: Dict[Filter, List[bytes]] = {}
-    try:
-        todo = list(dict.fromkeys(keys))
-        if not include_memtable_hits and len(memtable):
-            in_memtable = memtable.get
-            todo = [key for key in todo if in_memtable(key) is None]
-        tables_of = version.candidates_for_keys(todo)
-        plan.candidates = dict(zip(todo, tables_of))
-        for key, tables in zip(todo, tables_of):
-            for table in tables:
-                filt = table.filter
-                if filt is not None:
-                    group = groups.get(filt)
-                    if group is None:
-                        groups[filt] = [key]
-                    else:
-                        group.append(key)
-        for filt, filt_keys in groups.items():
-            plan.verdicts[filt] = dict(zip(filt_keys,
-                                           filt.probe_many(filt_keys)))
-    except BaseException:
-        plan.release()
-        raise
+    for key, tables in zip(todo, tables_of):
+        for table in tables:
+            filt = table.filter
+            if filt is not None:
+                group = groups.get(filt)
+                if group is None:
+                    groups[filt] = [key]
+                else:
+                    group.append(key)
     if not groups:
-        plan.release()
         return None
+    plan = ProbePlan()
+    plan.candidates = dict(zip(todo, tables_of))
+    for filt, filt_keys in groups.items():
+        plan.verdicts[filt] = dict(zip(filt_keys, filt.probe_many(filt_keys)))
     return plan
 
 
-def read_points(ctx, keys: Sequence[bytes],
-                version: Optional[Version] = None,
+def read_points(view: ReadView, keys: Sequence[bytes],
                 plan: Optional[ProbePlan] = None,
                 request_us: Optional[float] = None,
                 on_found: Optional[Callable[[bytes], object]] = None,
@@ -168,48 +390,44 @@ def read_points(ctx, keys: Sequence[bytes],
     """The point-search loop, over a batch of keys in order.
 
     Per key: the caller's request charge (``request_us``, when a service
-    issues the batch), the get charge, the memtable, then the candidate
-    tables top-down — L0 newest-first, one table per deeper level — each
-    table's filter consulted (and charged) before its data block is
-    read.  The response time is the attacker-visible signal, so every
-    charge is applied to ``ctx.clock`` in the scalar order, jittered by
-    a draw from ``ctx._cost_rng`` exactly as ``ctx.charge_cost`` would
-    draw it: the draws are :func:`~repro.common.rng.gauss_pair`, with
-    the generator's ``gauss_next`` held in a local and written back
-    before anything else can draw (``on_found``, the end of the batch).
-    Counters accumulate in locals and reach ``ctx.stats`` and the
+    issues the batch), the get charge, the view's memtable, then the
+    candidate tables of the view's version top-down — L0 newest-first,
+    one table per deeper level — each table's filter consulted (and
+    charged) before its data block is read.  The response time is the
+    attacker-visible signal, so every charge is applied to
+    ``view.clock`` in the scalar order, jittered by a draw from
+    ``view._cost_rng`` exactly as ``view.charge_cost`` would draw it:
+    the draws are :func:`~repro.common.rng.gauss_pair`, with the
+    generator's ``gauss_next`` held in a local and written back before
+    anything else can draw (``on_found``, the end of the batch).
+    Counters accumulate in locals and reach ``view.stats`` and the
     filters' stats in ``finally``.
 
     ``on_found`` runs on each found value (a service's ACL check; it may
-    charge through ``ctx.charge_cost``) and its result replaces the
-    value.  With ``until``, the batch ends after the first found key
-    whose result satisfies it: later keys are never issued.
+    charge the same clock and stream) and its result replaces the value.
+    With ``until``, the batch ends after the first found key whose
+    result satisfies it: later keys are never issued.
 
-    Tables come from the plan (verdicts replayed, consumed ones counted
-    as ``may_contain`` would count them), else from the owner-pinned
-    ``version``, else from ``ctx.versions`` pinned at the batch's first
-    memtable miss — after reading the memtable, and again whenever a
-    flush has swapped the memtable since, so a record leaving the
-    memtable is always in the version searched.
+    Tables come from the plan when it memoized the key (verdicts
+    replayed, consumed ones counted as ``may_contain`` would count
+    them), else from the view's version.
 
     Returns ``(results, elapsed_us)`` for the keys issued: each key's
     value (or ``on_found``'s result), None when absent, and the
     simulated µs from before its first charge to after ``on_found``.
     """
-    stats = ctx.stats
-    clock = ctx.clock
-    cache = ctx.cache
-    versions = ctx.versions
-    rng = ctx._cost_rng.generator
+    stats = view.stats
+    clock = view.clock
+    cache = view.cache
+    memtable_get = view._memtable.get
+    search = view.version
+    rng = view._cost_rng.generator
     uniform = rng.random
     base_cost = GET_BASE_COST_US + MEMTABLE_LOOKUP_COST_US
     if plan is not None:
-        search, searched = plan.version, plan.memtable
         known, verdicts = plan.candidates, plan.verdicts
     else:
-        search, known, verdicts = version, _NOTHING, _NOTHING
-        searched = ctx._memtable if version is not None else None
-    pinned = None
+        known = verdicts = _NOTHING
     results: List[object] = []
     elapsed: List[float] = []
     gets = memtable_hits = filter_checks = filter_negatives = 0
@@ -233,18 +451,11 @@ def read_points(ctx, keys: Sequence[bytes],
             else:
                 z, spare = spare, None
             clock.now_us += base_cost * max(0.1, 1.0 + z * COST_JITTER)
-            memtable = ctx._memtable
-            entry = memtable.get(key)
+            entry = memtable_get(key)
             if entry is not None:
                 memtable_hits += 1
                 value = entry.value
             else:
-                if memtable is not searched:
-                    if pinned is not None:
-                        versions.unpin(pinned)
-                        pinned = None
-                    search = pinned = versions.pin()
-                    searched, known = memtable, _NOTHING
                 tables = known.get(key)
                 if tables is None:
                     tables = search.candidates_for_key(key)
@@ -292,8 +503,6 @@ def read_points(ctx, keys: Sequence[bytes],
                 break
     finally:
         rng.gauss_next = spare
-        if pinned is not None:
-            versions.unpin(pinned)
         stats.gets += gets
         stats.memtable_hits += memtable_hits
         stats.filter_checks += filter_checks
@@ -305,116 +514,20 @@ def read_points(ctx, keys: Sequence[bytes],
     return results, elapsed
 
 
-def getter(ctx, version: Optional[Version] = None
-           ) -> Callable[[bytes], Optional[bytes]]:
-    """:func:`read_points` over one key, as a ``key -> value`` closure."""
-    def get_one(key: bytes) -> Optional[bytes]:
-        return read_points(ctx, (key,), version)[0][0]
-
-    return get_one
-
-
-def get_many(ctx, keys: Iterable[bytes], version: Optional[Version] = None,
-             request_us: Optional[float] = None,
-             on_found: Optional[Callable[[bytes], object]] = None,
-             until: Optional[Callable[[object], bool]] = None
-             ) -> Tuple[List[object], List[float]]:
-    """Batch point query: the prepass, then :func:`read_points` replays it.
-
-    Identical simulated-time behaviour to the equivalent ``get`` loop —
-    the prepass is pure and the replay preserves every charge, draw and
-    counter.  The plan's pin is released however the batch ends.
-    """
-    keys = list(keys)
-    plan = probe_plan(ctx, keys, version)
-    try:
-        return read_points(ctx, keys, version, plan, request_us, on_found,
-                           until)
-    finally:
-        if plan is not None:
-            plan.release()
-
-
-def filters_pass(version: Version, key: bytes) -> bool:
-    """Whether a ``get`` for ``key`` would read at least one table.
-
-    The "internal debugging counter" oracle of paper section 10.2.2:
-    some filter on the search path passes, or some candidate table has
-    no filter.  Charges no simulated time and performs no I/O.
-    """
-    for table in version.candidates_for_key(key):
-        if table.filter is None or table.filter.may_contain(key):
-            return True
-    return False
-
-
-def filters_pass_many(ctx, keys: Iterable[bytes],
-                      version: Optional[Version] = None) -> List[bool]:
-    """Batch :func:`filters_pass`: one batched probe per filter.
-
-    Exactly ``[filters_pass(version, k) for k in keys]`` — same
-    verdicts, same short-circuit filter-stats accounting (a key's later
-    filters are not probed, and not recorded, once one passes).  Unlike
-    the get path this ignores the memtable, so the prepass covers every
-    key.
-    """
-    keys = list(keys)
-    plan = probe_plan(ctx, keys, version, include_memtable_hits=True)
-    if plan is None:
-        # No candidate table carries a filter: any candidate passes.
-        search = version if version is not None else ctx.versions.current
-        return [filters_pass(search, key) for key in keys]
-    try:
-        verdicts = plan.verdicts
-        out: List[bool] = []
-        for key in keys:
-            passed_any = False
-            for table in plan.candidates[key]:
-                filt = table.filter
-                if filt is None:
-                    passed_any = True
-                    break
-                passed = verdicts[filt][key]
-                filt.stats.record_point(passed)
-                if passed:
-                    passed_any = True
-                    break
-            out.append(passed_any)
-        return out
-    finally:
-        plan.release()
-
-
 # ------------------------------------------------------------- range reads
 
-def range_filters_pass(version: Version, low: bytes, high: bytes) -> bool:
-    """Whether a ``range_query(low, high)`` would read at least one table.
-
-    The range-query analogue of :func:`filters_pass`, used by the
-    idealized range-descent attack (the range-query attack the paper's
-    section 11 anticipates).
-    """
-    if low > high:
-        return False
-    for level in range(version.max_levels):
-        for table in version.overlapping(level, low, high):
-            filt = table.range_filter
-            if filt is None or filt.may_contain_range(low, high):
-                return True
-    return False
-
-
-def plan_range_sources(ctx, version: Version, low: bytes,
+def plan_range_sources(view: ReadView, low: bytes,
                        high: Optional[bytes]) -> List[SSTable]:
     """Charged filter-probe prepass of a range read, in merge order.
 
-    Walks ``version``'s overlapping tables level by level, consults each
+    Walks the view's overlapping tables level by level, consults each
     range-capable filter (charging the probe cost and counting stats),
     and returns the tables the read must actually merge.  ``high=None``
     (open-ended cursor) skips the probes and selects every table holding
     a key at or above ``low``.
     """
-    stats = ctx.stats
+    stats = view.stats
+    version = view.version
     probe = high is not None
     bound = high if probe else max(
         (table.max_key for table in version.all_tables()), default=low)
@@ -430,7 +543,7 @@ def plan_range_sources(ctx, version: Version, low: bytes,
                 filt = table.range_filter
                 if filt is not None:
                     stats.filter_checks += 1
-                    ctx.charge_cost(FILTER_QUERY_COST_US)
+                    view.charge_cost(FILTER_QUERY_COST_US)
                     if not filt.may_contain_range(low, high):
                         stats.filter_negatives += 1
                         continue
@@ -448,9 +561,10 @@ def _bounded(iterator, high: bytes):
         yield key, entry
 
 
-def merged_entries(ctx, active: List[SSTable], mem_items, low: bytes,
+def merged_entries(view: ReadView, active: List[SSTable], low: bytes,
                    high: Optional[bytes]) -> Iterator[Tuple[bytes, Entry]]:
-    """Newest-wins (key, entry) stream over the memtable and ``active``.
+    """Newest-wins (key, entry) stream over the view's memtable and
+    ``active``.
 
     The k-way heap merge (:func:`~repro.lsm.iterator.merge_entries`)
     over the memtable and one lazy block-reading source per table, in
@@ -458,62 +572,9 @@ def merged_entries(ctx, active: List[SSTable], mem_items, low: bytes,
     block read per source up front, then one refill per element popped.
     ``high=None`` leaves the stream unbounded (the cursor bounds it).
     """
-    sources = [mem_items]
-    sources.extend(table.reader.iterate_from(low, ctx.cache)
+    sources = [view._memtable.items_from(low)]
+    sources.extend(table.reader.iterate_from(low, view.cache)
                    for table in active)
     if high is not None:
         sources = [_bounded(source, high) for source in sources]
     return merge_entries(sources)
-
-
-def scan(ctx, version: Version, memtable, prefix: bytes,
-         limit: Optional[int]) -> List[Tuple[bytes, bytes]]:
-    """Prefix scan: every pair whose key extends ``prefix``, in order.
-
-    A bounded :func:`range_query`, so range filters prune it like any
-    other.  The bound is the prefix's successor, the least key above
-    every extension (``b"ab\\xff"`` -> ``b"ac"``), and dropped from the
-    answer if present.  A prefix without one (empty, or all ``0xff``)
-    reads up to the largest key ``version`` or ``memtable`` holds.
-    """
-    stem = prefix.rstrip(b"\xff")
-    if stem:
-        high = stem[:-1] + bytes((stem[-1] + 1,))
-    else:
-        high = max([table.max_key for table in version.all_tables()]
-                   + [memtable.max_key() or prefix])
-    out = range_query(ctx, version, memtable.items_from, prefix, high, limit)
-    if out and not out[-1][0].startswith(prefix):
-        out.pop()
-    return out
-
-
-def range_query(ctx, version: Version, mem_items_from, low: bytes,
-                high: bytes, limit: Optional[int]
-                ) -> List[Tuple[bytes, bytes]]:
-    """Bounded range read against a pinned ``version``.
-
-    All pairs with ``low <= key <= high`` in key order, using each
-    table's range filter (when available) to skip tables whose filter
-    proves the intersection empty — the optimization that motivated
-    range filters (paper section 2.2).  The consumption loop hoists the
-    per-step charge exactly as ``ctx.charge_cost`` computes it.
-    """
-    if low > high:
-        return []
-    ctx.stats.range_queries += 1
-    ctx.charge_cost(RANGE_SEEK_COST_US)
-    active = plan_range_sources(ctx, version, low, high)
-    merged = merged_entries(ctx, active, mem_items_from(low), low, high)
-    gauss = ctx._cost_rng.gauss
-    clock_charge = ctx.clock.charge
-    out: List[Tuple[bytes, bytes]] = []
-    append = out.append
-    for key, entry in merged:
-        clock_charge(RANGE_NEXT_COST_US * max(0.1, gauss(1.0, COST_JITTER)))
-        if entry.is_tombstone:
-            continue
-        append((key, entry.value))
-        if limit is not None and len(out) >= limit:
-            break
-    return out

@@ -282,7 +282,12 @@ class KVService:
 
     def range_query(self, user: int, low: bytes, high: bytes,
                     limit: Optional[int] = None):
-        """Range read returning only the entries ``user`` may see."""
+        """Range read returning only the entries ``user`` may see, at most
+        ``limit`` of them."""
+        if limit is not None and limit < 1:
+            # The store's rule: nothing read or charged for 0, an error
+            # below it.
+            return self.db.range_query(low, high, limit)
         out = []
         for key, stored in self.db.range_query(low, high, limit=None):
             acl, payload = unpack_value(stored)

@@ -25,6 +25,14 @@ def db():
     return LSMTree(surf_options())
 
 
+def snapshot_read(read):
+    """``read`` against a snapshot taken (and closed) for it."""
+    def run(db):
+        with db.snapshot() as snap:
+            return read(snap)
+    return run
+
+
 class TestBasicOps:
     def test_put_get(self, db):
         db.put(b"key01", b"value")
@@ -93,6 +101,27 @@ class TestRangeQueries:
     def test_inverted_range_empty(self, db):
         assert db.range_query(b"z", b"a") == []
 
+    @pytest.mark.parametrize("reader", ["live", "snapshot"])
+    def test_limit_zero_reads_nothing(self, db, reader):
+        for b in range(5):
+            db.put(b"k%d" % b, b"v")
+        db.flush()
+        db.put(b"k9", b"v")
+        view = db if reader == "live" else db.snapshot()
+        before = (view.clock.now_us, dict(vars(view.stats)))
+        assert view.range_query(b"a", b"z", limit=0) == []
+        assert view.scan(b"k", limit=0) == []
+        assert (view.clock.now_us, dict(vars(view.stats))) == before
+        for read in (lambda: view.range_query(b"a", b"z", limit=-1),
+                     lambda: view.scan(b"k", limit=-1)):
+            with pytest.raises(ConfigError):
+                read()
+        assert view.range_query(b"a", b"z", limit=1) == [(b"k0", b"v")]
+        if view is not db:
+            view.close()
+        db.close()
+        assert db.leaked_pins == 0
+
     def test_model_comparison(self, db):
         rng = make_rng(17, "range")
         model = {}
@@ -111,11 +140,15 @@ class TestRangeQueries:
         lambda db: db.range_query(b"a", b"z"),
         lambda db: db.scan(b"k"),
         lambda db: list(db.iterator(b"a")),
-    ], ids=["range_query", "scan", "iterator"])
+        snapshot_read(lambda snap: [(b"k", snap.get(b"k"))]),
+        snapshot_read(lambda snap: snap.range_query(b"a", b"z")),
+    ], ids=["range_query", "scan", "iterator", "snapshot_get",
+            "snapshot_range_query"])
     def test_flush_between_pin_and_memtable_read(self, db, read):
         # A flush landing right after the read pins its version moves the
         # memtable's records into a version the read does not see: the
-        # read must take the memtable it searches before the pin.
+        # read (or the snapshot) must take the memtable it searches
+        # before the pin.
         db.put(b"k", b"v")
         pin = db.versions.pin
 
@@ -306,6 +339,24 @@ class TestIteratorApi:
             it.key
         with pytest.raises(LSMError):
             it.next()
+
+    def test_cursor_left_open_across_close(self, db):
+        for b in range(1, 8):
+            db.put(bytes([b]) * 3, b"v")
+        db.flush()
+        it = db.iterator()
+        it.next()
+        db.close()
+        assert db.leaked_pins == 1
+        # The step after the tree closed refuses to read its tables, and
+        # the pin close() reclaimed is not returned a second time.
+        with pytest.raises(DBClosedError):
+            it.next()
+        with pytest.raises(DBClosedError):
+            list(it)
+        it.close()
+        it.close()
+        assert db.versions.pinned_count() == 0
 
     def test_matches_range_query(self, db):
         from repro.common.rng import make_rng

@@ -201,12 +201,11 @@ class TestRegionLifetimes:
 class TestSurfaceParity:
     """``SnapshotView`` is the tree's read surface, method for method."""
 
-    #: Public ``LSMTree`` methods a snapshot deliberately lacks: writes,
-    #: lifecycle/recovery, and the cursor (it holds a live-version pin
-    #: across calls; range reads cover the frozen case).
+    #: Public ``LSMTree`` methods a snapshot deliberately lacks: writes
+    #: and lifecycle/recovery.
     LIVE_ONLY = {
         "put", "put_many", "delete", "delete_many", "flush", "compact_all",
-        "bulk_load", "reopen", "snapshot", "iterator",
+        "bulk_load", "reopen", "snapshot",
     }
 
     def test_every_public_read_method_is_on_the_snapshot(self):
@@ -332,6 +331,108 @@ class TestGetterTakesNoPlan:
         assert get_one(b"k0007") == b"v1"
         db.close()
         assert db.leaked_pins == 0
+
+    def test_live_getter_refuses_after_db_close(self):
+        db = self._bloom_db()
+        db.put(b"k0001", b"v")
+        get_one = db.getter()
+        db.close()
+        for key in (b"k0001", b"k0001", b"absent"):
+            with pytest.raises(DBClosedError):
+                get_one(key)
+        assert db.leaked_pins == 0
+
+    @pytest.mark.parametrize("compact", [False, True],
+                             ids=["frozen_tables", "retired_tables"])
+    def test_snapshot_getter_refuses_after_snapshot_close(self, compact):
+        # It once served the frozen value until a compaction retired the
+        # snapshot's tables, then raised FileNotFoundInStoreError.
+        db = self._bloom_db()
+        for key in self.KEYS:
+            db.put(key, b"old")
+        db.flush()
+        snap = db.snapshot()
+        get_one = snap.getter()
+        assert get_one(b"k0007") == b"old"
+        snap.close()
+        if compact:
+            for key in self.KEYS:
+                db.put(key, b"new")
+            db.compact_all()
+        for key in (b"k0007", b"k0007", b"absent"):
+            with pytest.raises(DBClosedError):
+                get_one(key)
+        db.close()
+        assert db.leaked_pins == 0
+
+
+class TestSnapshotCursor:
+    """A snapshot's ``iterator`` reads the snapshot: its frozen state, its
+    clock, its pin — and stops when the snapshot closes."""
+
+    def test_cursor_sees_only_the_snapshot(self):
+        db, items = filled_db(num=60)  # part flushed, part in the memtable
+        snap = db.snapshot()
+        db.put(b"key-0003", b"CHANGED")
+        db.delete(b"key-0004")
+        db.put(b"key-00035", b"inserted")
+        db.flush()
+        db.compact_all()
+        pins = db.versions.pinned_count()
+        live_clock = db.clock.now_us
+        snap_clock = snap.clock.now_us
+        cursor = snap.iterator(b"key-0002", b"key-0005")
+        assert list(cursor) == [(key, items[key]) for key in
+                                (b"key-0002", b"key-0003", b"key-0004",
+                                 b"key-0005")]
+        assert list(snap.iterator()) == sorted(items.items())
+        assert db.clock.now_us == live_clock
+        assert snap.clock.now_us > snap_clock
+        assert db.versions.pinned_count() == pins
+        cursor.close()
+        assert db.versions.pinned_count() == pins
+        snap.close()
+        assert db.versions.pinned_count() == pins - 1
+        db.close()
+        assert db.leaked_pins == 0
+
+    def test_cursor_matches_snapshot_range_query(self):
+        db, items = filled_db()
+        with db.snapshot() as snap:
+            for i in range(400):
+                db.put(b"key-%04d" % i, b"CHANGED")
+            assert (list(snap.iterator(b"key-0100", b"key-0250"))
+                    == snap.range_query(b"key-0100", b"key-0250"))
+        db.close()
+        assert db.leaked_pins == 0
+
+    @pytest.mark.parametrize("reader", ["live", "snapshot"])
+    def test_a_closed_cursor_is_exhausted(self, reader):
+        db, items = filled_db()
+        snap = db.snapshot()
+        cursor = (db if reader == "live" else snap).iterator()
+        cursor.next()
+        cursor.close()
+        assert not cursor.valid
+        with pytest.raises(LSMError):
+            cursor.next()
+        snap.close()
+        db.close()
+        assert db.leaked_pins == 0
+
+    @pytest.mark.parametrize("owner", ["snapshot", "db"])
+    def test_cursor_refuses_after_its_owner_closes(self, owner):
+        db, _ = filled_db()
+        snap = db.snapshot()
+        cursor = snap.iterator()
+        cursor.next()
+        (snap if owner == "snapshot" else db).close()
+        with pytest.raises(DBClosedError):
+            cursor.next()
+        cursor.close()
+        snap.close()
+        db.close()
+        assert db.leaked_pins == (1 if owner == "db" else 0)
 
 
 class TestProbePlanOnClosedReaders:

@@ -97,3 +97,18 @@ class TestRangeQuery:
                         acl=Acl(OWNER, public_read=True))
         assert len(service.range_query(OTHER, b"\x00", b"\xff\xff",
                                        limit=3)) == 3
+
+    def test_limit_zero_reads_nothing_and_a_negative_limit_raises(self,
+                                                                   service):
+        from repro.common.errors import ConfigError
+        for i in range(3):
+            service.put(OWNER, bytes([i + 1]) * 2, b"v",
+                        acl=Acl(OWNER, public_read=True))
+        db = service.db
+        before = (db.clock.now_us, dict(vars(db.stats)))
+        assert service.range_query(OTHER, b"\x00", b"\xff", limit=0) == []
+        assert service.range_query_timed(OTHER, b"\x00", b"\xff",
+                                         limit=0) == ([], 0.0)
+        assert (db.clock.now_us, dict(vars(db.stats))) == before
+        with pytest.raises(ConfigError):
+            service.range_query(OTHER, b"\x00", b"\xff", limit=-1)
