@@ -153,15 +153,20 @@ class FilterBuilder(abc.ABC):
 
     @abc.abstractmethod
     def build(self, sorted_keys: Sequence[bytes]) -> Filter:
-        """Build a filter over ``sorted_keys`` (sorted, unique)."""
+        """Build a filter over ``sorted_keys`` (sorted, unique).
+
+        The one build entry point: the table writer, recovery's filter
+        rebuild and the split filter all call it.  Bloom-family builders
+        set every bit through one vectorized kernel
+        (:meth:`~repro.filters.bloom.BloomFilter.add_many`), byte-identical
+        to a per-key insertion loop.
+        """
 
     def build_batch(self, sorted_keys: Sequence[bytes]) -> Filter:
-        """Batch-oriented build; defaults to :meth:`build`.
+        """Alias of :meth:`build`, which nothing in the store calls.
 
-        Builders may override this with a vectorized implementation, but
-        the result must be **bit-identical** to :meth:`build` over the
-        same keys — the SSTable build engine uses whichever is available
-        and the on-disk filter block must not depend on that choice.
+        Kept only because ``benchmarks/e2e/trace.py`` spans it by name
+        on this class; it goes when the tracer stops naming it.
         """
         return self.build(sorted_keys)
 

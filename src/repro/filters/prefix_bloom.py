@@ -13,6 +13,11 @@ attacker who discovers ``l`` observes an FPR bump at that length.
 The paper works with bit-granularity prefixes (l = 40 bits); all our keys
 and symbols are bytes, so ``prefix_len`` here is in bytes (40 bits = 5
 bytes at paper scale, 24 bits = 3 bytes at the default reproduction scale).
+
+A table's PBF is built in one Bloom kernel call over all its entries
+(:meth:`PrefixBloomFilter.add_many`) and probed through the Bloom
+filter's fused loop; both match the per-key insertion and generator probe
+kept as ``tests/reference/bloom_build.py``.
 """
 
 from __future__ import annotations
@@ -61,20 +66,33 @@ class PrefixBloomFilter(RangeFilter):
 
     def add(self, key: bytes) -> None:
         """Insert a key and its ``prefix_len``-byte prefix."""
+        self.add_many((key,))
+
+    def add_many(self, keys: Sequence[bytes]) -> None:
+        """Insert every key and its ``prefix_len``-byte prefix in one
+        Bloom kernel call.
+
+        With whole-key filtering the entries are the keys, then the
+        prefixes of the keys at least ``prefix_len`` long; prefix-only,
+        each key's prefix, or the whole key when it is shorter (short keys
+        must still be findable).  Entry and key counts are the per-key
+        insertion's.
+        """
+        prefix_len = self.prefix_len
         if self.whole_key_filtering:
-            self._bloom.add(key)
-        if len(key) >= self.prefix_len:
-            self._bloom.add(key[: self.prefix_len])
-        elif not self.whole_key_filtering:
-            # Short keys must still be findable in prefix-only mode.
-            self._bloom.add(key)
-        self.num_keys += 1
+            entries = list(keys)
+            entries += [key[:prefix_len] for key in keys
+                        if len(key) >= prefix_len]
+        else:
+            entries = [key[:prefix_len] for key in keys]
+        self._bloom.add_many(entries)
+        self.num_keys += len(keys)
 
     def _may_contain(self, key: bytes) -> bool:
         if self.whole_key_filtering:
             return self._bloom.may_contain(key)
-        probe = key[: self.prefix_len] if len(key) >= self.prefix_len else key
-        return self._bloom.may_contain(probe)
+        # A key shorter than the prefix was inserted whole.
+        return self._bloom.may_contain(key[: self.prefix_len])
 
     def _may_contain_many(self, keys: Sequence[bytes]) -> List[bool]:
         """Batched probes through the Bloom filter's vectorized path.
@@ -85,9 +103,8 @@ class PrefixBloomFilter(RangeFilter):
         if self.whole_key_filtering:
             return self._bloom.may_contain_many(keys)
         prefix_len = self.prefix_len
-        probes = [key[:prefix_len] if len(key) >= prefix_len else key
-                  for key in keys]
-        return self._bloom.may_contain_many(probes)
+        return self._bloom.may_contain_many(
+            [key[:prefix_len] for key in keys])
 
     def _may_contain_range(self, low: bytes, high: bytes) -> bool:
         """Supported only for ranges within one ``l``-byte prefix.
@@ -139,7 +156,8 @@ class PrefixBloomFilter(RangeFilter):
 
 
 class PrefixBloomFilterBuilder(FilterBuilder):
-    """Builds one PBF per SSTable (RocksDB ``prefix_extractor`` analogue)."""
+    """Builds one PBF per SSTable (RocksDB ``prefix_extractor`` analogue),
+    sized for the key count and filled by one :meth:`PrefixBloomFilter.add_many`."""
 
     def __init__(self, prefix_len: int, bits_per_key: float = 18.0,
                  whole_key_filtering: bool = True) -> None:
@@ -160,6 +178,5 @@ class PrefixBloomFilterBuilder(FilterBuilder):
             len(sorted_keys), self.bits_per_key, self.prefix_len,
             self.whole_key_filtering,
         )
-        for key in sorted_keys:
-            filt.add(key)
+        filt.add_many(sorted_keys)
         return filt

@@ -47,11 +47,20 @@ class RosettaFilter(RangeFilter):
 
     def add(self, key: bytes) -> None:
         """Insert a key: every bit-prefix goes into its level's filter."""
-        value = self._check_width(key)
-        for level in range(1, self.key_bits + 1):
-            prefix = value >> (self.key_bits - level)
-            self._levels[level - 1].add(self._encode(level, prefix))
-        self.num_keys += 1
+        self.add_many((key,))
+
+    def add_many(self, keys: Sequence[bytes]) -> None:
+        """Insert every key: one Bloom kernel call per level, over that
+        level's encoded bit-prefixes of all the keys."""
+        values = [self._check_width(key) for key in keys]
+        for level, bloom in enumerate(self._levels, start=1):
+            # ``_encode(level, value >> shift)``, its header hoisted.
+            header = level.to_bytes(2, "big")
+            width = (level + 7) // 8
+            shift = self.key_bits - level
+            bloom.add_many([header + (value >> shift).to_bytes(width, "big")
+                            for value in values])
+        self.num_keys += len(keys)
 
     def _may_contain(self, key: bytes) -> bool:
         # Point queries consult only the bottom level: no prefix
@@ -144,6 +153,5 @@ class RosettaFilterBuilder(FilterBuilder):
     def build(self, sorted_keys: Sequence[bytes]) -> RosettaFilter:
         filt = RosettaFilter(self.key_bytes, len(sorted_keys),
                              self.bits_per_key_per_level)
-        for key in sorted_keys:
-            filt.add(key)
+        filt.add_many(sorted_keys)
         return filt

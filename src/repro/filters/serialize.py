@@ -115,6 +115,11 @@ def _decode_bloom(data: bytes) -> Tuple[BloomFilter, bytes]:
     end = start + payload_len
     if len(data) < end:
         raise CorruptionError("truncated Bloom bit payload")
+    # No builder writes either: BloomFilter rounds every size up to 64.
+    if num_probes == 0:
+        raise CorruptionError("Bloom filter block with no probes")
+    if num_bits < 64:
+        raise CorruptionError(f"Bloom filter block of {num_bits} bits")
     filt = BloomFilter(num_bits, num_probes)
     filt.restore_bits(BitArray.from_bytes(num_bits, data[start:end]),
                       num_entries)
@@ -133,6 +138,10 @@ def _decode_pbf(data: bytes) -> Tuple[PrefixBloomFilter, bytes]:
     if len(data) < _PBF_HEADER.size:
         raise CorruptionError("truncated PBF filter block")
     prefix_len, whole_key, num_keys = _PBF_HEADER.unpack_from(data)
+    if prefix_len == 0:
+        raise CorruptionError("PBF filter block with prefix length 0")
+    if whole_key > 1:
+        raise CorruptionError(f"unknown PBF mode byte {whole_key}")
     bloom, rest = _decode_bloom(data[_PBF_HEADER.size:])
     filt = PrefixBloomFilter(prefix_len, len(bloom.bit_array),
                              bloom.num_probes, bool(whole_key))
@@ -227,6 +236,11 @@ def _decode_rosetta(data: bytes) -> Tuple[RosettaFilter, bytes]:
     for _ in range(num_levels):
         bloom, rest = _decode_bloom(rest)
         levels.append(bloom)
+    # Every level is sized alike (RosettaFilter.__init__); no levels at
+    # all (a key width of 0) is as corrupt.
+    if len({(len(level.bit_array), level.num_probes)
+            for level in levels}) != 1:
+        raise CorruptionError("Rosetta levels differ in size or probe count")
     filt = RosettaFilter.__new__(RosettaFilter)
     Filter.__init__(filt)
     filt.key_bytes = key_bytes

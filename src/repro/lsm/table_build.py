@@ -143,7 +143,7 @@ def build_table_artifact(records: List[Record], block_size: int,
     filter_data = b""
     filter_offset = size
     if filter_builder is not None:
-        filt = filter_builder.build_batch(keys)
+        filt = filter_builder.build(keys)
         from repro.filters.serialize import serialize_filter
         filter_data = serialize_filter(filt)
         chunks.append(filter_data)

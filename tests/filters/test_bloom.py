@@ -92,26 +92,3 @@ class TestBuilder:
             [i.to_bytes(4, "big") for i in range(1000)])
         assert 0.3 < filt.fill_ratio() < 0.7  # ~0.5 at the optimum
 
-
-class TestBuildBatch:
-    def test_bit_identical_to_scalar_build(self):
-        # The vectorized path must produce the exact same filter block,
-        # including keys of mixed lengths (separate hash groups) and the
-        # empty key.
-        import random
-        rnd = random.Random(11)
-        keys = sorted({bytes(rnd.randrange(256) for _ in range(rnd.randrange(24)))
-                       for _ in range(3000)})
-        builder = BloomFilterBuilder(bits_per_key=10)
-        scalar = builder.build(keys)
-        batch = builder.build_batch(keys)
-        assert batch.bit_array.to_bytes() == scalar.bit_array.to_bytes()
-        assert batch.num_entries == scalar.num_entries
-        assert batch.num_probes == scalar.num_probes
-
-    def test_small_batches_fall_back(self):
-        builder = BloomFilterBuilder(bits_per_key=10)
-        keys = [b"a", b"b", b"c"]
-        batch = builder.build_batch(keys)
-        assert batch.bit_array.to_bytes() == builder.build(keys).bit_array.to_bytes()
-        assert all(batch.may_contain(k) for k in keys)

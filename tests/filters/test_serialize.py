@@ -10,8 +10,12 @@ from repro.common.errors import CorruptionError, FilterError
 from repro.common.rng import make_rng
 from repro.filters import (
     BloomFilter,
+    BloomFilterBuilder,
     PrefixBloomFilter,
+    PrefixBloomFilterBuilder,
     RosettaFilter,
+    RosettaFilterBuilder,
+    SplitFilterBuilder,
     SuRF,
 )
 from repro.filters.serialize import deserialize_filter, serialize_filter
@@ -27,6 +31,23 @@ def keys():
 def probes():
     rng = make_rng(45, "ser-probes")
     return [rng.random_bytes(rng.randint(1, 5)) for _ in range(3000)]
+
+
+#: Bloom-family filter blocks, and where their (first) Bloom header
+#: starts: tag | [PBF ``<HBQ`` | Rosetta ``<HQI`` | split ``<I`` + tag]
+#: then ``<IQQ`` probes, bits, entries.
+BLOOM_FAMILY = {
+    "bloom": (lambda keys: BloomFilterBuilder(10).build(keys), 1),
+    "pbf": (lambda keys: PrefixBloomFilterBuilder(2, 18.0).build(keys), 12),
+    "rosetta": (lambda keys: RosettaFilterBuilder(4, 2.0).build(keys), 15),
+    "split": (lambda keys: SplitFilterBuilder().build(keys), 6),
+}
+
+#: Header fields no builder writes: (Bloom header offset, format, value).
+BLOOM_HEADER_FAULTS = {
+    "no-probes": (0, "<I", 0),
+    "bits-below-64": (4, "<Q", 32),
+}
 
 
 def assert_same_point_answers(a, b, probes):
@@ -137,6 +158,38 @@ class TestErrors:
         with pytest.raises(CorruptionError):
             deserialize_filter(bytes(data))
 
+    @pytest.mark.parametrize("fault", sorted(BLOOM_HEADER_FAULTS))
+    @pytest.mark.parametrize("family", sorted(BLOOM_FAMILY))
+    def test_bad_bloom_header_is_corruption(self, keys, family, fault):
+        # Regression: a probe count of 0 raised ConfigError from the
+        # BloomFilter constructor, a bit count below the 64-bit floor
+        # ConfigError from restore_bits, in every Bloom-family block.
+        build, header = BLOOM_FAMILY[family]
+        offset, fmt, value = BLOOM_HEADER_FAULTS[fault]
+        data = bytearray(serialize_filter(build(keys)))
+        struct.pack_into(fmt, data, header + offset, value)
+        with pytest.raises(CorruptionError):
+            deserialize_filter(bytes(data))
+
+    @pytest.mark.parametrize("fmt,offset,value", [
+        ("<H", 1, 0),   # prefix length 0 (was ConfigError)
+        ("<B", 3, 2),   # mode byte neither 0 nor 1 (was read as True)
+    ])
+    def test_bad_pbf_header_is_corruption(self, keys, fmt, offset, value):
+        data = bytearray(serialize_filter(BLOOM_FAMILY["pbf"][0](keys)))
+        struct.pack_into(fmt, data, offset, value)
+        with pytest.raises(CorruptionError):
+            deserialize_filter(bytes(data))
+
+    def test_rosetta_levels_sized_apart_are_corruption(self, keys):
+        # Every level of a built Rosetta has one size and probe count; a
+        # level that differs decoded silently into other verdicts.
+        data = bytearray(serialize_filter(BLOOM_FAMILY["rosetta"][0](keys)))
+        (probes,) = struct.unpack_from("<I", data, 15)
+        struct.pack_into("<I", data, 15, probes + 1)
+        with pytest.raises(CorruptionError):
+            deserialize_filter(bytes(data))
+
     @pytest.mark.parametrize("backend", ["trie", "louds"])
     @pytest.mark.parametrize("records", [
         [b"b", b"a"],      # out of order
@@ -186,3 +239,36 @@ class TestPersistenceThroughSSTable:
             assert reopened.filters_pass(probe) == db.filters_pass(probe)
         for key, value in list(stored.items())[::211]:
             assert reopened.get(key) == value
+
+    @pytest.mark.parametrize("builder", [
+        BloomFilterBuilder(10),
+        PrefixBloomFilterBuilder(2, 18.0),
+        PrefixBloomFilterBuilder(2, 18.0, whole_key_filtering=False),
+    ], ids=["bloom", "pbf", "pbf-prefix-only"])
+    def test_reopen_rebuilds_the_block_the_writer_would_have(self, builder):
+        # A table written with no filter builder, reopened with one:
+        # recovery rebuilds the filter from the table's keys (tombstones
+        # included), byte for byte the block the table writer writes.
+        from repro.lsm.db import LSMTree
+        from repro.lsm.options import LSMOptions
+        from repro.lsm.table_build import build_table_artifact
+        db = LSMTree(LSMOptions(filter_builder=None))
+        rng = make_rng(49, "rebuild")
+        records = {}
+        for _ in range(1500):
+            key = rng.random_bytes(rng.randint(1, 6))
+            db.put(key, key[::-1])
+            records[key] = key[::-1]
+        for key in sorted(records)[::7]:
+            db.delete(key)
+            records[key] = None
+        db.flush()
+        (written,) = db.version.all_tables()
+        assert written.filter is None
+        reopened = LSMTree.reopen(db.device, LSMOptions(filter_builder=builder))
+        (table,) = reopened.version.all_tables()
+        artifact = build_table_artifact(sorted(records.items()),
+                                        reopened.options.block_size_bytes,
+                                        builder)
+        assert serialize_filter(table.filter) == serialize_filter(
+            artifact.filter)

@@ -10,6 +10,7 @@ manifest / SSTable, missing and orphaned tables, transient read storms)
 asserting the recovery path's classification and quarantine behaviour.
 """
 
+import struct
 import threading
 
 import pytest
@@ -22,6 +23,12 @@ from repro.common.errors import (
     TransientIOError,
 )
 from repro.common.rng import make_rng
+from repro.filters import (
+    BloomFilterBuilder,
+    PrefixBloomFilterBuilder,
+    RosettaFilterBuilder,
+    SplitFilterBuilder,
+)
 from repro.filters.surf import SuRFBuilder
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
@@ -222,6 +229,49 @@ class TestSSTableFaults:
         report = LSMTree.reopen(device, options).recovery_report
         assert {q.path: q.reason for q in report.quarantined} == {
             path: REASON_CORRUPT}
+
+    @staticmethod
+    def reopen_with_filter_fault(options, at, fmt, value):
+        """Flush 300 keys, overwrite one field of the table's filter block
+        (``at`` bytes into it), reopen; return the quarantine report."""
+        db = LSMTree(options)
+        for index in range(300):
+            db.put(b"k%04d" % index, b"v%04d" % index)
+        db.flush()
+        db.close()
+        device = db.device
+        path = TestSSTableFaults.newest_table(device)
+        image = bytearray(device.read(path, 0, device.file_size(path)))
+        filter_off = _FOOTER.unpack_from(image, len(image) - _FOOTER.size)[4]
+        struct.pack_into(fmt, image, filter_off + at, value)
+        device.delete_file(path)
+        device.create_file(path, bytes(image))
+        report = LSMTree.reopen(device, options).recovery_report
+        return path, {q.path: q.reason for q in report.quarantined}
+
+    @pytest.mark.parametrize("builder,header", [
+        (BloomFilterBuilder(10), 1),
+        (PrefixBloomFilterBuilder(3), 12),
+        (RosettaFilterBuilder(5), 15),     # the first level's header
+        (SplitFilterBuilder(), 6),         # the Bloom half's header
+    ], ids=["bloom", "pbf", "rosetta", "split"])
+    @pytest.mark.parametrize("offset,fmt,value", [
+        (0, "<I", 0),      # no probes
+        (4, "<Q", 32),     # bit count below the 64-bit floor
+    ], ids=["no-probes", "bits-below-64"])
+    def test_bad_bloom_filter_header_quarantines_table(
+            self, builder, header, offset, fmt, value):
+        # Regression: both raised ConfigError out of reopen.
+        path, quarantined = self.reopen_with_filter_fault(
+            LSMOptions(filter_builder=builder), header + offset, fmt, value)
+        assert quarantined == {path: REASON_CORRUPT}
+
+    def test_bad_pbf_prefix_length_quarantines_table(self):
+        # Regression: "prefix length must be positive" escaped reopen.
+        path, quarantined = self.reopen_with_filter_fault(
+            LSMOptions(filter_builder=PrefixBloomFilterBuilder(3)),
+            1, "<H", 0)
+        assert quarantined == {path: REASON_CORRUPT}
 
     def test_missing_table_quarantined_without_move(self):
         db, device = make_store()

@@ -200,8 +200,9 @@ class TestArtifactEquivalence:
         assert artifact.size_bytes == table.size_bytes
 
     def test_batch_matches_streaming_with_filter(self):
-        # Large enough that the bloom builder's vectorized build_batch
-        # path engages — it must still match the scalar streaming bits.
+        # The filter block lands in the same place with the same bytes;
+        # its bits are held to the per-key build by
+        # tests/filters/test_bloom_build_twin.py.
         rng = make_rng(3, "artifact")
         keys = sorted({rng.random_bytes(rng.randint(1, 9))
                        for _ in range(400)})

@@ -7,6 +7,8 @@ two together.  Each module's docstring says what its oracle proves:
 (bytes, logical content), :mod:`reference.unmappable` (range-side clock:
 reads without mapped regions charge like mapped ones),
 :mod:`reference.churn` (cache state after an eviction wait),
-:mod:`reference.surf_build` (SuRF structure and filter-block bytes).
+:mod:`reference.surf_build` (SuRF structure and filter-block bytes),
+:mod:`reference.bloom_build` (Bloom-family filter-block bytes and probe
+verdicts).
 Imported as ``reference``: pytest puts ``tests/`` on ``sys.path``.
 """
