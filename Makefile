@@ -69,8 +69,8 @@ e2e-ab:
 	    --seeds $(SEEDS) $(if $(OUT),--out $(OUT))
 
 # One real TCP round trip through the wire server (the event loop's
-# listener path): build a small store, serve it, ping + get + stats from
-# a client, shut down cleanly.
+# listener path): build a small store, serve it, ping + get + one
+# GET_MANY + one PUT_MANY + stats from a client, shut down cleanly.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve --keys 2000 --width 4 --smoke
 

@@ -147,6 +147,7 @@ def _cmd_serve(args) -> int:
     from repro.server import AsyncKVWireServer, ServerConfig, connect
     from repro.system.defense import DefensePolicy, build_defended_service
     from repro.system.ratelimit import RateLimitPolicy, RateLimitedService
+    from repro.system.responses import Response, Status
     from repro.workloads import ATTACKER_USER, DatasetConfig, build_environment
 
     print(f"building: {args.keys:,} keys of {args.width} bytes behind "
@@ -175,18 +176,37 @@ def _cmd_serve(args) -> int:
     print(f"listening on {host}:{port}", flush=True)
 
     if args.smoke:
-        # One real TCP round trip of each basic frame, then exit cleanly:
-        # the CI-facing proof that the serving path works end to end.
+        # One real TCP round trip of each basic frame, both batch frames
+        # included, then exit cleanly: the CI-facing proof that the
+        # serving path works end to end.
         client = connect(host, port)
         try:
             client.ping()
             response, sim_us = client.get_timed(ATTACKER_USER, env.keys[0])
+            stored_keys = env.key_set
+            absent = [key for key in (bytes([0xFF] * args.width),
+                                      bytes(args.width))
+                      if key not in stored_keys]
+            batch = client.get_many_timed(ATTACKER_USER,
+                                          [env.keys[0]] + absent)
+            stored = client.put_many(ATTACKER_USER,
+                                     [(key, b"smoke") for key in absent])
+            written = client.get_many(ATTACKER_USER, absent)
             stats = client.stats()
             if stats.requests < 1 or sim_us <= 0:
                 print("smoke: bad stats/timing", file=sys.stderr)
                 return 1
+            if (not absent or [r.status for r, _ in batch]
+                    != [response.status] + [Status.NOT_FOUND] * len(absent)
+                    or stored != len(absent)
+                    or written != [Response(Status.OK, b"smoke")]
+                    * len(absent)):
+                print("smoke: bad GET_MANY/PUT_MANY round trip",
+                      file=sys.stderr)
+                return 1
             print(f"smoke OK: status={response.status.name} "
-                  f"sim_us={sim_us:.1f} served={stats.requests}", flush=True)
+                  f"sim_us={sim_us:.1f} served={stats.requests} "
+                  f"batch={len(batch)}+{stored}", flush=True)
         finally:
             client.close()
             server.stop()

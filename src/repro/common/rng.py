@@ -11,28 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from math import cos, log, sin, sqrt, tau
-from typing import Callable, Optional, Tuple
-
-
-def gauss_pair(uniform: Callable[[], float]) -> Tuple[float, float]:
-    """Two standard normal deviates, exactly as ``random.Random.gauss``
-    makes them.
-
-    ``gauss`` draws two uniforms per *pair* of deviates (Box-Muller),
-    returns the first and parks the second in the generator's
-    ``gauss_next`` for the next call; this is that computation, operation
-    for operation (the same in CPython 3.6 through 3.13).  A caller that
-    keeps ``gauss_next`` in a local — the batch point-read kernel of
-    :mod:`repro.lsm.read_path` — calls this once per two draws instead of
-    two method frames per draw, and writes ``gauss_next`` back before
-    anything else may draw from the same generator, so its draws
-    interleave with plain ``gauss`` calls exactly.  A deviate becomes a
-    ``gauss(mu, sigma)`` sample as ``mu + z * sigma``.
-    """
-    x2pi = uniform() * tau
-    g2rad = sqrt(-2.0 * log(1.0 - uniform()))
-    return cos(x2pi) * g2rad, sin(x2pi) * g2rad
+from typing import Optional
 
 
 class SeededRng:
@@ -52,8 +31,8 @@ class SeededRng:
 
     @property
     def generator(self) -> random.Random:
-        """The underlying ``random.Random`` (for :func:`gauss_pair` users,
-        which share its ``gauss_next``)."""
+        """The underlying ``random.Random`` (for the point-read kernel's
+        inline jitter draws, which share its ``gauss_next``)."""
         return self._random
 
     def spawn(self, name: str) -> "SeededRng":

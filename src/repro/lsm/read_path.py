@@ -22,6 +22,7 @@ merge, :func:`merged_entries`.
 
 from __future__ import annotations
 
+from math import cos, log, sin, sqrt, tau
 from typing import (
     Callable,
     Dict,
@@ -34,7 +35,6 @@ from typing import (
 )
 
 from repro.common.errors import ConfigError, DBClosedError
-from repro.common.rng import gauss_pair
 from repro.filters.base import Filter
 from repro.lsm.iterator import DBIterator, merge_entries
 from repro.lsm.memtable import Entry
@@ -397,9 +397,13 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     attacker-visible signal, so every charge is applied to
     ``view.clock`` in the scalar order, jittered by a draw from
     ``view._cost_rng`` exactly as ``view.charge_cost`` would draw it:
-    the draws are :func:`~repro.common.rng.gauss_pair`, with the
-    generator's ``gauss_next`` held in a local and written back before
-    anything else can draw (``on_found``, the end of the batch).
+    each draw is ``random.Random.gauss``'s Box-Muller body written out
+    inline (two uniforms per pair of deviates, the second parked), with
+    the generator's ``gauss_next`` held in a local and written back
+    before anything else can draw (``on_found``, the end of the batch).
+    The same floats and generator state as ``gauss`` (held by
+    ``tests/common/test_rng.py``), without a call per draw; the clamp
+    is ``max(0.1, j)`` spelled as a conditional for the same reason.
     Counters accumulate in locals and reach ``view.stats`` and the
     filters' stats in ``finally``.
 
@@ -441,16 +445,26 @@ def read_points(view: ReadView, keys: Sequence[bytes],
             start = clock.now_us
             if request_us is not None:
                 if spare is None:
-                    z, spare = gauss_pair(uniform)
+                    x2pi = uniform() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                    z = cos(x2pi) * g2rad
+                    spare = sin(x2pi) * g2rad
                 else:
-                    z, spare = spare, None
-                clock.now_us += request_us * max(0.1, 1.0 + z * COST_JITTER)
+                    z = spare
+                    spare = None
+                j = 1.0 + z * COST_JITTER
+                clock.now_us += request_us * (j if j > 0.1 else 0.1)
             gets += 1
             if spare is None:
-                z, spare = gauss_pair(uniform)
+                x2pi = uniform() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                z = cos(x2pi) * g2rad
+                spare = sin(x2pi) * g2rad
             else:
-                z, spare = spare, None
-            clock.now_us += base_cost * max(0.1, 1.0 + z * COST_JITTER)
+                z = spare
+                spare = None
+            j = 1.0 + z * COST_JITTER
+            clock.now_us += base_cost * (j if j > 0.1 else 0.1)
             entry = memtable_get(key)
             if entry is not None:
                 memtable_hits += 1
@@ -465,11 +479,16 @@ def read_points(view: ReadView, keys: Sequence[bytes],
                     if filt is not None:
                         filter_checks += 1
                         if spare is None:
-                            z, spare = gauss_pair(uniform)
+                            x2pi = uniform() * tau
+                            g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                            z = cos(x2pi) * g2rad
+                            spare = sin(x2pi) * g2rad
                         else:
-                            z, spare = spare, None
+                            z = spare
+                            spare = None
+                        j = 1.0 + z * COST_JITTER
                         clock.now_us += (FILTER_QUERY_COST_US
-                                         * max(0.1, 1.0 + z * COST_JITTER))
+                                         * (j if j > 0.1 else 0.1))
                         if filt is not last_filter:
                             last_filter = filt
                             memo = verdicts.get(filt, _NOTHING)

@@ -312,7 +312,15 @@ class AsyncKVWireServer:
             try:
                 response = await self._dispatch(frame)
                 try:
-                    writer.write(protocol.encode_frame(response))
+                    data = protocol.encode_frame(response)
+                except ProtocolError:
+                    # A batch whose answer outgrew the frame cap fails
+                    # alone; the connection keeps serving.
+                    data = protocol.encode_frame(error_frame(
+                        frame.request_id, ErrorCode.PROTOCOL,
+                        "response exceeds the frame cap"))
+                try:
+                    writer.write(data)
                     await writer.drain()
                 except (OSError, ConnectionError):
                     return

@@ -166,8 +166,10 @@ class RemoteKV:
     def get_many(self, user: int, keys: Sequence[bytes],
                  order: Optional[OrderToken] = None) -> List[Response]:
         """Batch of plain requests (one GET_MANY frame)."""
-        return [response for response, _ in
-                self.get_many_timed(user, keys, order=order)]
+        frame = self.connection.request(
+            Opcode.GET_MANY, protocol.encode_get_many_request(user, keys),
+            order=order)
+        return protocol.decode_get_many_columns(frame.payload)[0]
 
     def get_many_timed(self, user: int, keys: Sequence[bytes],
                        order: Optional[OrderToken] = None
@@ -182,7 +184,7 @@ class RemoteKV:
         frame = self.connection.request(
             Opcode.GET_MANY, protocol.encode_get_many_request(user, keys),
             order=order)
-        return protocol.decode_get_many_response(frame.payload)
+        return list(zip(*protocol.decode_get_many_columns(frame.payload)))
 
     def get_until_found(self, user: int, keys: Sequence[bytes]
                         ) -> List[Response]:

@@ -28,15 +28,17 @@ import enum
 import math
 import struct
 from dataclasses import astuple, dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import ProtocolError, VersionMismatchError
 from repro.system.responses import Response, Status
 
 MAGIC = b"PS"
-#: v2 widened the STATS payload with the defense decision counters; v3
-#: widened it again with the range-read engine counters.
-PROTOCOL_VERSION = 3
+#: v2 and v3 widened the STATS payload; v4 made the batch payloads
+#: columnar and STATS a list of named records, so a new counter no longer
+#: changes the version.
+PROTOCOL_VERSION = 4
 
 #: Hard cap on a single key (the length field is 16-bit).
 MAX_KEY_BYTES = 0xFFFF
@@ -57,6 +59,7 @@ _U64 = struct.Struct("!Q")
 _F64 = struct.Struct("!d")
 _ORDER = struct.Struct("!QQ")
 _GET_PREFIX = struct.Struct("!QH")
+_GET_MANY_PREFIX = struct.Struct("!QI")
 _PUT_PREFIX = struct.Struct("!QBH")
 _PUT_MANY_PREFIX = struct.Struct("!QBI")
 _PUT_MANY_RESPONSE = struct.Struct("!Id")
@@ -108,7 +111,10 @@ _STATUS_TO_CODE = {
     Status.UNAUTHORIZED: 2,
     Status.FAILED: 3,
 }
-_CODE_TO_STATUS = {code: status for status, code in _STATUS_TO_CODE.items()}
+#: Status by wire code, and the one value-less response of each: a
+#: result without a value decodes to it instead of a new object.
+_STATUSES = tuple(sorted(_STATUS_TO_CODE, key=_STATUS_TO_CODE.__getitem__))
+_BARE = tuple(Response(status) for status in _STATUSES)
 
 
 @dataclass(frozen=True)
@@ -235,37 +241,50 @@ def decode_get_request(payload: bytes) -> Tuple[int, bytes]:
     return user, key
 
 
+def _key_lengths(keys: Sequence[bytes]) -> List[int]:
+    lengths = [len(key) for key in keys]
+    if lengths and max(lengths) > MAX_KEY_BYTES:
+        raise ProtocolError(
+            f"key of {max(lengths)} bytes exceeds the {MAX_KEY_BYTES}-byte cap"
+        )
+    return lengths
+
+
+def _expect_end(payload: bytes, end: int, what: str) -> None:
+    """The size equation of a columnar payload: its columns and blobs
+    end exactly at the payload's end (checked before anything is cut)."""
+    if end != len(payload):
+        raise ProtocolError(
+            f"{what} should be {end} bytes by its columns, got {len(payload)}"
+        )
+
+
+def _cut(payload: bytes, start: int, lengths: Sequence[int]) -> List[bytes]:
+    """The consecutive pieces of ``lengths`` bytes starting at ``start``."""
+    bounds = list(accumulate(lengths, initial=start))
+    return [payload[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
 def encode_get_many_request(user: int, keys: Sequence[bytes]) -> bytes:
-    """GET_MANY request payload: user id + key count + length-prefixed keys."""
-    parts = [_U64.pack(user), _U32.pack(len(keys))]
-    for key in keys:
-        parts.append(_U16.pack(len(_check_key(key))))
-        parts.append(key)
-    return b"".join(parts)
+    """GET_MANY request payload: user id, key count, the key-length
+    column (u16 each), then the keys back to back."""
+    count = len(keys)
+    return b"".join((_GET_MANY_PREFIX.pack(user, count),
+                     struct.pack(f"!{count}H", *_key_lengths(keys)),
+                     *keys))
 
 
 def decode_get_many_request(payload: bytes) -> Tuple[int, List[bytes]]:
     """Inverse of :func:`encode_get_many_request`."""
-    if len(payload) < _U64.size + _U32.size:
+    if len(payload) < _GET_MANY_PREFIX.size:
         raise ProtocolError("truncated GET_MANY request")
-    user = _U64.unpack_from(payload)[0]
-    count = _U32.unpack_from(payload, _U64.size)[0]
-    offset = _U64.size + _U32.size
-    keys: List[bytes] = []
-    for _ in range(count):
-        if len(payload) < offset + _U16.size:
-            raise ProtocolError("truncated GET_MANY key length")
-        key_len = _U16.unpack_from(payload, offset)[0]
-        offset += _U16.size
-        if len(payload) < offset + key_len:
-            raise ProtocolError("truncated GET_MANY key")
-        keys.append(payload[offset:offset + key_len])
-        offset += key_len
-    if offset != len(payload):
-        raise ProtocolError(
-            f"GET_MANY request has {len(payload) - offset} trailing bytes"
-        )
-    return user, keys
+    user, count = _GET_MANY_PREFIX.unpack_from(payload)
+    blob_at = _GET_MANY_PREFIX.size + 2 * count
+    if blob_at > len(payload):
+        raise ProtocolError("truncated GET_MANY key-length column")
+    lengths = struct.unpack_from(f"!{count}H", payload, _GET_MANY_PREFIX.size)
+    _expect_end(payload, blob_at + sum(lengths), "GET_MANY request")
+    return user, _cut(payload, blob_at, lengths)
 
 
 def _check_put_flags(flags: int) -> int:
@@ -305,14 +324,17 @@ def decode_put_request(payload: bytes) -> Tuple[int, bytes, bytes, int]:
 
 def encode_put_many_request(user: int, items: Sequence[Tuple[bytes, bytes]],
                             flags: int = 0) -> bytes:
-    """PUT_MANY request payload: user + flags + count + (key, value) items."""
-    parts = [_PUT_MANY_PREFIX.pack(user, _check_put_flags(flags), len(items))]
-    for key, value in items:
-        parts.append(_U16.pack(len(_check_key(key))))
-        parts.append(key)
-        parts.append(_U32.pack(len(value)))
-        parts.append(value)
-    return b"".join(parts)
+    """PUT_MANY request payload: user, flags, item count, the key-length
+    column (u16 each), the value-length column (u32 each), then the keys
+    back to back and the values back to back."""
+    count = len(items)
+    keys = [key for key, _ in items]
+    values = [value for _, value in items]
+    return b"".join((
+        _PUT_MANY_PREFIX.pack(user, _check_put_flags(flags), count),
+        struct.pack(f"!{count}H", *_key_lengths(keys)),
+        struct.pack(f"!{count}I", *map(len, values)),
+        *keys, *values))
 
 
 def decode_put_many_request(payload: bytes
@@ -322,28 +344,18 @@ def decode_put_many_request(payload: bytes
         raise ProtocolError("truncated PUT_MANY request")
     user, flags, count = _PUT_MANY_PREFIX.unpack_from(payload)
     _check_put_flags(flags)
-    offset = _PUT_MANY_PREFIX.size
-    items: List[Tuple[bytes, bytes]] = []
-    for _ in range(count):
-        if len(payload) < offset + _U16.size:
-            raise ProtocolError("truncated PUT_MANY key length")
-        key_len = _U16.unpack_from(payload, offset)[0]
-        offset += _U16.size
-        if len(payload) < offset + key_len + _U32.size:
-            raise ProtocolError("truncated PUT_MANY key")
-        key = payload[offset:offset + key_len]
-        offset += key_len
-        value_len = _U32.unpack_from(payload, offset)[0]
-        offset += _U32.size
-        if len(payload) < offset + value_len:
-            raise ProtocolError("truncated PUT_MANY value")
-        items.append((key, payload[offset:offset + value_len]))
-        offset += value_len
-    if offset != len(payload):
-        raise ProtocolError(
-            f"PUT_MANY request has {len(payload) - offset} trailing bytes"
-        )
-    return user, items, flags
+    value_lengths_at = _PUT_MANY_PREFIX.size + 2 * count
+    blob_at = value_lengths_at + 4 * count
+    if blob_at > len(payload):
+        raise ProtocolError("truncated PUT_MANY length columns")
+    key_lengths = struct.unpack_from(f"!{count}H", payload,
+                                     _PUT_MANY_PREFIX.size)
+    value_lengths = struct.unpack_from(f"!{count}I", payload,
+                                       value_lengths_at)
+    values_at = blob_at + sum(key_lengths)
+    _expect_end(payload, values_at + sum(value_lengths), "PUT_MANY request")
+    return (user, list(zip(_cut(payload, blob_at, key_lengths),
+                           _cut(payload, values_at, value_lengths))), flags)
 
 
 def encode_put_many_response(count: int, sim_us: float) -> bytes:
@@ -397,59 +409,103 @@ def decode_result(payload: bytes, offset: int = 0
     if len(payload) < offset + _RESULT_PREFIX.size:
         raise ProtocolError("truncated result")
     code, sim_us, has_value = _RESULT_PREFIX.unpack_from(payload, offset)
-    status = _CODE_TO_STATUS.get(code)
-    if status is None:
+    if code >= len(_STATUSES):
         raise ProtocolError(f"unknown status code {code}")
     offset += _RESULT_PREFIX.size
-    value: Optional[bytes] = None
-    if has_value == 1:
-        if len(payload) < offset + _U32.size:
-            raise ProtocolError("truncated result value length")
-        value_len = _U32.unpack_from(payload, offset)[0]
-        offset += _U32.size
-        if len(payload) < offset + value_len:
-            raise ProtocolError("truncated result value")
-        value = payload[offset:offset + value_len]
-        offset += value_len
-    elif has_value != 0:
+    if has_value == 0:
+        return _BARE[code], sim_us, offset
+    if has_value != 1:
         raise ProtocolError(f"bad has-value marker {has_value}")
-    return Response(status, value), sim_us, offset
+    if len(payload) < offset + _U32.size:
+        raise ProtocolError("truncated result value length")
+    value_len = _U32.unpack_from(payload, offset)[0]
+    offset += _U32.size
+    if len(payload) < offset + value_len:
+        raise ProtocolError("truncated result value")
+    return (Response(_STATUSES[code], payload[offset:offset + value_len]),
+            sim_us, offset + value_len)
 
 
-def encode_get_many_response(results: Sequence[Tuple[Response, float]]) -> bytes:
-    """GET_MANY response payload: count + per-key results."""
-    parts = [_U32.pack(len(results))]
-    for response, sim_us in results:
-        parts.append(encode_result(response, sim_us))
+def encode_get_many_response(results: Sequence[Tuple[Response, float]]
+                             ) -> bytes:
+    """GET_MANY response payload, one column per field.
+
+    Count, the sim-µs column (f64 each), the status column (one byte
+    each), then the value section: the number of values present (u32)
+    and, when that is not 0, their length column (u32 each), the
+    presence column (one byte per result: 1 carries a value, 0 is
+    ``None``) and the values back to back.  An empty value is present.
+    """
+    count = len(results)
+    responses = [response for response, _ in results]
+    values = [response.value for response in responses]
+    present = [value for value in values if value is not None]
+    parts = [_U32.pack(count),
+             struct.pack(f"!{count}d", *[sim_us for _, sim_us in results]),
+             bytes([_STATUS_TO_CODE[response.status]
+                    for response in responses]),
+             _U32.pack(len(present))]
+    if present:
+        parts.append(struct.pack(f"!{len(present)}I", *map(len, present)))
+        parts.append(bytes([value is not None for value in values]))
+        parts.extend(present)
     return b"".join(parts)
 
 
-def decode_get_many_response(payload: bytes) -> List[Tuple[Response, float]]:
-    """Inverse of :func:`encode_get_many_response`."""
-    if len(payload) < _U32.size:
+def decode_get_many_columns(payload: bytes
+                            ) -> Tuple[List[Response], Tuple[float, ...]]:
+    """Inverse of :func:`encode_get_many_response`, as its two columns:
+    the responses and their simulated µs, in request order.
+
+    A result without a value decodes to the one shared ``Response`` of
+    its status.
+    """
+    size = len(payload)
+    if size < _U32.size:
         raise ProtocolError("truncated GET_MANY response")
     count = _U32.unpack_from(payload)[0]
-    offset = _U32.size
-    out: List[Tuple[Response, float]] = []
-    for _ in range(count):
-        response, sim_us, offset = decode_result(payload, offset)
-        out.append((response, sim_us))
-    if offset != len(payload):
+    codes_at = _U32.size + 8 * count
+    present_at = codes_at + count
+    if present_at + _U32.size > size:
+        raise ProtocolError("truncated GET_MANY response columns")
+    sim_us = struct.unpack_from(f"!{count}d", payload, _U32.size)
+    codes = payload[codes_at:present_at]
+    if codes and max(codes) >= len(_STATUSES):
+        raise ProtocolError(f"unknown status code {max(codes)}")
+    responses = list(map(_BARE.__getitem__, codes))
+    present = _U32.unpack_from(payload, present_at)[0]
+    lengths_at = present_at + _U32.size
+    if not present:
+        _expect_end(payload, lengths_at, "GET_MANY response")
+        return responses, sim_us
+    flags_at = lengths_at + 4 * present
+    blob_at = flags_at + count
+    if blob_at > size:
+        raise ProtocolError("truncated GET_MANY value columns")
+    lengths = struct.unpack_from(f"!{present}I", payload, lengths_at)
+    _expect_end(payload, blob_at + sum(lengths), "GET_MANY response")
+    flags = payload[flags_at:blob_at]
+    if flags.count(1) != present or flags.count(0) != count - present:
         raise ProtocolError(
-            f"GET_MANY response has {len(payload) - offset} trailing bytes"
-        )
-    return out
+            f"GET_MANY presence column does not hold {present} ones "
+            f"among zeros")
+    index = -1
+    for value in _cut(payload, blob_at, lengths):
+        index = flags.index(1, index + 1)
+        responses[index] = Response(_STATUSES[codes[index]], value)
+    return responses, sim_us
 
 
 @dataclass(frozen=True)
 class StatsSnapshot:
     """Server-side counters exposed over the wire (STATS response).
 
-    The one declaration of the record: the payload is these fields in
-    this order, a ``float`` as f64 and an ``int`` as u64.  A new counter
-    is a field appended here plus the layer that owns it adding it in its
-    ``stats_fields`` (DESIGN.md, "Adding a STATS counter"); appending
-    changes the payload size, so it is a protocol version bump.
+    The one declaration of the record: the payload is one name/type/value
+    record per field (a ``float`` as f64, an ``int`` as u64).  A new
+    counter is a field here plus the layer that owns it adding it in its
+    ``stats_fields`` (DESIGN.md, "Adding a STATS counter"); a peer that
+    does not know the name skips its record and one that does not send
+    it leaves the default, so it is not a protocol version bump.
     """
 
     sim_now_us: float = 0.0
@@ -469,33 +525,69 @@ class StatsSnapshot:
     #: background-compaction thread cycles; zeros in sync-only stores.
     compactions_run: int = 0
     background_cycles: int = 0
-    #: Bounded range reads served (DESIGN.md §13).  The two counters
-    #: after it belonged to a range engine that is gone and read 0; they
-    #: keep the v3 layout until the e2e workloads stop reading them
-    #: (ROADMAP item 2(c)).
+    #: Bounded range reads served (DESIGN.md §13).
     range_queries: int = 0
-    sorted_view_seeks: int = 0
-    view_rebuild_segments: int = 0
 
 
-#: ``!dQQQQdQdQQQQQQQQ`` as of v3.  (Annotations are strings under
-#: ``from __future__ import annotations``.)
-_STATS = struct.Struct("!" + "".join(
-    {"float": "d", "int": "Q"}[field.type] for field in fields(StatsSnapshot)))
+#: A STATS record's value codec by its type byte, the struct letter of
+#: the value: every value is 8 bytes, so a record's size is known from
+#: its name length alone.
+_STATS_CODECS = {ord("d"): _F64, ord("Q"): _U64}
+#: Field name (as on the wire) -> (field name, type byte), in field
+#: order.  (Annotations are strings under ``from __future__ import
+#: annotations``.)
+_STATS_FIELDS = {
+    field.name.encode("ascii"): (field.name,
+                                 ord({"float": "d", "int": "Q"}[field.type]))
+    for field in fields(StatsSnapshot)}
 
 
 def encode_stats_response(stats: StatsSnapshot) -> bytes:
-    """STATS response payload."""
-    return _STATS.pack(*astuple(stats))
+    """STATS response payload: record count (u16), then per field one
+    record: name length (u8), name (ASCII), type byte, 8-byte value."""
+    parts = [_U16.pack(len(_STATS_FIELDS))]
+    for (raw, (_, code)), value in zip(_STATS_FIELDS.items(),
+                                       astuple(stats)):
+        parts.append(bytes([len(raw)]) + raw + bytes([code])
+                     + _STATS_CODECS[code].pack(value))
+    return b"".join(parts)
 
 
 def decode_stats_response(payload: bytes) -> StatsSnapshot:
-    """Inverse of :func:`encode_stats_response`."""
-    if len(payload) != _STATS.size:
-        raise ProtocolError(
-            f"STATS response must be {_STATS.size} bytes, got {len(payload)}"
-        )
-    return StatsSnapshot(*_STATS.unpack(payload))
+    """Inverse of :func:`encode_stats_response`.
+
+    A record whose name this build does not know is skipped; a field no
+    record names keeps its default.  A known name with the wrong type
+    byte, a repeated name or an unknown type byte is malformed.
+    """
+    if len(payload) < _U16.size:
+        raise ProtocolError("truncated STATS response")
+    count = _U16.unpack_from(payload)[0]
+    offset = _U16.size
+    values = {}
+    for _ in range(count):
+        if offset >= len(payload):
+            raise ProtocolError("truncated STATS record")
+        name_at = offset + 1
+        code_at = name_at + payload[offset]
+        offset = code_at + 1 + 8
+        if offset > len(payload):
+            raise ProtocolError("truncated STATS record")
+        codec = _STATS_CODECS.get(payload[code_at])
+        if codec is None:
+            raise ProtocolError(
+                f"unknown STATS value type {payload[code_at]}")
+        known = _STATS_FIELDS.get(payload[name_at:code_at])
+        if known is None:
+            continue  # a counter this build does not have
+        name, code = known
+        if payload[code_at] != code:
+            raise ProtocolError(f"STATS field {name} has the wrong type")
+        if name in values:
+            raise ProtocolError(f"STATS field {name} sent twice")
+        values[name] = codec.unpack_from(payload, code_at + 1)[0]
+    _expect_end(payload, offset, "STATS response")
+    return StatsSnapshot(**values)
 
 
 def encode_wait_request(duration_us: float) -> bytes:

@@ -96,9 +96,7 @@ class KVService:
             not_found=stats.not_found, unauthorized=stats.unauthorized,
             compactions_run=db.compactions_run,
             background_cycles=db.background_cycles,
-            range_queries=dbstats.range_queries,
-            sorted_view_seeks=dbstats.sorted_view_seeks,
-            view_rebuild_segments=dbstats.view_rebuild_segments)
+            range_queries=dbstats.range_queries)
 
     # ----------------------------------------------------------------- writes
 

@@ -1,6 +1,25 @@
 """Seeded RNG stream tests."""
 
-from repro.common.rng import SeededRng, gauss_pair, make_rng
+from math import cos, log, sin, sqrt, tau
+from typing import Callable, Tuple
+
+from repro.common.rng import SeededRng, make_rng
+
+
+def gauss_pair(uniform: Callable[[], float]) -> Tuple[float, float]:
+    """Two standard normal deviates, exactly as ``random.Random.gauss``
+    makes them, spelled as ``repro.lsm.read_path.read_points`` writes
+    each of its jitter draws out inline.
+
+    ``gauss`` draws two uniforms per *pair* of deviates (Box-Muller),
+    returns the first and parks the second in the generator's
+    ``gauss_next`` for the next call; this is that computation, operation
+    for operation (the same in CPython 3.6 through 3.13).  A deviate
+    becomes a ``gauss(mu, sigma)`` sample as ``mu + z * sigma``.
+    """
+    x2pi = uniform() * tau
+    g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+    return cos(x2pi) * g2rad, sin(x2pi) * g2rad
 
 
 class TestDeterminism:
@@ -58,8 +77,9 @@ class TestHelpers:
 
 
 class TestGaussPair:
-    """The point-read kernel's jitter draw (``gauss_pair``, with the
-    generator's ``gauss_next`` held in a local) against ``random.gauss``.
+    """The point-read kernel's inline jitter draw (``gauss_pair`` above,
+    with the generator's ``gauss_next`` held in a local, and the clamp
+    written as a conditional) against ``random.gauss`` and ``max``.
 
     Stdlib only, so it also runs on interpreters without pytest::
 
@@ -92,3 +112,9 @@ class TestGaussPair:
             assert drawn.hex() == expected.hex()
         kernel.gauss_next = spare
         assert kernel.getstate() == reference.getstate()
+
+    def test_conditional_clamp_equals_max(self):
+        below = 0.1 - 2 ** -56
+        above = 0.1 + 2 ** -56
+        for j in (-1.0, -0.0, 0.0, below, 0.1, above, 1.0, 5.0):
+            assert (j if j > 0.1 else 0.1).hex() == max(0.1, j).hex()

@@ -16,7 +16,7 @@ import warnings
 
 import pytest
 
-from repro.common.errors import ConfigError, TransportError
+from repro.common.errors import ConfigError, RemoteError, TransportError
 from repro.common.rng import make_rng
 from repro.filters import SuRFBuilder
 from repro.server import (
@@ -24,7 +24,9 @@ from repro.server import (
     AsyncLoopbackTransport,
     AsyncOrderedGate,
 )
+from repro.server.protocol import ErrorCode
 from repro.system.defense import DefensePolicy, build_defended_service
+from repro.system.responses import Response, Status
 from repro.workloads import (
     ATTACKER_USER,
     DatasetConfig,
@@ -113,6 +115,35 @@ class TestUseAfterStop:
         assert server_end.fileno() == -1
         assert client_end.recv(1) == b""  # peer sees EOF, not a hang
         client_end.close()
+
+
+class TestOversizedResponse:
+    """Regression: a batch whose answer outgrows the frame cap used to
+    raise out of ``encode_frame`` inside the connection's coroutine,
+    which closed the connection: the client saw an untyped
+    ``TransportError: connection closed``, its next request a broken
+    pipe, and the loop logged an unretrieved task exception."""
+
+    @pytest.mark.wire_deadline(120)
+    def test_typed_error_then_the_connection_keeps_serving(self):
+        env = build_environment(DatasetConfig(
+            num_keys=200, key_width=4, seed=6,
+            filter_builder=SuRFBuilder(variant="real", suffix_bits=8)))
+        value = b"\x5a" * (1 << 20)
+        keys = [b"big-%02d" % i for i in range(17)]
+        with AsyncLoopbackTransport(env.service,
+                                    background=env.background) as transport:
+            client = transport.connect()
+            for key in keys:  # each PUT frame alone fits under the cap
+                assert client.put(ATTACKER_USER, key, value).ok
+            with pytest.raises(RemoteError) as raised:
+                client.get_many(ATTACKER_USER, keys)
+            assert raised.value.code == ErrorCode.PROTOCOL
+            assert "frame cap" in str(raised.value)
+            assert client.ping(b"still here") == b"still here"
+            assert client.get_many(ATTACKER_USER, keys[:2]) == [
+                Response(Status.OK, value)] * 2
+            client.close()
 
 
 class TestAioDefendedStats:

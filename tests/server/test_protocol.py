@@ -32,12 +32,25 @@ users = st.integers(min_value=0, max_value=2**64 - 1)
 request_ids = st.integers(min_value=0, max_value=2**64 - 1)
 sim_times = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 statuses = st.sampled_from(list(Status))
+#: Keys at the edges of the u16 key-length column, among short ones.
+edge_keys = st.one_of(keys, st.just(b""), st.just(b"\xab" * MAX_KEY_BYTES))
+#: Results of every status with no value, an empty value or a short one.
+edge_results = st.tuples(
+    st.builds(Response, statuses,
+              st.one_of(st.none(), st.just(b""), st.binary(max_size=16))),
+    sim_times)
 
 
 def responses():
     return st.builds(
         Response, statuses,
         st.one_of(st.none(), st.binary(min_size=0, max_size=32)))
+
+
+def _zipped(columns):
+    """``decode_get_many_columns``'s two columns as (response, sim_us)
+    pairs, the shape ``encode_get_many_response`` takes."""
+    return list(zip(*columns))
 
 
 class TestFrameRoundTrip:
@@ -112,7 +125,7 @@ class TestGetCodecs:
         with pytest.raises(ProtocolError):
             protocol.encode_get_request(1, b"k" * (MAX_KEY_BYTES + 1))
 
-    @given(user=users, key_list=st.lists(keys, max_size=20))
+    @given(user=users, key_list=st.lists(edge_keys, max_size=20))
     def test_get_many_request_round_trip(self, user, key_list):
         wire = protocol.encode_get_many_request(user, key_list)
         assert protocol.decode_get_many_request(wire) == (user, key_list)
@@ -145,10 +158,10 @@ class TestResultCodecs:
         assert decoded_us == sim_us
         assert consumed == len(wire)
 
-    @given(results=st.lists(st.tuples(responses(), sim_times), max_size=16))
+    @given(results=st.lists(edge_results, max_size=16))
     def test_get_many_response_round_trip(self, results):
         wire = protocol.encode_get_many_response(results)
-        assert protocol.decode_get_many_response(wire) == results
+        assert _zipped(protocol.decode_get_many_columns(wire)) == results
 
     @given(results=st.lists(st.tuples(responses(), sim_times),
                             min_size=1, max_size=8),
@@ -156,7 +169,7 @@ class TestResultCodecs:
     def test_truncated_response_rejected(self, results, cut):
         wire = protocol.encode_get_many_response(results)
         with pytest.raises(ProtocolError):
-            protocol.decode_get_many_response(wire[:-min(cut, len(wire))])
+            protocol.decode_get_many_columns(wire[:-min(cut, len(wire))])
 
     def test_unknown_status_code_rejected(self):
         wire = bytearray(protocol.encode_result(Response(Status.OK, None), 1.0))
@@ -182,8 +195,8 @@ class TestControlCodecs:
         StatsSnapshot, sim_times,
         *[st.integers(min_value=0, max_value=2**32) for _ in range(4)],
         sim_times, st.integers(min_value=0, max_value=2**32), sim_times,
-        # defense, compaction and range-engine counters
-        *[st.integers(min_value=0, max_value=2**32) for _ in range(8)]))
+        # defense, compaction and range-read counters
+        *[st.integers(min_value=0, max_value=2**32) for _ in range(6)]))
     def test_stats_round_trip(self, stats):
         wire = protocol.encode_stats_response(stats)
         assert protocol.decode_stats_response(wire) == stats
@@ -192,14 +205,11 @@ class TestControlCodecs:
         stats = StatsSnapshot(
             sim_now_us=1.5, requests=9, ok=7, not_found=1, unauthorized=1,
             eviction_wait_us=0.0, stalled_requests=0, total_stall_us=0.0,
-            range_queries=123, sorted_view_seeks=120,
-            view_rebuild_segments=17)
+            range_queries=123)
         decoded = protocol.decode_stats_response(
             protocol.encode_stats_response(stats))
         assert decoded == stats
         assert decoded.range_queries == 123
-        assert decoded.sorted_view_seeks == 120
-        assert decoded.view_rebuild_segments == 17
 
     @given(duration=st.floats(min_value=0.0, max_value=1e12, allow_nan=False))
     def test_wait_round_trip(self, duration):
@@ -247,7 +257,7 @@ class TestWriteCodecs:
             protocol.decode_put_request(wire[:-min(cut, len(wire))])
 
     @given(user=users,
-           items=st.lists(st.tuples(keys, values), max_size=12),
+           items=st.lists(st.tuples(edge_keys, values), max_size=12),
            flags=put_flags)
     def test_put_many_request_round_trip(self, user, items, flags):
         wire = protocol.encode_put_many_request(user, items, flags)
@@ -288,3 +298,155 @@ class TestWriteCodecs:
         wire = protocol.encode_delete_request(3, b"victim")
         with pytest.raises(ProtocolError):
             protocol.decode_delete_request(wire[:-1])
+
+
+# --------------------------------------------------- v4 columnar batch frames
+
+def _well_formed_get_many_request(decoded):
+    user, key_list = decoded
+    assert isinstance(user, int)
+    assert all(isinstance(key, bytes) for key in key_list)
+
+
+def _well_formed_get_many_columns(decoded):
+    response_column, sim_column = decoded
+    assert len(response_column) == len(sim_column)
+    for response in response_column:
+        assert isinstance(response.status, Status)
+        assert response.value is None or isinstance(response.value, bytes)
+    assert all(isinstance(sim_us, float) for sim_us in sim_column)
+
+
+def _well_formed_put_many_request(decoded):
+    user, items, flags = decoded
+    assert isinstance(user, int) and flags in (0, protocol.PUT_FLAG_PUBLIC_READ)
+    for key, value in items:
+        assert isinstance(key, bytes) and isinstance(value, bytes)
+
+
+#: (decoder, check of what it returned, a valid payload): every cut and
+#: every byte flip of the payload must be refused typed or decode to a
+#: well-formed value.
+MANGLED_CASES = [
+    (protocol.decode_get_many_request, _well_formed_get_many_request,
+     protocol.encode_get_many_request(7, [b"ab", b"", b"cde"])),
+    (protocol.decode_get_many_columns, _well_formed_get_many_columns,
+     protocol.encode_get_many_response([
+         (Response(Status.OK, b"v1"), 1.5),
+         (Response(Status.NOT_FOUND), 2.0),
+         (Response(Status.UNAUTHORIZED, b""), 0.25),
+         (Response(Status.FAILED), 3.0)])),
+    (protocol.decode_get_many_columns, _well_formed_get_many_columns,
+     protocol.encode_get_many_response([(Response(Status.NOT_FOUND), 1.0),
+                                        (Response(Status.OK), 2.0)])),
+    (protocol.decode_put_many_request, _well_formed_put_many_request,
+     protocol.encode_put_many_request(
+         3, [(b"k1", b"value"), (b"", b""), (b"k3", b"x")],
+         protocol.PUT_FLAG_PUBLIC_READ)),
+]
+
+
+def _refused_or_well_formed(decode, check, payload):
+    try:
+        decoded = decode(payload)
+    except ProtocolError:
+        return
+    check(decoded)
+
+
+class TestColumnarBatches:
+    def test_every_status_with_and_without_a_value(self):
+        results = [(Response(status, value), float(i))
+                   for i, (status, value) in enumerate(
+                       (status, value) for status in Status
+                       for value in (None, b"", b"val"))]
+        wire = protocol.encode_get_many_response(results)
+        assert _zipped(protocol.decode_get_many_columns(wire)) == results
+
+    def test_valueless_results_share_one_response_per_status(self):
+        wire = protocol.encode_get_many_response(
+            [(Response(Status.NOT_FOUND), 1.0),
+             (Response(Status.NOT_FOUND), 2.0),
+             (Response(Status.OK, b"v"), 3.0)])
+        first, second, third = protocol.decode_get_many_columns(wire)[0]
+        assert first is second
+        assert third.value == b"v"
+        decoded, _, _ = protocol.decode_result(
+            protocol.encode_result(Response(Status.NOT_FOUND), 1.0))
+        assert decoded is first
+
+    def test_empty_batches_round_trip(self):
+        assert protocol.decode_get_many_columns(
+            protocol.encode_get_many_response([])) == ([], ())
+        assert protocol.decode_put_many_request(
+            protocol.encode_put_many_request(4, [])) == (4, [], 0)
+
+    @pytest.mark.parametrize("decode, check, payload", MANGLED_CASES)
+    def test_every_truncation_is_refused_or_well_formed(self, decode, check,
+                                                        payload):
+        for cut in range(len(payload)):
+            _refused_or_well_formed(decode, check, payload[:cut])
+
+    @pytest.mark.parametrize("decode, check, payload", MANGLED_CASES)
+    def test_every_byte_flip_is_refused_or_well_formed(self, decode, check,
+                                                       payload):
+        for index in range(len(payload)):
+            for flipped in {payload[index] ^ 0xFF, payload[index] ^ 0x01,
+                            0x00, 0x04}:
+                mangled = bytearray(payload)
+                mangled[index] = flipped
+                _refused_or_well_formed(decode, check, bytes(mangled))
+
+    @pytest.mark.parametrize("decode, check, payload", MANGLED_CASES)
+    def test_trailing_bytes_rejected(self, decode, check, payload):
+        with pytest.raises(ProtocolError):
+            decode(payload + b"\x00")
+
+    def test_status_code_four_or_more_rejected(self):
+        wire = bytearray(protocol.encode_get_many_response(
+            [(Response(Status.OK), 1.0), (Response(Status.OK), 2.0)]))
+        status_at = 4 + 2 * 8
+        for code in (4, 5, 0xFF):
+            wire[status_at + 1] = code
+            with pytest.raises(ProtocolError):
+                protocol.decode_get_many_columns(bytes(wire))
+
+    def test_presence_byte_outside_zero_one_rejected(self):
+        results = [(Response(Status.OK, b"a"), 1.0),
+                   (Response(Status.NOT_FOUND), 2.0)]
+        wire = bytearray(protocol.encode_get_many_response(results))
+        # count | 2 sims | 2 statuses | present=1 | 1 length | 2 presence
+        presence_at = 4 + 2 * 8 + 2 + 4 + 4
+        assert wire[presence_at:presence_at + 2] == b"\x01\x00"
+        for marker in (2, 0xFF):
+            for index in (0, 1):
+                mangled = bytearray(wire)
+                mangled[presence_at + index] = marker
+                with pytest.raises(ProtocolError):
+                    protocol.decode_get_many_columns(bytes(mangled))
+        swapped = bytearray(wire)
+        swapped[presence_at:presence_at + 2] = b"\x00\x01"
+        assert _zipped(protocol.decode_get_many_columns(bytes(swapped))) == [
+            (Response(Status.OK), 1.0), (Response(Status.NOT_FOUND, b"a"), 2.0)]
+
+    def test_over_length_key_refused(self):
+        with pytest.raises(ProtocolError):
+            protocol.encode_get_many_request(1, [b"k" * (MAX_KEY_BYTES + 1)])
+        with pytest.raises(ProtocolError):
+            protocol.encode_put_many_request(
+                1, [(b"k" * (MAX_KEY_BYTES + 1), b"v")])
+
+    def test_get_many_response_bytes_are_pinned(self):
+        wire = protocol.encode_get_many_response([
+            (Response(Status.OK, b"v"), 1.5),
+            (Response(Status.NOT_FOUND), 2.0),
+            (Response(Status.UNAUTHORIZED, b""), 0.25)])
+        assert wire.hex() == (
+            "00000003"                                  # count
+            "3ff8000000000000" "4000000000000000"
+            "3fd0000000000000"                          # sim-µs column
+            "000102"                                    # status column
+            "00000002"                                  # values present
+            "00000001" "00000000"                       # length column
+            "010001"                                    # presence column
+            "76")                                       # value blob
