@@ -185,12 +185,39 @@ def extend_prefix(oracle: ProbeOracle, prefix: bytes, key_width: int,
     # Every buffered candidate lies within the query budget by construction.
     chunk: list = []
     exhausted = True
+    if mask is None:
+        # Nothing is pruned: a chunk is the next slice of the suffix space,
+        # cut short where the budget refuses a candidate (which, as in the
+        # loop below, counts as considered).
+        value = 0
+        while value < space:
+            stop = min(space, value + chunk_size)
+            cut = False
+            if max_queries is not None:
+                room = max(0, max_queries - queries)
+                if value + room < stop:
+                    stop, cut = value + room, True
+            chunk = [prefix + suffix.to_bytes(suffix_len, "big")
+                     for suffix in range(value, stop)]
+            considered += stop - value
+            value = stop
+            if cut:
+                considered += 1
+                exhausted = False
+                break
+            hit = issue(chunk)
+            chunk = []
+            if hit is not None:
+                return ExtensionResult(hit, queries, considered,
+                                       exhausted=False)
+        hit = issue(chunk) if chunk else None
+        return ExtensionResult(hit, queries, considered,
+                               exhausted=exhausted and hit is None)
     for value in range(space):
         suffix = value.to_bytes(suffix_len, "big") if suffix_len else b""
         considered += 1
-        if mask is not None:
-            if fnv1a_64_update(prefix_state, suffix) & mask != target_bits:
-                continue  # pruned for free: hash bits cannot match
+        if fnv1a_64_update(prefix_state, suffix) & mask != target_bits:
+            continue  # pruned for free: hash bits cannot match
         if max_queries is not None and queries + len(chunk) >= max_queries:
             exhausted = False
             break

@@ -412,6 +412,16 @@ class LoudsBackend:
         instead of tuples.  The verdict vector is exactly the scalar
         loop's (:func:`repro.filters.surf.cursor.lookup`), input order and
         duplicates included.
+
+        A descent also records how many key bytes decided its verdict: a
+        label missing at depth d decides on the first d + 1 bytes, a leaf
+        at depth d on d plus the scheme's suffix window (BASE, REAL).  A
+        verdict that read past the key's end (a short key's zero-padded
+        window), a prefix-key verdict and a HASH leaf verdict decide on
+        the whole key and are never reused.  The next sorted key that
+        starts with those bytes — so is at least that long — takes the
+        same path to the same decision and copies the verdict without a
+        descent (an extension chunk's consecutive suffixes, mostly).
         """
         if self._empty:  # sentinel root only: nothing to share or inline
             return [_cursor.lookup(self, key, scheme) for key in keys]
@@ -436,6 +446,7 @@ class LoudsBackend:
         num_dense = self._num_dense
         first_sparse_child = self._first_sparse_child
         matches = scheme.matcher()
+        window = scheme.window
         popcount = _popcount
         bisect = bisect_left
 
@@ -447,8 +458,12 @@ class LoudsBackend:
         prev = b""
         prev_len = 0
         top = 0  # == len(kinds) - 1, maintained across keys
+        stem = None  # the bytes that decided ``verdict``, when reusable
         for i in sorted(range(n), key=keys.__getitem__):
             key = keys[i]
+            if stem is not None and key.startswith(stem):
+                verdicts[i] = verdict
+                continue
             key_len = len(key)
             # Resume depth: lcp(prev, key) clamped to the depth actually
             # reached for ``prev`` (== top), computed without a full lcp
@@ -468,6 +483,7 @@ class LoudsBackend:
             kind = kinds[depth]
             index = idxs[depth]
             verdict = False
+            decided = 0  # 0: the whole key decided
             while True:
                 if kind == _DENSE_NODE:
                     if depth == key_len:
@@ -482,6 +498,7 @@ class LoudsBackend:
                         break
                     pos = (index << 8) | key[depth]
                     if not (dl_words[pos >> 6] >> (pos & 63)) & 1:
+                        decided = depth + 1
                         break
                     if (dh_words[pos >> 6] >> (pos & 63)) & 1:
                         p1 = pos + 1
@@ -510,6 +527,7 @@ class LoudsBackend:
                     end = s_node_start[index + 1]
                     pos = bisect(s_labels, key[depth], start, end)
                     if pos == end or s_labels[pos] != key[depth]:
+                        decided = depth + 1
                         break
                     if (sh_words[pos >> 6] >> (pos & 63)) & 1:
                         p1 = pos + 1
@@ -531,6 +549,8 @@ class LoudsBackend:
                         rh += popcount(dh_words[w] & mask)
                     verdict = matches(key, depth,
                                       d_leaf_payloads[rl - rh - 1])
+                    if window is not None:
+                        decided = depth + window
                     break
                 else:  # _SPARSE_LEAF
                     p1 = index + 1
@@ -539,11 +559,14 @@ class LoudsBackend:
                     if o:
                         rh += popcount(sh_words[w] & ((1 << o) - 1))
                     verdict = matches(key, depth, s_leaf_payloads[p1 - rh - 1])
+                    if window is not None:
+                        decided = depth + window
                     break
                 depth += 1
                 kinds.append(kind)
                 idxs.append(index)
             verdicts[i] = verdict
+            stem = key[:decided] if 0 < decided <= key_len else None
             prev = key
             prev_len = key_len
             top = depth

@@ -74,6 +74,15 @@ class SuffixScheme:
             return suffix_hash_bits(query, self.num_bits) == payload
         return real_suffix_bits(query, depth, self.num_bits) == payload
 
+    @property
+    def window(self):
+        """Key bytes past a leaf's depth that its verdict reads: 0 for
+        BASE, the suffix bits' bytes for REAL; None for HASH, whose
+        verdict reads the whole key."""
+        if self.variant is SurfVariant.HASH:
+            return None
+        return (self.num_bits + 7) // 8
+
     def matcher(self):
         """Specialized ``(query, depth, payload) -> bool`` for hot loops.
 

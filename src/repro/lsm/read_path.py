@@ -39,14 +39,17 @@ from repro.filters.base import Filter
 from repro.lsm.iterator import DBIterator, merge_entries
 from repro.lsm.memtable import Entry
 from repro.lsm.options import (
+    BLOCK_SEARCH_COST_US,
     COST_JITTER,
     FILTER_QUERY_COST_US,
     GET_BASE_COST_US,
+    INDEX_LOOKUP_COST_US,
     MEMTABLE_LOOKUP_COST_US,
     RANGE_NEXT_COST_US,
     RANGE_SEEK_COST_US,
 )
 from repro.lsm.sstable import SSTable
+from repro.storage.page_cache import CACHE_HIT_COST_US
 
 #: What a batch with nothing memoized looks up (never written).
 _NOTHING: Dict = {}
@@ -363,15 +366,21 @@ def probe_plan(view: ReadView, keys: Iterable[bytes],
         todo = [key for key in todo if in_memtable(key) is None]
     tables_of = view.version.candidates_for_keys(todo)
     groups: Dict[Filter, List[bytes]] = {}
-    for key, tables in zip(todo, tables_of):
-        for table in tables:
+    # A run of keys shares one candidate tuple (the same object): each
+    # run joins its filters' groups in one step.
+    start = 0
+    count = len(todo)
+    for stop in range(1, count + 1):
+        if stop < count and tables_of[stop] is tables_of[start]:
+            continue
+        for table in tables_of[start]:
             filt = table.filter
             if filt is not None:
                 group = groups.get(filt)
                 if group is None:
-                    groups[filt] = [key]
-                else:
-                    group.append(key)
+                    group = groups[filt] = []
+                group += todo[start:stop]
+        start = stop
     if not groups:
         return None
     plan = ProbePlan()
@@ -416,6 +425,17 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     replayed, consumed ones counted as ``may_contain`` would count
     them), else from the view's version.
 
+    Runs: a data-block read that hits the decoded cache starts a run —
+    the reader, the block, the block's key span and the cache's
+    ``run_token``.  While the next table read is by the same reader,
+    for a key in the same span, and the token still holds (re-checked
+    under the cache lock, with the file's generation), the kernel skips
+    the index bisect and ``read_decoded`` and applies their charges
+    itself, in their order: the index lookup, one cache hit per page,
+    the block search, plus the hit counters.  The token proves nothing
+    touched the cache since the hit, so the LRU order a repeated hit
+    would leave is the order it already has.
+
     Returns ``(results, elapsed_us)`` for the keys issued: each key's
     value (or ``on_found``'s result), None when absent, and the
     simulated µs from before its first charge to after ``on_found``.
@@ -423,6 +443,11 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     stats = view.stats
     clock = view.clock
     cache = view.cache
+    cache_clock = cache.device.clock
+    cache_stats = cache.stats
+    cache_lock = cache._lock
+    generation_of = cache.device.generation_map().get
+    block_size = cache.device.model.block_size
     memtable_get = view._memtable.get
     search = view.version
     rng = view._cost_rng.generator
@@ -439,6 +464,10 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     #: filter -> [queries, positives] of the plan verdicts consumed.
     tallies: Dict[Filter, List[int]] = {}
     last_filter = memo = tally = None
+    #: The current run (see Runs above): none until a cache hit starts one.
+    run_reader = run_block = run_token = run_path = None
+    run_low = run_high = b""
+    run_gen = run_pages = 0
     spare = rng.gauss_next
     try:
         for key in keys:
@@ -506,7 +535,33 @@ def read_points(view: ReadView, keys: Sequence[bytes],
                             filter_negatives += 1
                             continue
                     table_reads += 1
-                    entry = table.reader.get(key, cache)
+                    reader = table.reader
+                    rerun = False
+                    if reader is run_reader and run_low < key <= run_high:
+                        with cache_lock:
+                            if (cache.run_token is run_token
+                                    and generation_of(run_path, 0)
+                                    == run_gen):
+                                rerun = True
+                                cache_clock.now_us += INDEX_LOOKUP_COST_US
+                                for _ in range(run_pages):
+                                    cache_clock.now_us += CACHE_HIT_COST_US
+                                cache_stats.hits += run_pages
+                                cache_stats.decoded_hits += 1
+                    if rerun:
+                        cache_clock.now_us += BLOCK_SEARCH_COST_US
+                        entry = run_block.get(key)
+                    else:
+                        entry, span, block = reader.lookup(key, cache)
+                        token = cache.run_token
+                        if block is not None and token is not None:
+                            # The read hit: a run starts at this block.
+                            run_reader, run_block, run_token = (
+                                reader, block, token)
+                            run_low, run_high = span
+                            run_path, run_gen, offset, length = token
+                            run_pages = ((offset + length - 1) // block_size
+                                         - offset // block_size + 1)
                     if entry is not None:
                         value = entry.value
                         break

@@ -136,16 +136,30 @@ class SSTableReader:
         its own clock), and for the live store it is the same object as
         ``self.device.clock``.
         """
+        return self.lookup(key, cache)[0]
+
+    def lookup(self, key: bytes, cache: PageCache
+               ) -> Tuple[Optional[Entry], Optional[Tuple[bytes, bytes]],
+                          Optional[Block]]:
+        """:meth:`get`, plus the data block it searched and that block's
+        key span ``(low, high)``: the keys ``low < k <= high`` that would
+        land in the same block.  Both None when ``key`` is past the last
+        block (nothing is read).  The point kernel keeps them to serve
+        the next keys of a run from the block (``read_path.read_points``).
+        """
         clock = cache.device.clock
         clock.now_us += INDEX_LOOKUP_COST_US
-        block_index = bisect_left(self._last_keys, key)
-        if block_index == len(self._last_keys):
-            return None
+        last_keys = self._last_keys
+        block_index = bisect_left(last_keys, key)
+        if block_index == len(last_keys):
+            return None, None, None
         handle = self._index[block_index][1]
         block = cache.read_decoded(self.path, handle.offset, handle.length,
                                    Block, self.region)
         clock.now_us += BLOCK_SEARCH_COST_US
-        return block.get(key)
+        span = (last_keys[block_index - 1] if block_index else b"",
+                last_keys[block_index])
+        return block.get(key), span, block
 
     def iterate_from(self, low: bytes, cache: PageCache
                      ) -> Iterator[Tuple[bytes, Entry]]:

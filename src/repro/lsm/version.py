@@ -81,7 +81,7 @@ class Version:
     :meth:`apply`, which returns a new version.
     """
 
-    __slots__ = ("max_levels", "levels", "_max_keys", "_min_keys")
+    __slots__ = ("max_levels", "levels", "_deep", "_max_keys", "_min_keys")
 
     def __init__(self, max_levels: int,
                  levels: Optional[Sequence[Sequence[SSTable]]] = None) -> None:
@@ -91,6 +91,9 @@ class Version:
                 () for _ in range(max_levels))
         else:
             self.levels = tuple(tuple(tables) for tables in levels)
+        #: The non-empty levels below L0, top-down: all a search visits.
+        self._deep = tuple(level for level in range(1, len(self.levels))
+                           if self.levels[level])
         # Lazily-built per-level min/max_key arrays for binary search on
         # the hot paths.  Safe under concurrency: the computed list is
         # identical no matter which thread builds it first.
@@ -145,12 +148,12 @@ class Version:
 
         This is the top-down search order of a ``get``: all covering L0
         tables (newest first), then the single covering table per deeper
-        level.
+        level (only the non-empty ones are visited).
         """
         for table in self.levels[0]:
             if table.covers(key):
                 yield table
-        for level in range(1, self.max_levels):
+        for level in self._deep:
             table = self._find_in_level(level, key)
             if table is not None:
                 yield table
@@ -159,31 +162,65 @@ class Version:
                             ) -> List[Tuple[SSTable, ...]]:
         """``tuple(self.candidates_for_key(key))`` for every key, in one walk.
 
-        Each deep level's last table is reused while it still covers the
-        next key, so a sorted batch (an extension chunk: one prefix's
-        consecutive suffixes) bisects a level only where it crosses a
-        table edge; other keys bisect as one lookup would.  Empty levels
-        are skipped once per batch, not once per key.
+        A walk also derives the key range ``[low, high)`` over which its
+        answer holds: the spans of the tables it found, the gaps between
+        the tables it missed.  The next keys inside that range share the
+        walk's tuple — the same object — without walking, so a sorted
+        batch (an extension chunk: one prefix's consecutive suffixes)
+        walks once per table edge it crosses, and its consumers can take
+        a run of keys with one candidate tuple as one unit.
         """
         level0 = self.levels[0]
         deep = [(self.levels[level], self._level_max_keys(level))
-                for level in range(1, self.max_levels) if self.levels[level]]
-        last: List[Optional[SSTable]] = [None] * len(deep)
+                for level in self._deep]
         out: List[Tuple[SSTable, ...]] = []
         append = out.append
+        found: Optional[Tuple[SSTable, ...]] = None
+        low = b""
+        high: Optional[bytes] = None  # None: no upper bound
         for key in keys:
-            found = ([table for table in level0
-                      if table.min_key <= key <= table.max_key]
-                     if level0 else [])
-            for depth, (tables, max_keys) in enumerate(deep):
-                table = last[depth]
-                if table is None or not table.min_key <= key <= table.max_key:
-                    index = bisect_left(max_keys, key)
-                    if index == len(tables) or tables[index].min_key > key:
-                        continue
-                    table = last[depth] = tables[index]
-                found.append(table)
-            append(tuple(found))
+            if (found is not None and low <= key
+                    and (high is None or key < high)):
+                append(found)
+                continue
+            tables: List[SSTable] = []
+            low, high = b"", None
+            for table in level0:
+                if key < table.min_key:
+                    if high is None or table.min_key < high:
+                        high = table.min_key
+                    continue
+                after = table.max_key + b"\x00"  # the least key past it
+                if key >= after:
+                    if after > low:
+                        low = after
+                    continue
+                tables.append(table)
+                if table.min_key > low:
+                    low = table.min_key
+                if high is None or after < high:
+                    high = after
+            for level_tables, max_keys in deep:
+                index = bisect_left(max_keys, key)
+                if index:
+                    after = max_keys[index - 1] + b"\x00"
+                    if after > low:
+                        low = after
+                if index == len(level_tables):
+                    continue
+                table = level_tables[index]
+                if key < table.min_key:
+                    if high is None or table.min_key < high:
+                        high = table.min_key
+                    continue
+                tables.append(table)
+                if table.min_key > low:
+                    low = table.min_key
+                after = table.max_key + b"\x00"
+                if high is None or after < high:
+                    high = after
+            found = tuple(tables)
+            append(found)
         return out
 
     def _level_max_keys(self, level: int) -> List[bytes]:
@@ -195,8 +232,6 @@ class Version:
 
     def _find_in_level(self, level: int, key: bytes) -> Optional[SSTable]:
         tables = self.levels[level]
-        if not tables:
-            return None
         max_keys = self._level_max_keys(level)
         index = bisect_left(max_keys, key)
         if index < len(tables) and tables[index].covers(key):

@@ -111,6 +111,11 @@ _STATUS_TO_CODE = {
     Status.UNAUTHORIZED: 2,
     Status.FAILED: 3,
 }
+#: The encoders' view of the same map, keyed by member name: a str hashes
+#: from its cache, an Enum member through the Python-level
+#: ``Enum.__hash__`` (about 3x the cost per status column).
+_CODE_BY_NAME = {status._name_: code
+                 for status, code in _STATUS_TO_CODE.items()}
 #: Status by wire code, and the one value-less response of each: a
 #: result without a value decodes to it instead of a new object.
 _STATUSES = tuple(sorted(_STATUS_TO_CODE, key=_STATUS_TO_CODE.__getitem__))
@@ -396,7 +401,7 @@ def encode_result(response: Response, sim_us: float) -> bytes:
     + optional value.  The ``sim_us`` field is the server-reported simulated
     response time — the side channel, measured where the SimClock lives."""
     value = response.value
-    head = _RESULT_PREFIX.pack(_STATUS_TO_CODE[response.status], sim_us,
+    head = _RESULT_PREFIX.pack(_CODE_BY_NAME[response.status._name_], sim_us,
                                0 if value is None else 1)
     if value is None:
         return head
@@ -442,7 +447,7 @@ def encode_get_many_response(results: Sequence[Tuple[Response, float]]
     present = [value for value in values if value is not None]
     parts = [_U32.pack(count),
              struct.pack(f"!{count}d", *[sim_us for _, sim_us in results]),
-             bytes([_STATUS_TO_CODE[response.status]
+             bytes([_CODE_BY_NAME[response.status._name_]
                     for response in responses]),
              _U32.pack(len(present))]
     if present:

@@ -26,6 +26,19 @@ Cache identity is **version-scoped**: every key includes the file's device
 generation (bumped on create/rename/delete/append), so a path recycled by
 a newer version can never be answered from the previous file's blocks —
 the stale entries simply stop being addressable and age out of the LRU.
+
+**Run token.**  A :meth:`PageCache.read_decoded` that returns through its
+hit path hands out ``run_token``: that read's decoded key.  Every other
+operation that mutates the cache — any read, a miss, an eviction,
+``displace``, ``invalidate_file``, ``clear`` — clears it first, through
+the one helper ``_set_run`` (held there by
+``tests/storage/test_run_token_guard.py``).  So while the token holds,
+the hit's pages and its decoded entry still sit at the tails of their
+LRUs, in the order the hit left them, and repeating the hit would move
+nothing: its holder may apply the hit's charges and counters itself
+(the point kernel does, for a run of keys in one block).  A generation
+bump of the file never reaches the cache; the holder compares the
+token's generation with the device's.
 """
 
 from __future__ import annotations
@@ -137,6 +150,10 @@ class PageCache:
         self._front_size = 0
         self.stats = CacheStats()
         self._lock = threading.RLock()
+        #: The decoded key of the last read_decoded hit while nothing has
+        #: touched the cache since, else None (module docstring).
+        self.run_token: Optional[DecodedKey]
+        self._set_run()
         #: The device block size, clock and generation map are fixed for
         #: the device's life; bound here to keep the per-read hot paths
         #: free of attribute chains and method frames.
@@ -171,6 +188,7 @@ class PageCache:
         like the bytes it aliases).
         """
         with self._lock:
+            self._set_run()
             key = (path, self.device.file_generation(path), block_index)
             cached = self._pages.get(key)
             if cached is not None:
@@ -200,15 +218,18 @@ class PageCache:
         identical whether this layer is enabled, disabled, or thrashing,
         and whether or not a region is used.
 
-        The hit path is the point-read kernel's per-key I/O (a cached
-        data block per filter-passing probe), so it calls no method but
-        the LRU's own: per page, in page order, one ``move_to_end``, one
-        hit and one ``CACHE_HIT_COST_US`` added to the clock.
+        The hit path is the point-read kernel's I/O for the first key of
+        a run (a cached data block per filter-passing probe), so it calls
+        no method but the LRU's own and the token's: per page, in page
+        order, one ``move_to_end``, one hit and one ``CACHE_HIT_COST_US``
+        added to the clock; then the entry's ``move_to_end``, one decoded
+        hit, and the key handed out as ``run_token``.
 
         A zero-length read decodes ``b""`` and, like :meth:`read`,
         touches no page, charges nothing and records no stats.
         """
         if length == 0:
+            self._set_run()
             return decode(b"")
         gen = self._generation_of(path, 0)
         key = (path, gen, offset, length)
@@ -233,10 +254,12 @@ class PageCache:
                     stats.hits += stop - first
                     self._decoded.move_to_end(key)
                     stats.decoded_hits += 1
+                    self._set_run(key)
                     return obj
                 # Some page was evicted under the decoded entry: drop it
                 # and rebuild through the ordinary (charged) read path.
                 self._drop_decoded(key)
+            self._set_run()
             self.stats.decoded_misses += 1
             if region is not None and not region.closed \
                     and region.generation == gen:
@@ -281,6 +304,7 @@ class PageCache:
         # largest non-charge cost of a batched seek.
         hits = decoded_hits = decoded_misses = 0
         with self._lock:
+            self._set_run()
             for path, offset, length, decode, region in requests:
                 if length == 0:
                     append(decode(b""))
@@ -384,6 +408,7 @@ class PageCache:
                 f"cannot displace {count} pages of {size} bytes: the count "
                 "must be non-negative and the size positive")
         with self._lock:
+            self._set_run()
             pages = self._pages
             end = self._next_foreign = self._next_foreign + count
             if count * size > self.capacity_bytes:
@@ -415,6 +440,7 @@ class PageCache:
         immediately instead of waiting for LRU aging.)
         """
         with self._lock:
+            self._set_run()
             stale = [key for key in self._pages if key[0] == path]
             for key in stale:
                 self._bytes -= len(self._pages.pop(key))
@@ -428,6 +454,7 @@ class PageCache:
     def clear(self) -> None:
         """Drop all cached pages and decoded entries."""
         with self._lock:
+            self._set_run()
             self._pages.clear()
             self._front = 0
             self._bytes = 0
@@ -449,7 +476,13 @@ class PageCache:
 
     # ---------------------------------------------------------------- helpers
 
+    def _set_run(self, token: Optional[DecodedKey] = None) -> None:
+        """The one writer of ``run_token``: ``read_decoded``'s hit path
+        hands out its key; every other mutation clears the token."""
+        self.run_token = token
+
     def _insert(self, key: PageKey, block: memoryview) -> None:
+        self._set_run()
         if key in self._pages:
             self._bytes -= len(self._pages.pop(key))
         self._pages[key] = block
@@ -457,6 +490,7 @@ class PageCache:
         self._shrink_to(self.capacity_bytes)
 
     def _shrink_to(self, limit: int) -> None:
+        self._set_run()
         if self._front and self._bytes > limit:
             # The front run goes first, in one step: as many of its pages
             # as popping them one by one would take.
@@ -472,6 +506,7 @@ class PageCache:
             self._invalidate_decoded_for_page(evicted_key)
 
     def _insert_decoded(self, key: DecodedKey, obj: object) -> None:
+        self._set_run()
         if key in self._decoded:
             self._drop_decoded(key)
         self._decoded[key] = obj
@@ -487,6 +522,7 @@ class PageCache:
             self._drop_decoded(oldest)
 
     def _drop_decoded(self, key: DecodedKey) -> None:
+        self._set_run()
         self._decoded.pop(key, None)
         path, gen, offset, length = key
         block_size = self.device.model.block_size

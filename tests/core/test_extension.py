@@ -1,6 +1,8 @@
 """Step-3 extension tests: enumeration, early exit, hash pruning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import AttackError
 from repro.core.extension import (
@@ -137,3 +139,64 @@ class TestVariableLengthExtension:
             extend_prefix_variable(ScriptedOracle([]), b"p", -1)
         with pytest.raises(AttackError):
             extend_prefix_variable(ScriptedOracle([]), b"p", 2, charset=b"")
+
+
+def scanned_extension(oracle, prefix, key_width, max_queries, chunk_size,
+                      whole_chunks):
+    """Step 3 as the per-candidate scan it abbreviates: each candidate
+    counted, checked against the budget, buffered, and the buffer issued
+    when full (through ``probe_many``, or every key of it when the prober
+    issues whole chunks)."""
+    suffix_len = key_width - len(prefix)
+    queries = considered = 0
+    chunk = []
+
+    def issue(keys):
+        statuses = ([oracle.probe(key) for key in keys] if whole_chunks
+                    else oracle.probe_many(keys))
+        hits = [key for key, status in zip(keys, statuses)
+                if status in (Status.UNAUTHORIZED, Status.OK)]
+        return len(statuses), (hits[0] if hits else None)
+
+    for value in range(256 ** suffix_len):
+        considered += 1
+        if max_queries is not None and queries + len(chunk) >= max_queries:
+            spent, hit = issue(chunk) if chunk else (0, None)
+            return hit, queries + spent, considered, False
+        chunk.append(prefix + value.to_bytes(suffix_len, "big"))
+        if len(chunk) >= chunk_size:
+            spent, hit = issue(chunk)
+            queries += spent
+            chunk = []
+            if hit is not None:
+                return hit, queries, considered, False
+    spent, hit = issue(chunk) if chunk else (0, None)
+    return hit, queries + spent, considered, hit is None
+
+
+class TestChunkedEnumeration:
+    """Without a hash constraint a chunk is one slice of the suffix space;
+    the key found, the queries spent, the candidates considered and the
+    exhaustion flag stay the per-candidate scan's."""
+
+    @given(stored=st.sets(st.integers(0, 299), max_size=3),
+           max_queries=st.one_of(st.none(), st.integers(0, 300)),
+           chunk_size=st.integers(1, 70), whole_chunks=st.booleans(),
+           prefix=st.sampled_from([b"\x07", b"\x07\x00"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_candidate_scan(self, stored, max_queries,
+                                            chunk_size, whole_chunks,
+                                            prefix):
+        # Width 2: a one-byte suffix space, or none (the prefix is a key).
+        keys = [(prefix + bytes([value]))[:2] for value in stored
+                if value < 256]
+        expected = scanned_extension(ScriptedOracle(keys), prefix, 2,
+                                     max_queries, chunk_size, whole_chunks)
+        oracle = ScriptedOracle(keys)
+        probe_many = ((lambda chunk: [oracle.probe(key) for key in chunk])
+                      if whole_chunks else None)
+        result = extend_prefix(oracle, prefix, 2,
+                               max_queries=max_queries, probe_many=probe_many,
+                               chunk_size=chunk_size)
+        assert (result.key, result.queries_spent,
+                result.candidates_considered, result.exhausted) == expected

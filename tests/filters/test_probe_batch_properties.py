@@ -7,9 +7,12 @@ advance the counters identically.  Checked here with hypothesis for every
 filter family — including the vectorized Bloom path (exercised whenever
 the batch reaches the numpy threshold), the shared-prefix SuRF traversals
 over both backends, adversarially deep common prefixes, and 0xFF edge
-labels (the byte whose +1 carries in range/child arithmetic).
+labels (the byte whose +1 carries in range/child arithmetic), and
+run-shaped batches: one prefix's consecutive suffixes, along which the
+LOUDS probe copies a verdict the shared bytes already decided.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +120,38 @@ def test_surf_batch_deep_shared_prefixes(prefix, suffixes, probe_suffixes,
     probes *= 2
     assert_batch_equals_scalar(
         lambda: SuRFBuilder(variant="real", suffix_bits=8,
+                            backend=backend).build(keys),
+        probes)
+
+
+@st.composite
+def suffix_runs(draw):
+    """(stored keys, probes) under one prefix: the probes are a run of
+    consecutive two-byte suffixes, a few repeated, plus keys shorter than
+    the run's (the prefix, the prefix and one byte) — shorter than the
+    depth that decides their verdict, and prefixes of the run keys that
+    sort right after them."""
+    prefix = draw(st.binary(min_size=1, max_size=2))
+    stored = draw(st.sets(st.binary(min_size=1, max_size=3),
+                          min_size=1, max_size=30))
+    start = draw(st.integers(0, 0xFFFF))
+    stop = min(0x10000, start + draw(st.integers(1, 300)))
+    run = [prefix + value.to_bytes(2, "big") for value in range(start, stop)]
+    stems = sorted({key[:len(prefix) + 1] for key in run}) + [prefix]
+    repeats = draw(st.lists(st.sampled_from(run), max_size=4))
+    keys = sorted({prefix + suffix for suffix in stored}
+                  | set(draw(st.lists(st.sampled_from(run), max_size=8))))
+    return keys, run + stems + repeats
+
+
+@pytest.mark.parametrize("backend", ["trie", "louds"])
+@pytest.mark.parametrize("variant", ["base", "hash", "real"])
+@given(case=suffix_runs(), suffix_bits=st.sampled_from([1, 8, 9, 16]))
+@settings(max_examples=60)
+def test_surf_batch_suffix_runs(variant, backend, case, suffix_bits):
+    keys, probes = case
+    assert_batch_equals_scalar(
+        lambda: SuRFBuilder(variant=variant, suffix_bits=suffix_bits,
                             backend=backend).build(keys),
         probes)
 

@@ -326,3 +326,15 @@ class TestBatchCandidateWalk:
                                         b"c", b"a"])
         assert [[t.path for t in found] for found in walked] == [
             ["a"], ["a"], [], ["b"], ["b"], [], ["a"], []]
+
+    def test_a_run_shares_one_tuple(self):
+        """Consecutive keys with the same candidates get the same tuple
+        object, which the prepass groups as one run."""
+        v = install(Version(4), 1, [fake_table("a", b"b", b"d"),
+                                    fake_table("b", b"f", b"h")])
+        walked = v.candidates_for_keys([b"b", b"c", b"d", b"e", b"e1",
+                                        b"f", b"g", b"c"])
+        assert walked[0] is walked[1] is walked[2]
+        assert walked[3] is walked[4] == ()
+        assert walked[5] is walked[6] is not walked[2]
+        assert walked[7] == walked[0]
