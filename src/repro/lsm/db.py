@@ -115,13 +115,14 @@ class LSMTree:
             # Background merges read and write through a *silent* view of
             # the device (shared files, throwaway clock/RNG/stats) and a
             # private cache, so their I/O never perturbs the serving
-            # store's simulated time, RNG streams or cache state.  The
-            # serving cache is still invalidated for replaced tables, and
-            # new tables are rebound to the real device before install.
+            # store's simulated time, RNG streams or cache state.  Like
+            # any cache it keeps a decoded block only while the block's
+            # pages are resident, so its memory is bounded by its pages.
+            # The serving cache is still invalidated for replaced tables,
+            # and new tables are rebound to the real device before install.
             self._silent_device = self.device.silent_view()
             self._silent_cache = PageCache(self._silent_device,
-                                           self.options.page_cache_bytes,
-                                           decoded_capacity=0)
+                                           self.options.page_cache_bytes)
             self._silent_manifest = Manifest(self._silent_device)
             self._bg_compactor = Compactor(
                 self._silent_device, self._silent_cache, self.options,

@@ -425,16 +425,20 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     replayed, consumed ones counted as ``may_contain`` would count
     them), else from the view's version.
 
-    Runs: a data-block read that hits the decoded cache starts a run —
-    the reader, the block, the block's key span and the cache's
-    ``run_token``.  While the next table read is by the same reader,
-    for a key in the same span, and the token still holds (re-checked
-    under the cache lock, with the file's generation), the kernel skips
-    the index bisect and ``read_decoded`` and applies their charges
-    itself, in their order: the index lookup, one cache hit per page,
-    the block search, plus the hit counters.  The token proves nothing
-    touched the cache since the hit, so the LRU order a repeated hit
-    would leave is the order it already has.
+    Runs: every data-block read starts a run — the reader, the block,
+    its key span and its cache key.  A later table read by the same
+    reader, for a key in the same span, repeats the block's hit without
+    the index bisect and ``read_decoded`` when the cache confirms that
+    the repeat would move nothing (:meth:`PageCache.repeat_hit`, which
+    then charges the index lookup and one cache hit per page and counts
+    the hit); the kernel charges the block search itself.  Once
+    confirmed, the run *holds*: between two table reads this loop
+    touches the cache only through ``on_found`` and ``until``, so until
+    one of them runs or another block is read, the pages stay the LRU's
+    tail and the kernel repeats the same charges and counts itself.
+    (The other thread that reaches the cache, background compaction,
+    only invalidates files; a repeat it races with is one it could have
+    followed, as a hit that moves nothing leaves the state it found.)
 
     Returns ``(results, elapsed_us)`` for the keys issued: each key's
     value (or ``on_found``'s result), None when absent, and the
@@ -445,8 +449,7 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     cache = view.cache
     cache_clock = cache.device.clock
     cache_stats = cache.stats
-    cache_lock = cache._lock
-    generation_of = cache.device.generation_map().get
+    repeat_hit = cache.repeat_hit
     block_size = cache.device.model.block_size
     memtable_get = view._memtable.get
     search = view.version
@@ -464,10 +467,11 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     #: filter -> [queries, positives] of the plan verdicts consumed.
     tallies: Dict[Filter, List[int]] = {}
     last_filter = memo = tally = None
-    #: The current run (see Runs above): none until a cache hit starts one.
-    run_reader = run_block = run_token = run_path = None
+    #: The current run (see Runs above): none until a block read.
+    run_reader = run_block = run_key = None
     run_low = run_high = b""
-    run_gen = run_pages = 0
+    run_pages = 0
+    run_holds = False
     spare = rng.gauss_next
     try:
         for key in keys:
@@ -536,41 +540,44 @@ def read_points(view: ReadView, keys: Sequence[bytes],
                             continue
                     table_reads += 1
                     reader = table.reader
-                    rerun = False
-                    if reader is run_reader and run_low < key <= run_high:
-                        with cache_lock:
-                            if (cache.run_token is run_token
-                                    and generation_of(run_path, 0)
-                                    == run_gen):
-                                rerun = True
-                                cache_clock.now_us += INDEX_LOOKUP_COST_US
-                                for _ in range(run_pages):
-                                    cache_clock.now_us += CACHE_HIT_COST_US
-                                cache_stats.hits += run_pages
-                                cache_stats.decoded_hits += 1
-                    if rerun:
+                    if (reader is run_reader and run_low < key <= run_high
+                            and (run_holds
+                                 or repeat_hit(run_key, run_block,
+                                               INDEX_LOOKUP_COST_US))):
+                        if run_holds:
+                            cache_clock.now_us += INDEX_LOOKUP_COST_US
+                            for _ in range(run_pages):
+                                cache_clock.now_us += CACHE_HIT_COST_US
+                            cache_stats.hits += run_pages
+                            cache_stats.decoded_hits += 1
+                        else:
+                            run_holds = True
                         cache_clock.now_us += BLOCK_SEARCH_COST_US
                         entry = run_block.get(key)
                     else:
-                        entry, span, block = reader.lookup(key, cache)
-                        token = cache.run_token
-                        if block is not None and token is not None:
-                            # The read hit: a run starts at this block.
-                            run_reader, run_block, run_token = (
-                                reader, block, token)
+                        entry, span, block, block_key = reader.lookup(
+                            key, cache)
+                        run_holds = False
+                        if block is not None:
+                            # A run starts at this block.
+                            run_reader, run_block, run_key = (
+                                reader, block, block_key)
                             run_low, run_high = span
-                            run_path, run_gen, offset, length = token
+                            offset, length = block_key[2], block_key[3]
                             run_pages = ((offset + length - 1) // block_size
                                          - offset // block_size + 1)
                     if entry is not None:
                         value = entry.value
                         break
-            if value is not None and on_found is not None:
-                rng.gauss_next = spare
-                try:
-                    value = on_found(value)
-                finally:
-                    spare = rng.gauss_next
+            if value is not None:
+                # on_found and until may touch the cache.
+                run_holds = False
+                if on_found is not None:
+                    rng.gauss_next = spare
+                    try:
+                        value = on_found(value)
+                    finally:
+                        spare = rng.gauss_next
             results.append(value)
             elapsed.append(clock.now_us - start)
             if value is not None and until is not None and until(value):

@@ -30,7 +30,7 @@ from repro.lsm.block import Block
 from repro.lsm.memtable import Entry
 from repro.lsm.options import BLOCK_SEARCH_COST_US, INDEX_LOOKUP_COST_US
 from repro.storage.device import MappedRegion, StorageDevice
-from repro.storage.page_cache import PageCache
+from repro.storage.page_cache import DecodedKey, PageCache
 
 _FOOTER = struct.Struct("<QIQIQIQ")
 _MAGIC = 0x5355524646545245  # "SURFFTRE"
@@ -140,26 +140,29 @@ class SSTableReader:
 
     def lookup(self, key: bytes, cache: PageCache
                ) -> Tuple[Optional[Entry], Optional[Tuple[bytes, bytes]],
-                          Optional[Block]]:
-        """:meth:`get`, plus the data block it searched and that block's
-        key span ``(low, high)``: the keys ``low < k <= high`` that would
-        land in the same block.  Both None when ``key`` is past the last
-        block (nothing is read).  The point kernel keeps them to serve
-        the next keys of a run from the block (``read_path.read_points``).
+                          Optional[Block], Optional[DecodedKey]]:
+        """:meth:`get`, plus what serves the next keys of a run from the
+        same block (``read_path.read_points``): the block's key span
+        ``(low, high)`` — the keys ``low < k <= high`` that would land
+        in it —, the decoded block, and its cache key for
+        :meth:`PageCache.repeat_hit`.  All None when ``key`` is past the
+        last block (nothing is read).
         """
         clock = cache.device.clock
         clock.now_us += INDEX_LOOKUP_COST_US
         last_keys = self._last_keys
         block_index = bisect_left(last_keys, key)
         if block_index == len(last_keys):
-            return None, None, None
+            return None, None, None, None
+        path = self.path
         handle = self._index[block_index][1]
-        block = cache.read_decoded(self.path, handle.offset, handle.length,
-                                   Block, self.region)
+        offset, length = handle.offset, handle.length
+        block_key = (path, self.device.file_generation(path), offset, length)
+        block = cache.read_decoded(path, offset, length, Block, self.region)
         clock.now_us += BLOCK_SEARCH_COST_US
         span = (last_keys[block_index - 1] if block_index else b"",
                 last_keys[block_index])
-        return block.get(key), span, block
+        return block.get(key), span, block, block_key
 
     def iterate_from(self, low: bytes, cache: PageCache
                      ) -> Iterator[Tuple[bytes, Entry]]:

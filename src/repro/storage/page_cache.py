@@ -12,33 +12,31 @@ The paper's setup caps RocksDB's DRAM at 2 GB via cgroups while the dataset
 is ~50 GB; the default capacity here is likewise a small fraction of a
 default experiment's on-device bytes.
 
-Beside the raw pages, the cache keeps a bounded LRU of *decoded* objects
-(parsed SSTable blocks) keyed by the byte range they were decoded from.  A
-decoded entry is only served while every underlying page is still resident,
-and serving it charges the simulated clock exactly what re-reading those
-pages would have charged — the decoded layer saves real (wall-clock) parse
-and checksum work without perturbing simulated time by a single
-microsecond.  Entries are invalidated together with their pages (eviction,
-``invalidate_file``, ``clear``), so compaction can never serve a stale
-block.
+Beside the raw pages, the cache memoizes *decoded* objects (parsed
+SSTable blocks) keyed by the byte range they were decoded from, under
+one invariant: **a decoded entry lives exactly as long as its pages.**
+It is kept only if every page under it is still resident after the
+read that decoded it, and it is dropped as soon as any of those pages
+leaves (eviction, ``displace``, ``invalidate_file``, ``clear``).  So a
+present entry is always a hit, and serving it charges the simulated
+clock exactly what re-reading its pages would have charged — the memo
+saves real (wall-clock) parse and checksum work without perturbing
+simulated time by a single microsecond, and compaction can never serve
+a stale block.  The page LRU is the cache's only state: the memo has
+no order and no bound of its own.
 
 Cache identity is **version-scoped**: every key includes the file's device
 generation (bumped on create/rename/delete/append), so a path recycled by
 a newer version can never be answered from the previous file's blocks —
 the stale entries simply stop being addressable and age out of the LRU.
 
-**Run token.**  A :meth:`PageCache.read_decoded` that returns through its
-hit path hands out ``run_token``: that read's decoded key.  Every other
-operation that mutates the cache — any read, a miss, an eviction,
-``displace``, ``invalidate_file``, ``clear`` — clears it first, through
-the one helper ``_set_run`` (held there by
-``tests/storage/test_run_token_guard.py``).  So while the token holds,
-the hit's pages and its decoded entry still sit at the tails of their
-LRUs, in the order the hit left them, and repeating the hit would move
-nothing: its holder may apply the hit's charges and counters itself
-(the point kernel does, for a run of keys in one block).  A generation
-bump of the file never reaches the cache; the holder compares the
-token's generation with the device's.
+**Repeating a hit.**  A decoded hit moves its pages to the LRU tail, in
+page order.  While they are still the LRU's last pages, the file's
+generation is unchanged and the entry is still the same object,
+repeating the hit would move nothing: :meth:`PageCache.repeat_hit`
+checks exactly that, from the cache's state, and applies the hit's
+charges and counters without the lookup (the point kernel serves a run
+of keys in one block this way).
 """
 
 from __future__ import annotations
@@ -68,9 +66,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Decoded-object layer counters (wall-clock optimization only; the
-    #: simulated charges of a decoded hit equal those of the page hits it
-    #: stands in for).
+    #: Decoded-memo counters (wall-clock optimization only; the simulated
+    #: charges of a decoded hit equal those of the page hits it stands
+    #: in for).
     decoded_hits: int = 0
     decoded_misses: int = 0
 
@@ -94,10 +92,8 @@ class PageCache:
     through :meth:`read`, which charges either a DRAM-scale hit cost or a
     full device read on miss.
 
-    ``decoded_capacity`` bounds the decoded-object side table (entries, not
-    bytes); ``None`` picks a default proportional to the page capacity and
-    ``0`` disables the layer entirely (every :meth:`read_decoded` then
-    decodes afresh, byte-for-byte what a plain :meth:`read` caller did).
+    Decoded objects ride on the pages (module docstring): an entry is
+    held exactly while all its pages are, so the memo needs no bound.
 
     Background churn (:meth:`displace`) adds foreign pages that nothing
     ever reads.  The survivors of a wait that overflows the cache are a
@@ -117,28 +113,21 @@ class PageCache:
     churn come from the serving thread.
     """
 
-    def __init__(self, device: StorageDevice, capacity_bytes: int,
-                 decoded_capacity: Optional[int] = None) -> None:
+    def __init__(self, device: StorageDevice, capacity_bytes: int) -> None:
         if capacity_bytes < device.model.block_size:
             raise ConfigError(
                 f"page cache capacity {capacity_bytes} smaller than one block "
                 f"({device.model.block_size})"
             )
-        if decoded_capacity is None:
-            decoded_capacity = max(64, capacity_bytes // device.model.block_size)
-        if decoded_capacity < 0:
-            raise ConfigError(
-                f"decoded capacity must be non-negative, got {decoded_capacity}"
-            )
         self.device = device
         self.capacity_bytes = capacity_bytes
-        self.decoded_capacity = decoded_capacity
         self._pages: "OrderedDict[PageKey, memoryview]" = OrderedDict()
         self._bytes = 0
-        # Decoded objects keyed by (path, gen, offset, length), plus a
-        # reverse index from each underlying page to the decoded keys built
-        # on it, so page eviction can invalidate dependents in O(dependents).
-        self._decoded: "OrderedDict[DecodedKey, object]" = OrderedDict()
+        # Decoded objects keyed by (path, gen, offset, length), each held
+        # exactly while all its pages are, plus a reverse index from each
+        # page to the decoded keys built on it, so a page leaving drops
+        # its dependents in O(dependents).
+        self._decoded: Dict[DecodedKey, object] = {}
         self._decoded_by_page: Dict[PageKey, Set[DecodedKey]] = {}
         # For displace(): one zero page per size, the next foreign number.
         self._zero_pages: Dict[int, memoryview] = {}
@@ -150,10 +139,6 @@ class PageCache:
         self._front_size = 0
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        #: The decoded key of the last read_decoded hit while nothing has
-        #: touched the cache since, else None (module docstring).
-        self.run_token: Optional[DecodedKey]
-        self._set_run()
         #: The device block size, clock and generation map are fixed for
         #: the device's life; bound here to keep the per-read hot paths
         #: free of attribute chains and method frames.
@@ -188,7 +173,6 @@ class PageCache:
         like the bytes it aliases).
         """
         with self._lock:
-            self._set_run()
             key = (path, self.device.file_generation(path), block_index)
             cached = self._pages.get(key)
             if cached is not None:
@@ -206,172 +190,107 @@ class PageCache:
                      region: Optional[MappedRegion] = None) -> object:
         """Read a byte range and return it decoded, caching the result.
 
-        On a decoded hit (entry present *and* all underlying pages still
-        resident) this charges the clock and updates page stats/LRU order
-        exactly as the equivalent :meth:`read` would, then skips the
-        decode.  Any other case faults the pages in through
+        On a decoded hit (an entry is present, so all its pages are
+        resident) this charges the clock and updates page stats/LRU
+        order exactly as the equivalent :meth:`read` would, then skips
+        the decode.  A miss faults the pages in through
         :meth:`read_block` (charge-identical to :meth:`read`) and
         decodes — from ``region``'s zero-copy view of the byte range
         when a mapping is supplied (data blocks usually straddle two
         device blocks, which block-joining would have to copy), else
-        from the joined page bytes.  The simulated-time trace is
-        identical whether this layer is enabled, disabled, or thrashing,
-        and whether or not a region is used.
+        from the joined page bytes — and keeps the result only if every
+        page is still resident.  The simulated-time trace is identical
+        whether or not entries are kept, and whether or not a region is
+        used.
 
         The hit path is the point-read kernel's I/O for the first key of
         a run (a cached data block per filter-passing probe), so it calls
-        no method but the LRU's own and the token's: per page, in page
-        order, one ``move_to_end``, one hit and one ``CACHE_HIT_COST_US``
-        added to the clock; then the entry's ``move_to_end``, one decoded
-        hit, and the key handed out as ``run_token``.
+        no method but the LRU's own: per page, in page order, one
+        ``move_to_end``, one hit and one ``CACHE_HIT_COST_US`` added to
+        the clock; then one decoded hit.
 
         A zero-length read decodes ``b""`` and, like :meth:`read`,
         touches no page, charges nothing and records no stats.
         """
         if length == 0:
-            self._set_run()
             return decode(b"")
         gen = self._generation_of(path, 0)
         key = (path, gen, offset, length)
         block_size = self._block_size
         first = offset // block_size
-        last = (offset + length - 1) // block_size
+        stop = (offset + length - 1) // block_size + 1
         with self._lock:
             obj = self._decoded.get(key)
             if obj is not None:
-                pages = self._pages
-                stop = last + 1
+                move = self._pages.move_to_end
+                clock = self._clock
                 for block_index in range(first, stop):
-                    if (path, gen, block_index) not in pages:
-                        break
-                else:
-                    move = pages.move_to_end
-                    clock = self._clock
-                    for block_index in range(first, stop):
-                        move((path, gen, block_index))
-                        clock.now_us += CACHE_HIT_COST_US
-                    stats = self.stats
-                    stats.hits += stop - first
-                    self._decoded.move_to_end(key)
-                    stats.decoded_hits += 1
-                    self._set_run(key)
-                    return obj
-                # Some page was evicted under the decoded entry: drop it
-                # and rebuild through the ordinary (charged) read path.
-                self._drop_decoded(key)
-            self._set_run()
+                    move((path, gen, block_index))
+                    clock.now_us += CACHE_HIT_COST_US
+                stats = self.stats
+                stats.hits += stop - first
+                stats.decoded_hits += 1
+                return obj
             self.stats.decoded_misses += 1
             if region is not None and not region.closed \
                     and region.generation == gen:
                 # Fault the pages in (same charges/stats/LRU as read()),
                 # then decode straight off the mapping — zero copies.
-                for block_index in range(first, last + 1):
+                for block_index in range(first, stop):
                     self.read_block(path, block_index)
                 obj = decode(region.view(offset, length))
             else:
                 obj = decode(self.read(path, offset, length))
-            if self.decoded_capacity:
-                self._insert_decoded(key, obj)
+            self._keep(key, first, stop, obj)
             return obj
 
-    def read_decoded_many(self, requests) -> list:
-        """Batched :meth:`read_decoded`: one lock acquisition for the lot.
+    def repeat_hit(self, key: DecodedKey, obj: object,
+                   lead_us: float) -> bool:
+        """Apply a repeat of the :meth:`read_decoded` hit that returned
+        ``obj`` for ``key`` if the repeat would move nothing, else change
+        nothing and return False.
 
-        ``requests`` is a sequence of ``(path, offset, length, decode,
-        region)`` tuples served strictly in order, each with semantics
-        identical to a :meth:`read_decoded` call — the same charges,
-        stats updates and LRU movement, in the same order — so the
-        simulated-time trace cannot tell the two apart.  A caller that
-        knows all its reads upfront saves the per-call lock round trips
-        and method dispatch.  No read path calls it today (range reads
-        pull one block at a time through the heap merge); it stays until
-        the e2e tracer stops pinning it (ROADMAP item 2(c)).
+        The repeat moves nothing when, under the lock, the file's
+        generation is still ``key``'s, ``key``'s entry is still ``obj``
+        and its pages are the page LRU's last pages, in page order (a
+        hit or a miss of ``key`` leaves them so).  Then this adds
+        ``lead_us`` (the caller's charge that precedes the read, so the
+        clock takes the values it would), one ``CACHE_HIT_COST_US`` per
+        page, and the hit's ``hits`` and ``decoded_hits``.
         """
-        out = []
-        append = out.append
-        generation_of = self.device.file_generation
+        path, gen, offset, length = key
         block_size = self._block_size
-        decoded = self._decoded
-        decoded_get = decoded.get
-        decoded_move = decoded.move_to_end
-        pages = self._pages
-        pages_move = pages.move_to_end
-        stats = self.stats
-        charge = self.device.clock.charge
-        # Counter deltas accumulate locally and flush once before the
-        # lock drops: nothing can observe the stats mid-batch (every
-        # reader takes the lock), and attribute stores are the single
-        # largest non-charge cost of a batched seek.
-        hits = decoded_hits = decoded_misses = 0
+        first = offset // block_size
+        last = (offset + length - 1) // block_size
         with self._lock:
-            self._set_run()
-            for path, offset, length, decode, region in requests:
-                if length == 0:
-                    append(decode(b""))
-                    continue
-                gen = generation_of(path)
-                key = (path, gen, offset, length)
-                obj = decoded_get(key)
-                if obj is not None:
-                    first = offset // block_size
-                    last = (offset + length - 1) // block_size
-                    if first == last:
-                        page_key = (path, gen, first)
-                        if page_key in pages:
-                            pages_move(page_key)
-                            hits += 1
-                            charge(CACHE_HIT_COST_US)
-                            decoded_move(key)
-                            decoded_hits += 1
-                            append(obj)
-                            continue
-                    elif last == first + 1:
-                        # SSTable blocks usually straddle two device
-                        # pages; spell the pair out to skip the listcomp.
-                        page_key = (path, gen, first)
-                        page_key2 = (path, gen, last)
-                        if page_key in pages and page_key2 in pages:
-                            pages_move(page_key)
-                            hits += 2
-                            charge(CACHE_HIT_COST_US)
-                            pages_move(page_key2)
-                            charge(CACHE_HIT_COST_US)
-                            decoded_move(key)
-                            decoded_hits += 1
-                            append(obj)
-                            continue
-                    else:
-                        page_keys = [(path, gen, block_index)
-                                     for block_index in range(first, last + 1)]
-                        if all(pk in pages for pk in page_keys):
-                            for page_key in page_keys:
-                                pages_move(page_key)
-                                hits += 1
-                                charge(CACHE_HIT_COST_US)
-                            decoded_move(key)
-                            decoded_hits += 1
-                            append(obj)
-                            continue
-                    # A page under the entry was evicted: drop it and
-                    # rebuild through the ordinary (charged) read path.
-                    self._drop_decoded(key)
-                decoded_misses += 1
-                if region is not None and not region.closed \
-                        and region.generation == gen:
-                    first = offset // block_size
-                    last = (offset + length - 1) // block_size
-                    for block_index in range(first, last + 1):
-                        self.read_block(path, block_index)
-                    obj = decode(region.view(offset, length))
-                else:
-                    obj = decode(self.read(path, offset, length))
-                if self.decoded_capacity:
-                    self._insert_decoded(key, obj)
-                append(obj)
-            stats.hits += hits
-            stats.decoded_hits += decoded_hits
-            stats.decoded_misses += decoded_misses
-        return out
+            if self._generation_of(path, 0) != gen \
+                    or self._decoded.get(key) is not obj:
+                return False
+            # The entry is present, so its pages are resident: the tail
+            # holds at least as many pages as the block spans.
+            tail = reversed(self._pages)
+            for block_index in range(last, first - 1, -1):
+                if next(tail) != (path, gen, block_index):
+                    return False
+            clock = self._clock
+            clock.now_us += lead_us
+            for _ in range(first, last + 1):
+                clock.now_us += CACHE_HIT_COST_US
+            stats = self.stats
+            stats.hits += last + 1 - first
+            stats.decoded_hits += 1
+            return True
+
+    def read_decoded_many(self, requests) -> list:
+        """:meth:`read_decoded` over ``(path, offset, length, decode,
+        region)`` tuples, in order.
+
+        No read path calls it (range reads pull one block at a time
+        through the heap merge); it stays until the e2e tracer stops
+        pinning it by name (ROADMAP item 1(c)).
+        """
+        return [self.read_decoded(path, offset, length, decode, region)
+                for path, offset, length, decode, region in requests]
 
     def contains(self, path: str, block_index: int) -> bool:
         """Whether a block is currently cached (no cost, no LRU touch)."""
@@ -408,15 +327,15 @@ class PageCache:
                 f"cannot displace {count} pages of {size} bytes: the count "
                 "must be non-negative and the size positive")
         with self._lock:
-            self._set_run()
             pages = self._pages
             end = self._next_foreign = self._next_foreign + count
             if count * size > self.capacity_bytes:
                 kept = self.capacity_bytes // size
                 self.stats.evictions += self._front + len(pages) + count - kept
-                for key in pages.keys() & self._decoded_by_page.keys():
-                    self._invalidate_decoded_for_page(key)
+                # Every page leaves, so every decoded entry goes with it.
                 pages.clear()
+                self._decoded.clear()
+                self._decoded_by_page.clear()
                 self._front = kept
                 self._front_size = size
                 self._bytes = kept * size
@@ -440,21 +359,14 @@ class PageCache:
         immediately instead of waiting for LRU aging.)
         """
         with self._lock:
-            self._set_run()
             stale = [key for key in self._pages if key[0] == path]
             for key in stale:
                 self._bytes -= len(self._pages.pop(key))
                 self._invalidate_decoded_for_page(key)
-            # Decoded entries can outlive their pages (page evicted, entry
-            # not yet touched); sweep those too.
-            stale_decoded = [key for key in self._decoded if key[0] == path]
-            for key in stale_decoded:
-                self._drop_decoded(key)
 
     def clear(self) -> None:
         """Drop all cached pages and decoded entries."""
         with self._lock:
-            self._set_run()
             self._pages.clear()
             self._front = 0
             self._bytes = 0
@@ -476,13 +388,7 @@ class PageCache:
 
     # ---------------------------------------------------------------- helpers
 
-    def _set_run(self, token: Optional[DecodedKey] = None) -> None:
-        """The one writer of ``run_token``: ``read_decoded``'s hit path
-        hands out its key; every other mutation clears the token."""
-        self.run_token = token
-
     def _insert(self, key: PageKey, block: memoryview) -> None:
-        self._set_run()
         if key in self._pages:
             self._bytes -= len(self._pages.pop(key))
         self._pages[key] = block
@@ -490,7 +396,6 @@ class PageCache:
         self._shrink_to(self.capacity_bytes)
 
     def _shrink_to(self, limit: int) -> None:
-        self._set_run()
         if self._front and self._bytes > limit:
             # The front run goes first, in one step: as many of its pages
             # as popping them one by one would take.
@@ -505,27 +410,22 @@ class PageCache:
             self.stats.evictions += 1
             self._invalidate_decoded_for_page(evicted_key)
 
-    def _insert_decoded(self, key: DecodedKey, obj: object) -> None:
-        self._set_run()
-        if key in self._decoded:
-            self._drop_decoded(key)
-        self._decoded[key] = obj
-        path, gen, offset, length = key
-        block_size = self.device.model.block_size
-        first = offset // block_size
-        last = (offset + length - 1) // block_size
-        for block_index in range(first, last + 1):
-            self._decoded_by_page.setdefault(
-                (path, gen, block_index), set()).add(key)
-        while len(self._decoded) > self.decoded_capacity:
-            oldest = next(iter(self._decoded))
-            self._drop_decoded(oldest)
+    def _keep(self, key: DecodedKey, first: int, stop: int,
+              obj: object) -> None:
+        """Memoize ``obj`` under ``key`` if all its pages (``first`` up to
+        ``stop``) survived the read that decoded it."""
+        path, gen = key[0], key[1]
+        page_keys = [(path, gen, block_index)
+                     for block_index in range(first, stop)]
+        if all(page_key in self._pages for page_key in page_keys):
+            self._decoded[key] = obj
+            for page_key in page_keys:
+                self._decoded_by_page.setdefault(page_key, set()).add(key)
 
     def _drop_decoded(self, key: DecodedKey) -> None:
-        self._set_run()
         self._decoded.pop(key, None)
         path, gen, offset, length = key
-        block_size = self.device.model.block_size
+        block_size = self._block_size
         first = offset // block_size
         last = (offset + length - 1) // block_size
         for block_index in range(first, last + 1):

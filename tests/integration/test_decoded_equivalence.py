@@ -1,14 +1,16 @@
 """Decoded-block cache equivalence: simulated time must not move.
 
-The decoded-object layer in :class:`~repro.storage.page_cache.PageCache`
+The decoded-object memo in :class:`~repro.storage.page_cache.PageCache`
 is a wall-clock optimization.  The attack's signal lives entirely in
 *simulated* time, so the whole pipeline — learning, timing classification,
-prefix extension — must produce bit-identical results whether the layer
-is enabled or disabled.  These tests run the same seeded attack twice and
-compare every observable: the learned cutoff, every per-query latency
-sample, the extracted keys, the per-stage query counts, and the final
-simulated clock.
+prefix extension — must produce bit-identical results whether the memo
+keeps entries or not.  These tests run the same seeded attack twice, once
+over a cache whose memo never keeps an entry, and compare every
+observable: the learned cutoff, every per-query latency sample, the
+extracted keys, the per-stage query counts, and the final simulated clock.
 """
+
+from unittest import mock
 
 from repro.core import (
     AttackConfig,
@@ -21,21 +23,32 @@ from repro.filters import SuRFBuilder
 from repro.filters.surf import SuffixScheme, SurfVariant
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
+from repro.storage.page_cache import PageCache
 from repro.workloads import ATTACKER_USER, DatasetConfig, build_environment
+from repro.workloads import datasets
 
 WIDTH = 5
 
 
+class KeepNothingCache(PageCache):
+    """A page cache whose decoded memo never keeps an entry: every
+    ``read_decoded`` decodes afresh, byte for byte what a plain ``read``
+    caller did."""
+
+    def _keep(self, key, first, stop, obj):
+        pass
+
+
 def build_env(decoded=True):
-    env = build_environment(DatasetConfig(
+    config = DatasetConfig(
         num_keys=4000, key_width=WIDTH, seed=77,
         filter_builder=SuRFBuilder(variant="real", suffix_bits=8),
-    ))
-    if not decoded:
-        # Nothing has been read yet, so the layer is empty: a zero
-        # capacity from here on means it never holds an entry.
-        assert env.cache.decoded_entries == 0
-        env.cache.decoded_capacity = 0
+    )
+    if decoded:
+        return build_environment(config)
+    with mock.patch.object(datasets, "PageCache", KeepNothingCache):
+        env = build_environment(config)
+    assert type(env.cache) is KeepNothingCache
     return env
 
 
@@ -63,7 +76,7 @@ def stored_key_sweep(env):
 
 class TestDecodedCacheEquivalence:
     def test_simulated_trace_identical_on_and_off(self):
-        env_on = build_env()                # default: layer enabled
+        env_on = build_env()                # the product cache
         env_off = build_env(decoded=False)  # every read decodes afresh
         learn_on, result_on = run_attack(env_on)
         learn_off, result_off = run_attack(env_off)
@@ -81,12 +94,12 @@ class TestDecodedCacheEquivalence:
         assert result_on.sim_duration_us == result_off.sim_duration_us
 
         # Stored-key sweep: identical statuses and latencies even while
-        # the enabled run serves repeats from the decoded layer.
+        # the product run serves repeats from the decoded memo.
         assert [(r.status, t) for r, t in sweep_on] \
             == [(r.status, t) for r, t in sweep_off]
         assert env_on.clock.now_us == env_off.clock.now_us
 
-        # The enabled run actually exercised the layer; page-level traffic
+        # The product run actually exercised the memo; page-level traffic
         # stayed identical regardless.
         assert env_on.cache.stats.decoded_hits > 0
         assert env_off.cache.stats.decoded_hits == 0
@@ -120,7 +133,6 @@ class TestCompactionInvalidation:
             page_cache_bytes=256 * 1024,
         )
         db = LSMTree(options)
-        db.cache.decoded_capacity = 4096
         items = {bytes([i % 251, i // 251, 3, 4, 5]): b"v%d" % i
                  for i in range(2500)}
         for key, value in items.items():

@@ -14,10 +14,10 @@ state of the cost and device RNG streams.
 
 The extension-shaped cases read what the attack's step 3 reads: one
 prefix's consecutive suffixes, the runs the kernel serves from one
-cached block (``run_token``) and the LOUDS probe serves from one
-descent.  Their caches hold one or two pages, so a block straddling two
-pages evicts its own first page, and ``on_found`` churns or invalidates
-the cache in the middle of a run.
+cached block (``PageCache.repeat_hit``) and the LOUDS probe serves from
+one descent.  Their caches hold one or two pages, so a block straddling
+two pages evicts its own first page, and ``on_found`` churns or
+invalidates the cache in the middle of a run.
 """
 
 from hypothesis import given, settings
@@ -289,3 +289,19 @@ def test_extension_runs_match_scalar_reference(script, keys, filter_name,
         lambda ctx: churning_envelope(ctx, use_envelope, churn, every),
         cache_pages, table_bytes=2048)
     assert worlds[0] == worlds[1]
+
+
+def test_a_found_value_ends_a_held_run():
+    # One table of small blocks, every other key stored: each block is
+    # read once, its next keys repeat its hit (the run holds), and the
+    # found value's check churns the whole one-page cache in mid-run, so
+    # the key after it must read the block from the device again.
+    stored = [b"k%02d" % i for i in range(0, 48, 2)]
+    script = ([[("put", key, b"v" * 20) for key in stored]], 5, [])
+    keys = [key + tail for key in stored for tail in (b"", b"a", b"b")]
+    worlds = read_both_ways(
+        script, "none", keys, False,
+        lambda ctx: churning_envelope(ctx, False, "displace", 1),
+        cache_pages=1, table_bytes=None)
+    assert worlds[0] == worlds[1]
+    assert worlds[0][2]["cache"]["misses"] > len(stored) // 2

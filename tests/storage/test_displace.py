@@ -23,14 +23,13 @@ FILES = {"a": 3 * BLOCK + 41, "b": 5 * BLOCK + 200, "c": 2 * BLOCK}
 SIZES = (BLOCK, BLOCK // 3)
 
 
-def make_world(capacity_bytes, decoded_capacity, sequential):
+def make_world(capacity_bytes, sequential):
     clock = SimClock()
     device = StorageDevice(clock, DeviceModel(block_size=BLOCK),
                            rng=make_rng(5, "device"))
     for path, size in FILES.items():
         device.create_file(path, bytes(i % 251 for i in range(size)))
-    cache = PageCache(device, capacity_bytes,
-                      decoded_capacity=decoded_capacity)
+    cache = PageCache(device, capacity_bytes)
     if sequential:
         use_sequential_churn(cache)
     return clock, cache
@@ -93,16 +92,15 @@ def scripts(draw):
     # room left for a fraction of a page), some that pages fill exactly.
     capacity_bytes = capacity_pages * BLOCK + draw(st.one_of(
         st.sampled_from([0, 41, BLOCK // 3]), st.integers(0, BLOCK - 1)))
-    decoded_capacity = draw(st.sampled_from([None, 0, 2]))
-    return capacity_bytes, decoded_capacity, draw(steps(capacity_pages))
+    return capacity_bytes, draw(steps(capacity_pages))
 
 
 @given(scripts())
 @settings(max_examples=300, deadline=None)
 def test_bulk_churn_leaves_the_state_of_the_per_page_loop(script):
-    capacity_bytes, decoded_capacity, script_steps = script
-    clock, cache = make_world(capacity_bytes, decoded_capacity, False)
-    ref_clock, ref_cache = make_world(capacity_bytes, decoded_capacity, True)
+    capacity_bytes, script_steps = script
+    clock, cache = make_world(capacity_bytes, False)
+    ref_clock, ref_cache = make_world(capacity_bytes, True)
     for step in script_steps:
         assert apply(cache, step) == apply(ref_cache, step)
         assert state(clock, cache) == state(ref_clock, ref_cache), step
@@ -112,7 +110,7 @@ def test_bulk_churn_leaves_the_state_of_the_per_page_loop(script):
 
 
 def test_foreign_pages_are_numbered_by_the_cache_and_share_one_buffer():
-    _, cache = make_world(4 * BLOCK, None, False)
+    _, cache = make_world(4 * BLOCK, False)
     cache.displace(3, BLOCK)
     cache.displace(2, BLOCK)          # evicts foreign page 0
     assert [key[2] for key in cache._pages] == [1, 2, 3, 4]
@@ -129,7 +127,7 @@ def test_foreign_pages_are_numbered_by_the_cache_and_share_one_buffer():
 
 def test_a_front_run_of_small_pages_is_evicted_a_ceiling_at_a_time():
     # Evicting 100 bytes from a run of 85-byte pages takes two of them.
-    _, cache = make_world(4 * BLOCK, None, False)
+    _, cache = make_world(4 * BLOCK, False)
     small = BLOCK // 3
     cache.displace(4 * BLOCK // small + 1, small)
     assert cache._front == 4 * BLOCK // small
@@ -141,7 +139,7 @@ def test_a_front_run_of_small_pages_is_evicted_a_ceiling_at_a_time():
 
 @pytest.mark.parametrize("capacity_pages", [10, 10_000])
 def test_a_full_churn_builds_no_page_entry(capacity_pages):
-    _, cache = make_world(capacity_pages * BLOCK, None, False)
+    _, cache = make_world(capacity_pages * BLOCK, False)
     for path, size in FILES.items():
         cache.read_decoded(path, 0, size, bytes)
     assert cache._pages and cache.decoded_entries

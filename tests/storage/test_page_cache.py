@@ -266,39 +266,6 @@ class TestDecodedLayer:
         cache.clear()
         assert cache.decoded_entries == 0
 
-    def test_decoded_lru_bounded(self):
-        clock = SimClock()
-        device = StorageDevice(clock, DeviceModel())
-        cache = PageCache(device, 64 * device.model.block_size,
-                          decoded_capacity=3)
-        device.create_file("a", b"x" * device.model.block_size)
-        for offset in range(0, 5 * 32, 32):
-            cache.read_decoded("a", offset, 32, bytes)
-        assert cache.decoded_entries == 3
-        # Oldest two entries were dropped, newest three survive.
-        assert not cache.contains_decoded("a", 0, 32)
-        assert not cache.contains_decoded("a", 32, 32)
-        assert cache.contains_decoded("a", 4 * 32, 32)
-
-    def test_capacity_zero_disables_layer(self):
-        clock = SimClock()
-        device = StorageDevice(clock, DeviceModel())
-        cache = PageCache(device, 4 * device.model.block_size,
-                          decoded_capacity=0)
-        device.create_file("a", b"x" * 100)
-        calls = []
-        for _ in range(3):
-            cache.read_decoded("a", 0, 32, lambda d: calls.append(d) or d)
-        assert len(calls) == 3
-        assert cache.decoded_entries == 0
-
-    def test_negative_capacity_rejected(self):
-        clock = SimClock()
-        device = StorageDevice(clock)
-        with pytest.raises(ConfigError):
-            PageCache(device, 64 * device.model.block_size,
-                      decoded_capacity=-1)
-
 
 class TestVersionScopedIdentity:
     """Cache keys carry the file generation: a recycled path (delete +
