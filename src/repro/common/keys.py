@@ -12,6 +12,8 @@ preserves numeric order, which the LSM-tree and the SuRF trie both rely on.
 from __future__ import annotations
 
 import hashlib
+from typing import List, Sequence
+
 from repro.common.errors import ConfigError
 
 #: Number of distinct byte symbols; the alphabet size |Sigma| of the paper.
@@ -58,12 +60,40 @@ def sha1_key(index: int, width: int, namespace: bytes = b"") -> bytes:
 
 
 def common_prefix_len(a: bytes, b: bytes) -> int:
-    """Length in bytes of the longest common prefix of ``a`` and ``b``."""
+    """Length in bytes of the longest common prefix of ``a`` and ``b``.
+
+    A byte loop, which is fastest for one short pair; a whole key list's
+    adjacent pairs go through :func:`common_prefix_lens`.
+    """
     limit = min(len(a), len(b))
     length = 0
     while length < limit and a[length] == b[length]:
         length += 1
     return length
+
+
+def common_prefix_lens(keys: Sequence[bytes]) -> List[int]:
+    """``common_prefix_len`` of every adjacent pair of ``keys``, in order.
+
+    No Python step per byte: each key is read as a big-endian int once,
+    and a pair's xor has its highest set bit in the first differing byte,
+    so ``n`` (the shorter width) less that ``bit_length`` rounded up to
+    whole bytes is the common prefix.  Keys of one width (the usual
+    SSTable) xor whole; otherwise the longer of a pair is shifted down to
+    the shorter's width first.
+    """
+    from_bytes = int.from_bytes
+    ints = [from_bytes(key, "big") for key in keys]
+    widths = set(map(len, keys))
+    if len(widths) <= 1:
+        n = widths.pop() if widths else 0
+        return [n - (((x ^ y).bit_length() + 7) >> 3)
+                for x, y in zip(ints, ints[1:])]
+    lens = list(map(len, keys))
+    return [n - ((((x >> ((la - n) << 3)) ^ (y >> ((lb - n) << 3)))
+                  .bit_length() + 7) >> 3)
+            for x, y, la, lb, n in zip(ints, ints[1:], lens, lens[1:],
+                                       map(min, lens, lens[1:]))]
 
 
 def suffix_space_size(prefix_len: int, total_len: int) -> int:

@@ -162,6 +162,20 @@ class FilterBuilder(abc.ABC):
         to a per-key insertion loop.
         """
 
+    def build_block(self, sorted_keys: Sequence[bytes]
+                    ) -> Tuple[Filter, bytes]:
+        """:meth:`build`, plus the filter's filter-block bytes.
+
+        The table writer's one call per table: the bytes are exactly
+        ``serialize_filter`` of the filter.  A builder that holds what
+        the block is written from during its build (SuRF's terminal
+        list) overrides this to encode from it instead of reading the
+        built filter back; either way :meth:`build` is called once.
+        """
+        from repro.filters.serialize import serialize_filter
+        filt = self.build(sorted_keys)
+        return filt, serialize_filter(filt)
+
     def build_batch(self, sorted_keys: Sequence[bytes]) -> Filter:
         """Alias of :meth:`build`, which nothing in the store calls.
 

@@ -65,7 +65,7 @@ class BitVector:
                 f"(expected {expected})")
         tail = length % _WORD_BITS
         if words:
-            if not all(0 <= word < (1 << _WORD_BITS) for word in words):
+            if min(words) < 0 or max(words) >> _WORD_BITS:
                 raise ConfigError("words must be unsigned 64-bit values")
             if tail and words[-1] >> tail:
                 raise ConfigError("bits beyond the declared length must be clear")

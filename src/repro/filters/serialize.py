@@ -11,10 +11,12 @@ tag-dispatched::
 * **Prefix Bloom** — prefix length + mode, then the nested Bloom payload.
 * **SuRF** — variant, suffix bits, backend choice, then the terminal list
   (prefix, payload) in strictly increasing prefix order: the same list
-  both backends build from (:func:`repro.filters.surf.trie.pruned_terminals`),
-  so writing is ``backend.terminals()`` and loading is
-  ``from_terminals``.  Only pruned data is stored — the serialized form is
-  exactly as approximate as the filter.
+  both backends build from (:func:`repro.filters.surf.trie.prune`),
+  so the table writer encodes the list its build just pruned
+  (:func:`encode_surf_block`), :func:`serialize_filter` reads it back with
+  ``backend.terminals()``, and loading is ``from_terminals``.  Only pruned
+  data is stored — the serialized form is exactly as approximate as the
+  filter.
 * **Rosetta** — key width plus each level's Bloom payload.
 
 Deserialized filters answer every query identically to the originals
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from operator import lt
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigError, CorruptionError, FilterError
 from repro.filters.base import Filter
@@ -65,7 +67,7 @@ def serialize_filter(filt: Filter) -> bytes:
     if isinstance(filt, BloomFilter):
         return bytes([_TAG_BLOOM]) + _encode_bloom(filt)
     if isinstance(filt, SuRF):
-        return bytes([_TAG_SURF]) + _encode_surf(filt)
+        return encode_surf_block(filt, *filt.backend.terminals())
     if isinstance(filt, RosettaFilter):
         return bytes([_TAG_ROSETTA]) + _encode_rosetta(filt)
     if isinstance(filt, SplitFilter):
@@ -151,10 +153,18 @@ def _decode_pbf(data: bytes) -> Tuple[PrefixBloomFilter, bytes]:
 
 # -------------------------------------------------------------------- surf
 
-def _encode_surf(filt: SuRF) -> bytes:
-    prefixes, payloads = filt.backend.terminals()
+def encode_surf_block(filt: SuRF, prefixes: Sequence[bytes],
+                      payloads: Sequence[int]) -> bytes:
+    """``filt``'s filter block, tag included, from its terminal list.
+
+    The one SuRF encoder: :func:`serialize_filter` reads the list back
+    from the backend (``terminals()``), while the table writer
+    (``SuRFBuilder.build_block``) passes the list ``filt`` was just
+    built from, so the same bytes come out without the read-back.
+    """
     backend_code = _SURF_BACKENDS.index(type(filt.backend))
-    out = [_SURF_HEADER.pack(_VARIANT_CODES[filt.scheme.variant],
+    out = [bytes((_TAG_SURF,)),
+           _SURF_HEADER.pack(_VARIANT_CODES[filt.scheme.variant],
                              filt.scheme.num_bits, backend_code,
                              len(prefixes)),
            _U32.pack(filt.num_keys)]

@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, islice
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.keys import common_prefix_len
+from repro.common.keys import common_prefix_lens
 from repro.filters.bitarray import popcount as _popcount
 from repro.filters.rank_select import BitVector
 from repro.filters.surf import cursor as _cursor
 from repro.filters.surf.cursor import Terminal, TerminalKind
 from repro.filters.surf.suffix import SuffixScheme
-from repro.filters.surf.trie import pruned_terminals
+from repro.filters.surf.trie import Pruned, prune
 
 #: Bits one dense node costs: two 256-bit bitmaps + the prefix-key bit.
 _DENSE_NODE_BITS = 2 * 256 + 1
@@ -93,19 +93,21 @@ def choose_dense_levels(level_nodes: Sequence[int],
     return chosen
 
 
-def _levels(prefixes: Sequence[bytes], payloads: Sequence[int]):
+def _levels(prefixes: Sequence[bytes], payloads: Sequence[int],
+            lcps: Sequence[int]):
     """Per-level LOUDS arrays, straight off a strictly increasing list.
 
     As in the published SuRF builder: prefix ``i`` adds one label per
-    level from its common prefix with prefix ``i - 1`` to its own length,
-    and sorted order visits each level's nodes in level order, so every
-    level's arrays are only ever appended to.  Whether a prefix's last
-    label leads to a leaf or to a prefix-key node is settled by the next
-    prefix.  Returns, one list entry per level: the labels, their
-    HasChild bits, each node's first-label index, each node's IsPrefixKey
-    bit, the leaf payloads and the prefix-key payloads.
+    level from its common prefix with prefix ``i - 1`` (``lcps[i - 1]``)
+    to its own length, and sorted order visits each level's nodes in
+    level order, so every level's arrays are only ever appended to.
+    Whether a prefix's last label leads to a leaf or to a prefix-key node
+    is settled by the next prefix.  Returns, one list entry per level:
+    the labels, their HasChild bits, each node's first-label index, each
+    node's IsPrefixKey bit, the leaf payloads and the prefix-key payloads.
     """
-    num_levels = max(map(len, prefixes), default=0)
+    sizes = list(map(len, prefixes))
+    num_levels = max(sizes, default=0)
     labels, haschild, isprefix = (
         [bytearray() for _ in range(num_levels)] for _ in range(3))
     node_starts, leaf_payloads, prefix_payloads = (
@@ -114,20 +116,17 @@ def _levels(prefixes: Sequence[bytes], payloads: Sequence[int]):
               prefix_payloads)
     if not num_levels:
         return levels
-    prev = prefixes[0]
-    prev_size = len(prev)
-    prev_payload = payloads[0]
+    first = prefixes[0]
     # The first prefix opens one node per level along its path.
-    for level in range(prev_size):
+    for level in range(sizes[0]):
         if level:
             haschild[level - 1].append(1)
         node_starts[level].append(0)
         isprefix[level].append(0)
-        labels[level].append(prev[level])
-    for i in range(1, len(prefixes)):
-        prefix = prefixes[i]
-        size = len(prefix)
-        lcp = common_prefix_len(prev, prefix)
+        labels[level].append(first[level])
+    for prefix, size, prev_size, lcp, prev_payload in zip(
+            islice(prefixes, 1, None), islice(sizes, 1, None), sizes, lcps,
+            payloads):
         if lcp == prev_size:
             # The previous prefix is a prefix key: its node opens here.
             if lcp:
@@ -140,16 +139,16 @@ def _levels(prefixes: Sequence[bytes], payloads: Sequence[int]):
             haschild[prev_size - 1].append(0)
             leaf_payloads[prev_size - 1].append(prev_payload)
         labels[lcp].append(prefix[lcp])
-        for level in range(lcp + 1, size):
+        level = lcp + 1
+        while level < size:  # usually no step; no range() built for it
             haschild[level - 1].append(1)
-            node_starts[level].append(len(labels[level]))
+            level_labels = labels[level]
+            node_starts[level].append(len(level_labels))
             isprefix[level].append(0)
-            labels[level].append(prefix[level])
-        prev = prefix
-        prev_size = size
-        prev_payload = payloads[i]
-    haschild[prev_size - 1].append(0)
-    leaf_payloads[prev_size - 1].append(prev_payload)
+            level_labels.append(prefix[level])
+            level += 1
+    haschild[sizes[-1] - 1].append(0)
+    leaf_payloads[sizes[-1] - 1].append(payloads[-1])
     return levels
 
 
@@ -160,29 +159,37 @@ class LoudsBackend:
 
     @classmethod
     def build(cls, sorted_keys: Sequence[bytes], scheme: SuffixScheme,
-              num_dense_levels: Optional[int] = None) -> "LoudsBackend":
-        """Build directly from sorted unique keys."""
-        return cls.from_terminals(*pruned_terminals(sorted_keys, scheme),
-                                  num_dense_levels)
+              num_dense_levels: Optional[int] = None,
+              pruned: Optional[Pruned] = None) -> "LoudsBackend":
+        """Build directly from sorted unique keys (``pruned``: their
+        :func:`prune`, when the caller already holds it)."""
+        if pruned is None:
+            pruned = prune(sorted_keys, scheme)
+        prefixes, payloads, lcps = pruned
+        return cls.from_terminals(prefixes, payloads, num_dense_levels, lcps)
 
     # ------------------------------------------------------------------ build
 
     @classmethod
     def from_terminals(cls, prefixes: Sequence[bytes],
                        payloads: Sequence[int],
-                       num_dense_levels: Optional[int] = None
+                       num_dense_levels: Optional[int] = None,
+                       lcps: Optional[Sequence[int]] = None
                        ) -> "LoudsBackend":
         """Encode a strictly increasing terminal list, level by level.
 
-        The levels come from one pass over the prefixes (:func:`_levels`);
-        the top ``num_dense_levels`` (by default
-        :func:`choose_dense_levels`) are then laid out densely and the
-        rest sparsely, with the sparse node starts taken from the level
-        pass: no pointer trie, no select.
+        The levels come from one pass over the prefixes (:func:`_levels`),
+        given their adjacent common prefixes (``lcps``: the build passes
+        the ones it pruned with, a decode measures them here); the top
+        ``num_dense_levels`` (by default :func:`choose_dense_levels`) are
+        then laid out densely and the rest sparsely, with the sparse node
+        starts taken from the level pass: no pointer trie, no select.
         """
         self = cls.__new__(cls)
+        if lcps is None:
+            lcps = common_prefix_lens(prefixes)
         (labels, haschild, node_starts, isprefix, leaf_payloads,
-         prefix_payloads) = _levels(prefixes, payloads)
+         prefix_payloads) = _levels(prefixes, payloads, lcps)
         # Degenerate tries (empty, or a lone empty-key terminal) have no
         # internal nodes to encode; serve them from a sentinel root.
         self._empty = not labels

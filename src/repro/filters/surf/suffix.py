@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.filters.hashing import suffix_hash_bits
@@ -23,6 +24,14 @@ class SurfVariant(enum.Enum):
     BASE = "base"
     HASH = "hash"
     REAL = "real"
+
+
+def _real_window(num_bits: int) -> Tuple[int, int]:
+    """A REAL suffix of ``num_bits`` bits: the key bytes it reads, and the
+    right shift that drops the last byte's unused low bits (what
+    :func:`real_suffix_bits` computes per call, for the batch forms)."""
+    num_bytes = (num_bits + 7) // 8
+    return num_bytes, 8 * num_bytes - num_bits
 
 
 def real_suffix_bits(key: bytes, depth: int, num_bits: int) -> int:
@@ -59,12 +68,37 @@ class SuffixScheme:
             )
 
     def payload(self, full_key: bytes, depth: int) -> int:
-        """Payload stored at a terminal of ``depth`` for ``full_key``."""
+        """Payload stored at a terminal of ``depth`` for ``full_key``.
+
+        One key at a time; the build takes a whole list through
+        :meth:`payloads`.  Kept as the per-key form that the dict-trie
+        twin in ``tests/reference/surf_build.py`` builds with, so the
+        twin does not share :meth:`payloads`' arithmetic.
+        """
         if self.variant is SurfVariant.BASE:
             return 0
         if self.variant is SurfVariant.HASH:
             return suffix_hash_bits(full_key, self.num_bits)
         return real_suffix_bits(full_key, depth, self.num_bits)
+
+    def payloads(self, keys: Sequence[bytes],
+                 depths: Sequence[int]) -> List[int]:
+        """:meth:`payload` of every ``(key, depth)`` pair, as one
+        comprehension per variant (the terminal list's build)."""
+        if self.variant is SurfVariant.BASE:
+            return [0] * len(keys)
+        num_bits = self.num_bits
+        if self.variant is SurfVariant.HASH:
+            return [suffix_hash_bits(key, num_bits) for key in keys]
+        num_bytes, shift = _real_window(num_bits)
+        if num_bytes == 1:
+            return [key[depth] >> shift if depth < len(key) else 0
+                    for key, depth in zip(keys, depths)]
+        from_bytes = int.from_bytes
+        return [from_bytes(key[depth:depth + num_bytes].ljust(num_bytes,
+                                                              b"\x00"),
+                           "big") >> shift
+                for key, depth in zip(keys, depths)]
 
     def matches(self, query: bytes, depth: int, payload: int) -> bool:
         """Whether a query reaching a terminal of ``depth`` passes."""
@@ -97,8 +131,7 @@ class SuffixScheme:
         if self.variant is SurfVariant.HASH:
             return (lambda query, depth, payload:
                     suffix_hash_bits(query, num_bits) == payload)
-        num_bytes = (num_bits + 7) // 8
-        shift = 8 * num_bytes - num_bits
+        num_bytes, shift = _real_window(num_bits)
         if num_bytes == 1:
             return (lambda query, depth, payload:
                     ((query[depth] >> shift) if depth < len(query) else 0)

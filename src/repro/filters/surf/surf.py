@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigError
 from repro.filters.base import FilterBuilder, RangeFilter
 from repro.filters.surf import cursor
 from repro.filters.surf.louds import LoudsBackend
 from repro.filters.surf.suffix import SuffixScheme, SurfVariant
-from repro.filters.surf.trie import TrieBackend
+from repro.filters.surf.trie import Pruned, TrieBackend, prune
 
 
 class SuRF(RangeFilter):
@@ -34,16 +34,22 @@ class SuRF(RangeFilter):
               variant: Union[SurfVariant, str] = SurfVariant.REAL,
               suffix_bits: int = 8,
               backend: str = "trie",
-              num_dense_levels: Optional[int] = None) -> "SuRF":
-        """Build a SuRF over sorted unique keys."""
+              num_dense_levels: Optional[int] = None,
+              pruned: Optional[Pruned] = None) -> "SuRF":
+        """Build a SuRF over sorted unique keys.
+
+        ``pruned`` is the keys' :func:`~repro.filters.surf.trie.prune`,
+        when the caller already holds it (``SuRFBuilder.build_block``).
+        """
         if isinstance(variant, str):
             variant = SurfVariant(variant)
         scheme = SuffixScheme(variant, suffix_bits)
         if backend == "trie":
-            built = TrieBackend.build(sorted_keys, scheme)
+            built = TrieBackend.build(sorted_keys, scheme, pruned=pruned)
         elif backend == "louds":
             built = LoudsBackend.build(sorted_keys, scheme,
-                                       num_dense_levels=num_dense_levels)
+                                       num_dense_levels=num_dense_levels,
+                                       pruned=pruned)
         else:
             raise ConfigError(f"unknown SuRF backend {backend!r}")
         return cls(built, scheme, len(sorted_keys))
@@ -96,6 +102,19 @@ class SuRFBuilder(FilterBuilder):
     def name(self) -> str:
         return f"surf-{self._scheme.label}[{self.backend}]"
 
-    def build(self, sorted_keys: Sequence[bytes]) -> SuRF:
+    def build(self, sorted_keys: Sequence[bytes],
+              pruned: Optional[Pruned] = None) -> SuRF:
+        """Build over ``sorted_keys`` (``pruned``: as in :meth:`SuRF.build`)."""
         return SuRF.build(sorted_keys, variant=self.variant,
-                          suffix_bits=self.suffix_bits, backend=self.backend)
+                          suffix_bits=self.suffix_bits, backend=self.backend,
+                          pruned=pruned)
+
+    def build_block(self, sorted_keys: Sequence[bytes]
+                    ) -> Tuple[SuRF, bytes]:
+        """Prune once; build from the terminal list and write the filter
+        block from the same list (``serialize_filter``'s bytes, without
+        reading the list back out of the built backend)."""
+        from repro.filters.serialize import encode_surf_block
+        pruned = prune(sorted_keys, self._scheme)
+        filt = self.build(sorted_keys, pruned)
+        return filt, encode_surf_block(filt, pruned[0], pruned[1])

@@ -2,8 +2,8 @@
 
 SuRF's core structure (paper section 6.1) is a trie pruned to the minimum
 length prefixes that uniquely identify each key: the shared prefix plus one
-distinguishing byte.  :func:`pruned_terminals` maps a sorted key list to
-those prefixes and their suffix payloads, in sorted order; that terminal
+distinguishing byte.  :func:`prune` maps a sorted key list to those
+prefixes and their suffix payloads, in sorted order; that terminal
 list is the one form both backends build from, write to the filter block
 (:mod:`repro.filters.serialize`) and load back from.  Both expose the
 *cursor* protocol (:mod:`repro.filters.surf.cursor`), so the shared lookup
@@ -21,7 +21,7 @@ from operator import lt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.keys import common_prefix_len
+from repro.common.keys import common_prefix_lens
 from repro.filters.surf.cursor import Terminal, TerminalKind
 from repro.filters.surf.suffix import SuffixScheme
 
@@ -50,37 +50,55 @@ class TrieNode:
         return self._sorted_labels
 
 
-def pruned_depths(sorted_keys: Sequence[bytes]) -> List[int]:
+def pruned_depths(sorted_keys: Sequence[bytes],
+                  lcps: Optional[Sequence[int]] = None) -> List[int]:
     """Pruned-prefix length (in bytes) for each key of a sorted unique list.
 
     A key's pruned depth is one byte past its longest common prefix with
     either neighbor, capped at the key's own length (keys that are prefixes
     of other keys terminate at internal nodes).  Each adjacent common
-    prefix is measured once and serves both keys it separates.
+    prefix is measured once (``lcps``, :func:`common_prefix_lens` of the
+    keys, when the caller already holds them) and serves both keys it
+    separates.
     """
-    # lcps[i]: common prefix of keys i - 1 and i; 0 past both ends.
-    lcps = [0, *map(common_prefix_len, sorted_keys, sorted_keys[1:]), 0]
-    return [min(len(key), max(left, right) + 1)
-            for key, left, right in zip(sorted_keys, lcps, lcps[1:])]
+    if lcps is None:
+        lcps = common_prefix_lens(sorted_keys)
+    # Past both ends the common prefix is 0.
+    return [min(len(key), (left if left > right else right) + 1)
+            for key, left, right in zip(sorted_keys, [0, *lcps], [*lcps, 0])]
+
+
+#: A pruned trie's terminal list and its keys' adjacent common prefixes:
+#: ``(prefixes, payloads, lcps)``, as :func:`prune` returns them.
+Pruned = Tuple[List[bytes], List[int], List[int]]
+
+
+def prune(sorted_keys: Sequence[bytes], scheme: SuffixScheme) -> Pruned:
+    """The pruned trie as its terminal list, plus the LCPs it was cut by.
+
+    Key ``i`` cut to its pruned depth, and its suffix payload there; the
+    prefixes come out strictly increasing, as both backends'
+    ``from_terminals`` require.  Adjacent prefixes share exactly their
+    keys' common prefix (each prefix is at least that long), so the
+    ``lcps`` measured once here serve the LOUDS build too.
+    ``sorted_keys`` must be sorted and duplicate-free (the SSTable
+    builder guarantees this); violations raise :class:`ConfigError`
+    because a mis-sorted input would silently corrupt the pruning.
+    """
+    if not all(map(lt, sorted_keys, sorted_keys[1:])):
+        raise ConfigError("keys must be sorted and unique for trie construction")
+    lcps = common_prefix_lens(sorted_keys)
+    depths = pruned_depths(sorted_keys, lcps)
+    return ([key[:depth] for key, depth in zip(sorted_keys, depths)],
+            scheme.payloads(sorted_keys, depths), lcps)
 
 
 def pruned_terminals(sorted_keys: Sequence[bytes], scheme: SuffixScheme
                      ) -> Tuple[List[bytes], List[int]]:
-    """The pruned trie as its terminal list: ``(prefixes, payloads)``.
-
-    Key ``i`` cut to its pruned depth, and its suffix payload there; the
-    prefixes come out strictly increasing, as both backends'
-    ``from_terminals`` require.  ``sorted_keys`` must be sorted and
-    duplicate-free (the SSTable builder guarantees this); violations raise
-    :class:`ConfigError` because a mis-sorted input would silently corrupt
-    the pruning.
-    """
-    if not all(map(lt, sorted_keys, sorted_keys[1:])):
-        raise ConfigError("keys must be sorted and unique for trie construction")
-    depths = pruned_depths(sorted_keys)
-    payload = scheme.payload
-    return ([key[:depth] for key, depth in zip(sorted_keys, depths)],
-            [payload(key, depth) for key, depth in zip(sorted_keys, depths)])
+    """The pruned trie as its terminal list: ``(prefixes, payloads)``
+    (:func:`prune` without its LCPs)."""
+    prefixes, payloads, _ = prune(sorted_keys, scheme)
+    return prefixes, payloads
 
 
 class TrieBackend:
@@ -93,9 +111,13 @@ class TrieBackend:
         self._counts = _count_stats(root)
 
     @classmethod
-    def build(cls, sorted_keys: Sequence[bytes], scheme: SuffixScheme) -> "TrieBackend":
-        """Build from sorted unique keys."""
-        return cls.from_terminals(*pruned_terminals(sorted_keys, scheme))
+    def build(cls, sorted_keys: Sequence[bytes], scheme: SuffixScheme,
+              pruned: Optional[Pruned] = None) -> "TrieBackend":
+        """Build from sorted unique keys (``pruned``: their :func:`prune`,
+        when the caller already holds it)."""
+        if pruned is None:
+            pruned = prune(sorted_keys, scheme)
+        return cls.from_terminals(pruned[0], pruned[1])
 
     @classmethod
     def from_terminals(cls, prefixes: Sequence[bytes],

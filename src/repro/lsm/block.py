@@ -197,7 +197,31 @@ class Block:
                 hi = mid
         return lo
 
+    def records(self) -> List[Tuple[bytes, Optional[bytes]]]:
+        """Every record in key order, as ``(key, value)`` with ``None``
+        for a tombstone (the table writer's record shape).
+
+        One pass: the offsets array in one unpack and the body copied to
+        ``bytes`` once, so each key and value is one slice — what
+        :meth:`record_at` decodes per index, without its per-record
+        offset read and bounds check.
+        """
+        data = bytes(self._data)
+        offsets = struct.unpack_from(f"<{self._count}I", data,
+                                     self._offsets_start)
+        header = _RECORD_HEADER.size
+        unpack = _RECORD_HEADER.unpack_from
+        out = []
+        append = out.append
+        for off in offsets:
+            key_len, flags, value_len = unpack(data, off)
+            key_end = off + header + key_len
+            append((data[off + header:key_end],
+                    None if flags & _FLAG_TOMBSTONE
+                    else data[key_end:key_end + value_len]))
+        return out
+
     def items(self):
-        """All records in key order."""
-        for index in range(self._count):
-            yield self.record_at(index)
+        """All records in key order, as ``(key, Entry)``."""
+        for key, value in self.records():
+            yield key, TOMBSTONE if value is None else Entry(value)

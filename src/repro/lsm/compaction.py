@@ -305,12 +305,8 @@ class Compactor:
 
     def _load_table_records(self, table: SSTable):
         """Read one input table's records through the cache (effect phase)."""
-        keys: List[bytes] = []
-        records = []
-        for key, entry in table.reader.iterate_from(b"", self.cache):
-            keys.append(key)
-            records.append((key, entry.value))
-        return keys, records
+        records = table.reader.records(self.cache)
+        return [key for key, _ in records], records
 
     def _is_bottom(self, target_level: int) -> bool:
         current = self.versions.current

@@ -243,7 +243,7 @@ def _open_table(db, entry: ManifestEntry) -> SSTable:
     min_key, max_key = reader.properties()
     filt = reader.load_filter()
     if filt is None and db.options.filter_builder is not None:
-        keys = [key for key, _ in reader.iterate_from(b"", db.cache)]
+        keys = [key for key, _ in reader.records(db.cache)]
         filt = db.options.filter_builder.build(keys)
     return SSTable(path=entry.path, reader=reader, filter=filt,
                    min_key=min_key, max_key=max_key,

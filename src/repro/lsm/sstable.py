@@ -102,9 +102,8 @@ class SSTableReader:
         num_entries = int.from_bytes(num_entry.value, "big")
         index_block = Block(self.device.read(self.path, index_off, index_len))
         entries: List[Tuple[bytes, BlockHandle]] = []
-        for key, entry in index_block.items():
-            offset, length = _BLOCK_REF.unpack(entry.value)
-            entries.append((key, BlockHandle(offset, length)))
+        for key, ref in index_block.records():
+            entries.append((key, BlockHandle(*_BLOCK_REF.unpack(ref))))
         self._props = props
         self._filter_handle = BlockHandle(filter_off, filter_len)
         return entries, num_entries
@@ -176,6 +175,22 @@ class SSTableReader:
             index = block.lower_bound(low) if bi == start else 0
             for record_index in range(index, len(block)):
                 yield block.record_at(record_index)
+
+    def records(self, cache: PageCache
+                ) -> List[Tuple[bytes, Optional[bytes]]]:
+        """Every record of the table, ``(key, value)`` with ``None`` for
+        a tombstone: :meth:`iterate_from` ``b""``'s records, read the
+        same way — every data block through ``cache.read_decoded``, in
+        block order, so charges, cache stats and LRU order are its —
+        and decoded with one :meth:`Block.records` pass per block.
+        Compaction's input read and recovery's filter rebuild.
+        """
+        out: List[Tuple[bytes, Optional[bytes]]] = []
+        for _, handle in self._index:
+            out += cache.read_decoded(self.path, handle.offset,
+                                      handle.length, Block,
+                                      region=self.region).records()
+        return out
 
     def load_filter(self):
         """Deserialize the table's persisted filter block, or None.

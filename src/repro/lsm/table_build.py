@@ -24,6 +24,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import lt
 from typing import Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -102,7 +103,7 @@ def build_table_artifact(records: List[Record], block_size: int,
     keys = [key for key, _ in records]
     if not keys[0]:
         raise ConfigError("empty keys are not supported")
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    if not all(map(lt, keys, keys[1:])):
         raise ConfigError("SSTable records must be added in ascending key order")
     if max(map(len, keys)) > 0xFFFF:
         raise ConfigError("key exceeds the u16 length field")
@@ -143,9 +144,7 @@ def build_table_artifact(records: List[Record], block_size: int,
     filter_data = b""
     filter_offset = size
     if filter_builder is not None:
-        filt = filter_builder.build(keys)
-        from repro.filters.serialize import serialize_filter
-        filter_data = serialize_filter(filt)
+        filt, filter_data = filter_builder.build_block(keys)
         chunks.append(filter_data)
         size += len(filter_data)
 

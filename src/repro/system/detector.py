@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.keys import common_prefix_len
+from repro.common.keys import common_prefix_lens
 from repro.system.responses import Response, Status
 from repro.system.service import KVService, ServiceLayer
 
@@ -124,10 +124,7 @@ class SiphoningDetector:
         if len(misses) < 8:
             return 0.0
         ordered = sorted(misses)
-        total = 0
-        for a, b in zip(ordered, ordered[1:]):
-            total += common_prefix_len(a, b)
-        mean_lcp = total / (len(ordered) - 1)
+        mean_lcp = sum(common_prefix_lens(ordered)) / (len(ordered) - 1)
         # Uniform baseline: among w uniform byte-strings, the expected
         # adjacent LCP is ~log_256(w) plus a small constant tail.
         baseline = math.log(max(2, len(ordered)), 256) + 256 / 255 - 1

@@ -1,13 +1,17 @@
 """Key codec and prefix arithmetic tests."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
+from repro.system.detector import SiphoningDetector
 from repro.common.keys import (
     ALPHABET_SIZE,
     common_prefix_len,
+    common_prefix_lens,
     int_to_key,
     key_to_int,
     sha1_key,
@@ -71,6 +75,66 @@ class TestPrefixes:
         assert a[:n] == b[:n]
         if n < len(a) and n < len(b):
             assert a[n] != b[n]
+
+
+def byte_loop_lcp(a, b):
+    """A byte-at-a-time common prefix, written out independently of
+    ``repro.common.keys``."""
+    limit = min(len(a), len(b))
+    length = 0
+    while length < limit and a[length] == b[length]:
+        length += 1
+    return length
+
+
+#: Keys over a few bytes, 0x00/0xff runs included, up to past 64 bytes.
+keys_with_runs = st.lists(
+    st.one_of(st.sampled_from([b"\x00", b"\xff", b"a"]),
+              st.binary(min_size=1, max_size=1),
+              st.sampled_from([b"\x00" * 33, b"\xff" * 40, b"a" * 65])),
+    max_size=12).map(b"".join)
+
+
+class TestCommonPrefixLensEqualsByteLoop:
+    @given(keys_with_runs, keys_with_runs)
+    @example(b"", b"")
+    @example(b"", b"\x00")
+    @example(b"abc", b"abc")
+    @example(b"\x00" * 70, b"\x00" * 70)
+    @example(b"\xff" * 70, b"\xff" * 69 + b"\xfe")
+    @example(b"\x00" * 3, b"\x00" * 3 + b"\xff")
+    def test_pair(self, a, b):
+        expected = byte_loop_lcp(a, b)
+        assert common_prefix_len(a, b) == expected
+        assert common_prefix_lens([a, b]) == [expected]
+        assert common_prefix_lens([b, a]) == [expected]
+        assert common_prefix_lens([a, a, a + b]) == [len(a), len(a)]
+
+    @given(st.lists(keys_with_runs, max_size=30))
+    @example([])
+    @example([b""])
+    @example([b"", b"", b"a"])
+    @example([b"\x00" * 65, b"\x00" * 66, b"\x00" * 65 + b"\x01"])
+    def test_adjacent_pairs(self, keys):
+        # Any order, widths mixed or not, duplicates included.
+        for batch in (keys, sorted(keys), [key.ljust(70, b"\x00")
+                                           for key in keys]):
+            assert common_prefix_lens(batch) == [
+                byte_loop_lcp(a, b) for a, b in zip(batch, batch[1:])]
+
+    @given(st.lists(keys_with_runs, min_size=0, max_size=40))
+    def test_detector_scores_unchanged(self, misses):
+        # The detector's LCP excess, as the byte loop scored it.
+        ordered = sorted(misses)
+        if len(ordered) < 8:
+            expected = 0.0
+        else:
+            total = sum(byte_loop_lcp(a, b)
+                        for a, b in zip(ordered, ordered[1:]))
+            expected = (total / (len(ordered) - 1)
+                        - (math.log(max(2, len(ordered)), 256)
+                           + 256 / 255 - 1))
+        assert SiphoningDetector()._lcp_excess(misses) == expected
 
 
 class TestSuffixEnumeration:
