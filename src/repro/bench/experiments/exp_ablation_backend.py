@@ -1,10 +1,10 @@
 """Ablation — SuRF backend: reference dict-trie vs succinct LOUDS.
 
 A design-choice bench beyond the paper's tables (DESIGN.md section 5,
-decision 2): the two backends must agree on every query; the trie backend
-is the fast path for million-query attack simulations while LOUDS
-reproduces the real memory layout.  Reports agreement, build time, query
-throughput, and measured vs estimated succinct size.
+decision 2): the two backends must agree on every query; LOUDS, the real
+memory layout, is the backend every product path builds, and the dict
+trie is the reference it is held to.  Reports agreement, build time,
+query throughput, and measured vs estimated succinct size.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterable, List
+from typing import Dict, Iterable, List
 
 from repro.common.errors import ConfigError
 from repro.filters.bitarray import popcount as _popcount
@@ -188,9 +188,12 @@ class BitVector:
         flat 32 bits each, which overstated small vectors and would
         understate vectors beyond 4 Gbit.)
         """
+        return sum(self.memory_parts().values())
+
+    def memory_parts(self) -> Dict[str, int]:
+        """:meth:`memory_bits` per structure: the payload ``words``, the
+        ``rank`` directory and the ``select`` samples."""
         entry_bits = max(1, self._length.bit_length())
-        return (
-            len(self._words) * _WORD_BITS
-            + len(self._rank_dir) * entry_bits
-            + len(self._select_samples) * entry_bits
-        )
+        return {"words": len(self._words) * _WORD_BITS,
+                "rank": len(self._rank_dir) * entry_bits,
+                "select": len(self._select_samples) * entry_bits}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from itertools import chain, islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.keys import common_prefix_lens
@@ -43,8 +43,8 @@ from repro.filters.surf.trie import Pruned, prune
 _DENSE_NODE_BITS = 2 * 256 + 1
 #: Bits one sparse label costs: 8-bit label + HasChild + LOUDS bits.
 _SPARSE_LABEL_BITS = 10
-#: Dense-vs-sparse size ratio cutoff (SuRF's R parameter).
-DENSE_RATIO = 16
+#: SuRF's R: the dense top may cost at most 1/R of the sparse levels below.
+SPARSE_DENSE_RATIO = 64
 
 # Cursor node-reference kinds.
 _DENSE_NODE = 0
@@ -72,24 +72,23 @@ def _bitvector(bits: bytearray) -> BitVector:
 
 def choose_dense_levels(level_nodes: Sequence[int],
                         level_labels: Sequence[int]) -> int:
-    """Pick how many top levels to encode densely.
+    """Pick how many top levels to encode densely: SuRF's cutoff rule.
 
-    In SuRF's spirit — the dense encoding of a level pays off when the
-    level is densely branching — level ``l`` is included while the dense
-    cost of levels ``0..l`` is at most ``DENSE_RATIO`` times their
-    sparse cost, which includes the root for any non-degenerate trie and
-    stops as soon as branching thins out.
+    The largest ``l`` such that the dense bits of levels ``0..l``, times
+    :data:`SPARSE_DENSE_RATIO`, are at most the sparse bits of the levels
+    below ``l``; ``l + 1`` levels go dense, or none when even the root
+    alone fails.  The dense top thus stays a small fraction of the
+    filter, as in the published SuRF builder.
     """
+    sparse_below = _SPARSE_LABEL_BITS * sum(level_labels)
     dense_bits = 0
-    sparse_bits = 0
     chosen = 0
     for nodes, labels in zip(level_nodes, level_labels):
         dense_bits += nodes * _DENSE_NODE_BITS
-        sparse_bits += labels * _SPARSE_LABEL_BITS
-        if dense_bits <= DENSE_RATIO * sparse_bits:
-            chosen += 1
-        else:
+        sparse_below -= labels * _SPARSE_LABEL_BITS
+        if dense_bits * SPARSE_DENSE_RATIO > sparse_below:
             break
+        chosen += 1
     return chosen
 
 
@@ -153,7 +152,12 @@ def _levels(prefixes: Sequence[bytes], payloads: Sequence[int],
 
 
 class LoudsBackend:
-    """Succinct SuRF backend (cursor protocol)."""
+    """Succinct SuRF backend, the one every product path builds.
+
+    Queries run through its own kernels (:meth:`lookup`,
+    :meth:`lookup_many`, :meth:`may_contain_range`); the cursor protocol
+    methods below are what the tests walk to check them.
+    """
 
     backend_name = "louds"
 
@@ -249,7 +253,24 @@ class LoudsBackend:
         else:
             self._first_sparse_child = (self._d_haschild.ones
                                         - (self._num_dense - 1))
+        self._bind_views()
         return self
+
+    def _bind_views(self) -> None:
+        """Tuple the structures each query kernel binds to locals, so a
+        query unpacks one attribute instead of loading a dozen."""
+        self._dense_view = (
+            self._d_labels.words, self._d_labels.rank_directory,
+            self._d_haschild.words, self._d_haschild.rank_directory,
+            self._d_isprefix.words, self._d_isprefix.rank_directory,
+            self._d_leaf_payloads, self._d_prefix_payloads)
+        self._sparse_view = (
+            self._s_labels, self._s_node_start,
+            self._s_haschild.words, self._s_haschild.rank_directory,
+            self._s_isprefix.words, self._s_isprefix.rank_directory,
+            self._s_leaf_payloads, self._s_prefix_payloads,
+            self._first_sparse_child)
+        self._matcher_of = None
 
     def terminals(self) -> Tuple[List[bytes], List[int]]:
         """The terminal list ``(prefixes, payloads)``, in sorted order.
@@ -404,6 +425,213 @@ class LoudsBackend:
             return found_label, self._sparse_child_ref(pos)
         return None
 
+    # ----------------------------------------------------------- point lookup
+
+    def _matcher(self, scheme: SuffixScheme):
+        """``scheme.matcher()``, built once per filter (one scheme each)."""
+        cached = self._matcher_of
+        if cached is None or cached[0] is not scheme:
+            cached = self._matcher_of = (scheme, scheme.matcher())
+        return cached[1]
+
+    def lookup(self, key: bytes, scheme: SuffixScheme) -> bool:
+        """One point query: :func:`repro.filters.surf.cursor.lookup`'s
+        verdict, with the cursor protocol inlined as in
+        :meth:`lookup_many`: the structure views bound to locals, node
+        references as ints, no :class:`Terminal`."""
+        if self._empty:
+            return _cursor.lookup(self, key, scheme)
+        popcount = _popcount
+        key_len = len(key)
+        depth = 0
+        index = 0
+        num_dense = self._num_dense
+        if num_dense:
+            (dl_words, dl_rank, dh_words, dh_rank, dip_words, dip_rank,
+             d_leaf_payloads, d_prefix_payloads) = self._dense_view
+            while True:
+                if depth == key_len:
+                    if not (dip_words[index >> 6] >> (index & 63)) & 1:
+                        return False
+                    p1 = index + 1
+                    w, o = p1 >> 6, p1 & 63
+                    r = dip_rank[w]
+                    if o:
+                        r += popcount(dip_words[w] & ((1 << o) - 1))
+                    return self._matcher(scheme)(key, depth,
+                                                 d_prefix_payloads[r - 1])
+                pos = (index << 8) | key[depth]
+                if not (dl_words[pos >> 6] >> (pos & 63)) & 1:
+                    return False
+                depth += 1
+                p1 = pos + 1
+                w, o = p1 >> 6, p1 & 63
+                rh = dh_rank[w]
+                if o:
+                    mask = (1 << o) - 1
+                    rh += popcount(dh_words[w] & mask)
+                if not (dh_words[pos >> 6] >> (pos & 63)) & 1:
+                    rl = dl_rank[w]
+                    if o:
+                        rl += popcount(dl_words[w] & mask)
+                    return self._matcher(scheme)(key, depth,
+                                                 d_leaf_payloads[rl - rh - 1])
+                if rh >= num_dense:
+                    index = rh - num_dense
+                    break
+                index = rh
+        (s_labels, s_node_start, sh_words, sh_rank, sip_words, sip_rank,
+         s_leaf_payloads, s_prefix_payloads,
+         first_sparse_child) = self._sparse_view
+        while True:
+            if depth == key_len:
+                if not (sip_words[index >> 6] >> (index & 63)) & 1:
+                    return False
+                p1 = index + 1
+                w, o = p1 >> 6, p1 & 63
+                r = sip_rank[w]
+                if o:
+                    r += popcount(sip_words[w] & ((1 << o) - 1))
+                return self._matcher(scheme)(key, depth,
+                                             s_prefix_payloads[r - 1])
+            pos = s_labels.find(key[depth], s_node_start[index],
+                                s_node_start[index + 1])
+            if pos < 0:
+                return False
+            depth += 1
+            p1 = pos + 1
+            w, o = p1 >> 6, p1 & 63
+            rh = sh_rank[w]
+            if o:
+                rh += popcount(sh_words[w] & ((1 << o) - 1))
+            if not (sh_words[pos >> 6] >> (pos & 63)) & 1:
+                return self._matcher(scheme)(key, depth,
+                                             s_leaf_payloads[p1 - rh - 1])
+            index = first_sparse_child + rh - 1
+
+    # ------------------------------------------------------------- range seek
+
+    def may_contain_range(self, low: bytes, high: bytes) -> bool:
+        """One range query: :func:`repro.filters.surf.cursor.
+        may_contain_range`'s verdict, without the cursor protocol.
+
+        The seek follows ``low`` down, keeping the internal nodes it
+        passes as ints (dense node ``j`` is ``j``, sparse node ``j`` is
+        ``num_dense + j``).  A leaf met on the way is ambiguous, or is
+        ``low`` itself: either way the range passes.  Where ``low``'s
+        next label is missing, the seek takes the next larger label of the
+        deepest node on the path that has one, then the leftmost terminal
+        below it, and compares that prefix with ``high``.
+        """
+        if self._empty:
+            return _cursor.may_contain_range(self, low, high)
+        if low > high:
+            return False
+        popcount = _popcount
+        num_dense = self._num_dense
+        dl_words, _, dh_words, dh_rank = self._dense_view[:4]
+        (s_labels, s_node_start, sh_words, sh_rank) = self._sparse_view[:4]
+        sparse_base = num_dense + self._first_sparse_child - 1
+        low_len = len(low)
+        path: List[int] = []
+        node = 0
+        for depth in range(low_len):
+            label = low[depth]
+            if node < num_dense:
+                pos = (node << 8) | label
+                if not (dl_words[pos >> 6] >> (pos & 63)) & 1:
+                    break
+                if not (dh_words[pos >> 6] >> (pos & 63)) & 1:
+                    return True
+                words, rank, base = dh_words, dh_rank, 0
+            else:
+                sparse = node - num_dense
+                pos = s_labels.find(label, s_node_start[sparse],
+                                    s_node_start[sparse + 1])
+                if pos < 0:
+                    break
+                if not (sh_words[pos >> 6] >> (pos & 63)) & 1:
+                    return True
+                words, rank, base = sh_words, sh_rank, sparse_base
+            path.append(node)
+            p1 = pos + 1
+            w, o = p1 >> 6, p1 & 63
+            node = base + rank[w]
+            if o:
+                node += popcount(words[w] & ((1 << o) - 1))
+        else:
+            # Every terminal below ``node`` starts with ``low``.
+            prefix = low + self._leftmost_labels(node)
+            return prefix <= high or high.startswith(prefix)
+        path.append(node)
+        for depth in range(len(path) - 1, -1, -1):
+            node = path[depth]
+            label = low[depth] + 1
+            if node < num_dense:
+                if label > 255:
+                    continue
+                pos = (node << 8) | label
+                end = (node + 1) << 8
+                while pos < end:
+                    word = dl_words[pos >> 6] >> (pos & 63)
+                    if word:
+                        pos += (word & -word).bit_length() - 1
+                        break
+                    pos = (pos | 63) + 1
+                else:
+                    continue
+                words, rank, base = dh_words, dh_rank, 0
+            else:
+                sparse = node - num_dense
+                end = s_node_start[sparse + 1]
+                pos = bisect_left(s_labels, label, s_node_start[sparse], end)
+                if pos == end:
+                    continue
+                words, rank, base = sh_words, sh_rank, sparse_base
+            prefix = low[:depth] + _LABEL_BYTES[
+                pos & 255 if node < num_dense else s_labels[pos]]
+            if (words[pos >> 6] >> (pos & 63)) & 1:
+                p1 = pos + 1
+                w, o = p1 >> 6, p1 & 63
+                child = base + rank[w]
+                if o:
+                    child += popcount(words[w] & ((1 << o) - 1))
+                prefix += self._leftmost_labels(child)
+            return prefix <= high or high.startswith(prefix)
+        return False
+
+    def _leftmost_labels(self, node: int) -> bytes:
+        """Labels from internal ``node`` (numbered as in
+        :meth:`may_contain_range`) down to the in-order-first terminal of
+        its subtree: a node's own prefix key precedes everything below
+        it, else the first label is taken."""
+        num_dense = self._num_dense
+        (dl_words, _, dh_words, _, dip_words, _, _, _) = self._dense_view
+        (s_labels, s_node_start, sh_words, _, sip_words, _, _, _,
+         first_sparse_child) = self._sparse_view
+        labels = bytearray()
+        while node < num_dense:
+            if (dip_words[node >> 6] >> (node & 63)) & 1:
+                return bytes(labels)
+            pos = node << 8
+            word = dl_words[pos >> 6]
+            while not word:  # an internal node has a label
+                pos += 64
+                word = dl_words[pos >> 6]
+            pos += (word & -word).bit_length() - 1
+            labels.append(pos & 255)
+            if not (dh_words[pos >> 6] >> (pos & 63)) & 1:
+                return bytes(labels)
+            node = self._d_haschild.rank1(pos + 1)
+        node -= num_dense
+        while not (sip_words[node >> 6] >> (node & 63)) & 1:
+            pos = s_node_start[node]
+            labels.append(s_labels[pos])
+            if not (sh_words[pos >> 6] >> (pos & 63)) & 1:
+                break
+            node = first_sparse_child + self._s_haschild.rank1(pos + 1) - 1
+        return bytes(labels)
+
     # ------------------------------------------------------------ batch lookup
 
     def lookup_many(self, keys: Sequence[bytes],
@@ -434,28 +662,15 @@ class LoudsBackend:
             return [_cursor.lookup(self, key, scheme) for key in keys]
 
         # Locals-bound structure views (see BitVector.rank_directory).
-        dl_words = self._d_labels.words
-        dl_rank = self._d_labels.rank_directory
-        dh_words = self._d_haschild.words
-        dh_rank = self._d_haschild.rank_directory
-        dip_words = self._d_isprefix.words
-        dip_rank = self._d_isprefix.rank_directory
-        sh_words = self._s_haschild.words
-        sh_rank = self._s_haschild.rank_directory
-        sip_words = self._s_isprefix.words
-        sip_rank = self._s_isprefix.rank_directory
-        s_labels = self._s_labels
-        s_node_start = self._s_node_start
-        d_leaf_payloads = self._d_leaf_payloads
-        d_prefix_payloads = self._d_prefix_payloads
-        s_leaf_payloads = self._s_leaf_payloads
-        s_prefix_payloads = self._s_prefix_payloads
+        (dl_words, dl_rank, dh_words, dh_rank, dip_words, dip_rank,
+         d_leaf_payloads, d_prefix_payloads) = self._dense_view
+        (s_labels, s_node_start, sh_words, sh_rank, sip_words, sip_rank,
+         s_leaf_payloads, s_prefix_payloads,
+         first_sparse_child) = self._sparse_view
         num_dense = self._num_dense
-        first_sparse_child = self._first_sparse_child
-        matches = scheme.matcher()
+        matches = self._matcher(scheme)
         window = scheme.window
         popcount = _popcount
-        bisect = bisect_left
 
         n = len(keys)
         verdicts = [False] * n
@@ -530,10 +745,9 @@ class LoudsBackend:
                             verdict = matches(key, depth,
                                               s_prefix_payloads[r - 1])
                         break
-                    start = s_node_start[index]
-                    end = s_node_start[index + 1]
-                    pos = bisect(s_labels, key[depth], start, end)
-                    if pos == end or s_labels[pos] != key[depth]:
+                    pos = s_labels.find(key[depth], s_node_start[index],
+                                        s_node_start[index + 1])
+                    if pos < 0:
                         decided = depth + 1
                         break
                     if (sh_words[pos >> 6] >> (pos & 63)) & 1:
@@ -595,22 +809,25 @@ class LoudsBackend:
 
     def memory_bits(self, suffix_bits: int) -> int:
         """Measured size of the succinct structures and payload arrays."""
-        payloads = (
-            len(self._d_leaf_payloads)
-            + len(self._d_prefix_payloads)
-            + len(self._s_leaf_payloads)
-            + len(self._s_prefix_payloads)
-        )
-        return (
-            self._d_labels.memory_bits()
-            + self._d_haschild.memory_bits()
-            + self._d_isprefix.memory_bits()
-            + self._s_haschild.memory_bits()
-            + self._s_louds.memory_bits()
-            + self._s_isprefix.memory_bits()
-            + 8 * len(self._s_labels)
-            + suffix_bits * payloads
-        )
+        return sum(self.memory_parts(suffix_bits).values())
+
+    def memory_parts(self, suffix_bits: int) -> Dict[str, int]:
+        """:meth:`memory_bits` per structure: each bitvector's words, rank
+        directory and select samples (``"d_labels.rank"``, ...), the
+        sparse ``"s_labels"`` and the ``"suffixes"``."""
+        vectors = (("d_labels", self._d_labels),
+                   ("d_haschild", self._d_haschild),
+                   ("d_isprefix", self._d_isprefix),
+                   ("s_haschild", self._s_haschild),
+                   ("s_louds", self._s_louds),
+                   ("s_isprefix", self._s_isprefix))
+        parts = {f"{name}.{part}": bits for name, vector in vectors
+                 for part, bits in vector.memory_parts().items()}
+        parts["s_labels"] = 8 * len(self._s_labels)
+        parts["suffixes"] = suffix_bits * (
+            len(self._d_leaf_payloads) + len(self._d_prefix_payloads)
+            + len(self._s_leaf_payloads) + len(self._s_prefix_payloads))
+        return parts
 
     @property
     def num_dense_nodes(self) -> int:

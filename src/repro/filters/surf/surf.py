@@ -6,7 +6,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigError
 from repro.filters.base import FilterBuilder, RangeFilter
-from repro.filters.surf import cursor
 from repro.filters.surf.louds import LoudsBackend
 from repro.filters.surf.suffix import SuffixScheme, SurfVariant
 from repro.filters.surf.trie import Pruned, TrieBackend, prune
@@ -15,11 +14,11 @@ from repro.filters.surf.trie import Pruned, TrieBackend, prune
 class SuRF(RangeFilter):
     """Succinct Range Filter (paper section 6.1).
 
-    Immutable: built once from the sorted keys of an SSTable.  The
-    ``backend`` argument selects the layout — ``"trie"`` (reference
-    dict-trie, fastest in pure Python; size reported as the equivalent
-    succinct estimate) or ``"louds"`` (actual LOUDS-DENSE/SPARSE succinct
-    encoding) — without changing a single query answer.
+    Immutable: built once from the sorted keys of an SSTable, as the
+    succinct LOUDS-DENSE/SPARSE encoding (``backend="louds"``, the one
+    every product path builds).  ``backend="trie"`` selects the reference
+    dict-trie that the backend-diff tests and the ``ablation-backend``
+    experiment compare LOUDS with; no query answer depends on the choice.
     """
 
     def __init__(self, backend, scheme: SuffixScheme, num_keys: int) -> None:
@@ -33,7 +32,7 @@ class SuRF(RangeFilter):
     def build(cls, sorted_keys: Sequence[bytes],
               variant: Union[SurfVariant, str] = SurfVariant.REAL,
               suffix_bits: int = 8,
-              backend: str = "trie",
+              backend: str = "louds",
               num_dense_levels: Optional[int] = None,
               pruned: Optional[Pruned] = None) -> "SuRF":
         """Build a SuRF over sorted unique keys.
@@ -65,7 +64,7 @@ class SuRF(RangeFilter):
         return self._backend
 
     def _may_contain(self, key: bytes) -> bool:
-        return cursor.lookup(self._backend, key, self.scheme)
+        return self._backend.lookup(key, self.scheme)
 
     def _may_contain_many(self, keys: Sequence[bytes]) -> List[bool]:
         """Sorted batch with shared-prefix cursor reuse.
@@ -76,10 +75,10 @@ class SuRF(RangeFilter):
         return self._backend.lookup_many(list(keys), self.scheme)
 
     def _may_contain_range(self, low: bytes, high: bytes) -> bool:
-        return cursor.may_contain_range(self._backend, low, high)
+        return self._backend.may_contain_range(low, high)
 
     def memory_bits(self) -> int:
-        """Succinct size (measured for louds, estimated for trie)."""
+        """Succinct size (measured for louds, estimated for the trie)."""
         return self._backend.memory_bits(self.scheme.num_bits)
 
 
@@ -87,7 +86,7 @@ class SuRFBuilder(FilterBuilder):
     """Builds one SuRF per SSTable — the paper's RocksDB+SuRF configuration."""
 
     def __init__(self, variant: Union[SurfVariant, str] = SurfVariant.REAL,
-                 suffix_bits: int = 8, backend: str = "trie") -> None:
+                 suffix_bits: int = 8, backend: str = "louds") -> None:
         if isinstance(variant, str):
             variant = SurfVariant(variant)
         # Validate eagerly so a bad configuration fails at setup time.

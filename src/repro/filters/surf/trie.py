@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.keys import common_prefix_lens
+from repro.filters.surf import cursor as _cursor
 from repro.filters.surf.cursor import Terminal, TerminalKind
 from repro.filters.surf.suffix import SuffixScheme
 
@@ -196,6 +197,11 @@ class TrieBackend:
             return None
         found = labels[lo]
         return found, node.children[found]
+
+    #: The scalar queries are the cursor functions themselves: the
+    #: reference that :class:`LoudsBackend`'s own kernels are held to.
+    lookup = _cursor.lookup
+    may_contain_range = _cursor.may_contain_range
 
     # ------------------------------------------------------------ batch lookup
 

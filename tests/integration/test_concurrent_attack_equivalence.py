@@ -73,6 +73,22 @@ def churn(env, stop, failures):
         failures.append(exc)
 
 
+def watch_background_compaction(db):
+    """An event set after the first background cycle that has installed
+    a compaction (the compactor thread looks its work up each cycle)."""
+    compacted = threading.Event()
+    background = db._background
+    work = background._work
+
+    def watched_work():
+        work()
+        if db.compactions_run:
+            compacted.set()
+
+    background._work = watched_work
+    return compacted
+
+
 class TestConcurrentAttackEquivalence:
     def test_attack_under_churn_is_bit_identical_to_quiesced(self):
         # Quiesced twin: same build, same snapshot point, no churn.
@@ -83,15 +99,20 @@ class TestConcurrentAttackEquivalence:
         env_q.db.close()
 
         # Live run: snapshot first, then start the writer and attack
-        # concurrently with flushes + background compactions.
+        # concurrently with flushes + background compactions.  The attack
+        # starts only once a background cycle has installed a compaction,
+        # so the churn under the snapshot is certain, not a matter of how
+        # much GIL time the writer got.
         env_l = build_env()
         snap_l = env_l.db.snapshot()
+        compacted = watch_background_compaction(env_l.db)
         stop = threading.Event()
         failures = []
         writer = threading.Thread(target=churn,
                                   args=(env_l, stop, failures))
         writer.start()
         try:
+            assert compacted.wait(timeout=120) or failures, failures
             learn_l, result_l = attack_snapshot(env_l, snap_l)
         finally:
             stop.set()

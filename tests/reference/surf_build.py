@@ -125,6 +125,7 @@ def louds_from_trie(root: TrieNode,
     """The LOUDS encoding of a finished dict trie (the old constructor)."""
     backend = LoudsBackend.__new__(LoudsBackend)
     _build(backend, root, num_dense_levels)
+    backend._bind_views()
     return backend
 
 
