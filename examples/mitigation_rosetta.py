@@ -36,7 +36,8 @@ def attack_store(filter_builder, scheme, mode) -> tuple:
                      max_extension_queries=1 << 10))
     result = attack.run()
     filt = next(env.db.version.all_tables()).filter
-    correct = sum(1 for e in result.extracted if e.key in env.key_set)
+    stored = env.key_set
+    correct = sum(1 for e in result.extracted if e.key in stored)
     return result, correct, filt.bits_per_key(
         getattr(filt, "num_keys", 1) or 1)
 

@@ -34,7 +34,8 @@ def demo(name, filter_builder, key_width, num_keys):
     attack = RangeDescentAttack(oracle, RangeAttackConfig(
         key_width=key_width, max_keys=TARGET_KEYS))
     result = attack.run()
-    verified = sum(1 for k in result.keys if k in env.key_set)
+    stored = env.key_set
+    verified = sum(1 for k in result.keys if k in stored)
     print(f"{name}: walked the dataset's trie through range-query timing")
     for key in result.keys[:6]:
         print(f"  {key.hex()}")

@@ -47,7 +47,8 @@ def run(num_keys: int = 100_000, target_keys: int = 50,
     oracle = IdealizedRangeOracle(env.service, ATTACKER_USER)
     descent = RangeDescentAttack(oracle, RangeAttackConfig(
         key_width=5, max_keys=target_keys, seed=seed + 1)).run()
-    correct = sum(1 for k in descent.keys if k in env.key_set)
+    stored = env.key_set
+    correct = sum(1 for k in descent.keys if k in stored)
     rows.append({
         "attack": "range descent vs SuRF-Real",
         "keys_extracted": len(descent.keys),
@@ -61,7 +62,7 @@ def run(num_keys: int = 100_000, target_keys: int = 50,
     point = run_idealized_attack(env, surf_strategy(env, seed=seed + 2),
                                  num_candidates=30_000)
     point_correct = sum(1 for e in point.result.extracted
-                        if e.key in env.key_set)
+                        if e.key in stored)
     rows.append({
         "attack": "point attack vs SuRF-Real",
         "keys_extracted": point.result.num_extracted,
@@ -78,8 +79,8 @@ def run(num_keys: int = 100_000, target_keys: int = 50,
     rosetta_oracle = IdealizedRangeOracle(rosetta_env.service, ATTACKER_USER)
     rosetta = RangeDescentAttack(rosetta_oracle, RangeAttackConfig(
         key_width=4, max_keys=target_keys, seed=seed + 3)).run()
-    rosetta_correct = sum(1 for k in rosetta.keys
-                          if k in rosetta_env.key_set)
+    rosetta_stored = rosetta_env.key_set
+    rosetta_correct = sum(1 for k in rosetta.keys if k in rosetta_stored)
     rows.append({
         "attack": "range descent vs Rosetta",
         "keys_extracted": len(rosetta.keys),

@@ -129,7 +129,8 @@ def _cmd_demo(args) -> int:
         keys = [e.key for e in result.extracted]
         total = result.total_queries
 
-    verified = sum(1 for k in keys if k in env.key_set)
+    stored = env.key_set
+    verified = sum(1 for k in keys if k in stored)
     print(f"extracted {len(keys)} keys ({verified} verified) with "
           f"{total:,} queries")
     for key in keys[:8]:

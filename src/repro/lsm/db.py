@@ -42,7 +42,7 @@ from repro.lsm.sstable import SSTable
 from repro.lsm.table_build import (
     build_table_artifact,
     install_artifact,
-    shard_sorted_items,
+    split_records,
 )
 from repro.lsm.version import Version, VersionEdit, VersionSet
 from repro.lsm.wal import WriteAheadLog
@@ -299,24 +299,42 @@ class LSMTree:
         them, bypassing the memtable and WAL (RocksDB SST-ingestion
         analogue).  The tree must be empty.
 
-        The input is sharded at ``sstable_target_bytes`` boundaries and
-        each shard is built and installed in key order through the one
-        table writer (:mod:`repro.lsm.table_build`).
+        ``items`` is consumed as a stream: it is cut at
+        ``sstable_target_bytes`` boundaries as it is pulled
+        (:func:`~repro.lsm.table_build.split_records`), and each table is
+        built and written through the one table writer
+        (:mod:`repro.lsm.table_build`) before the next is pulled, so one
+        table's records are in memory at a time.  The tables are
+        installed together once the stream ends.  Input that turns out
+        unsorted or duplicated raises :class:`ConfigError` (the writer
+        checks order inside a table, this loop at each table boundary);
+        the files already written are then deleted and nothing is
+        installed, so the tree stays empty.
         """
         self._check_open()
         if len(self._memtable) or self.versions.current.total_tables():
             raise ConfigError("bulk_load requires an empty tree")
-        chunks = shard_sorted_items(items, self.options.block_size_bytes,
-                                    self.options.sstable_target_bytes)
-        if not chunks:
-            return
+        options = self.options
         tables: List[SSTable] = []
-        for chunk in chunks:
-            artifact = build_table_artifact(
-                chunk, self.options.block_size_bytes,
-                self.options.filter_builder)
-            tables.append(install_artifact(self.device, self._allocate_path(),
-                                           artifact))
+        try:
+            for chunk in split_records(items, options.block_size_bytes,
+                                       options.sstable_target_bytes):
+                if tables and chunk[0][0] <= tables[-1].max_key:
+                    raise ConfigError(
+                        "bulk_load input must be sorted and unique")
+                artifact = build_table_artifact(
+                    chunk, options.block_size_bytes, options.filter_builder)
+                # Drop this table's records before the next are pulled.
+                del chunk
+                tables.append(install_artifact(
+                    self.device, self._allocate_path(), artifact))
+        except BaseException:
+            for table in tables:
+                self.device.delete_file(table.path)
+                table.reader.unmap()
+            raise
+        if not tables:
+            return
         level = self._deepest_fitting_level(
             sum(table.size_bytes for table in tables))
         self.versions.install(VersionEdit(level, tables, []))
@@ -390,18 +408,18 @@ class LSMTree:
 
     def get_many(self, keys: Iterable[bytes],
                  request_us: Optional[float] = None, on_found=None,
-                 until=None) -> List[object]:
+                 until=None, admit=None) -> List[object]:
         """Batch point query, with an optional request envelope; the batch
         reads the one (memtable, version) pair taken at its start."""
         return self._read(ReadView.get_many, keys, request_us, on_found,
-                          until)
+                          until, admit)
 
     def get_many_timed(self, keys: Iterable[bytes],
                        request_us: Optional[float] = None, on_found=None,
-                       until=None) -> List[Tuple[object, float]]:
+                       until=None, admit=None) -> List[Tuple[object, float]]:
         """Batch ``get_timed``: per-key (value, simulated elapsed us)."""
         return self._read(ReadView.get_many_timed, keys, request_us,
-                          on_found, until)
+                          on_found, until, admit)
 
     def range_query(self, low: bytes, high: bytes,
                     limit: Optional[int] = None) -> List[Tuple[bytes, bytes]]:

@@ -168,32 +168,36 @@ class ReadView:
 
     def get_many(self, keys: Iterable[bytes],
                  request_us: Optional[float] = None, on_found=None,
-                 until=None) -> List[object]:
+                 until=None, admit=None) -> List[object]:
         """Batch point query: ``[self.get(k) for k in keys]``, one pass of
         the search loop (:func:`read_points`) replaying the prepass.
 
         A service issuing the batch passes its per-request envelope:
-        ``request_us`` is charged (jittered) before each key,
-        ``on_found(value)`` runs on each found value and its result is
-        returned in the value's place, and ``until(result)`` ends the
-        batch at the first found key it accepts.  Identical
-        simulated-time behaviour to the equivalent per-key loop.
+        ``admit()`` runs before each key (a rate limiter's admission,
+        outside the key's time), ``request_us`` is charged (jittered)
+        before each key, ``on_found(value)`` runs on each found value and
+        its result is returned in the value's place, and
+        ``until(result)`` ends the batch at the first found key it
+        accepts.  Identical simulated-time behaviour to the equivalent
+        per-key loop.
         """
-        return self._read_many(keys, request_us, on_found, until)[0]
+        return self._read_many(keys, request_us, on_found, until, admit)[0]
 
     def get_many_timed(self, keys: Iterable[bytes],
                        request_us: Optional[float] = None, on_found=None,
-                       until=None) -> List[Tuple[object, float]]:
+                       until=None, admit=None) -> List[Tuple[object, float]]:
         """Batch ``get_timed``: per-key (value, simulated elapsed us), with
-        :meth:`get_many`'s envelope inside each key's time."""
-        return list(zip(*self._read_many(keys, request_us, on_found, until)))
+        :meth:`get_many`'s envelope inside each key's time (``admit``
+        before it)."""
+        return list(zip(*self._read_many(keys, request_us, on_found, until,
+                                         admit)))
 
-    def _read_many(self, keys, request_us, on_found, until
+    def _read_many(self, keys, request_us, on_found, until, admit
                    ) -> Tuple[List[object], List[float]]:
         self._check_open()
         keys = list(keys)
         return read_points(self, keys, probe_plan(self, keys), request_us,
-                           on_found, until)
+                           on_found, until, admit)
 
     # ------------------------------------------------------- attack-side APIs
 
@@ -394,7 +398,8 @@ def read_points(view: ReadView, keys: Sequence[bytes],
                 plan: Optional[ProbePlan] = None,
                 request_us: Optional[float] = None,
                 on_found: Optional[Callable[[bytes], object]] = None,
-                until: Optional[Callable[[object], bool]] = None
+                until: Optional[Callable[[object], bool]] = None,
+                admit: Optional[Callable[[], None]] = None
                 ) -> Tuple[List[object], List[float]]:
     """The point-search loop, over a batch of keys in order.
 
@@ -419,7 +424,10 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     ``on_found`` runs on each found value (a service's ACL check; it may
     charge the same clock and stream) and its result replaces the value.
     With ``until``, the batch ends after the first found key whose
-    result satisfies it: later keys are never issued.
+    result satisfies it: later keys are never issued.  ``admit`` (a rate
+    limiter's admission) runs before each issued key's first charge and
+    outside its time; it may advance the clock but must not draw from
+    the cost stream or touch the cache.
 
     Tables come from the plan when it memoized the key (verdicts
     replayed, consumed ones counted as ``may_contain`` would count
@@ -475,6 +483,8 @@ def read_points(view: ReadView, keys: Sequence[bytes],
     spare = rng.gauss_next
     try:
         for key in keys:
+            if admit is not None:
+                admit()
             start = clock.now_us
             if request_us is not None:
                 if spare is None:

@@ -25,7 +25,7 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import lt
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.filters.base import Filter, FilterBuilder
@@ -192,17 +192,21 @@ def install_artifact(device: StorageDevice, path: str,
 
 # ------------------------------------------------------------- sharding
 
-def split_records(records: List[Record], block_size: int,
-                  target_bytes: int) -> List[List[Record]]:
-    """Split a sorted record run into per-table chunks.
+def split_records(records: Iterable[Record], block_size: int,
+                  target_bytes: int) -> Iterator[List[Record]]:
+    """Cut a sorted record stream into per-table chunks, lazily.
 
     A table closes when its *finished-block* bytes (payload + per-record
     offset trailer + count + crc per block) reach ``target_bytes``,
     evaluated at block boundaries — exactly where a streaming build that
     closes tables on emitted bytes would cut (the reference builder in
-    ``tests/reference`` is held to the same boundaries by test).
+    ``tests/reference`` is held to the same boundaries by test).  Each
+    chunk is yielded as soon as its last record is pulled, so a caller
+    that builds and drops one chunk before asking for the next holds one
+    table's records at a time.  Order is not checked here:
+    :func:`build_table_artifact` checks it inside a table, the caller at
+    table boundaries.
     """
-    out: List[List[Record]] = []
     current: List[Record] = []
     block_bytes = 0
     block_records = 0
@@ -219,25 +223,11 @@ def split_records(records: List[Record], block_size: int,
             block_bytes = 0
             block_records = 0
             if emitted >= target_bytes:
-                out.append(current)
+                yield current
                 current = []
                 emitted = 0
     if current:
-        out.append(current)
-    return out
-
-
-def shard_sorted_items(items: Iterable[Tuple[bytes, bytes]], block_size: int,
-                       target_bytes: int) -> List[List[Record]]:
-    """Validate and shard a pre-sorted bulk-load stream into table chunks."""
-    records: List[Record] = []
-    last_key = None
-    for key, value in items:
-        if last_key is not None and key <= last_key:
-            raise ConfigError("bulk_load input must be sorted and unique")
-        last_key = key
-        records.append((key, value))
-    return split_records(records, block_size, target_bytes)
+        yield current
 
 
 def plan_split_points(tables, target_bytes: int) -> List[bytes]:

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.common.errors import ServiceError
 from repro.lsm.db import LSMTree
 from repro.system.acl import Acl, pack_value, unpack_value
-from repro.system.responses import Response, Status, discloses, until_found
+from repro.system.responses import Response, Status, discloses
 
 #: Simulated cost of request parsing/dispatch in the service layer.
 REQUEST_OVERHEAD_US = 1.0
@@ -223,9 +223,7 @@ class KVService:
 
     def get_many(self, user: int, keys: Sequence[bytes]) -> List[Response]:
         """Batch read: ``[self.get(user, k) for k in keys]``, one pass."""
-        return self._responses(self.db.get_many(
-            keys, request_us=REQUEST_OVERHEAD_US,
-            on_found=partial(self._check, user)))
+        return self._read_batch(user, keys)
 
     def get_many_timed(self, user: int, keys: Sequence[bytes]
                        ) -> List[Tuple[Response, float]]:
@@ -237,21 +235,36 @@ class KVService:
         filter-probe prepass runs before the first request is dispatched
         — it is pure, so the per-key charges and RNG draws are untouched.
         """
-        timed = self.db.get_many_timed(
-            keys, request_us=REQUEST_OVERHEAD_US,
-            on_found=partial(self._check, user))
-        responses = self._responses([result for result, _ in timed])
-        return [(response, elapsed)
-                for response, (_, elapsed) in zip(responses, timed)]
+        return self._read_batch_timed(user, keys)
 
     def get_until_found(self, user: int, keys: Sequence[bytes]
                         ) -> List[Response]:
         """:meth:`get` over ``keys`` in order, up to and including the first
         response that discloses a stored key (OK, or UNAUTHORIZED when
         the system distinguishes it); later keys are never issued."""
+        return self._read_batch(user, keys, until=discloses)
+
+    def _read_batch(self, user: int, keys: Sequence[bytes], until=None,
+                    admit: Optional[Callable[[], None]] = None
+                    ) -> List[Response]:
+        """The batch reads' one pass (:meth:`ServiceLayer._read_batch`):
+        ``admit()`` before each key, outside its charges; ``until`` cuts
+        the batch after the first found key's response it accepts."""
         return self._responses(self.db.get_many(
             keys, request_us=REQUEST_OVERHEAD_US,
-            on_found=partial(self._check, user), until=discloses))
+            on_found=partial(self._check, user), until=until, admit=admit))
+
+    def _read_batch_timed(self, user: int, keys: Sequence[bytes],
+                          admit: Optional[Callable[[], None]] = None
+                          ) -> List[Tuple[Response, float]]:
+        """:meth:`_read_batch` with each key's simulated time, which
+        excludes its admission."""
+        timed = self.db.get_many_timed(
+            keys, request_us=REQUEST_OVERHEAD_US,
+            on_found=partial(self._check, user), admit=admit)
+        responses = self._responses([result for result, _ in timed])
+        return [(response, elapsed)
+                for response, (_, elapsed) in zip(responses, timed)]
 
     def _check(self, user: int, stored: bytes) -> Response:
         """The ACL check of a found value, charged through ``db.charge_cost``."""
@@ -333,7 +346,44 @@ class ServiceLayer:
         """This layer's own ``getter`` over ``keys``, cut after the first
         disclosing response — so the layer admits and observes exactly
         the keys issued."""
-        return until_found(self.getter(user), keys)
+        return self._read_batch(user, keys, until=discloses)
+
+    # A rate limiter reads a batch through the layer below it with these,
+    # admitting each key before it is issued.  A layer runs its own
+    # getter per key; the bottom KVService runs one pass of the store's
+    # search loop, which calls ``admit`` itself.
+
+    def _read_batch(self, user: int, keys: Sequence[bytes], until=None,
+                    admit: Optional[Callable[[], None]] = None
+                    ) -> List[Response]:
+        """This layer's getter over ``keys``, ``admit()`` before each;
+        ``until`` cuts the batch after the first response it accepts."""
+        get_one = self.getter(user)
+        out: List[Response] = []
+        for key in keys:
+            if admit is not None:
+                admit()
+            response = get_one(key)
+            out.append(response)
+            if until is not None and until(response):
+                break
+        return out
+
+    def _read_batch_timed(self, user: int, keys: Sequence[bytes],
+                          admit: Optional[Callable[[], None]] = None
+                          ) -> List[Tuple[Response, float]]:
+        """:meth:`_read_batch` with each key's simulated time, which
+        excludes its admission."""
+        get_one = self.getter(user)
+        clock = self.db.clock
+        out: List[Tuple[Response, float]] = []
+        for key in keys:
+            if admit is not None:
+                admit()
+            start = clock.now_us
+            response = get_one(key)
+            out.append((response, clock.now_us - start))
+        return out
 
     def sim_now_us(self) -> float:
         """The wrapped stack's simulated clock."""

@@ -88,11 +88,11 @@ def build_environment(config: DatasetConfig) -> Environment:
     keys = sha1_dataset(config.num_keys, config.key_width, config.seed)
     value_rng = rng.spawn("values")
     acl = Acl(owner=OWNER_USER)
-    items = [
-        (key, pack_value(acl, value_rng.random_bytes(VALUE_SIZE)))
-        for key in keys
-    ]
-    dataset_bytes = sum(len(k) + len(v) for k, v in items)
+    # Every packed value has the same length, so the dataset's size is
+    # known before a value is drawn: the values stream into bulk_load,
+    # one table's worth in memory at a time.
+    value_len = len(pack_value(acl, bytes(VALUE_SIZE)))
+    dataset_bytes = sum(map(len, keys)) + value_len * len(keys)
     cache_bytes = max(device.model.block_size,
                       int(dataset_bytes * config.cache_fraction))
     cache = PageCache(device, cache_bytes)
@@ -104,7 +104,8 @@ def build_environment(config: DatasetConfig) -> Environment:
         background_compaction=config.background_compaction,
     )
     db = LSMTree(options, clock=clock, device=device, cache=cache)
-    db.bulk_load(items)
+    db.bulk_load((key, pack_value(acl, value_rng.random_bytes(VALUE_SIZE)))
+                 for key in keys)
 
     service = KVService(db, config.distinguish_unauthorized)
     background = BackgroundLoad(cache, LoadModel(), rng.spawn("background"))

@@ -7,6 +7,7 @@ from repro.common.rng import make_rng
 from repro.filters.surf import SuRFBuilder
 from repro.lsm.db import LSMTree
 from repro.lsm.options import LSMOptions
+from repro.lsm.table_build import split_records
 
 
 def surf_options(**overrides):
@@ -180,6 +181,73 @@ class TestBulkLoad:
         db = LSMTree(surf_options())
         with pytest.raises(ConfigError):
             db.bulk_load([(b"b", b"v"), (b"a", b"v")])
+
+    @pytest.mark.parametrize("where", ["inside_a_table", "at_a_boundary"])
+    def test_bulk_load_rejects_late_disorder_and_leaves_tree_empty(
+            self, where):
+        # The input is pulled as a stream, so disorder can surface after
+        # tables are written: those files go, nothing is installed.
+        options = surf_options()
+        items = [(i.to_bytes(4, "big"), b"v%d" % i) for i in range(5000)]
+        if where == "inside_a_table":
+            bad = items + [((17).to_bytes(4, "big"), b"late")]
+        else:
+            # Two whole tables, then the first again: the repeat starts a
+            # table of its own, so only the boundary check can catch it.
+            chunks = split_records(items, options.block_size_bytes,
+                                   options.sstable_target_bytes)
+            first, second = next(chunks), next(chunks)
+            bad = first + second + first
+        db = LSMTree(options)
+        written = []
+        create_file = db.device.create_file
+
+        def counting_create_file(path, data):
+            written.append(path)
+            create_file(path, data)
+
+        db.device.create_file = counting_create_file
+        with pytest.raises(ConfigError):
+            db.bulk_load(iter(bad))
+        assert len([p for p in written if p.endswith(".sst")]) >= 2
+        assert not [p for p in db.device.list_files() if p.endswith(".sst")]
+        assert db.version.total_tables() == 0
+        db.bulk_load(items)
+        assert db.get((17).to_bytes(4, "big")) == b"v17"
+        assert db.get((4999).to_bytes(4, "big")) == b"v4999"
+        db.close()
+        reopened = LSMTree.reopen(db.device, options)
+        assert reopened.get((42).to_bytes(4, "big")) == b"v42"
+
+    def test_bulk_load_holds_one_table_of_input(self):
+        # At each table's write, the stream has been pulled no further
+        # than the records written so far plus this table's (plus one).
+        db = LSMTree(surf_options())
+        pulled = [0]
+
+        def stream():
+            for i in range(20_000):
+                pulled[0] += 1
+                yield i.to_bytes(4, "big"), b"v%d" % i
+
+        at_write = []
+        create_file = db.device.create_file
+
+        def watching_create_file(path, data):
+            if path.endswith(".sst"):
+                at_write.append((path, pulled[0]))
+            create_file(path, data)
+
+        db.device.create_file = watching_create_file
+        db.bulk_load(stream())
+        tables = sorted(db.version.all_tables(), key=lambda t: t.path)
+        assert [path for path, _ in at_write] == [t.path for t in tables]
+        assert len(tables) > 10
+        written = 0
+        for (_, seen), table in zip(at_write, tables):
+            assert seen <= written + table.num_entries + 1
+            written += table.num_entries
+        assert written == 20_000
 
     def test_bulk_load_requires_empty_tree(self):
         db = LSMTree(surf_options())

@@ -125,10 +125,18 @@ def observables(db, ctx, filters_of):
 
 
 def envelope(ctx, use_envelope, stop_byte):
-    """A service-shaped envelope: a request charge, a charged check on
-    each found value (drawing from the same stream), an early exit."""
+    """A service-shaped envelope: an admission that stalls every third
+    key (a rate limiter's), a request charge, a charged check on each
+    found value (drawing from the same stream), an early exit."""
     if not use_envelope:
         return {}
+
+    admitted = []
+
+    def admit():
+        admitted.append(None)
+        if len(admitted) % 3 == 0:
+            ctx.clock.charge(7.5)
 
     def on_found(value):
         ctx.charge_cost(0.3)
@@ -136,7 +144,8 @@ def envelope(ctx, use_envelope, stop_byte):
 
     until = None if stop_byte is None else (
         lambda value: value[-1] == stop_byte)
-    return {"request_us": 1.0, "on_found": on_found, "until": until}
+    return {"request_us": 1.0, "on_found": on_found, "until": until,
+            "admit": admit}
 
 
 @settings(max_examples=150, deadline=None)

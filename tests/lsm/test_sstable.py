@@ -230,7 +230,8 @@ class TestArtifactEquivalence:
         # would have, so sharded bulk loads emit identical table sets.
         records = sorted(records)
         block_size = 64
-        chunks = split_records(records, block_size, target)
+        # Any iterable: bulk_load hands it a stream.
+        chunks = list(split_records(iter(records), block_size, target))
         assert [r for chunk in chunks for r in chunk] == records
         device = StorageDevice(SimClock())
         expected = []

@@ -47,12 +47,15 @@ def scalar_get(db, key: bytes, version=None) -> Optional[bytes]:
 
 
 def scalar_get_many_timed(db, keys, version=None, request_us=None,
-                          on_found=None, until=None):
+                          on_found=None, until=None, admit=None):
     """``db.get_many_timed(keys, ...)`` as the per-key loop it abbreviates:
-    the request envelope charged through ``db.charge_cost`` before each
-    key, ``on_found`` on each found value, the loop cut by ``until``."""
+    ``admit`` before each key and outside its time, the request envelope
+    charged through ``db.charge_cost``, ``on_found`` on each found value,
+    the loop cut by ``until``."""
     out = []
     for key in keys:
+        if admit is not None:
+            admit()
         start = db.clock.now_us
         if request_us is not None:
             db.charge_cost(request_us)

@@ -44,13 +44,21 @@ STORES = {
 }
 
 
+#: ~50 us of simulated work per request against 20 us per token and a
+#: burst of 8: most requests stall.
+STALLING = RateLimitPolicy(requests_per_second=50_000.0, burst=8)
+
+
 def _facade(kind, service):
     """The facade under test: (facade, its detector, its defense)."""
     if kind == "ratelimit":
-        # ~50 us of simulated work per request against 20 us per token
-        # and a burst of 8: most requests stall.
-        return (RateLimitedService(service, RateLimitPolicy(
-            requests_per_second=50_000.0, burst=8)), None, None)
+        return RateLimitedService(service, STALLING), None, None
+    if kind == "ratelimit_monitored":
+        # The limiter over another layer: its batches run that layer's
+        # getter per key, admitted first.
+        monitored = MonitoredService(service)
+        return (RateLimitedService(monitored, STALLING), monitored.detector,
+                None)
     if kind == "monitored":
         monitored = MonitoredService(service)
         return monitored, monitored.detector, None
@@ -59,7 +67,8 @@ def _facade(kind, service):
     return defended, defended.detector, defended
 
 
-FACADES = ("ratelimit", "monitored", "observe", "throttle", "noise")
+FACADES = ("ratelimit", "ratelimit_monitored", "monitored", "observe",
+           "throttle", "noise")
 
 
 def _twin(store, kind):
@@ -138,7 +147,7 @@ def test_facade_batch_equals_its_per_key_loop(store, kind, method):
         assert _observables(env_batch, batch_facade, *batch_parts) == expected
     final = _observables(env_batch, batch_facade, *batch_parts)
     # The traffic reaches what the facade exists for.
-    if kind in ("ratelimit", "throttle"):
+    if kind in ("ratelimit", "ratelimit_monitored", "throttle"):
         assert final["stalls"][0] > 0
     if kind == "noise":
         assert final["defense"].noise_injections > 0
